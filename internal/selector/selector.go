@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -686,7 +686,7 @@ func (s *Selector) writePartsLarge(writeSet []storage.RowRef) []uint64 {
 			parts = append(parts, id)
 		}
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
+	slices.Sort(parts)
 	return parts
 }
 

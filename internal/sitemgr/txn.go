@@ -277,8 +277,8 @@ func (t *Txn) Scan(table string, lo, hi uint64) []storage.KV {
 	return rows
 }
 
-// ScanEach streams visible rows of table in [lo, hi) to fn without
-// materializing them; fn returning false stops early.
+// ScanEach streams visible rows of table in [lo, hi) to fn in key order
+// without materializing their values; fn returning false stops early.
 func (t *Txn) ScanEach(table string, lo, hi uint64, fn func(key uint64, data []byte) bool) {
 	tb := t.site.store.Table(table)
 	if tb == nil {

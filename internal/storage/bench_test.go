@@ -67,6 +67,38 @@ func BenchmarkTableScan1000(b *testing.B) {
 	}
 }
 
+// BenchmarkTableScan runs scans from GOMAXPROCS goroutines at once, over the
+// two key shapes that bound the merge: dense keys rotate through every shard,
+// stride-16 keys all sit in one.
+func BenchmarkTableScan(b *testing.B) {
+	for _, stride := range []uint64{1, tableShards} {
+		t := NewTable("t")
+		for k := uint64(0); k < 100_000; k++ {
+			t.Record(k*stride, true).Install(Stamp{0, 1}, make([]byte, 100), false, 4)
+		}
+		shape := "dense"
+		if stride > 1 {
+			shape = "stride16"
+		}
+		for _, rows := range []uint64{200, 1000} {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, shape), func(b *testing.B) {
+				snap := vclock.Vector{1}
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					lo := uint64(0)
+					for pb.Next() {
+						lo = (lo + 7919) % (100_000 - rows)
+						if got := t.Scan(lo*stride, (lo+rows)*stride, snap); uint64(len(got)) != rows {
+							b.Errorf("rows=%d", len(got))
+							return
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
 func BenchmarkLockSet3(b *testing.B) {
 	s := NewStore(0)
 	s.CreateTable("t")

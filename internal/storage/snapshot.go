@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math"
+
 	"dynamast/internal/vclock"
 )
 
@@ -37,27 +39,13 @@ func (s *Store) ExportAt(svv vclock.Vector, fn func(table string, key uint64, da
 	return true
 }
 
-// exportAt walks one table shard by shard. Keys and record pointers are
-// copied under the shard read lock; version reads happen outside it so the
-// walk never holds a shard lock across fn.
+// exportAt walks one table in key order. The index entries are copied out
+// under the shard read locks (see Table.walk); version reads and fn run
+// outside them.
 func (t *Table) exportAt(name string, svv vclock.Vector, fn func(table string, key uint64, data []byte, stamp Stamp) bool) bool {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		keys := append([]uint64(nil), s.keys...)
-		recs := make([]*Record, len(keys))
-		for j, k := range keys {
-			recs[j] = s.recs[k]
-		}
-		s.mu.RUnlock()
-		for j, r := range recs {
-			data, stamp, ok := r.ExportAt(svv)
-			if !ok {
-				continue
-			}
-			if !fn(name, keys[j], data, stamp) {
-				return false
-			}
+	for _, e := range t.refs(0, math.MaxUint64) {
+		if data, stamp, ok := e.rec.ExportAt(svv); ok && !fn(name, e.key, data, stamp) {
+			return false
 		}
 	}
 	return true

@@ -87,7 +87,9 @@ func TestExportAtEvictedVersionFallsForward(t *testing.T) {
 // TestExportAtConcurrentWriters checks the export walk holds no lock that a
 // committing writer needs: writers make progress while a slow export streams.
 func TestExportAtConcurrentWriters(t *testing.T) {
-	s := NewStore(0)
+	// NewStore(0) would cap chains at DefaultMaxVersions, and a writer that
+	// laps the 200 keys four times during the walk would evict the seed.
+	s := NewStore(1 << 30)
 	for k := uint64(0); k < 200; k++ {
 		s.Apply(Stamp{Origin: 0, Seq: k + 1}, []Write{
 			{Ref: RowRef{Table: "t", Key: k}, Data: []byte("seed")},

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -405,27 +403,5 @@ func TestConcurrentInstallAndRead(t *testing.T) {
 	}
 	if r.VersionCount() > 4 {
 		t.Fatalf("chain grew to %d", r.VersionCount())
-	}
-}
-
-func TestScanRandomizedAgainstModel(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	tb := NewTable("t")
-	model := map[uint64][]byte{}
-	for i := 0; i < 300; i++ {
-		k := uint64(rnd.Intn(100))
-		v := []byte{byte(rnd.Intn(256))}
-		tb.Record(k, true).Install(Stamp{0, uint64(i + 1)}, v, false, 4)
-		model[k] = v
-	}
-	snap := vclock.Vector{301}
-	got := tb.Scan(0, 100, snap)
-	if len(got) != len(model) {
-		t.Fatalf("scan rows %d, model %d", len(got), len(model))
-	}
-	for _, kv := range got {
-		if !bytes.Equal(kv.Value, model[kv.Key]) {
-			t.Fatalf("key %d: got %v want %v", kv.Key, kv.Value, model[kv.Key])
-		}
 	}
 }

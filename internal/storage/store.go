@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -96,7 +97,10 @@ func (r RowRef) Compare(o RowRef) int {
 // SortRefs sorts refs into canonical lock order and removes duplicates,
 // returning the (possibly shortened) slice.
 func SortRefs(refs []RowRef) []RowRef {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Compare(refs[j]) < 0 })
+	if len(refs) < 2 {
+		return refs
+	}
+	slices.SortFunc(refs, RowRef.Compare)
 	out := refs[:0]
 	for i, r := range refs {
 		if i == 0 || r.Compare(refs[i-1]) != 0 {

@@ -1,7 +1,8 @@
 package storage
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"dynamast/internal/vclock"
@@ -10,18 +11,19 @@ import (
 const tableShards = 16
 
 // Table is a row-oriented in-memory table keyed by uint64 primary keys.
-// Lookups and inserts are sharded; range scans iterate the key space in
-// order. Keys in this system are dense within ranges (workloads encode
-// composite keys into uint64), so scans enumerate the sorted key set.
+// Records are sharded by key. A shard holds a map for point lookups and an
+// ordered index — its keys ascending and, parallel to them, the records —
+// for range walks, which all go through walk.
 type Table struct {
 	name   string
 	shards [tableShards]tableShard
 }
 
 type tableShard struct {
-	mu   sync.RWMutex
-	recs map[uint64]*Record
-	keys []uint64 // sorted; maintained on insert
+	mu      sync.RWMutex
+	recs    map[uint64]*Record // point lookups only
+	keys    []uint64           // sorted; maintained on insert
+	ordered []*Record          // ordered[i] is the record of keys[i]
 }
 
 // NewTable returns an empty table with the given name.
@@ -56,10 +58,9 @@ func (t *Table) Record(key uint64, create bool) *Record {
 	}
 	r = newRecord()
 	s.recs[key] = r
-	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
-	s.keys = append(s.keys, 0)
-	copy(s.keys[i+1:], s.keys[i:])
-	s.keys[i] = key
+	i, _ := slices.BinarySearch(s.keys, key)
+	s.keys = slices.Insert(s.keys, i, key)
+	s.ordered = slices.Insert(s.ordered, i, r)
 	return r
 }
 
@@ -97,6 +98,78 @@ type KV struct {
 	Value []byte
 }
 
+// walk is the table's one scan loop. It visits every record with
+// lo <= key <= last in ascending key order: two binary searches find each
+// shard's run, the result is allocated once for the records the runs hold,
+// and a merge of the runs appends what read makes of each record (nothing
+// when read reports false).
+//
+// Locking contract: inserts shift a shard's index in place, so a run is only
+// valid while its shard is read-locked. walk takes every shard's read lock
+// (in index order; writers hold one shard lock at a time, so this cannot
+// deadlock) and holds them all until the merge is done. read runs under
+// those locks: it may read the record but must not call back into the table
+// or into caller-supplied code.
+func walk[T any](t *Table, lo, last uint64, read func(key uint64, r *Record) (T, bool)) []T {
+	var (
+		keys    [tableShards][]uint64  // what is left of each live run
+		recs    [tableShards][]*Record // parallel to keys
+		head    [tableShards]uint64    // keys[i][0], side by side for the merge
+		live, n int
+	)
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.RLock()
+		start, _ := slices.BinarySearch(s.keys, lo)
+		end, found := slices.BinarySearch(s.keys, last)
+		if found {
+			end++
+		}
+		if start < end {
+			keys[live], recs[live], head[live] = s.keys[start:end], s.ordered[start:end], s.keys[start]
+			live++
+			n += end - start
+		}
+	}
+	defer func() {
+		for i := range t.shards {
+			t.shards[i].mu.RUnlock()
+		}
+	}()
+	out := make([]T, 0, n)
+	for live > 0 {
+		m := 0
+		for i := 1; i < live; i++ {
+			if head[i] < head[m] {
+				m = i
+			}
+		}
+		if row, ok := read(head[m], recs[m][0]); ok {
+			out = append(out, row)
+		}
+		if keys[m], recs[m] = keys[m][1:], recs[m][1:]; len(keys[m]) > 0 {
+			head[m] = keys[m][0]
+		} else {
+			live--
+			keys[m], recs[m], head[m] = keys[live], recs[live], head[live]
+		}
+	}
+	return out
+}
+
+// recRef is one index entry copied out of a walk.
+type recRef struct {
+	key uint64
+	rec *Record
+}
+
+// refs copies the index entries with lo <= key <= last out of the table in
+// key order, for callers that read the records, or run caller-supplied code,
+// outside the shard locks.
+func (t *Table) refs(lo, last uint64) []recRef {
+	return walk(t, lo, last, func(key uint64, r *Record) (recRef, bool) { return recRef{key, r}, true })
+}
+
 // Scan returns all visible rows with lo <= key < hi at snapshot snap, in
 // key order.
 func (t *Table) Scan(lo, hi uint64, snap vclock.Vector) []KV {
@@ -110,47 +183,31 @@ func (t *Table) Scan(lo, hi uint64, snap vclock.Vector) []KV {
 // so the scan result cannot be trusted and the caller should retry on a
 // fresher snapshot.
 func (t *Table) ScanChecked(lo, hi uint64, snap vclock.Vector) (out []KV, evicted bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		start := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] >= lo })
-		for j := start; j < len(s.keys) && s.keys[j] < hi; j++ {
-			k := s.keys[j]
-			data, ok, ev := s.recs[k].ReadChecked(snap)
-			if ok {
-				out = append(out, KV{Key: k, Value: data})
-			} else if ev {
-				evicted = true
-			}
-		}
-		s.mu.RUnlock()
+	if lo >= hi {
+		return nil, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out = walk(t, lo, hi-1, func(key uint64, r *Record) (KV, bool) {
+		data, ok, ev := r.ReadChecked(snap)
+		evicted = evicted || ev
+		return KV{Key: key, Value: data}, ok
+	})
 	return out, evicted
 }
 
-// ScanKeys calls fn for each visible row in [lo, hi) in shard order
-// (not globally sorted); fn returning false stops the scan early. It avoids
-// the allocation and sort of Scan for aggregate-style consumers. The
-// returned evicted flag is ScanChecked's.
+// ScanKeys calls fn for each visible row in [lo, hi) in key order; fn
+// returning false stops the scan early. fn runs outside every shard lock, so
+// it may use the table. The returned evicted flag is ScanChecked's, over the
+// rows visited.
 func (t *Table) ScanKeys(lo, hi uint64, snap vclock.Vector, fn func(key uint64, data []byte) bool) (evicted bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		start := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] >= lo })
-		for j := start; j < len(s.keys) && s.keys[j] < hi; j++ {
-			k := s.keys[j]
-			data, ok, ev := s.recs[k].ReadChecked(snap)
-			if ok {
-				if !fn(k, data) {
-					s.mu.RUnlock()
-					return evicted
-				}
-			} else if ev {
-				evicted = true
-			}
+	if lo >= hi {
+		return false
+	}
+	for _, e := range t.refs(lo, hi-1) {
+		data, ok, ev := e.rec.ReadChecked(snap)
+		evicted = evicted || ev
+		if ok && !fn(e.key, data) {
+			break
 		}
-		s.mu.RUnlock()
 	}
 	return evicted
 }
@@ -175,37 +232,30 @@ func (t *Table) RemoveMatching(match func(key uint64) bool) int {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		kept := s.keys[:0]
-		for _, k := range s.keys {
+		kept := 0
+		for j, k := range s.keys {
 			if match(k) {
 				delete(s.recs, k)
 				removed++
 				continue
 			}
-			kept = append(kept, k)
+			s.keys[kept], s.ordered[kept] = k, s.ordered[j]
+			kept++
 		}
-		s.keys = kept
+		clear(s.ordered[kept:]) // drop the removed records' last references
+		s.keys, s.ordered = s.keys[:kept], s.ordered[:kept]
 		s.mu.Unlock()
 	}
 	return removed
 }
 
-// ForEachLatest iterates every record's newest version; used to bootstrap a
-// recovering replica from a live one.
+// ForEachLatest iterates every record's newest version in key order; used to
+// bootstrap a recovering replica from a live one. fn runs outside the shard
+// locks.
 func (t *Table) ForEachLatest(fn func(key uint64, data []byte, stamp Stamp)) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		keys := append([]uint64(nil), s.keys...)
-		recs := make([]*Record, len(keys))
-		for j, k := range keys {
-			recs[j] = s.recs[k]
-		}
-		s.mu.RUnlock()
-		for j, r := range recs {
-			if data, stamp, ok := r.ReadLatest(); ok {
-				fn(keys[j], data, stamp)
-			}
+	for _, e := range t.refs(0, math.MaxUint64) {
+		if data, stamp, ok := e.rec.ReadLatest(); ok {
+			fn(e.key, data, stamp)
 		}
 	}
 }
