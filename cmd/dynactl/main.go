@@ -13,6 +13,9 @@
 //	scan <table> <lo> <hi>
 //	txn <table> <key1,key2,...>        atomically increment several keys
 //	bench <table> <keys> <ops>         quick closed-loop load generator
+//	                                   (how often its multi-key transactions
+//	                                   remaster depends on the daemon's
+//	                                   -weights ycsb|tpcc|smallbank)
 //	stats                              cluster statistics snapshot
 //	checkpoint                         take a checkpoint now: snapshots every
 //	                                   site and truncates the covered WAL

@@ -6,7 +6,10 @@
 // Usage:
 //
 //	dynamastd -listen :7070 -sites 4 -partition-size 100 -wal-dir /var/lib/dynamast \
-//	          -metrics-listen :9090
+//	          -metrics-listen :9090 -weights smallbank
+//
+// -weights picks the remastering strategy's hyperparameters (Equation 8):
+// ycsb (the default), tpcc or smallbank, the paper's per-workload values.
 //
 // With -metrics-listen set, the daemon serves Prometheus-format metrics on
 // /metrics and recent transaction lifecycle traces on /debug/traces (see
@@ -63,6 +66,20 @@ func parseReplicationFactor(s string) (int, int, error) {
 	return min, max, nil
 }
 
+// parseWeights maps a -weights name to the paper's per-workload strategy
+// hyperparameters (Appendix H).
+func parseWeights(name string) (dynamast.Weights, error) {
+	switch name {
+	case "ycsb":
+		return dynamast.YCSBWeights(), nil
+	case "tpcc":
+		return dynamast.TPCCWeights(), nil
+	case "smallbank":
+		return dynamast.SmallBankWeights(), nil
+	}
+	return dynamast.Weights{}, fmt.Errorf("unknown -weights %q (want ycsb, tpcc or smallbank)", name)
+}
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7070", "address to serve on")
 	metricsListen := flag.String("metrics-listen", "", "address for the /metrics and /debug/traces HTTP endpoints (empty = disabled)")
@@ -85,11 +102,17 @@ func main() {
 	selectorReplicas := flag.Int("selector-replicas", 0, "replica site-selectors fronting the master (0 = stand-alone selector, or 2 when -selector-lease is set)")
 	selectorShards := flag.Int("selector-shards", 1, "independent router shards in the selector control plane, each owning a contiguous partition-range with its own lease and epoch allocator; sessions route off a gossiped placement cache (1 = classic single router)")
 	replFactor := flag.String("replication-factor", "", "partial replication bounds per partition, \"min\" or \"min:max\" replicas (empty = classic full replication)")
+	weightsName := flag.String("weights", "ycsb", "remastering-strategy hyperparameters (Equation 8): ycsb, tpcc or smallbank")
 	placementPolicy := flag.String("placement-policy", "adaptive", "replica placement policy under -replication-factor: adaptive (read-weight driven) or full (every partition everywhere)")
 	flag.Parse()
 
+	weights, err := parseWeights(*weightsName)
+	if err != nil {
+		log.Fatalf("dynamastd: %v", err)
+	}
 	cfg := dynamast.Config{
 		Sites:                  *sites,
+		Weights:                weights,
 		Partitioner:            dynamast.PartitionByRange(*partitionSize),
 		WALDir:                 *walDir,
 		TraceRing:              *traceRing,
@@ -179,8 +202,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("dynamastd: %d sites, partition size %d, serving on %s\n",
-		*sites, *partitionSize, addr)
+	fmt.Printf("dynamastd: %d sites, partition size %d, %s weights, serving on %s\n",
+		*sites, *partitionSize, *weightsName, addr)
 	if cfg.Faults != nil {
 		fmt.Printf("dynamastd: fault injection on (seed %d): %s\n", *faultSeed, *faultSpec)
 	}

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,7 +61,9 @@ func BenchmarkRouteWriteFastPath(b *testing.B) {
 }
 
 // BenchmarkRouteWriteRemaster measures the slow path: scoring all sites and
-// transferring mastership (no simulated network).
+// transferring mastership (no simulated network). Every write set is two
+// never-seen partitions, so the scoring walks empty co-access rows; the cost
+// of scoring learned rows is BenchmarkChooseDestination's.
 func BenchmarkRouteWriteRemaster(b *testing.B) {
 	sel := benchSelector(b, 4, YCSBWeights())
 	b.ReportAllocs()
@@ -71,6 +74,70 @@ func BenchmarkRouteWriteRemaster(b *testing.B) {
 		ws := []storage.RowRef{{Table: "t", Key: k}, {Table: "t", Key: k + 100}}
 		if _, err := sel.RouteWrite(0, ws, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// sharedVVSite is benchSite without the per-call clone, so a scoring
+// benchmark's allocations are the selector's own.
+type sharedVVSite struct{ benchSite }
+
+func (s *sharedVVSite) SVV() vclock.Vector { return s.svv }
+
+// scoringFixture builds a selector over m sites whose two-partition write
+// set {0, 1} (mastered at sites 0 and 1) has learned intra and inter rows of
+// `rows` distinct partners each, the partners mastered round-robin over the
+// sites and the samples spread over all of the tracker's stripes.
+func scoringFixture(tb testing.TB, rows, m, stripes int) (*Selector, []uint64, []*partInfo) {
+	tb.Helper()
+	sites := make([]DataSite, m)
+	for i := range sites {
+		sites[i] = &sharedVVSite{benchSite{id: i, svv: vclock.New(m)}}
+	}
+	sel, err := New(Config{
+		Sites:       sites,
+		Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
+		Weights:     YCSBWeights(),
+		Stats:       StatsConfig{Stripes: stripes},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parts := []uint64{0, 1}
+	sel.RegisterPartition(0, 0)
+	sel.RegisterPartition(1, 1)
+	now := time.Now()
+	for r := 0; r < rows; r++ {
+		for _, d1 := range parts {
+			d2 := 1000 + uint64(r)*2 + d1
+			sel.RegisterPartition(d2, int(d2)%m)
+			// Same client, same instant: consecutive samples also pair up
+			// inter-transaction, so both kinds of row reach `rows` entries.
+			sel.stats.RecordWrite(r, []uint64{d1, d2}, now)
+		}
+	}
+	return sel, parts, []*partInfo{sel.part(0), sel.part(1)}
+}
+
+// BenchmarkChooseDestination measures one remaster decision over learned
+// co-access rows: rows = distinct partners per written partition and kind,
+// sites = candidates, stripes = tracker stripes the rows are spread over.
+func BenchmarkChooseDestination(b *testing.B) {
+	for _, rows := range []int{16, 256} {
+		for _, m := range []int{4, 8} {
+			for _, stripes := range []int{1, 16} {
+				b.Run(fmt.Sprintf("rows=%d/sites=%d/stripes=%d", rows, m, stripes), func(b *testing.B) {
+					sel, parts, infos := scoringFixture(b, rows, m, stripes)
+					cvv := vclock.New(m)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := sel.chooseDestination(parts, infos, cvv); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

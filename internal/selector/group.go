@@ -141,8 +141,8 @@ func GroupHooks(i, n int, get func() *Group) ShardHooks {
 			get().dispatchRecord(client, parts, now)
 		},
 		AccessWeight: func(p uint64) float64 { return get().ShardFor(p).stats.AccessWeight(p) },
-		CoAccess: func(d1 uint64, intra bool, fn func(d2 uint64, p float64)) {
-			get().ShardFor(d1).stats.CoAccess(d1, intra, fn)
+		CoAccess: func(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
+			return get().ShardFor(d1).stats.CoAccess(d1, intra, buf)
 		},
 		SiteLoads: func() []float64 { return get().siteLoads() },
 	}
@@ -224,10 +224,11 @@ func (g *Group) hintOf(p uint64) int {
 // siteLoads sums materialized per-site load across all shards (the balance
 // feature scores global load).
 func (g *Group) siteLoads() []float64 {
-	out := g.Shard(0).siteLoadSnapshot()
+	out := g.Shard(0).siteLoadSnapshot(nil)
 	for i := 1; i < g.n; i++ {
-		for s, v := range g.Shard(i).siteLoadSnapshot() {
-			out[s] += v
+		sel := g.Shard(i)
+		for s := range out {
+			out[s] += loadFloat(&sel.siteLoad[s])
 		}
 	}
 	return out

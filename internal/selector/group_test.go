@@ -272,11 +272,6 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 		t.Fatal("workload crossed shards but no inter-shard hints were exchanged")
 	}
 
-	coAccessMap := func(st *Stats, d1 uint64, intra bool) map[uint64]float64 {
-		out := make(map[uint64]float64)
-		st.CoAccess(d1, intra, func(d2 uint64, p float64) { out[d2] = p })
-		return out
-	}
 	for p := uint64(0); p < 50; p++ {
 		owner := g.ShardFor(p).stats
 		if got, want := owner.AccessWeight(p), reference.AccessWeight(p); got != want {
@@ -286,7 +281,7 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 			t.Fatalf("occurrencesOf(%d) on owner shard = %g, reference %g", p, got, want)
 		}
 		for _, intra := range []bool{true, false} {
-			got, want := coAccessMap(owner, p, intra), coAccessMap(reference, p, intra)
+			got, want := coAccessProbs(owner, p, intra), coAccessProbs(reference, p, intra)
 			if len(got) != len(want) {
 				t.Fatalf("CoAccess(%d, intra=%v): owner shard has %d pairs, reference %d (%v vs %v)",
 					p, intra, len(got), len(want), got, want)

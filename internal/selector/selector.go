@@ -87,9 +87,10 @@ type ShardHooks struct {
 	// AccessWeight and CoAccess read access statistics across the Group
 	// (each shard's tracker only sees samples relevant to its own range).
 	AccessWeight func(part uint64) float64
-	// CoAccess iterates partition d1's co-access probabilities (intra or
-	// inter transaction) from the owning shard's tracker.
-	CoAccess func(d1 uint64, intra bool, fn func(d2 uint64, p float64))
+	// CoAccess reads partition d1's raw co-access row (intra or inter
+	// transaction) from the owning shard's tracker; same contract as
+	// Stats.CoAccess.
+	CoAccess func(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64)
 	// SiteLoads sums materialized per-site load across all shards (the
 	// balance feature must see global load, not one shard's slice).
 	SiteLoads func() []float64
@@ -639,14 +640,13 @@ func (s *Selector) accessWeight(id uint64) float64 {
 	return s.stats.AccessWeight(id)
 }
 
-// coAccess iterates a partition's co-access distribution from the owning
-// shard's tracker when sharded, the local tracker otherwise.
-func (s *Selector) coAccess(d1 uint64, intra bool, fn func(d2 uint64, p float64)) {
+// coAccess reads a partition's raw co-access row from the owning shard's
+// tracker when sharded, the local tracker otherwise.
+func (s *Selector) coAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
 	if s.hooks.CoAccess != nil {
-		s.hooks.CoAccess(d1, intra, fn)
-		return
+		return s.hooks.CoAccess(d1, intra, buf)
 	}
-	s.stats.CoAccess(d1, intra, fn)
+	return s.stats.CoAccess(d1, intra, buf)
 }
 
 // writeParts maps a write set to its sorted, deduplicated partition ids.
@@ -874,64 +874,140 @@ func (s *Selector) decayLoad() {
 	}
 }
 
-// siteLoadSnapshot copies the current per-site load.
-func (s *Selector) siteLoadSnapshot() []float64 {
-	out := make([]float64, len(s.siteLoad))
+// siteLoadSnapshot appends the current per-site load to buf.
+func (s *Selector) siteLoadSnapshot(buf []float64) []float64 {
 	for i := range s.siteLoad {
-		out[i] = loadFloat(&s.siteLoad[i])
+		buf = append(buf, loadFloat(&s.siteLoad[i]))
 	}
-	return out
+	return buf
+}
+
+// localization accumulates one localization feature (Equation 6 or 7) for
+// every candidate at once. SingleSited depends on the candidate only through
+// "is the candidate the master of d2", so a pair (d1, d2) of probability p
+// with m1 = master(d1) lands in exactly one of three places:
+//
+//	d2 in the write set:  +p for every candidate when m1 != master(d2)
+//	                      (the set moves together), nothing otherwise;
+//	m2 = hint(d2) != m1:  +p for candidate m2 only (it joins d1 to d2);
+//	m2 = hint(d2) == m1:  -p for every candidate except m2 (it splits them).
+type localization struct {
+	common float64   // first case: candidate-independent
+	gain   []float64 // gain[s]: second case with m2 == s
+	lossAt []float64 // lossAt[s]: third case with m2 == s
+}
+
+func (l *localization) reset(m int) {
+	l.common = 0
+	l.gain = append(l.gain[:0], make([]float64, m)...)
+	l.lossAt = append(l.lossAt[:0], make([]float64, m)...)
+}
+
+// score is the feature's value for candidate cand. The loss is summed over
+// the other sites rather than taken as total-lossAt[cand]: candidates that no
+// pair distinguishes then add identical terms in identical order and tie
+// exactly, which the first-candidate-wins rule in chooseDestination needs.
+func (l *localization) score(cand int) float64 {
+	var loss float64
+	for s, x := range l.lossAt {
+		if s != cand {
+			loss += x
+		}
+	}
+	return l.common + l.gain[cand] - loss
+}
+
+// scoreScratch is the working memory of one chooseDestination call, pooled so
+// a warm decision allocates nothing for its rows and per-site arrays.
+type scoreScratch struct {
+	pairs                  []CoPair
+	before, after, weights []float64
+	intra, inter           localization
+}
+
+var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
+
+// localize walks the co-access rows of the write set once — one CoAccess read
+// per (d1, kind) — and fills sc.intra and sc.inter for all candidates.
+func (s *Selector) localize(sc *scoreScratch, parts []uint64, infos []*partInfo) {
+	sc.intra.reset(s.m)
+	sc.inter.reset(s.m)
+	for i := range parts {
+		s.addRow(sc, true, i, parts, infos)
+		s.addRow(sc, false, i, parts, infos)
+	}
+}
+
+// addRow folds partition parts[i]'s intra or inter row into sc, with one hint
+// lookup per row entry outside the write set. Masters inside the write set
+// come from infos (the caller holds those locks); everything else is the
+// lock-free hint: scoring must not acquire locks on partitions outside the
+// write set (and, sharded, must not create foreign partitions — hintFor
+// resolves those read-only via the Group).
+func (s *Selector) addRow(sc *scoreScratch, intra bool, i int, parts []uint64, infos []*partInfo) {
+	l := &sc.inter
+	if intra {
+		l = &sc.intra
+	}
+	m1 := infos[i].master
+	var n float64
+	sc.pairs, n = s.coAccess(parts[i], intra, sc.pairs[:0])
+	for _, pr := range sc.pairs {
+		p := pr.Count / n
+		if j, ok := slices.BinarySearch(parts, pr.D2); ok {
+			if infos[j].master != m1 {
+				l.common += p
+			}
+			continue
+		}
+		m2 := s.hintFor(pr.D2)
+		switch {
+		case m2 == m1:
+			l.lossAt[m2] += p
+		case m2 >= 0 && m2 < s.m:
+			l.gain[m2] += p
+		}
+	}
 }
 
 // chooseDestination scores every live site as a remastering destination
 // with the Equation 8 model and returns the best; when every site is
 // flagged down it returns a retryable error rather than targeting a dead
 // site. Caller holds the partitions' exclusive locks; infos parallels
-// parts.
+// parts, which is sorted.
 func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclock.Vector) (int, error) {
-	inSet := make(map[uint64]int, len(parts)) // partition -> index
-	for i, id := range parts {
-		inSet[id] = i
-	}
-	masterOf := func(id uint64) int {
-		if i, ok := inSet[id]; ok {
-			return infos[i].master
-		}
-		// Lock-free hint: scoring must not acquire locks on partitions
-		// outside the write set (and, sharded, must not create foreign
-		// partitions — hintFor resolves those read-only via the Group).
-		return s.hintFor(id)
-	}
-	inWriteSet := func(id uint64) bool { _, ok := inSet[id]; return ok }
+	sc := scorePool.Get().(*scoreScratch)
+	defer scorePool.Put(sc)
 
 	// Current load and the write set's per-partition weights.
 	var before []float64
 	if s.hooks.SiteLoads != nil {
 		before = s.hooks.SiteLoads()
 	} else {
-		before = s.siteLoadSnapshot()
+		sc.before = s.siteLoadSnapshot(sc.before[:0])
+		before = sc.before
 	}
-	weights := make([]float64, len(parts))
-	for i, id := range parts {
+	sc.weights = sc.weights[:0]
+	for _, id := range parts {
 		w := s.accessWeight(id)
 		if w == 0 {
 			w = 1
 		}
-		weights[i] = w
+		sc.weights = append(sc.weights, w)
 	}
+	weights := sc.weights
 
 	// Source sites' version vectors (for the refresh-delay feature): the
 	// element-wise max of the client session vector and every releasing
 	// site's vector is what the destination must catch up to.
 	need := cvv.Clone()
-	seenSrc := make(map[int]struct{})
-	for _, in := range infos {
-		if _, ok := seenSrc[in.master]; ok {
-			continue
+	for i, in := range infos {
+		if !slices.ContainsFunc(infos[:i], func(o *partInfo) bool { return o.master == in.master }) {
+			need = need.MaxInto(s.sites[in.master].SVV())
 		}
-		seenSrc[in.master] = struct{}{}
-		need = need.MaxInto(s.sites[in.master].SVV())
 	}
+
+	s.localize(sc, parts, infos)
 
 	model := s.Weights()
 	best, bestScore := -1, 0.0
@@ -940,7 +1016,8 @@ func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclo
 		if s.downSites[cand].Load() {
 			continue // never remaster into a failed site
 		}
-		after := append([]float64(nil), before...)
+		sc.after = append(sc.after[:0], before...)
+		after := sc.after
 		for i, in := range infos {
 			if in.master != cand {
 				after[in.master] -= weights[i]
@@ -952,16 +1029,7 @@ func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclo
 		}
 		balance := BalanceFactor(before, after)
 		delay := RefreshDelay(need, s.sites[cand].SVV())
-
-		var intra, inter float64
-		for _, d1 := range parts {
-			s.coAccess(d1, true, func(d2 uint64, p float64) {
-				intra += p * SingleSited(cand, d1, d2, masterOf, inWriteSet)
-			})
-			s.coAccess(d1, false, func(d2 uint64, p float64) {
-				inter += p * SingleSited(cand, d1, d2, masterOf, inWriteSet)
-			})
-		}
+		intra, inter := sc.intra.score(cand), sc.inter.score(cand)
 
 		score := model.Benefit(balance, delay, intra, inter)
 		if best < 0 || score > bestScore {
@@ -1034,23 +1102,27 @@ func (s *Selector) remasterCall(peer, reqSize int, op func() (vclock.Vector, err
 // back to the source strictly out-epochs whatever the destination logged,
 // so recovery arbitration stays unambiguous. Selector metadata updates per
 // chain, so a failed chain never undoes — or blocks — a succeeded one.
+//
+// Chains to different sources overlap on their own goroutines; a single
+// chain — nearly every decision — runs inline.
 func (s *Selector) remaster(parts []uint64, infos []*partInfo, dest int, sc obs.SpanContext) (vclock.Vector, int, error) {
-	type chain struct {
-		src  int
-		ids  []uint64
-		idxs []int // indexes into infos, for per-chain metadata updates
-	}
-	bySource := make(map[int]*chain)
+	var chains []remasterChain // one per source site, in write-set order
 	for i, in := range infos {
-		if in.master != dest {
-			c := bySource[in.master]
-			if c == nil {
-				c = &chain{src: in.master}
-				bySource[in.master] = c
-			}
-			c.ids = append(c.ids, parts[i])
-			c.idxs = append(c.idxs, i)
+		if in.master == dest {
+			continue
 		}
+		ci := slices.IndexFunc(chains, func(c remasterChain) bool { return c.src == in.master })
+		if ci < 0 {
+			ci = len(chains)
+			chains = append(chains, remasterChain{src: in.master})
+		}
+		chains[ci].ids = append(chains[ci].ids, parts[i])
+		chains[ci].idxs = append(chains[ci].idxs, i)
+	}
+	if len(chains) == 1 {
+		// The usual decision moves partitions off one site: nothing to
+		// overlap, so the chain runs on the caller's goroutine.
+		return s.runChain(&chains[0], infos, dest, sc)
 	}
 
 	var (
@@ -1060,129 +1132,119 @@ func (s *Selector) remaster(parts []uint64, infos []*partInfo, dest int, sc obs.
 		first error
 		moved int
 	)
-	for _, c := range bySource {
+	for i := range chains {
 		wg.Add(1)
-		go func(c *chain) {
+		go func(c *remasterChain) {
 			defer wg.Done()
-			epoch, allocErr := s.epochs.Alloc()
-			if allocErr != nil {
-				// Deposed mid-route: no epoch, no chain. The session
-				// retries against the promoted leader.
-				mu.Lock()
-				if first == nil {
-					first = allocErr
-				}
-				mu.Unlock()
-				return
-			}
-			// Partial replication: a master must be a replica-set member, so
-			// materialize the destination's replica (bootstrap copy) BEFORE
-			// the release/grant chain. An add that fails aborts the chain
-			// with nothing to roll back; an add that succeeds with the chain
-			// later failing leaves dest as a plain replica the controller
-			// may drop again.
-			if ensErr := s.ensureHostedAt(c.ids, dest); ensErr != nil {
-				mu.Lock()
-				if first == nil {
-					first = ensErr
-				}
-				mu.Unlock()
-				return
-			}
-			relStart := time.Now()
-			relVV, err := s.remasterCall(c.src,
-				transport.MsgOverhead+transport.SizeOfPartitions(c.ids),
-				func() (vclock.Vector, error) { return s.sites[c.src].Release(c.ids, dest, epoch) })
-			if sc.Sampled() && err == nil {
-				s.spans.Record(obs.Span{
-					Trace: sc.Trace, Parent: sc.Span, Name: "release", Site: c.src,
-					Start: relStart, Dur: time.Since(relStart),
-				})
-			}
-			if err == nil {
-				grantStart := time.Now()
-				var grantVV vclock.Vector
-				grantVV, err = s.remasterCall(dest,
-					transport.MsgOverhead+transport.SizeOfPartitions(c.ids)+transport.SizeOfVector(relVV),
-					func() (vclock.Vector, error) { return s.sites[dest].Grant(c.ids, relVV, c.src, epoch) })
-				if err == nil {
-					if sc.Sampled() {
-						s.spans.Record(obs.Span{
-							Trace: sc.Trace, Parent: sc.Span, Name: "grant", Site: dest,
-							Start: grantStart, Dur: time.Since(grantStart),
-						})
-					}
-					obs.RecordEvent(obs.FlightRemaster, dest,
-						"epoch %d: %d partition(s) remastered %d -> %d", epoch, len(c.ids), c.src, dest)
-					// Chain complete: flip this chain's metadata now (the
-					// caller holds the partitions' exclusive locks).
-					for _, ix := range c.idxs {
-						infos[ix].setMaster(dest, epoch)
-					}
-					s.noteMaster(c.ids, dest)
-					s.publish(c.ids, dest, epoch)
-					mu.Lock()
-					out = out.MaxInto(grantVV)
-					moved += len(c.ids)
-					mu.Unlock()
-					return
-				}
-				// The source released but the grant leg failed. A stale
-				// epoch means a newer chain (a racing failover) already
-				// moved the partitions; rolling back would clobber that
-				// newer ownership, so leave it be.
-				if errors.Is(err, sitemgr.ErrStaleEpoch) {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-				// Otherwise the destination may still have executed the
-				// grant (only the responses were lost), so fence its
-				// possible phantom ownership with a fresh-epoch release
-				// before granting the partitions back to the releaser. An
-				// unconfirmed release is fine: either it executed
-				// (destination fenced and revoked) or the destination
-				// never owned — in both cases the higher-epoch grant below
-				// wins recovery arbitration and routing still points at
-				// the source.
-				rbEpoch, rbAllocErr := s.epochs.Alloc()
-				if rbAllocErr != nil {
-					// Deposed before the rollback could run: the release
-					// stands without a grant, which the promoted leader's
-					// dangling-release repair re-grants to the source.
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-				if vv, rbErr := s.remasterCall(dest,
-					transport.MsgOverhead+transport.SizeOfPartitions(c.ids),
-					func() (vclock.Vector, error) { return s.sites[dest].Release(c.ids, c.src, rbEpoch) }); rbErr == nil {
-					relVV = relVV.MaxInto(vv)
-				}
-				if _, rbErr := s.remasterCall(c.src,
-					transport.MsgOverhead+transport.SizeOfPartitions(c.ids)+transport.SizeOfVector(relVV),
-					func() (vclock.Vector, error) { return s.sites[c.src].Grant(c.ids, relVV, c.src, rbEpoch) }); rbErr != nil {
-					err = fmt.Errorf("%w (rollback to site %d also failed: %v)", err, c.src, rbErr)
-				}
-			}
+			vv, n, err := s.runChain(c, infos, dest, sc)
 			mu.Lock()
-			if first == nil {
+			defer mu.Unlock()
+			out = out.MaxInto(vv)
+			moved += n
+			if err != nil && first == nil {
 				first = err
 			}
-			mu.Unlock()
-		}(c)
+		}(&chains[i])
 	}
 	wg.Wait()
 	if first != nil {
 		return nil, moved, first
 	}
 	return out, moved, nil
+}
+
+// remasterChain is one release+grant chain: the partitions of a write set
+// that move off one source site.
+type remasterChain struct {
+	src  int
+	ids  []uint64
+	idxs []int // indexes into the write set's infos, for the metadata flip
+}
+
+// runChain executes one chain under a fresh epoch and, on success, flips the
+// chain's selector metadata; it returns the grant vector and the number of
+// partitions moved (see remaster for the failure handling).
+func (s *Selector) runChain(c *remasterChain, infos []*partInfo, dest int, sc obs.SpanContext) (vclock.Vector, int, error) {
+	epoch, err := s.epochs.Alloc()
+	if err != nil {
+		// Deposed mid-route: no epoch, no chain. The session retries
+		// against the promoted leader.
+		return nil, 0, err
+	}
+	// Partial replication: a master must be a replica-set member, so
+	// materialize the destination's replica (bootstrap copy) BEFORE the
+	// release/grant chain. An add that fails aborts the chain with nothing
+	// to roll back; an add that succeeds with the chain later failing leaves
+	// dest as a plain replica the controller may drop again.
+	if err := s.ensureHostedAt(c.ids, dest); err != nil {
+		return nil, 0, err
+	}
+	relStart := time.Now()
+	relVV, err := s.remasterCall(c.src,
+		transport.MsgOverhead+transport.SizeOfPartitions(c.ids),
+		func() (vclock.Vector, error) { return s.sites[c.src].Release(c.ids, dest, epoch) })
+	if err != nil {
+		return nil, 0, err
+	}
+	if sc.Sampled() {
+		s.spans.Record(obs.Span{
+			Trace: sc.Trace, Parent: sc.Span, Name: "release", Site: c.src,
+			Start: relStart, Dur: time.Since(relStart),
+		})
+	}
+	grantStart := time.Now()
+	grantVV, err := s.remasterCall(dest,
+		transport.MsgOverhead+transport.SizeOfPartitions(c.ids)+transport.SizeOfVector(relVV),
+		func() (vclock.Vector, error) { return s.sites[dest].Grant(c.ids, relVV, c.src, epoch) })
+	if err == nil {
+		if sc.Sampled() {
+			s.spans.Record(obs.Span{
+				Trace: sc.Trace, Parent: sc.Span, Name: "grant", Site: dest,
+				Start: grantStart, Dur: time.Since(grantStart),
+			})
+		}
+		obs.RecordEvent(obs.FlightRemaster, dest,
+			"epoch %d: %d partition(s) remastered %d -> %d", epoch, len(c.ids), c.src, dest)
+		// Chain complete: flip this chain's metadata now (the caller holds
+		// the partitions' exclusive locks).
+		for _, ix := range c.idxs {
+			infos[ix].setMaster(dest, epoch)
+		}
+		s.noteMaster(c.ids, dest)
+		s.publish(c.ids, dest, epoch)
+		return grantVV, len(c.ids), nil
+	}
+	// The source released but the grant leg failed. A stale epoch means a
+	// newer chain (a racing failover) already moved the partitions; rolling
+	// back would clobber that newer ownership, so leave it be.
+	if errors.Is(err, sitemgr.ErrStaleEpoch) {
+		return nil, 0, err
+	}
+	// Otherwise the destination may still have executed the grant (only the
+	// responses were lost), so fence its possible phantom ownership with a
+	// fresh-epoch release before granting the partitions back to the
+	// releaser. An unconfirmed release is fine: either it executed
+	// (destination fenced and revoked) or the destination never owned — in
+	// both cases the higher-epoch grant below wins recovery arbitration and
+	// routing still points at the source.
+	rbEpoch, rbAllocErr := s.epochs.Alloc()
+	if rbAllocErr != nil {
+		// Deposed before the rollback could run: the release stands without
+		// a grant, which the promoted leader's dangling-release repair
+		// re-grants to the source.
+		return nil, 0, err
+	}
+	if vv, rbErr := s.remasterCall(dest,
+		transport.MsgOverhead+transport.SizeOfPartitions(c.ids),
+		func() (vclock.Vector, error) { return s.sites[dest].Release(c.ids, c.src, rbEpoch) }); rbErr == nil {
+		relVV = relVV.MaxInto(vv)
+	}
+	if _, rbErr := s.remasterCall(c.src,
+		transport.MsgOverhead+transport.SizeOfPartitions(c.ids)+transport.SizeOfVector(relVV),
+		func() (vclock.Vector, error) { return s.sites[c.src].Grant(c.ids, relVV, c.src, rbEpoch) }); rbErr != nil {
+		err = fmt.Errorf("%w (rollback to site %d also failed: %v)", err, c.src, rbErr)
+	}
+	return nil, 0, err
 }
 
 // RouteRead picks an execution site for a read-only transaction: a random

@@ -371,6 +371,16 @@ func TestMinVVDominatesGrantPoints(t *testing.T) {
 	}
 }
 
+// coAccessProbs merges a raw CoAccess read into d2 -> P(d2|d1).
+func coAccessProbs(st *Stats, d1 uint64, intra bool) map[uint64]float64 {
+	out := make(map[uint64]float64)
+	pairs, n := st.CoAccess(d1, intra, nil)
+	for _, pr := range pairs {
+		out[pr.D2] += pr.Count / n
+	}
+	return out
+}
+
 func TestStatsRecordAndCoAccess(t *testing.T) {
 	st := NewStats(StatsConfig{HistorySize: 8})
 	now := time.Now()
@@ -378,20 +388,7 @@ func TestStatsRecordAndCoAccess(t *testing.T) {
 	st.RecordWrite(1, []uint64{1, 2}, now.Add(time.Millisecond))
 	st.RecordWrite(1, []uint64{1, 3}, now.Add(2*time.Millisecond))
 
-	var got []struct {
-		d2 uint64
-		p  float64
-	}
-	st.CoAccess(1, true, func(d2 uint64, p float64) {
-		got = append(got, struct {
-			d2 uint64
-			p  float64
-		}{d2, p})
-	})
-	probs := map[uint64]float64{}
-	for _, g := range got {
-		probs[g.d2] = g.p
-	}
+	probs := coAccessProbs(st, 1, true)
 	if !almostEqual(probs[2], 2.0/3.0) {
 		t.Fatalf("P(2|1) = %g, want 2/3", probs[2])
 	}
@@ -407,21 +404,18 @@ func TestStatsInterTxnWindow(t *testing.T) {
 	st.RecordWrite(1, []uint64{2}, now.Add(5*time.Millisecond)) // within Δt
 	st.RecordWrite(1, []uint64{3}, now.Add(time.Second))        // outside Δt
 
-	seen := map[uint64]bool{}
-	st.CoAccess(1, false, func(d2 uint64, p float64) { seen[d2] = true })
-	if !seen[2] {
+	seen := coAccessProbs(st, 1, false)
+	if seen[2] == 0 {
 		t.Fatal("inter-txn pair within Δt not recorded")
 	}
-	if seen[3] {
+	if seen[3] != 0 {
 		t.Fatal("inter-txn pair outside Δt recorded")
 	}
 	// Different clients never correlate.
 	st2 := NewStats(StatsConfig{HistorySize: 8, InterWindow: time.Hour})
 	st2.RecordWrite(1, []uint64{1}, now)
 	st2.RecordWrite(2, []uint64{2}, now.Add(time.Millisecond))
-	cnt := 0
-	st2.CoAccess(1, false, func(uint64, float64) { cnt++ })
-	if cnt != 0 {
+	if len(coAccessProbs(st2, 1, false)) != 0 {
 		t.Fatal("cross-client inter-txn correlation recorded")
 	}
 }
@@ -437,8 +431,7 @@ func TestStatsExpiryAdaptsToChange(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		st.RecordWrite(1, []uint64{1, 9}, now)
 	}
-	probs := map[uint64]float64{}
-	st.CoAccess(1, true, func(d2 uint64, p float64) { probs[d2] = p })
+	probs := coAccessProbs(st, 1, true)
 	if probs[2] != 0 {
 		t.Fatalf("expired correlation still present: P(2|1)=%g", probs[2])
 	}
@@ -471,9 +464,7 @@ func TestStatsSampling(t *testing.T) {
 	if w := st.AccessWeight(1); w != 100 {
 		t.Fatalf("access weight = %g", w)
 	}
-	total := 0.0
-	st.CoAccess(1, true, func(_ uint64, p float64) { total += p })
-	if total == 0 {
+	if len(coAccessProbs(st, 1, true)) == 0 {
 		t.Fatal("sampled co-access empty")
 	}
 	occ := st.occurrencesOf(1)
@@ -493,10 +484,8 @@ func TestSetWeights(t *testing.T) {
 
 func TestCoAccessUnknownPartition(t *testing.T) {
 	st := NewStats(StatsConfig{})
-	called := false
-	st.CoAccess(999, true, func(uint64, float64) { called = true })
-	if called {
-		t.Fatal("CoAccess on unseen partition invoked fn")
+	if pairs, n := st.CoAccess(999, true, nil); len(pairs) != 0 || n != 0 {
+		t.Fatalf("CoAccess on unseen partition returned %v, n=%g", pairs, n)
 	}
 }
 

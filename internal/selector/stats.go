@@ -19,7 +19,7 @@ import (
 // different clients do not serialize on one mutex (the selector's routing
 // hot path). Each stripe is a complete single-lock tracker with the
 // configured history/decay bounds; readers (AccessWeight, CoAccess)
-// aggregate across stripes. Because inter-transaction correlation is
+// visit every stripe. Because inter-transaction correlation is
 // per-client and intra-transaction correlation is per-write-set, striping
 // by client preserves both exactly; a single client's stream behaves
 // identically to the pre-striping global tracker (see
@@ -340,15 +340,31 @@ func (st *Stats) occurrencesOf(p uint64) float64 {
 	return n
 }
 
-// CoAccess enumerates, for source partition d1, every correlated partition
-// d2 with its conditional probability P(d2|d1) (intra) and
-// P(d2|d1; T<=Δt) (inter), aggregated across stripes: the pair counts and
-// the occurrence denominator are summed over stripes before dividing, so
-// the probabilities equal the unstriped tracker's over the same samples.
-// fn is called with no stripe lock held; it may call back into Stats.
-func (st *Stats) CoAccess(d1 uint64, intra bool, fn func(d2 uint64, p float64)) {
+// CoPair is one raw co-access row entry from one stripe: partition D2 was
+// written Count times with (intra) or within Δt after (inter) the row's d1 in
+// that stripe's samples. The same D2 may appear once per stripe.
+type CoPair struct {
+	D2    uint64
+	Count float64
+}
+
+// CoAccess is the tracker's one co-access reader. For source partition d1 it
+// appends every non-empty stripe's raw (d2, count) row entries to buf and
+// returns the extended slice together with n, the number of samples
+// containing d1 summed over all stripes. P(d2|d1) (intra) or
+// P(d2|d1; T<=Δt) (inter) is the sum of d2's counts divided by n — the
+// unstriped tracker's probability over the same samples — and because every
+// consumer is linear in the counts, callers weight each entry by Count/n
+// without merging stripes first. When n is 0 (d1 in no live sample) nothing
+// is appended.
+//
+// Entries are copied out under each stripe's lock and consumed by the caller
+// with no stripe lock held, so the caller may call back into Stats. Passing a
+// reused buf[:0] keeps the reader allocation-free once buf has grown to the
+// row size.
+func (st *Stats) CoAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
+	start := len(buf)
 	var n float64
-	var agg map[uint64]float64
 	for i := range st.stripes {
 		sp := &st.stripes[i]
 		sp.mu.Lock()
@@ -357,20 +373,14 @@ func (st *Stats) CoAccess(d1 uint64, intra bool, fn func(d2 uint64, p float64)) 
 		if !intra {
 			src = sp.inter
 		}
-		if row := src[d1]; len(row) > 0 {
-			if agg == nil {
-				agg = make(map[uint64]float64, len(row))
-			}
-			for d2, c := range row {
-				agg[d2] += c
-			}
+		for d2, c := range src[d1] {
+			buf = append(buf, CoPair{D2: d2, Count: c})
 		}
 		sp.mu.Unlock()
 	}
 	if n == 0 {
-		return
+		// Inter rows can outlive d1's own (older) samples.
+		return buf[:start], 0
 	}
-	for d2, c := range agg {
-		fn(d2, c/n)
-	}
+	return buf, n
 }

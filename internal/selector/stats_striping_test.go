@@ -86,9 +86,9 @@ func TestStripedStatsMatchesReference(t *testing.T) {
 			for _, r := range refs {
 				o := r.occurrencesOf(d1)
 				occ += o
-				r.CoAccess(d1, intra, func(d2 uint64, p float64) {
+				for d2, p := range coAccessProbs(r, d1, intra) {
 					counts[d2] += p * o
-				})
+				}
 			}
 			want := map[uint64]float64{}
 			if occ > 0 {
@@ -96,8 +96,7 @@ func TestStripedStatsMatchesReference(t *testing.T) {
 					want[d2] = c / occ
 				}
 			}
-			got := map[uint64]float64{}
-			st.CoAccess(d1, intra, func(d2 uint64, p float64) { got[d2] = p })
+			got := coAccessProbs(st, d1, intra)
 			if len(got) != len(want) {
 				t.Fatalf("CoAccess(%d, intra=%v): %d pairs, reference %d", d1, intra, len(got), len(want))
 			}

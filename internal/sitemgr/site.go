@@ -711,24 +711,23 @@ func (s *Site) MasteredPartitions() []uint64 {
 // watermarks of the partitions its writes touch, and indexes the rows if
 // the site tracks partition contents.
 func (s *Site) bumpWatermarks(writes []storage.Write, tvv vclock.Vector) {
-	seen := make(map[uint64]struct{}, 4)
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
+	var last *partState
 	for _, w := range writes {
-		id := s.cfg.Partitioner(w.Ref)
+		p := s.partition(s.cfg.Partitioner(w.Ref))
 		if s.cfg.TrackPartitionRows {
-			p := s.partition(id)
 			if p.rows == nil {
 				p.rows = make(map[storage.RowRef]struct{})
 			}
 			p.rows[w.Ref] = struct{}{}
 		}
-		if _, dup := seen[id]; dup {
-			continue
+		// Folding the same vector twice is a no-op, so partitions need no
+		// dedupe set; skipping a run of writes to one partition is enough.
+		if p != last {
+			p.wm = p.wm.MaxInto(tvv)
+			last = p
 		}
-		seen[id] = struct{}{}
-		p := s.partition(id)
-		p.wm = p.wm.MaxInto(tvv)
 	}
 }
 

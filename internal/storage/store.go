@@ -39,6 +39,11 @@ func (s *Store) MaxVersions() int { return s.maxVersions }
 
 // CreateTable creates (or returns the existing) table with the given name.
 func (s *Store) CreateTable(name string) *Table {
+	// Shared-lock lookup first: Apply and LoadRow call this per row, and the
+	// table exists for all but the first of them.
+	if t := s.Table(name); t != nil {
+		return t
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tables[name]; ok {

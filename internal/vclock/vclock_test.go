@@ -302,7 +302,7 @@ func TestSiteClockAdvanceMonotone(t *testing.T) {
 func TestSiteClockWaitDominatesEq(t *testing.T) {
 	c := NewSiteClock(0, 2)
 	done := make(chan Vector, 1)
-	go func() { done <- c.WaitDominatesEq(Vector{1, 2}) }()
+	go func() { c.WaitDominatesEq(Vector{1, 2}); done <- c.Now() }()
 	select {
 	case <-done:
 		t.Fatal("wait returned before clock advanced")
@@ -326,8 +326,8 @@ func TestSiteClockWaitDimAtLeast(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v := c.WaitDimAtLeast(1, 3)
-		if v[1] < 3 {
+		c.WaitDimAtLeast(1, 3)
+		if c.Get(1) < 3 {
 			panic("woke early")
 		}
 	}()
