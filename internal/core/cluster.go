@@ -37,7 +37,8 @@ type Config struct {
 	// curated initial placement — its strategies must organize mastership
 	// themselves).
 	InitialMaster func(part uint64) int
-	// MaxVersions caps record version chains (0 = 4, the paper default).
+	// MaxVersions caps record version chains (0 = 4, the paper default; at
+	// most storage.MaxVersionCap).
 	MaxVersions int
 	// Stats tunes the selector's statistics tracking.
 	Stats selector.StatsConfig
@@ -194,6 +195,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Partitioner == nil {
 		return nil, fmt.Errorf("core: config requires a Partitioner")
+	}
+	if cfg.MaxVersions < 0 || cfg.MaxVersions > storage.MaxVersionCap {
+		return nil, fmt.Errorf("core: MaxVersions %d outside [0,%d]", cfg.MaxVersions, storage.MaxVersionCap)
 	}
 	if cfg.Weights == (selector.Weights{}) {
 		cfg.Weights = selector.YCSBWeights()
@@ -535,8 +539,7 @@ func (c *Cluster) Load(rows []systems.LoadRow) {
 			if !s.Hosts(part) {
 				continue
 			}
-			t := s.Store().CreateTable(row.Ref.Table)
-			t.Record(row.Ref.Key, true).Install(loadStamp, row.Data, false, s.Store().MaxVersions())
+			s.Store().ImportRow(row.Ref.Table, row.Ref.Key, row.Data, loadStamp)
 		}
 	}
 }

@@ -44,6 +44,9 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(Config{Sites: 2}); err == nil {
 		t.Error("missing partitioner accepted")
 	}
+	if _, err := NewCluster(Config{Sites: 2, Partitioner: partitionBy100, MaxVersions: storage.MaxVersionCap + 1}); err == nil {
+		t.Error("version cap beyond the records' slots accepted")
+	}
 }
 
 func TestLoadVisibleEverywhere(t *testing.T) {

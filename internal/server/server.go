@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -173,8 +174,9 @@ func (s *Server) handleTxn(tc obs.SpanContext, req *TxnRequest) (*TxnResponse, e
 				}
 				resp.Results[i] = OpResult{Found: true, Value: out}
 			case OpScan:
-				rows := tx.Scan(op.Table, op.Lo, op.Hi)
-				resp.Results[i] = OpResult{Found: true, Rows: rows}
+				// The reply is encoded after the transaction finished, when
+				// its scan rows are no longer valid: keep a copy.
+				resp.Results[i] = OpResult{Found: true, Rows: slices.Clone(tx.Scan(op.Table, op.Lo, op.Hi))}
 			default:
 				return fmt.Errorf("server: unknown op kind %d", op.Kind)
 			}

@@ -236,3 +236,60 @@ func TestCheckpointRPCWithoutWALDir(t *testing.T) {
 		t.Fatal("checkpoint without a durable directory must error")
 	}
 }
+
+// TestScanReplyOutlivesTransaction drives scans and updates through two
+// connections that share one client id (one server-side session). A scan's
+// rows live in a buffer its transaction owns and recycles at commit, while
+// the reply is encoded after commit — the handler must have copied them.
+// Every reply has to carry exactly the loaded keys, each with a value some
+// update wrote for that key.
+func TestScanReplyOutlivesTransaction(t *testing.T) {
+	const rows, rounds = 150, 200
+	_, addr := startServer(t)
+	scanner, err := Dial(addr, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scanner.Close()
+	writer, err := Dial(addr, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	if err := writer.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < rows; k++ {
+		if err := writer.Put("kv", k, []byte{byte(k), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= rounds; i++ {
+			k := uint64(i*7) % rows
+			if err := writer.Put("kv", k, []byte{byte(k), byte(i)}); err != nil {
+				t.Errorf("update %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		res, err := scanner.Txn(nil, []Op{{Kind: OpScan, Table: "kv", Lo: 0, Hi: rows}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res[0].Rows
+		if len(got) != rows {
+			t.Fatalf("scan %d: %d rows, want %d", i, len(got), rows)
+		}
+		for j, kv := range got {
+			if kv.Key != uint64(j) || len(kv.Value) != 2 || kv.Value[0] != byte(j) {
+				t.Fatalf("scan %d: row %d = %d/%v", i, j, kv.Key, kv.Value)
+			}
+		}
+	}
+	wg.Wait()
+}

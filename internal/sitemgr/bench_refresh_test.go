@@ -1,6 +1,7 @@
 package sitemgr
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -45,4 +46,41 @@ func BenchmarkRefreshApplyBatch(b *testing.B) {
 	b.StopTimer()
 	broker.Close()
 	site.Stop()
+}
+
+// BenchmarkTxnScan measures a read-only transaction's range scan through
+// Txn.Scan — begin, one scan of rows rows, commit — the ycsb_scan unit of
+// work. allocs/op is the figure of merit: the rows land in a pooled,
+// transaction-owned buffer.
+func BenchmarkTxnScan(b *testing.B) {
+	broker := wal.NewBroker(1)
+	defer broker.Close()
+	site, err := New(Config{SiteID: 0, Sites: 1, Broker: broker, Partitioner: partitionBy100})
+	if err != nil {
+		b.Fatal(err)
+	}
+	site.Store().CreateTable("t")
+	const keys = 100_000
+	for k := uint64(0); k < keys; k++ {
+		site.LoadRow(storage.RowRef{Table: "t", Key: k}, make([]byte, 100))
+	}
+	for _, rows := range []uint64{100, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			lo := uint64(0)
+			for i := 0; i < b.N; i++ {
+				lo = (lo + 7919) % (keys - rows)
+				tx, err := site.Begin(nil, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := tx.Scan("t", lo, lo+rows); uint64(len(got)) != rows {
+					b.Fatalf("rows=%d", len(got))
+				}
+				if _, err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -41,7 +41,8 @@ type Config struct {
 	Net *transport.Network
 	// Broker holds the per-site update logs; required.
 	Broker *wal.Broker
-	// MaxVersions caps each record's version chain (0 = default of 4).
+	// MaxVersions caps each record's version chain (0 = default of 4; at most
+	// storage.MaxVersionCap).
 	MaxVersions int
 	// Partitioner maps rows to partitions; required.
 	Partitioner Partitioner
@@ -324,6 +325,9 @@ func New(cfg Config) (*Site, error) {
 	}
 	if cfg.SiteID < 0 || cfg.SiteID >= cfg.Sites {
 		return nil, fmt.Errorf("sitemgr: site id %d out of range [0,%d)", cfg.SiteID, cfg.Sites)
+	}
+	if cfg.MaxVersions < 0 || cfg.MaxVersions > storage.MaxVersionCap {
+		return nil, fmt.Errorf("sitemgr: MaxVersions %d outside [0,%d]", cfg.MaxVersions, storage.MaxVersionCap)
 	}
 	if cfg.PropagationDelay == 0 && cfg.Net != nil {
 		cfg.PropagationDelay = cfg.Net.Config().OneWay
@@ -735,8 +739,7 @@ func (s *Site) bumpWatermarks(writes []storage.Write, tvv vclock.Vector) {
 // it when the site tracks partition contents. The stamp (origin 0, seq 0)
 // is visible at every snapshot.
 func (s *Site) LoadRow(ref storage.RowRef, data []byte) {
-	t := s.store.CreateTable(ref.Table)
-	t.Record(ref.Key, true).Install(storage.Stamp{}, data, false, s.store.MaxVersions())
+	s.store.ImportRow(ref.Table, ref.Key, data, storage.Stamp{})
 	if s.cfg.TrackPartitionRows {
 		s.pmu.Lock()
 		p := s.partition(s.cfg.Partitioner(ref))

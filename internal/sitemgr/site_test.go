@@ -85,6 +85,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{SiteID: 5, Sites: 2, Broker: b, Partitioner: partitionBy100}); err == nil {
 		t.Error("out-of-range site id accepted")
 	}
+	if _, err := New(Config{SiteID: 0, Sites: 2, Broker: b, Partitioner: partitionBy100, MaxVersions: storage.MaxVersionCap + 1}); err == nil {
+		t.Error("version cap beyond the records' slots accepted")
+	}
 }
 
 func TestLocalCommitVisibility(t *testing.T) {

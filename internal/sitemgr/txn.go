@@ -2,6 +2,7 @@ package sitemgr
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dynamast/internal/obs"
@@ -23,10 +24,15 @@ type Txn struct {
 	recs  []*storage.Record // locked records, parallel to refs
 	parts []uint64          // write partitions (writer counts held)
 
-	writes   map[storage.RowRef]storage.Write
-	order    []storage.RowRef // write order for deterministic log payloads
+	// writes buffers the mutations, one per row in first-write order. Commit
+	// hands the slice itself to the store and the log (its elements become
+	// the rows' version cells) and drops it.
+	writes   []storage.Write
 	finished bool
 	readOnly bool
+
+	// scan is the pooled buffer every Scan appends to; Commit/Abort return it.
+	scan *[]storage.KV
 
 	// walPublish is the update-log append time measured during Commit;
 	// sessions read it to split the commit stage in lifecycle traces.
@@ -105,7 +111,7 @@ func (s *Site) Begin(minVV vclock.Vector, writeSet []storage.RowRef) (*Txn, erro
 		return nil, err
 	}
 	t.refs, t.recs, t.parts = refs, recs, parts
-	t.writes = make(map[storage.RowRef]storage.Write, len(refs))
+	t.writes = make([]storage.Write, 0, len(refs))
 	t.snap = s.clock.Now()
 	s.extendSnap(t.snap)
 	return t, nil
@@ -160,13 +166,8 @@ func (t *Txn) ReadOnly() bool { return t.readOnly }
 // the pre-drop rows, or the check fails and the transaction poisons.
 func (t *Txn) Read(ref storage.RowRef) ([]byte, bool) {
 	t.nReads++
-	if t.writes != nil {
-		if w, ok := t.writes[ref]; ok {
-			if w.Deleted {
-				return nil, false
-			}
-			return w.Data, true
-		}
+	if w := t.buffered(ref); w != nil {
+		return w.Data, !w.Deleted
 	}
 	s := t.site
 	if h := s.hosting; h != nil {
@@ -254,9 +255,14 @@ func (t *Txn) scanRangeHosted(table string, lo, hi uint64) bool {
 	return ok
 }
 
+// scanBufs recycles transactions' scan buffers.
+var scanBufs = sync.Pool{New: func() any { return new([]storage.KV) }}
+
 // Scan returns the visible rows of table with lo <= key < hi at the
 // transaction's snapshot. Buffered writes are not merged into scans (no
 // workload in the evaluation scans its own write set).
+// The rows live in a buffer the transaction owns: valid until it commits or
+// aborts (later scans do not disturb them), zeroed afterwards; copy to retain.
 func (t *Txn) Scan(table string, lo, hi uint64) []storage.KV {
 	tb := t.site.store.Table(table)
 	if tb == nil {
@@ -269,12 +275,31 @@ func (t *Txn) Scan(table string, lo, hi uint64) []storage.KV {
 			return nil
 		}
 	}
-	rows, evicted := tb.ScanChecked(lo, hi, t.snap)
+	if t.scan == nil {
+		t.scan = scanBufs.Get().(*[]storage.KV)
+	}
+	from := len(*t.scan)
+	buf, evicted := tb.ScanChecked(*t.scan, lo, hi, t.snap)
+	*t.scan = buf
 	if evicted {
 		t.poisonStale(storage.RowRef{Table: table, Key: lo})
 	}
-	t.nScanned += len(rows)
-	return rows
+	t.nScanned += len(buf) - from
+	return buf[from:len(buf):len(buf)]
+}
+
+// releaseScan clears the transaction's scan rows and recycles their buffer.
+func (t *Txn) releaseScan() {
+	if t.scan == nil {
+		return
+	}
+	buf := *t.scan
+	clear(buf)
+	if cap(buf) <= 1<<13 { // one some huge scan grew past 256 KB is dropped instead
+		*t.scan = buf[:0]
+		scanBufs.Put(t.scan)
+	}
+	t.scan = nil
 }
 
 // ScanEach streams visible rows of table in [lo, hi) to fn in key order
@@ -319,11 +344,22 @@ func (t *Txn) bufferWrite(w storage.Write) error {
 	if !t.inWriteSet(w.Ref) {
 		return fmt.Errorf("sitemgr: %v not in declared write set", w.Ref)
 	}
-	if _, dup := t.writes[w.Ref]; !dup {
-		t.order = append(t.order, w.Ref)
+	if b := t.buffered(w.Ref); b != nil {
+		*b = w
+	} else {
+		t.writes = append(t.writes, w)
 	}
-	t.writes[w.Ref] = w
 	t.nWrites++
+	return nil
+}
+
+// buffered returns the transaction's own pending write to ref, or nil.
+func (t *Txn) buffered(ref storage.RowRef) *storage.Write {
+	for i := range t.writes {
+		if t.writes[i].Ref == ref {
+			return &t.writes[i]
+		}
+	}
 	return nil
 }
 
@@ -364,6 +400,7 @@ func (t *Txn) Commit() (vclock.Vector, error) {
 		return nil, fmt.Errorf("sitemgr: commit after finish")
 	}
 	t.finished = true
+	t.releaseScan()
 	s := t.site
 	if err := t.hostErr; err != nil || t.staleErr != nil {
 		// A read touched a non-hosted partition, or missed a record whose
@@ -396,10 +433,8 @@ func (t *Txn) Commit() (vclock.Vector, error) {
 		return nil, ErrSiteDown
 	}
 
-	writes := make([]storage.Write, 0, len(t.order))
-	for _, ref := range t.order {
-		writes = append(writes, t.writes[ref])
-	}
+	writes := t.writes
+	t.writes = nil
 
 	start := time.Now()
 	if s.epochOn() {
@@ -561,6 +596,7 @@ func (t *Txn) Abort() {
 		return
 	}
 	t.finished = true
+	t.releaseScan()
 	if t.readOnly {
 		return
 	}

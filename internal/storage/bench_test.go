@@ -7,39 +7,60 @@ import (
 	"dynamast/internal/vclock"
 )
 
+// BenchmarkRecordInstall measures publishing one version into a full chain at
+// every cap the ablation sweeps. The cells come from a ring built up front,
+// as a commit's cells come from its write set: the install itself allocates
+// nothing.
 func BenchmarkRecordInstall(b *testing.B) {
+	ring := make([]Write, 1024)
+	for i := range ring {
+		ring[i] = Write{Data: make([]byte, 100)}
+	}
 	for _, cap := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("versions=%d", cap), func(b *testing.B) {
 			r := newRecord()
-			data := make([]byte, 100)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Install(Stamp{0, uint64(i + 1)}, data, false, cap)
+				installCell(r, &ring[i%len(ring)], cap)
 			}
 		})
 	}
 }
 
+// BenchmarkRecordRead measures the per-row snapshot read from GOMAXPROCS
+// goroutines at once over 1024 four-version records: the snapshot either sees
+// each head or has to walk to the third version.
 func BenchmarkRecordRead(b *testing.B) {
-	r := newRecord()
-	for s := uint64(1); s <= 4; s++ {
-		r.Install(Stamp{0, s}, make([]byte, 100), false, 4)
-	}
-	snap := vclock.Vector{3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Read(snap); !ok {
-			b.Fatal("miss")
+	recs := make([]*Record, 1024)
+	for i := range recs {
+		recs[i] = newRecord()
+		for s := uint64(1); s <= 4; s++ {
+			install(recs[i], Stamp{0, s}, make([]byte, 100), false, 4)
 		}
+	}
+	for _, bc := range []struct {
+		name string
+		snap vclock.Vector
+	}{{"head", vclock.Vector{4}}, {"third", vclock.Vector{2}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					if _, ok, _ := recs[i%len(recs)].ReadChecked(bc.snap); !ok {
+						b.Error("miss")
+						return
+					}
+				}
+			})
+		})
 	}
 }
 
 func BenchmarkTableGet(b *testing.B) {
 	t := NewTable("t")
 	for k := uint64(0); k < 100_000; k++ {
-		t.Record(k, true).Install(Stamp{0, 1}, make([]byte, 100), false, 4)
+		install(t.Record(k, true), Stamp{0, 1}, make([]byte, 100), false, 4)
 	}
 	snap := vclock.Vector{1}
 	b.ReportAllocs()
@@ -54,7 +75,7 @@ func BenchmarkTableGet(b *testing.B) {
 func BenchmarkTableScan1000(b *testing.B) {
 	t := NewTable("t")
 	for k := uint64(0); k < 100_000; k++ {
-		t.Record(k, true).Install(Stamp{0, 1}, make([]byte, 100), false, 4)
+		install(t.Record(k, true), Stamp{0, 1}, make([]byte, 100), false, 4)
 	}
 	snap := vclock.Vector{1}
 	b.ReportAllocs()
@@ -74,7 +95,7 @@ func BenchmarkTableScan(b *testing.B) {
 	for _, stride := range []uint64{1, tableShards} {
 		t := NewTable("t")
 		for k := uint64(0); k < 100_000; k++ {
-			t.Record(k*stride, true).Install(Stamp{0, 1}, make([]byte, 100), false, 4)
+			install(t.Record(k*stride, true), Stamp{0, 1}, make([]byte, 100), false, 4)
 		}
 		shape := "dense"
 		if stride > 1 {
@@ -114,17 +135,20 @@ func BenchmarkLockSet3(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreApply measures installing a three-row commit into existing
+// records. Each iteration builds its own write set, as a committing
+// transaction does — Apply keeps the slice as the rows' version cells.
 func BenchmarkStoreApply(b *testing.B) {
 	s := NewStore(0)
 	s.CreateTable("t")
-	writes := []Write{
-		{Ref: RowRef{"t", 1}, Data: make([]byte, 100)},
-		{Ref: RowRef{"t", 2}, Data: make([]byte, 100)},
-		{Ref: RowRef{"t", 3}, Data: make([]byte, 100)},
-	}
+	data := make([]byte, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Apply(Stamp{0, uint64(i + 1)}, writes)
+		s.Apply(Stamp{0, uint64(i + 1)}, []Write{
+			{Ref: RowRef{"t", 1}, Data: data},
+			{Ref: RowRef{"t", 2}, Data: data},
+			{Ref: RowRef{"t", 3}, Data: data},
+		})
 	}
 }

@@ -7,7 +7,7 @@
 // snapshot vector snap sees the newest version whose stamp (origin, seq)
 // satisfies seq <= snap[origin]. Concurrent writers to the same record are
 // mutually excluded with per-record locks (writes block, they do not
-// abort); readers never block.
+// abort); readers take no lock at all.
 //
 // The store keeps a bounded number of versions per record (four by default,
 // matching the paper's empirically chosen setting) and discards older ones.
@@ -15,6 +15,7 @@ package storage
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dynamast/internal/vclock"
 )
@@ -37,58 +38,45 @@ func (s Stamp) VisibleAt(snap vclock.Vector) bool {
 	return s.Seq <= snap[s.Origin]
 }
 
-// version is one entry of a record's version chain.
-type version struct {
-	stamp   Stamp
-	data    []byte
-	deleted bool
-}
+// MaxVersionCap is the largest version cap a store accepts: every record's
+// fixed number of version slots.
+const MaxVersionCap = 8
 
-// Record is a multi-versioned row. The write lock (Lock/Unlock) mutually
-// excludes transactions updating the record and is held for the duration of
-// the owning transaction; Install appends versions while locked. Refresh
-// transactions installing propagated updates use the same lock briefly.
+// Record is a multi-versioned row: one allocation holding the transaction
+// write lock, the installer mutex and the version slots, newest first (slots
+// past the store's cap stay nil). A version is the committed transaction's
+// own Write cell (see Store.Apply), immutable once published, so readers walk
+// the slots with atomic loads and take no lock. The write lock (Lock/Unlock)
+// is held for the duration of the owning transaction, which may release it
+// from another goroutine than the one that acquired it.
 type Record struct {
-	lock chan struct{} // 1-slot semaphore: usable across goroutines
-
-	mu       sync.RWMutex // guards versions
-	versions []version    // newest first
+	lock sync.Mutex // transaction write lock
+	mu   sync.Mutex // serialises installers (commit path, refresh appliers, imports)
+	v    [MaxVersionCap]atomic.Pointer[Write]
 }
 
-func newRecord() *Record {
-	return &Record{lock: make(chan struct{}, 1)}
-}
+func newRecord() *Record { return new(Record) }
 
 // Lock acquires the record's write lock, blocking until available.
-func (r *Record) Lock() { r.lock <- struct{}{} }
+func (r *Record) Lock() { r.lock.Lock() }
 
 // TryLock acquires the write lock if it is free and reports success.
-func (r *Record) TryLock() bool {
-	select {
-	case r.lock <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
+func (r *Record) TryLock() bool { return r.lock.TryLock() }
 
-// Unlock releases the write lock. Unlike sync.Mutex it may be released by a
-// different goroutine than the one that acquired it, which the commit path
-// of a networked database needs.
-func (r *Record) Unlock() { <-r.lock }
+// Unlock releases the write lock.
+func (r *Record) Unlock() { r.lock.Unlock() }
 
-// Install prepends a new version. maxVersions bounds the chain length; 0
-// means unbounded. Callers hold the write lock (local updates) or are the
-// single refresh applier for the record's partition.
-func (r *Record) Install(stamp Stamp, data []byte, deleted bool, maxVersions int) {
+// install publishes w as the newest version, keeping at most maxVersions.
+// The shift runs tail-first, so at every instant each retained version sits
+// at its old slot or the next one: a reader walking upwards may meet one
+// twice but never skips one; versions leave only by the last slot.
+func (r *Record) install(w *Write, maxVersions int) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.versions = append(r.versions, version{})
-	copy(r.versions[1:], r.versions)
-	r.versions[0] = version{stamp: stamp, data: data, deleted: deleted}
-	if maxVersions > 0 && len(r.versions) > maxVersions {
-		r.versions = r.versions[:maxVersions]
+	for i := maxVersions - 1; i > 0; i-- {
+		r.v[i].Store(r.v[i-1].Load())
 	}
+	r.v[0].Store(w)
+	r.mu.Unlock()
 }
 
 // Read returns the newest version visible at snap. ok is false if no
@@ -98,52 +86,65 @@ func (r *Record) Read(snap vclock.Vector) (data []byte, ok bool) {
 	return data, ok
 }
 
+// visible returns the newest retained version visible at snap, or nil and
+// the oldest version it met on the way (nil for a record with no versions).
+func (r *Record) visible(snap vclock.Vector) (w, oldest *Write) {
+	for i := range r.v {
+		w = r.v[i].Load()
+		if w == nil {
+			break
+		}
+		if w.Stamp.VisibleAt(snap) {
+			return w, nil
+		}
+		oldest = w
+	}
+	return nil, oldest
+}
+
 // ReadChecked is Read distinguishing a clean miss from an evicted one:
 // evicted is true when the record holds versions but none is visible at
 // snap, meaning either the key was created after the snapshot or — the case
-// callers must not ignore — the version the snapshot could see was trimmed
-// off the bounded chain by newer installs. A transaction receiving
-// evicted=true cannot trust the miss and should retry on a fresher
-// snapshot. A visible tombstone is a clean miss, not an eviction.
+// callers must not ignore — the version the snapshot could see was shifted
+// off the end of the bounded chain by newer installs, before or during the
+// walk. A transaction receiving evicted=true cannot trust the miss and should
+// retry on a fresher snapshot. A visible tombstone is a clean miss.
 func (r *Record) ReadChecked(snap vclock.Vector) (data []byte, ok, evicted bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, v := range r.versions {
-		if v.stamp.VisibleAt(snap) {
-			if v.deleted {
-				return nil, false, false
-			}
-			return v.data, true, false
-		}
+	w, oldest := r.visible(snap)
+	if w == nil {
+		return nil, false, oldest != nil
 	}
-	return nil, false, len(r.versions) > 0
+	if w.Deleted {
+		return nil, false, false
+	}
+	return w.Data, true, false
 }
 
 // ReadLatest returns the newest version regardless of snapshot; used for
 // data shipping (LEAP) and replica bootstrap.
 func (r *Record) ReadLatest() (data []byte, stamp Stamp, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.versions) == 0 || r.versions[0].deleted {
+	w := r.v[0].Load()
+	if w == nil || w.Deleted {
 		return nil, Stamp{}, false
 	}
-	return r.versions[0].data, r.versions[0].stamp, true
+	return w.Data, w.Stamp, true
 }
 
 // HeadStamp returns the stamp of the newest version (tombstone or not);
 // ok is false only for records with no versions at all.
 func (r *Record) HeadStamp() (Stamp, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.versions) == 0 {
+	w := r.v[0].Load()
+	if w == nil {
 		return Stamp{}, false
 	}
-	return r.versions[0].stamp, true
+	return w.Stamp, true
 }
 
 // VersionCount returns the current length of the version chain.
 func (r *Record) VersionCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.versions)
+	n := 0
+	for n < len(r.v) && r.v[n].Load() != nil {
+		n++
+	}
+	return n
 }

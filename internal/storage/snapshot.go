@@ -57,35 +57,24 @@ func (t *Table) exportAt(name string, svv vclock.Vector, fn func(table string, k
 // oldest retained version (newer than snap; its redo entry is in the replay
 // suffix). ok is false for tombstones and empty records.
 func (r *Record) ExportAt(snap vclock.Vector) (data []byte, stamp Stamp, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, v := range r.versions {
-		if v.stamp.VisibleAt(snap) {
-			if v.deleted {
-				return nil, Stamp{}, false
-			}
-			return v.data, v.stamp, true
-		}
+	w, oldest := r.visible(snap)
+	if w == nil {
+		// Created after snap, or the cap evicted the visible version: the
+		// oldest retained one is safe to export (see package comment).
+		w = oldest
 	}
-	// No retained version is visible at snap. Either the record was created
-	// after snap (every version newer — exporting the oldest is safe, see
-	// package comment), or the chain cap evicted the visible version.
-	if n := len(r.versions); n > 0 {
-		v := r.versions[n-1]
-		if v.deleted {
-			return nil, Stamp{}, false
-		}
-		return v.data, v.stamp, true
+	if w == nil || w.Deleted {
+		return nil, Stamp{}, false
 	}
-	return nil, Stamp{}, false
+	return w.Data, w.Stamp, true
 }
 
-// ImportRow installs one checkpointed row with its original stamp; used by
-// recovery to rebuild a store from a snapshot file before replaying the WAL
+// ImportRow installs one row with the given stamp, unconditionally: the
+// initial load (under the zero stamp, visible at every snapshot) and
+// recovery rebuilding a store from a snapshot file before replaying the WAL
 // suffix on top.
 func (s *Store) ImportRow(table string, key uint64, data []byte, stamp Stamp) {
-	t := s.CreateTable(table)
-	t.Record(key, true).Install(stamp, data, false, s.maxVersions)
+	s.CreateTable(table).Record(key, true).install(&Write{Data: data, Stamp: stamp}, s.maxVersions)
 }
 
 // ImportRowIfNewer is ImportRow guarded against replay inversion: when the
@@ -103,7 +92,7 @@ func (s *Store) ImportRowIfNewer(table string, key uint64, data []byte, stamp St
 	if r.VersionCount() > 0 && stamp.Origin < len(applied) && stamp.Seq <= applied[stamp.Origin] {
 		return false
 	}
-	r.Install(stamp, data, false, s.maxVersions)
+	r.install(&Write{Data: data, Stamp: stamp}, s.maxVersions)
 	return true
 }
 
@@ -130,6 +119,6 @@ func (s *Store) ImportRowSuperseding(table string, key uint64, data []byte, stam
 			return false // local state is ahead of the exporter
 		}
 	}
-	r.Install(stamp, data, false, s.maxVersions)
+	r.install(&Write{Data: data, Stamp: stamp}, s.maxVersions)
 	return true
 }

@@ -87,9 +87,9 @@ func TestExportAtEvictedVersionFallsForward(t *testing.T) {
 // TestExportAtConcurrentWriters checks the export walk holds no lock that a
 // committing writer needs: writers make progress while a slow export streams.
 func TestExportAtConcurrentWriters(t *testing.T) {
-	// NewStore(0) would cap chains at DefaultMaxVersions, and a writer that
-	// laps the 200 keys four times during the walk would evict the seed.
-	s := NewStore(1 << 30)
+	// The writer below laps the 200 keys at most seven times, so with eight
+	// version slots the seed is never evicted during the walk.
+	s := NewStore(MaxVersionCap)
 	for k := uint64(0); k < 200; k++ {
 		s.Apply(Stamp{Origin: 0, Seq: k + 1}, []Write{
 			{Ref: RowRef{Table: "t", Key: k}, Data: []byte("seed")},
@@ -103,7 +103,7 @@ func TestExportAtConcurrentWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		seq := uint64(0)
-		for {
+		for seq < 200*(MaxVersionCap-1) {
 			select {
 			case <-stop:
 				return
@@ -119,7 +119,7 @@ func TestExportAtConcurrentWriters(t *testing.T) {
 	n := 0
 	s.ExportAt(svv, func(_ string, _ uint64, data []byte, st Stamp) bool {
 		n++
-		// Origin-1 writes are invisible at svv and the chain is unbounded, so
+		// Origin-1 writes are invisible at svv and cannot evict the seed, so
 		// every exported version must be the seed.
 		if st.Origin != 0 || string(data) != "seed" {
 			t.Errorf("exported (%q, origin %d), want seed version", data, st.Origin)

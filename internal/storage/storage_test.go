@@ -32,9 +32,9 @@ func TestStampVisibleAt(t *testing.T) {
 
 func TestRecordReadSnapshots(t *testing.T) {
 	r := newRecord()
-	r.Install(Stamp{0, 1}, []byte("v1"), false, 4)
-	r.Install(Stamp{0, 2}, []byte("v2"), false, 4)
-	r.Install(Stamp{1, 1}, []byte("v3"), false, 4)
+	install(r, Stamp{0, 1}, []byte("v1"), false, 4)
+	install(r, Stamp{0, 2}, []byte("v2"), false, 4)
+	install(r, Stamp{1, 1}, []byte("v3"), false, 4)
 
 	if _, ok := r.Read(vclock.Vector{0, 0}); ok {
 		t.Error("empty snapshot saw data")
@@ -57,8 +57,8 @@ func TestRecordReadSnapshots(t *testing.T) {
 
 func TestRecordTombstone(t *testing.T) {
 	r := newRecord()
-	r.Install(Stamp{0, 1}, []byte("v1"), false, 4)
-	r.Install(Stamp{0, 2}, nil, true, 4)
+	install(r, Stamp{0, 1}, []byte("v1"), false, 4)
+	install(r, Stamp{0, 2}, nil, true, 4)
 	if d, ok := r.Read(vclock.Vector{1}); !ok || string(d) != "v1" {
 		t.Errorf("pre-delete snapshot: got %q %v", d, ok)
 	}
@@ -73,7 +73,7 @@ func TestRecordTombstone(t *testing.T) {
 func TestRecordVersionCap(t *testing.T) {
 	r := newRecord()
 	for seq := uint64(1); seq <= 10; seq++ {
-		r.Install(Stamp{0, seq}, []byte{byte(seq)}, false, 4)
+		install(r, Stamp{0, seq}, []byte{byte(seq)}, false, 4)
 	}
 	if n := r.VersionCount(); n != 4 {
 		t.Fatalf("VersionCount = %d, want 4", n)
@@ -85,16 +85,6 @@ func TestRecordVersionCap(t *testing.T) {
 	}
 	if d, ok := r.Read(vclock.Vector{7}); !ok || d[0] != 7 {
 		t.Errorf("oldest retained: got %v %v", d, ok)
-	}
-}
-
-func TestRecordUnboundedVersions(t *testing.T) {
-	r := newRecord()
-	for seq := uint64(1); seq <= 10; seq++ {
-		r.Install(Stamp{0, seq}, []byte{byte(seq)}, false, 0)
-	}
-	if n := r.VersionCount(); n != 10 {
-		t.Fatalf("VersionCount = %d, want 10", n)
 	}
 }
 
@@ -156,7 +146,7 @@ func TestTableScanOrderAndBounds(t *testing.T) {
 	tb := NewTable("t")
 	snap := vclock.Vector{1}
 	for _, k := range []uint64{5, 1, 9, 3, 7, 100} {
-		tb.Record(k, true).Install(Stamp{0, 1}, []byte{byte(k)}, false, 4)
+		install(tb.Record(k, true), Stamp{0, 1}, []byte{byte(k)}, false, 4)
 	}
 	got := tb.Scan(3, 10, snap)
 	want := []uint64{3, 5, 7, 9}
@@ -172,8 +162,8 @@ func TestTableScanOrderAndBounds(t *testing.T) {
 
 func TestTableScanSnapshotFilter(t *testing.T) {
 	tb := NewTable("t")
-	tb.Record(1, true).Install(Stamp{0, 1}, []byte("a"), false, 4)
-	tb.Record(2, true).Install(Stamp{0, 2}, []byte("b"), false, 4)
+	install(tb.Record(1, true), Stamp{0, 1}, []byte("a"), false, 4)
+	install(tb.Record(2, true), Stamp{0, 2}, []byte("b"), false, 4)
 	got := tb.Scan(0, 10, vclock.Vector{1})
 	if len(got) != 1 || got[0].Key != 1 {
 		t.Fatalf("snapshot scan = %+v", got)
@@ -183,7 +173,7 @@ func TestTableScanSnapshotFilter(t *testing.T) {
 func TestTableScanKeysEarlyStop(t *testing.T) {
 	tb := NewTable("t")
 	for k := uint64(0); k < 50; k++ {
-		tb.Record(k, true).Install(Stamp{0, 1}, []byte{1}, false, 4)
+		install(tb.Record(k, true), Stamp{0, 1}, []byte{1}, false, 4)
 	}
 	n := 0
 	tb.ScanKeys(0, 50, vclock.Vector{1}, func(uint64, []byte) bool {
@@ -197,9 +187,9 @@ func TestTableScanKeysEarlyStop(t *testing.T) {
 
 func TestTableForEachLatest(t *testing.T) {
 	tb := NewTable("t")
-	tb.Record(1, true).Install(Stamp{0, 1}, []byte("old"), false, 4)
-	tb.Record(1, true).Install(Stamp{0, 2}, []byte("new"), false, 4)
-	tb.Record(2, true).Install(Stamp{1, 1}, nil, true, 4) // tombstone skipped
+	install(tb.Record(1, true), Stamp{0, 1}, []byte("old"), false, 4)
+	install(tb.Record(1, true), Stamp{0, 2}, []byte("new"), false, 4)
+	install(tb.Record(2, true), Stamp{1, 1}, nil, true, 4) // tombstone skipped
 	var seen []string
 	tb.ForEachLatest(func(key uint64, data []byte, stamp Stamp) {
 		seen = append(seen, fmt.Sprintf("%d=%s@%d:%d", key, data, stamp.Origin, stamp.Seq))
@@ -219,8 +209,8 @@ func TestStoreCreateTableIdempotent(t *testing.T) {
 	if s.Table("y") != nil {
 		t.Fatal("Table returned non-nil for missing table")
 	}
-	if s.MaxVersions() != DefaultMaxVersions {
-		t.Fatalf("MaxVersions = %d", s.MaxVersions())
+	if s.maxVersions != DefaultMaxVersions {
+		t.Fatalf("version cap = %d", s.maxVersions)
 	}
 }
 
@@ -341,7 +331,7 @@ func TestQuickSnapshotReadsSingleOrigin(t *testing.T) {
 		n := int(nVersions%20) + 1
 		r := newRecord()
 		for seq := 1; seq <= n; seq++ {
-			r.Install(Stamp{0, uint64(seq)}, []byte{byte(seq)}, false, 4)
+			install(r, Stamp{0, uint64(seq)}, []byte{byte(seq)}, false, 4)
 		}
 		s := uint64(snapSeq) % uint64(n+3)
 		d, ok := r.Read(vclock.Vector{s})
@@ -367,7 +357,7 @@ func TestQuickSnapshotReadsSingleOrigin(t *testing.T) {
 // read observes a value that was installed, and the chain stays bounded.
 func TestConcurrentInstallAndRead(t *testing.T) {
 	r := newRecord()
-	r.Install(Stamp{0, 1}, []byte{0, 1}, false, 4)
+	install(r, Stamp{0, 1}, []byte{0, 1}, false, 4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -380,7 +370,7 @@ func TestConcurrentInstallAndRead(t *testing.T) {
 			default:
 			}
 			r.Lock()
-			r.Install(Stamp{0, seq}, []byte{byte(seq >> 8), byte(seq)}, false, 4)
+			install(r, Stamp{0, seq}, []byte{byte(seq >> 8), byte(seq)}, false, 4)
 			r.Unlock()
 		}
 	}()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"testing"
 
 	"dynamast/internal/vclock"
 )
@@ -23,19 +24,19 @@ type Store struct {
 }
 
 // NewStore returns an empty store keeping maxVersions versions per record
-// (DefaultMaxVersions if maxVersions is 0).
+// (DefaultMaxVersions if 0; a cap beyond MaxVersionCap panics).
 func NewStore(maxVersions int) *Store {
 	if maxVersions == 0 {
 		maxVersions = DefaultMaxVersions
+	}
+	if maxVersions < 0 || maxVersions > MaxVersionCap {
+		panic(fmt.Sprintf("storage: version cap %d outside [1, %d]", maxVersions, MaxVersionCap))
 	}
 	return &Store{
 		maxVersions: maxVersions,
 		tables:      make(map[string]*Table),
 	}
 }
-
-// MaxVersions returns the store's version chain cap.
-func (s *Store) MaxVersions() int { return s.maxVersions }
 
 // CreateTable creates (or returns the existing) table with the given name.
 func (s *Store) CreateTable(name string) *Table {
@@ -143,22 +144,36 @@ func UnlockAll(recs []*Record) {
 }
 
 // Write is one row mutation carried by a committed transaction (and by its
-// refresh transactions at the other sites).
+// refresh transactions at the other sites). Once applied it is also the
+// row's version cell: Stamp is the commit that produced it, set by Apply (or
+// by the log its entry went through, see wal.Log.Append) and never encoded.
 type Write struct {
 	Ref     RowRef
 	Data    []byte
 	Deleted bool
+	Stamp   Stamp
 }
 
 // Apply installs a committed write set with the given stamp. Local commits
 // call it while holding the records' write locks; the refresh applier calls
 // it without (application order is serialized per partition by the
 // replication manager).
+//
+// Apply retains writes: each element becomes its record's newest version
+// cell, published by address, so the caller must not touch the slice again.
+// Elements already carrying stamp (the same commit reaching another replica
+// through a shared log entry) are published unwritten. One slice handed to two
+// commits is a caller bug; tests panic on it (a debug assertion).
 func (s *Store) Apply(stamp Stamp, writes []Write) {
-	for _, w := range writes {
-		t := s.CreateTable(w.Ref.Table)
-		r := t.Record(w.Ref.Key, true)
-		r.Install(stamp, w.Data, w.Deleted, s.maxVersions)
+	for i := range writes {
+		w := &writes[i]
+		if w.Stamp != stamp {
+			if w.Stamp != (Stamp{}) && testing.Testing() {
+				panic(fmt.Sprintf("storage: Apply(%+v) of %v already published under %+v", stamp, w.Ref, w.Stamp))
+			}
+			w.Stamp = stamp
+		}
+		s.CreateTable(w.Ref.Table).Record(w.Ref.Key, true).install(w, s.maxVersions)
 	}
 }
 

@@ -98,19 +98,29 @@ type KV struct {
 	Value []byte
 }
 
+// batch is what walk merged last: up to walkBatch index entries in key order.
+// walk's caller owns it and its emit reads it.
+type batch struct {
+	n    int
+	refs [walkBatch]recRef
+}
+
+const walkBatch = 16
+
 // walk is the table's one scan loop. It visits every record with
 // lo <= key <= last in ascending key order: two binary searches find each
-// shard's run, the result is allocated once for the records the runs hold,
-// and a merge of the runs appends what read makes of each record (nothing
-// when read reports false).
+// shard's run, dst is grown once for the records the runs hold, and a merge
+// of the runs fills b with the records, up to walkBatch at a time, and calls
+// emit, which appends to dst what it makes of b. dst may be nil; the extended
+// slice is returned.
 //
 // Locking contract: inserts shift a shard's index in place, so a run is only
 // valid while its shard is read-locked. walk takes every shard's read lock
 // (in index order; writers hold one shard lock at a time, so this cannot
-// deadlock) and holds them all until the merge is done. read runs under
-// those locks: it may read the record but must not call back into the table
+// deadlock) and holds them all until the merge is done. emit runs under
+// those locks: it may read the records but must not call back into the table
 // or into caller-supplied code.
-func walk[T any](t *Table, lo, last uint64, read func(key uint64, r *Record) (T, bool)) []T {
+func walk[T any](t *Table, dst []T, lo, last uint64, b *batch, emit func(dst []T) []T) []T {
 	var (
 		keys    [tableShards][]uint64  // what is left of each live run
 		recs    [tableShards][]*Record // parallel to keys
@@ -136,7 +146,7 @@ func walk[T any](t *Table, lo, last uint64, read func(key uint64, r *Record) (T,
 			t.shards[i].mu.RUnlock()
 		}
 	}()
-	out := make([]T, 0, n)
+	dst = slices.Grow(dst, n)
 	for live > 0 {
 		m := 0
 		for i := 1; i < live; i++ {
@@ -144,20 +154,23 @@ func walk[T any](t *Table, lo, last uint64, read func(key uint64, r *Record) (T,
 				m = i
 			}
 		}
-		if row, ok := read(head[m], recs[m][0]); ok {
-			out = append(out, row)
-		}
+		b.refs[b.n] = recRef{head[m], recs[m][0]}
+		b.n++
 		if keys[m], recs[m] = keys[m][1:], recs[m][1:]; len(keys[m]) > 0 {
 			head[m] = keys[m][0]
 		} else {
 			live--
 			keys[m], recs[m], head[m] = keys[live], recs[live], head[live]
 		}
+		if b.n == walkBatch || live == 0 {
+			dst = emit(dst)
+			b.n = 0
+		}
 	}
-	return out
+	return dst
 }
 
-// recRef is one index entry copied out of a walk.
+// recRef is one index entry.
 type recRef struct {
 	key uint64
 	rec *Record
@@ -167,29 +180,51 @@ type recRef struct {
 // key order, for callers that read the records, or run caller-supplied code,
 // outside the shard locks.
 func (t *Table) refs(lo, last uint64) []recRef {
-	return walk(t, lo, last, func(key uint64, r *Record) (recRef, bool) { return recRef{key, r}, true })
+	var b batch
+	return walk(t, nil, lo, last, &b, func(dst []recRef) []recRef {
+		return append(dst, b.refs[:b.n]...)
+	})
 }
 
 // Scan returns all visible rows with lo <= key < hi at snapshot snap, in
 // key order.
 func (t *Table) Scan(lo, hi uint64, snap vclock.Vector) []KV {
-	out, _ := t.ScanChecked(lo, hi, snap)
+	out, _ := t.ScanChecked(nil, lo, hi, snap)
 	return out
 }
 
-// ScanChecked is Scan also reporting whether any skipped record was an
-// eviction miss rather than a clean one (see Record.ReadChecked): a row the
-// snapshot should see may have been trimmed off its bounded version chain,
-// so the scan result cannot be trusted and the caller should retry on a
-// fresher snapshot.
-func (t *Table) ScanChecked(lo, hi uint64, snap vclock.Vector) (out []KV, evicted bool) {
+// ScanChecked is Scan appending the rows to dst (which may be nil) and also
+// reporting whether any skipped record was an eviction miss rather than a
+// clean one (see Record.ReadChecked): a row the snapshot should see may have
+// been trimmed off its bounded version chain, so the scan result cannot be
+// trusted and the caller should retry on a fresher snapshot.
+func (t *Table) ScanChecked(dst []KV, lo, hi uint64, snap vclock.Vector) (out []KV, evicted bool) {
 	if lo >= hi {
-		return nil, false
+		return dst, false
 	}
-	out = walk(t, lo, hi-1, func(key uint64, r *Record) (KV, bool) {
-		data, ok, ev := r.ReadChecked(snap)
-		evicted = evicted || ev
-		return KV{Key: key, Value: data}, ok
+	var b batch
+	out = walk(t, dst, lo, hi-1, &b, func(dst []KV) []KV {
+		// Two passes, so the batch's cache misses overlap instead of queueing:
+		// every record's head slot, then every head cell. A head the snapshot
+		// cannot see falls back to the chain walk.
+		var heads [walkBatch]*Write
+		for i, e := range b.refs[:b.n] {
+			heads[i] = e.rec.v[0].Load()
+		}
+		for i, e := range b.refs[:b.n] {
+			w := heads[i]
+			if w == nil || !w.Stamp.VisibleAt(snap) {
+				var oldest *Write
+				if w, oldest = e.rec.visible(snap); w == nil {
+					evicted = evicted || oldest != nil
+					continue
+				}
+			}
+			if !w.Deleted {
+				dst = append(dst, KV{Key: e.key, Value: w.Data})
+			}
+		}
+		return dst
 	})
 	return out, evicted
 }

@@ -124,8 +124,7 @@ func (b *base) loadReplicated(rows []LoadRow) {
 			}
 		}
 		for _, s := range b.sites {
-			t := s.Store().CreateTable(row.Ref.Table)
-			t.Record(row.Ref.Key, true).Install(loadStamp, row.Data, false, s.Store().MaxVersions())
+			s.Store().ImportRow(row.Ref.Table, row.Ref.Key, row.Data, loadStamp)
 		}
 	}
 }
@@ -146,8 +145,7 @@ func (b *base) loadPartitioned(rows []LoadRow) {
 		}
 		if b.cfg.ReplicatedTables[row.Ref.Table] {
 			for _, s := range b.sites {
-				t := s.Store().CreateTable(row.Ref.Table)
-				t.Record(row.Ref.Key, true).Install(loadStamp, row.Data, false, s.Store().MaxVersions())
+				s.Store().ImportRow(row.Ref.Table, row.Ref.Key, row.Data, loadStamp)
 			}
 			continue
 		}

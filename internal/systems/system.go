@@ -18,7 +18,11 @@ import (
 type Tx interface {
 	// Read returns a row's value, or ok=false if it does not exist.
 	Read(ref storage.RowRef) ([]byte, bool)
-	// Scan returns the visible rows of table with lo <= key < hi.
+	// Scan returns the visible rows of table with lo <= key < hi. The rows
+	// are a cursor over storage the transaction may own: they are valid
+	// until the transaction commits or aborts (so for the whole of the
+	// stored procedure, across any further scans) and not afterwards. Copy
+	// what must outlive it.
 	Scan(table string, lo, hi uint64) []storage.KV
 	// Write buffers an update to ref.
 	Write(ref storage.RowRef, data []byte) error

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynamast/internal/codec"
@@ -248,6 +249,14 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// serveConn reads requests off one connection and hands each to a worker
+// goroutine of that connection. A worker that finishes parks on the hand-off
+// channel for the next request, so a client issuing one call at a time is
+// served by one long-lived goroutine whose stack has already grown to what
+// the handlers need. The reader starts another worker only when none is
+// parked — every worker is busy — so concurrent requests on one connection
+// still run concurrently; a worker that finishes while another is already
+// parked exits. Replies carry the request's id and may leave in any order.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -256,39 +265,81 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	c := &connWorkers{srv: s, conn: conn, work: make(chan request)}
+	defer close(c.work) // releases the parked worker
 	br := bufio.NewReaderSize(conn, rpcReadBuffer)
-	var wmu sync.Mutex
 	for {
-		var req frame
-		bp, err := readFrame(br, &req)
-		if err != nil {
+		var r request
+		var err error
+		if r.buf, err = readFrame(br, &r.frame); err != nil {
 			return
 		}
-		s.mu.RLock()
-		h := s.handlers[req.Method]
-		s.mu.RUnlock()
-		go func(req frame, bp *[]byte) {
-			resp := frame{ID: req.ID, Method: req.Method, Resp: true}
-			bodyBuf := codec.GetBuf()
-			body := (*bodyBuf)[:0]
-			if h == nil {
-				resp.Err = fmt.Sprintf("rpc: unknown method %q", req.Method)
-			} else if body, err = h(obs.SpanContext{Trace: req.Trace, Span: req.Span}, req.Body, body); err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Body = body
-			}
-			// The handler has returned; the request body is dead.
-			codec.PutBuf(bp)
-			wmu.Lock()
-			_ = writeFrame(conn, &resp)
-			wmu.Unlock()
-			if body != nil {
-				*bodyBuf = body[:0]
-			}
-			codec.PutBuf(bodyBuf)
-		}(req, bp)
+		if c.parked.CompareAndSwap(true, false) {
+			c.work <- r
+		} else {
+			go c.run(r)
+		}
 	}
+}
+
+// request is one decoded request frame and the pooled buffer backing its body.
+type request struct {
+	frame frame
+	buf   *[]byte
+}
+
+// connWorkers is the state one connection's reader and workers share.
+type connWorkers struct {
+	srv  *Server
+	conn net.Conn
+	wmu  sync.Mutex   // serialises response frames
+	work chan request // reader to the parked worker; closed when the reader exits
+	// parked is set by a worker about to receive from work and cleared by the
+	// reader, which then owes that worker a request: at most one worker parks.
+	parked atomic.Bool
+}
+
+// run serves r, then requests handed over by the reader for as long as this
+// worker is the one parked.
+func (c *connWorkers) run(r request) {
+	for c.serve(r) {
+		var ok bool
+		if r, ok = <-c.work; !ok {
+			return
+		}
+	}
+}
+
+// serve runs r's handler and writes the reply. It reports whether this worker
+// parked: it tries to just before the reply leaves, not after, so the request
+// a client sends on receiving that reply always finds it parked.
+func (c *connWorkers) serve(r request) (parked bool) {
+	req := &r.frame
+	c.srv.mu.RLock()
+	h := c.srv.handlers[req.Method]
+	c.srv.mu.RUnlock()
+	resp := frame{ID: req.ID, Method: req.Method, Resp: true}
+	bodyBuf := codec.GetBuf()
+	body := (*bodyBuf)[:0]
+	var err error
+	if h == nil {
+		resp.Err = fmt.Sprintf("rpc: unknown method %q", req.Method)
+	} else if body, err = h(obs.SpanContext{Trace: req.Trace, Span: req.Span}, req.Body, body); err != nil {
+		resp.Err = err.Error()
+	} else {
+		resp.Body = body
+	}
+	// The handler has returned; the request body is dead.
+	codec.PutBuf(r.buf)
+	parked = c.parked.CompareAndSwap(false, true)
+	c.wmu.Lock()
+	_ = writeFrame(c.conn, &resp)
+	c.wmu.Unlock()
+	if body != nil {
+		*bodyBuf = body[:0]
+	}
+	codec.PutBuf(bodyBuf)
+	return parked
 }
 
 // Close stops the listener and closes all connections.
@@ -426,6 +477,10 @@ func (c *Client) CallCtx(ctx context.Context, method string, arg, reply any) err
 // handler can join its spans to the caller's trace. A zero tc leaves the
 // frame byte-identical to an untraced call.
 func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method string, arg, reply any) error {
+	if err := ctx.Err(); err != nil {
+		// Already cancelled or expired: do not send a request nobody awaits.
+		return fmt.Errorf("rpc: %s: %w: %w", method, ErrTimeout, err)
+	}
 	bodyBuf := codec.GetBuf()
 	body, err := encodeBody(arg, (*bodyBuf)[:0])
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,4 +213,76 @@ func TestServerErrorTextNotMistakenForConnLoss(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("handler called %d times, want 1 (definitive errors are not retried)", got)
 	}
+}
+
+// goroutineID parses the calling goroutine's id out of its stack header; the
+// worker tests use it to tell which server goroutine ran a handler.
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestRPCConnectionWorkers pins the per-connection worker hand-off: a client
+// issuing one call at a time is served by a single long-lived goroutine;
+// calls that need each other to finish still run concurrently on one
+// connection, and every reply reaches the call that asked for it.
+func TestRPCConnectionWorkers(t *testing.T) {
+	const burst = 8
+	s := NewServer()
+	Handle(s, "gid", func(*echoReq) (*echoResp, error) {
+		return &echoResp{Msg: goroutineID()}, nil
+	})
+	var arrived sync.WaitGroup
+	arrived.Add(burst)
+	Handle(s, "rendezvous", func(r *echoReq) (*echoResp, error) {
+		// Returns only once all burst calls are inside their handlers.
+		arrived.Done()
+		arrived.Wait()
+		return &echoResp{Msg: r.Msg}, nil
+	})
+	addr, err := s.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	serial := func(when string) {
+		t.Helper()
+		var first string
+		for i := 0; i < 50; i++ {
+			var resp echoResp
+			if err := c.Call("gid", &echoReq{}, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = resp.Msg
+			} else if resp.Msg != first {
+				t.Fatalf("%s: serial call %d ran on goroutine %s, the first on %s", when, i, resp.Msg, first)
+			}
+		}
+	}
+	serial("fresh connection")
+
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			msg := strings.Repeat("x", i+1)
+			var resp echoResp
+			if err := c.CallTimeout("rendezvous", &echoReq{Msg: msg}, &resp, 10*time.Second); err != nil {
+				t.Errorf("burst call %d: %v (calls on one connection did not overlap)", i, err)
+			} else if resp.Msg != msg {
+				t.Errorf("burst call %d got reply %q", i, resp.Msg)
+			}
+		}(i)
+	}
+	wg.Wait()
+	// The extra workers are gone or parked; one of them keeps serving.
+	serial("after the burst")
 }

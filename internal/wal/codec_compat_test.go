@@ -38,6 +38,15 @@ func compatEntries(n int) []Entry {
 	return out
 }
 
+// stamped returns es as a log hands them out: every write carrying its
+// commit's stamp, which Append and replay derive and no frame encodes.
+func stamped(es []Entry) []Entry {
+	for i := range es {
+		es[i].stampWrites()
+	}
+	return es
+}
+
 func allEntries(t *testing.T, l *Log) []Entry {
 	t.Helper()
 	c := l.Subscribe(l.Base())
@@ -81,7 +90,7 @@ func TestLegacyLogReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := allEntries(t, l); !reflect.DeepEqual(got, want) {
+	if got := allEntries(t, l); !reflect.DeepEqual(got, stamped(want)) {
 		t.Fatalf("legacy replay mismatch:\n got %+v\nwant %+v", got, want)
 	}
 	if n := codec.LegacyFrames(codec.SurfaceWAL); n != uint64(len(want)) {
@@ -113,6 +122,7 @@ func TestMixedFormatLogReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	want = stamped(want)
 	if got := allEntries(t, l); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed log mismatch after append:\n got %+v\nwant %+v", got, want)
 	}
@@ -157,7 +167,7 @@ func TestTruncationRewritesLegacyToBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := allEntries(t, l2); !reflect.DeepEqual(got, want[4:]) {
+	if got := allEntries(t, l2); !reflect.DeepEqual(got, stamped(want)[4:]) {
 		t.Fatalf("post-truncation replay mismatch:\n got %+v\nwant %+v", got, want[4:])
 	}
 	if n := codec.LegacyFrames(codec.SurfaceWAL); n != 0 {

@@ -148,6 +148,7 @@ func TestMixedLegacyAndEpochLogReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	want = stamped(want)
 	if got := allEntries(t, l); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed epoch log mismatch after append:\n got %+v\nwant %+v", got, want)
 	}
@@ -211,4 +212,52 @@ func FuzzEpochFrameDecode(f *testing.F) {
 			t.Fatalf("decode/encode not idempotent:\n got %+v\nwant %+v", e2, e)
 		}
 	})
+}
+
+// TestLogEntriesCarryCommitStamps pins the rule replicas rely on when they
+// install an entry's writes by address: a log hands out every write already
+// stamped with its commit — (origin, TVV[origin]) for an update, (origin,
+// FirstSeq+j) for epoch member j — both straight after Append and after a
+// reopen decoded the frames, which do not encode the stamp.
+func TestLogEntriesCarryCommitStamps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site-1.wal")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd := compatEntries(2)[1] // origin 1, TVV {1, 2, 7}
+	for _, e := range []Entry{upd, epochEntry(1, 3)} {
+		if _, err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, l *Log) {
+		t.Helper()
+		es := allEntries(t, l)
+		if len(es) != 2 {
+			t.Fatalf("%s: %d entries", when, len(es))
+		}
+		for _, w := range es[0].Writes {
+			if w.Stamp != (storage.Stamp{Origin: 1, Seq: 2}) {
+				t.Errorf("%s: update write stamped %+v", when, w.Stamp)
+			}
+		}
+		for j, m := range es[1].Txns {
+			for _, w := range m.Writes {
+				if w.Stamp != (storage.Stamp{Origin: 1, Seq: uint64(10 + j)}) {
+					t.Errorf("%s: epoch member %d write stamped %+v", when, j, w.Stamp)
+				}
+			}
+		}
+	}
+	check("after append", l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	check("after reopen", l2)
 }

@@ -130,6 +130,35 @@ func (e *Entry) FirstSeq() uint64 {
 	return last
 }
 
+// stampWrites makes every write of an update entry carry the stamp of the
+// commit that produced it: (origin, TVV[origin]) for a single update,
+// (origin, FirstSeq+j) for epoch member j. Replicas install the entry's write
+// cells by address (storage.Store.Apply), all sharing this one entry, so the
+// stamps must be in place before the entry is readable. The stamp is derived,
+// never encoded. A committing site has stamped its writes already and the
+// loop only compares; entries decoded from a file are stamped here.
+func (e *Entry) stampWrites() {
+	if !e.IsUpdate() || e.Origin < 0 || e.Origin >= len(e.TVV) {
+		return
+	}
+	stamp := func(ws []storage.Write, seq uint64) {
+		st := storage.Stamp{Origin: e.Origin, Seq: seq}
+		for i := range ws {
+			if ws[i].Stamp != st {
+				ws[i].Stamp = st
+			}
+		}
+	}
+	if e.Kind == KindUpdate {
+		stamp(e.Writes, e.TVV[e.Origin])
+		return
+	}
+	first := e.FirstSeq()
+	for j := range e.Txns {
+		stamp(e.Txns[j].Writes, first+uint64(j))
+	}
+}
+
 // Log is one site's ordered update log. The zero value is not usable; use
 // New or Open.
 //
@@ -251,6 +280,7 @@ func Open(path string) (*Log, error) {
 		if err := decodeEntryPayload(payload, &e, intern); err != nil {
 			break // checksummed but structurally invalid: treat as corrupt tail
 		}
+		e.stampWrites()
 		// The first record fixes the log's base: a truncated log legally
 		// starts at a non-zero offset. After that, offsets must be dense.
 		if len(l.entries) == 0 {
@@ -310,6 +340,7 @@ func (l *Log) Append(e Entry) (uint64, error) {
 	if e.At.IsZero() {
 		e.At = start
 	}
+	e.stampWrites()
 	if l.fileBacked {
 		// Each record is a self-contained binary-codec message framed with
 		// length + CRC-32C, so replay can verify and decode frames
