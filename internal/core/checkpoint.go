@@ -56,9 +56,9 @@ type RecoveryStats struct {
 	// (deterministic: refresh appliers never touch a site's own
 	// dimension, so this is exactly the post-checkpoint commit suffix).
 	ReplayedOwn uint64
-	// ReplayedRefresh counts refresh records applied synchronously during
-	// recovery catch-up (the concurrent refresh appliers may claim some of
-	// the same suffix, so this is a lower bound on suffix refresh work).
+	// ReplayedRefresh counts records each site's replay applied from its
+	// peers' logs (the concurrent refresh appliers may claim some of the
+	// same suffix, so this is a lower bound on suffix refresh work).
 	ReplayedRefresh uint64
 	// Duration is Recover's wall time.
 	Duration time.Duration
@@ -302,13 +302,26 @@ func (c *Cluster) recover(initialPlacement map[uint64]int) error {
 		}
 	}
 
-	var owner map[uint64]int
+	// Full redo replay (§V-C) when no checkpoint is usable: every site
+	// replays every whole log, and mastership folds the whole logs over
+	// the caller's placement.
+	owner := make(map[uint64]int, len(initialPlacement))
+	for p, site := range initialPlacement {
+		owner[p] = site
+	}
+	epochs := make(map[uint64]uint64)
 	var maxEpoch uint64
+	var foldFrom []uint64
+	offsets := make([][]uint64, len(c.sites))
 	if m != nil {
 		st.UsedCheckpoint, st.Seq = true, m.Seq
-		dir := checkpoint.Dir(c.cfg.WALDir, m.Seq)
+		offsets, foldFrom, maxEpoch = m.Offsets, m.FoldOffsets, m.MaxEpoch
+		for p, site := range m.Placement {
+			owner[p], epochs[p] = site, m.PlacementEpochs[p]
+			maxEpoch = max(maxEpoch, epochs[p])
+		}
 		// Partial replication: fold replica-set membership to the capture
-		// before any catch-up runs, so the refresh appliers filter with the
+		// before any replay runs, so every replier filters with the
 		// membership the snapshots were taken under. Adds and drops after the
 		// capture are not journaled; the master-hosting reconciliation below
 		// redoes lost adds that matter, and lost drops merely resurrect a
@@ -323,86 +336,52 @@ func (c *Cluster) recover(initialPlacement map[uint64]int) error {
 				s.AdoptHosting(hosted)
 			}
 		}
-		var rows, own, refresh atomic.Uint64
-		errs := make([]error, len(c.sites))
-		var wg sync.WaitGroup
-		for i, s := range c.sites {
-			wg.Add(1)
-			go func(i int, s *sitemgr.Site) {
-				defer wg.Done()
-				nr, err := s.RestoreSnapshot(filepath.Join(dir, checkpoint.SnapshotName(i)), m.SVVs[i])
+	}
+	// Sites recover in parallel: install the snapshot, if any, then one
+	// dependency-ordered replay of every origin's log suffix.
+	var rows, own, refresh atomic.Uint64
+	errs := make([]error, len(c.sites))
+	var wg sync.WaitGroup
+	for i, s := range c.sites {
+		wg.Add(1)
+		go func(i int, s *sitemgr.Site) {
+			defer wg.Done()
+			if m != nil {
+				nr, err := s.RestoreSnapshot(filepath.Join(checkpoint.Dir(c.cfg.WALDir, m.Seq), checkpoint.SnapshotName(i)), m.SVVs[i])
 				if err != nil {
 					errs[i] = fmt.Errorf("core: restore site %d: %w", i, err)
 					return
 				}
 				rows.Add(nr)
-				no, err := s.RecoverLocalFrom(m.Offsets[i][i])
-				if err != nil {
-					errs[i] = fmt.Errorf("core: recover site %d: %w", i, err)
-					return
-				}
-				own.Add(no)
-				refresh.Add(s.CatchUpFrom(m.Offsets[i], nil))
-			}(i, s)
-		}
-		wg.Wait()
-		for _, err := range errs {
+			}
+			no, nr, err := s.Replay(offsets[i])
 			if err != nil {
-				return err
+				errs[i] = fmt.Errorf("core: recover site %d: %w", i, err)
+				return
 			}
-		}
-		st.RowsRestored, st.ReplayedOwn, st.ReplayedRefresh = rows.Load(), own.Load(), refresh.Load()
-
-		seedP := make(map[uint64]int, len(m.Placement))
-		seedE := make(map[uint64]uint64, len(m.PlacementEpochs))
-		for p, site := range initialPlacement {
-			seedP[p] = site
-		}
-		for p, site := range m.Placement {
-			seedP[p] = site
-			seedE[p] = m.PlacementEpochs[p]
-		}
-		owner, maxEpoch = sitemgr.RecoverMastershipFrom(c.broker, seedP, seedE, m.FoldOffsets)
-		if m.MaxEpoch > maxEpoch {
-			maxEpoch = m.MaxEpoch
-		}
-	} else {
-		// Full redo replay (§V-C), the fallback when no checkpoint is
-		// usable. The empty-placement fold is RecoverMastership plus the
-		// max-epoch scan the recovered selector needs.
-		var own, refresh atomic.Uint64
-		errs := make([]error, len(c.sites))
-		var wg sync.WaitGroup
-		for i, s := range c.sites {
-			wg.Add(1)
-			go func(i int, s *sitemgr.Site) {
-				defer wg.Done()
-				no, err := s.RecoverLocalFrom(0)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: recover site %d: %w", i, err)
-					return
-				}
-				own.Add(no)
-			}(i, s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		owner, maxEpoch = sitemgr.RecoverMastershipFrom(c.broker, nil, nil, nil)
-		for p, site := range initialPlacement {
-			if _, ok := owner[p]; !ok {
-				owner[p] = site
-			}
-		}
-		for _, s := range c.sites {
-			s.AdoptMastership(owner)
-			refresh.Add(s.CatchUpFrom(nil, nil))
-		}
-		st.ReplayedOwn, st.ReplayedRefresh = own.Load(), refresh.Load()
+			own.Add(no)
+			refresh.Add(nr)
+		}(i, s)
 	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	st.RowsRestored, st.ReplayedOwn, st.ReplayedRefresh = rows.Load(), own.Load(), refresh.Load()
+
+	// A fold winner replaces a placement entry only under a strictly higher
+	// epoch: sites fence stale-epoch remaster ops, so every grant after the
+	// capture satisfies this, while the strict comparison keeps a replayed
+	// copy of the placement-installing grant from flapping ownership.
+	fold := sitemgr.FoldMastership(c.broker, foldFrom)
+	for p, site := range fold.Owner {
+		if _, placed := epochs[p]; !placed || fold.Epoch[p] > epochs[p] {
+			owner[p] = site
+		}
+	}
+	maxEpoch = max(maxEpoch, fold.MaxEpoch)
 
 	// Epochs allocated after recovery must out-fence everything logged
 	// before the crash, or stale pre-crash grants could win arbitration

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -523,6 +524,12 @@ func (c *Cluster) CreateTable(name string) {
 // every site receives every row; under partial replication a row lands only
 // on the sites in its partition's replica set (the schema still exists
 // everywhere — see CreateTable).
+//
+// Loaded rows bypass the update logs. With Config.WALDir set, Load makes
+// them durable by ending with a checkpoint, so Recover restores them even
+// if the cluster never checkpoints again. A failed checkpoint is reported
+// on stderr and leaves the rows in memory only: they survive a restart only
+// if a later checkpoint captures them.
 func (c *Cluster) Load(rows []systems.LoadRow) {
 	seen := make(map[uint64]struct{})
 	loadStamp := storage.Stamp{Origin: 0, Seq: 0} // visible at every snapshot
@@ -540,6 +547,11 @@ func (c *Cluster) Load(rows []systems.LoadRow) {
 				continue
 			}
 			s.Store().ImportRow(row.Ref.Table, row.Ref.Key, row.Data, loadStamp)
+		}
+	}
+	if c.cfg.WALDir != "" {
+		if _, err := c.Checkpoint(); err != nil {
+			fmt.Fprintf(os.Stderr, "core: checkpoint after load: %v\n", err)
 		}
 	}
 }
@@ -698,12 +710,16 @@ func (c *Cluster) WaitQuiesced(timeout time.Duration) error {
 
 // Recover rebuilds a durable cluster's state after a restart. When a valid
 // checkpoint exists under Config.WALDir, each site installs its snapshot
-// and replays only the WAL suffix past the manifest's offsets, mastership
-// folds from the manifest's placement snapshot plus the post-capture
-// suffix, and the selector's epoch counter is bumped past everything the
-// previous incarnation allocated; sites recover in parallel. A checkpoint
-// that fails verification falls back to the previous one, and with no
-// usable checkpoint recovery degrades to the paper's full redo replay.
+// and replays only the WAL suffix past the manifest's offsets — every
+// origin's suffix, its own included, merged in dependency order
+// (sitemgr.Site.Replay), so when Recover returns every site's version
+// vector is at the end of every log. Mastership folds from the manifest's
+// placement snapshot plus the post-capture suffix, and the selector's epoch
+// counter is bumped past everything the previous incarnation allocated;
+// sites recover in parallel. A checkpoint that fails verification falls
+// back to the previous one, and with no usable checkpoint recovery degrades
+// to the paper's full redo replay. A log entry whose dependencies no
+// retained log satisfies makes Recover return an error instead of waiting.
 // Call it on a freshly constructed cluster whose Config.WALDir points at
 // the previous incarnation's logs, after re-creating the schema with
 // CreateTable.

@@ -398,10 +398,8 @@ func TestDurableClusterRecovery(t *testing.T) {
 	}
 	defer c2.Close()
 	c2.CreateTable("kv")
-	for _, s := range c2.Sites() {
-		if err := s.RecoverLocal(); err != nil {
-			t.Fatal(err)
-		}
+	if err := c2.Recover(nil); err != nil {
+		t.Fatal(err)
 	}
 	s0 := c2.Sites()[0]
 	if data, ok := s0.ReadLocal(storage.RowRef{Table: "kv", Key: 1}); !ok || string(data) != "durable" {

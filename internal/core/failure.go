@@ -162,7 +162,7 @@ func (c *Cluster) Failover(dead int) error {
 	for _, p := range c.group.MasteredBy(dead) {
 		owned[p] = struct{}{}
 	}
-	for p, site := range sitemgr.RecoverMastership(c.broker, nil) {
+	for p, site := range sitemgr.FoldMastership(c.broker, nil).Owner {
 		if site == dead {
 			owned[p] = struct{}{}
 		}

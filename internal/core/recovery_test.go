@@ -8,6 +8,7 @@ import (
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
+	"dynamast/internal/vclock"
 )
 
 // Full-cluster crash/recovery: run traffic (including remastering) against
@@ -68,56 +69,35 @@ func TestClusterCrashRecoveryEndToEnd(t *testing.T) {
 	for p := uint64(0); p < 10; p++ {
 		finalMasters[p] = c.Selector().MasterOf(p)
 	}
-	if err := c.WaitQuiesced(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
 	c.Close() // "crash": all in-memory state gone; only the WALs remain
+	ends := logEnds(c)
 
-	// Restart: replay each site's own log, adopt recovered mastership,
-	// and seed the fresh selector with it.
-	owner := map[uint64]int{}
-	c2, err := NewCluster(Config{
-		Sites:       3,
-		Partitioner: partitionBy100,
-		WALDir:      dir,
-		InitialMaster: func(p uint64) int {
-			if s, ok := owner[p]; ok {
-				return s
-			}
-			return 0
-		},
-	})
+	// Restart from the logs and the checkpoint Load took.
+	c2, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	c2.CreateTable("kv")
-	for _, s := range c2.Sites() {
-		if err := s.RecoverLocal(); err != nil {
-			t.Fatal(err)
-		}
+	if err := c2.Recover(initial); err != nil {
+		t.Fatal(err)
 	}
-	recovered := sitemgr.RecoverMastership(c2.Broker(), initial)
-	for p, s := range recovered {
-		owner[p] = s
-	}
-	for _, s := range c2.Sites() {
-		s.AdoptMastership(recovered)
-		s.CatchUp(nil)
-	}
+	requireAtLogEnds(t, c2, ends)
 
 	// Mastership matches the pre-crash state.
 	for p := uint64(0); p < 10; p++ {
-		if recovered[p] != finalMasters[p] {
-			t.Errorf("partition %d recovered owner %d, want %d", p, recovered[p], finalMasters[p])
+		if got := c2.Selector().MasterOf(p); got != finalMasters[p] {
+			t.Errorf("partition %d recovered owner %d, want %d", p, got, finalMasters[p])
 		}
 	}
 
-	// Every committed value is readable (catch up replicas first).
+	// Every committed value is readable at every site.
 	for k, v := range want {
-		data, ok := c2.Sites()[recovered[k/100]].ReadLocal(ref(k))
-		if !ok || data[0] != v {
-			t.Fatalf("key %d after recovery: %v %v, want %d", k, data, ok, v)
+		for i, s := range c2.Sites() {
+			data, ok := s.ReadLocal(ref(k))
+			if !ok || data[0] != v {
+				t.Fatalf("site %d key %d after recovery: %v %v, want %d", i, k, data, ok, v)
+			}
 		}
 	}
 
@@ -312,6 +292,7 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+	ends := logEnds(c)
 
 	// Restart everything (including the machine that died) from the logs.
 	c2, err := NewCluster(cfg)
@@ -323,12 +304,10 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 	if err := c2.Recover(initial); err != nil {
 		t.Fatal(err)
 	}
-	// Recover's CatchUp races the freshly started refresh appliers; wait for
-	// full convergence before auditing with fresh sessions (whose empty
-	// version vectors would legally read older snapshots).
-	if err := c2.WaitQuiesced(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	// Recover returns with every site at every log's end, so fresh
+	// sessions (whose empty version vectors may read any replica) see the
+	// post-failover writes without waiting for quiescence.
+	requireAtLogEnds(t, c2, ends)
 	for p := uint64(0); p < 10; p++ {
 		if got := c2.Selector().MasterOf(p); got != finalMasters[p] {
 			t.Errorf("partition %d recovered master %d, want %d", p, got, finalMasters[p])
@@ -351,6 +330,26 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 			return nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// logEnds returns every origin's last published commit sequence: the
+// version vector each site must hold once Recover returns.
+func logEnds(c *Cluster) vclock.Vector {
+	ends := make(vclock.Vector, len(c.Sites()))
+	for o := range ends {
+		ends[o] = c.Broker().Log(o).LastUpdateSeq()
+	}
+	return ends
+}
+
+// requireAtLogEnds fails unless every site's version vector equals ends.
+func requireAtLogEnds(t *testing.T, c *Cluster, ends vclock.Vector) {
+	t.Helper()
+	for i, s := range c.Sites() {
+		if !s.SVV().Equal(ends) {
+			t.Errorf("site %d svv after Recover = %v, want the log ends %v", i, s.SVV(), ends)
 		}
 	}
 }

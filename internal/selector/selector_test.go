@@ -561,7 +561,7 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 	}
 	// Log-based recovery agrees: the rollback grant out-epochs the phantom
 	// grant, so arbitration is unambiguous.
-	if owner := sitemgr.RecoverMastership(b, nil); owner[0] != 0 {
+	if owner := sitemgr.FoldMastership(b, nil).Owner; owner[0] != 0 {
 		t.Fatalf("recovered owner = %d, want 0", owner[0])
 	}
 }

@@ -28,22 +28,15 @@ func (s *Site) WriteSnapshot(w *checkpoint.SnapshotWriter) (vclock.Vector, error
 
 // RestoreSnapshot installs a (pre-verified) snapshot file's rows into this
 // empty site and adopts its svv, positioning the site for suffix replay
-// with RecoverLocalFrom and CatchUpFrom. Returns the number of rows
-// installed.
+// with Replay. Returns the number of rows installed.
 func (s *Site) RestoreSnapshot(path string, svv vclock.Vector) (uint64, error) {
 	// Hold every origin's apply mutex across install + clock advance: the
 	// background appliers are already running, and letting one install a
 	// log entry older than a just-restored row would stack a stale version
 	// over the snapshot's newer head. Once the clock reads svv they skip
 	// the covered prefix on their own.
-	for o := range s.applyMu {
-		s.applyMu[o].Lock()
-	}
-	defer func() {
-		for o := range s.applyMu {
-			s.applyMu[o].Unlock()
-		}
-	}()
+	s.lockAppliers()
+	defer s.unlockAppliers()
 	// The appliers may already have installed part of the retained log
 	// (with a truncated-prefix WAL their first dependency gate can pass
 	// before Recover runs), so rows the clock shows as already-covered must

@@ -225,110 +225,3 @@ func (s *Site) bufferEpochTxn(seq uint64, tvv vclock.Vector, at time.Time, write
 	ep.closing = ep.closing.MaxInto(tvv)
 	ep.mu.Unlock()
 }
-
-// applyEpoch applies one sealed epoch from origin as a single refresh unit:
-// one propagation gate, one CanApplyEpoch dependency wait (the closing
-// vector dominates every member's dependencies; see vclock.CanApplyEpoch),
-// one apply-pool slot, one replication-byte account of the coalesced frame,
-// and one svv advance after the members install. Returns false when the
-// site stopped.
-func (s *Site) applyEpoch(origin int, e *wal.Entry) bool {
-	if len(e.Txns) == 0 {
-		return true
-	}
-	last := e.TVV[origin]
-	if last <= s.clock.Get(origin) {
-		return true // already applied (bootstrap/recovery overlap)
-	}
-	if d := s.cfg.PropagationDelay; d > 0 {
-		if age := time.Since(e.At); age < d {
-			if !s.sleep(d - age) {
-				return false
-			}
-		}
-	}
-	first := e.FirstSeq()
-	s.clock.WaitDimAtLeast(origin, first-1)
-	for k, want := range e.TVV {
-		if k != origin && want > 0 {
-			s.clock.WaitDimAtLeast(k, want)
-		}
-	}
-	// The waits return unconditionally once the site stops; never install an
-	// epoch whose dependencies were not actually satisfied.
-	select {
-	case <-s.stopped:
-		return false
-	default:
-	}
-	if s.hosting == nil {
-		s.net.Account(transport.CatReplication, transport.MsgOverhead+wal.EntryWireSize(e))
-	}
-	applyStart := time.Now()
-	var applied uint64
-	var fTxns []wal.EpochTxn
-	s.applyPool.do(func() time.Duration {
-		s.applyMu[origin].Lock()
-		base := s.clock.Get(origin)
-		var nWrites int
-		for j := range e.Txns {
-			seq := first + uint64(j)
-			if seq <= base {
-				continue // a recovery catch-up already installed this member
-			}
-			t := &e.Txns[j]
-			writes := t.Writes
-			if s.hosting != nil {
-				// Per-destination epoch filtering: install (and charge) only
-				// the member writes this site hosts; the clock still covers
-				// every member (dense svv, see hosting.go).
-				writes = s.filterHosted(writes)
-				if len(writes) > 0 {
-					fTxns = append(fTxns, wal.EpochTxn{TVV: t.TVV, At: t.At, Writes: writes})
-				}
-			}
-			s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, writes)
-			s.bumpWatermarks(writes, t.TVV)
-			applied++
-			nWrites += len(writes)
-		}
-		if last > base {
-			s.clock.Advance(origin, last)
-		}
-		s.applyMu[origin].Unlock()
-		if s.hosting != nil && applied > 0 {
-			// One filtered coalesced frame: the site receives the same
-			// delta-encoded epoch format carrying only the members whose
-			// writes it hosts. Fully filtered members need no vector on the
-			// wire — the dense svv advances by the member count, and the
-			// closing vector (in the envelope) covers the dependency gate.
-			// Pricing it through EntryWireSize keeps the partial- and
-			// full-replication accounting byte-comparable.
-			f := *e
-			f.Txns = fTxns
-			s.net.Account(transport.CatReplication,
-				transport.MsgOverhead+wal.EntryWireSize(&f))
-		}
-		if s.cfg.Costs.Zero() || applied == 0 {
-			return 0
-		}
-		// One refresh-transaction base for the whole epoch: the coalesced
-		// record is applied as one refresh unit.
-		return s.cfg.Costs.RefreshBase + time.Duration(nWrites)*s.cfg.Costs.PerRefreshWrite
-	})
-	s.refreshes.Add(applied)
-	s.ob.refreshBatches.Inc()
-	s.ob.refreshApply.ObserveDuration(time.Since(applyStart))
-	now := time.Now()
-	for j := range e.Txns {
-		t := &e.Txns[j]
-		lag := now.Sub(t.At)
-		s.ob.refreshes.Inc()
-		s.ob.refreshLag.ObserveDuration(lag)
-		s.ob.lastLag.Set(lag.Seconds())
-		s.ob.refreshStage.ObserveDuration(lag)
-		s.tracer.RefreshApplied(origin, first+uint64(j), lag)
-		s.spans.RefreshApplied(origin, first+uint64(j), s.id, lag, now)
-	}
-	return true
-}

@@ -114,15 +114,9 @@ func TestFoldMastership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := FoldMastership(b, map[uint64]int{3: 0, 4: 0, 5: 0})
-	if got := f.Owner[3]; got != 1 {
-		t.Fatalf("fold owner of partition 3 = %d, want 1", got)
-	}
+	f := FoldMastership(b, nil)
 	if got := f.Epoch[3]; got != 2 {
 		t.Fatalf("fold epoch of partition 3 = %d, want 2", got)
-	}
-	if got := f.Owner[5]; got != 0 {
-		t.Fatalf("fold owner of untouched partition 5 = %d, want initial 0", got)
 	}
 	if got, ok := f.Dangling[4]; !ok || got != 0 {
 		t.Fatalf("dangling = %v, want partition 4 -> releaser 0", f.Dangling)
@@ -130,22 +124,20 @@ func TestFoldMastership(t *testing.T) {
 	if _, dangling := f.Dangling[3]; dangling {
 		t.Fatal("completed chain reported dangling")
 	}
-	// With an initial placement the dangling partition keeps its seed owner
-	// (legacy RecoverMastership callers expect a complete map); without one
-	// no log grant exists, so the partition has no fold owner at all.
-	if got := f.Owner[4]; got != 0 {
-		t.Fatalf("dangling partition seeded owner = %d, want initial 0", got)
+	// The fold names owners only where a log grant exists; callers overlay
+	// it on their own placement, so the dangling partition and the
+	// untouched one keep their seed owner.
+	if _, owned := f.Owner[4]; owned {
+		t.Fatal("dangling partition acquired a fold owner")
 	}
-	if _, owned := FoldMastership(b, nil).Owner[4]; owned {
-		t.Fatal("dangling partition acquired a fold owner without an initial placement")
+	owner := map[uint64]int{3: 0, 4: 0, 5: 0}
+	for p, site := range f.Owner {
+		owner[p] = site
+	}
+	if owner[3] != 1 || owner[4] != 0 || owner[5] != 0 {
+		t.Fatalf("overlaid owners = %v, want 3 -> 1, 4 -> 0, 5 -> 0", owner)
 	}
 	if f.MaxEpoch != 3 {
 		t.Fatalf("fold max epoch = %d, want 3", f.MaxEpoch)
-	}
-
-	// The legacy entry point stays consistent with the fold's owners.
-	owners := RecoverMastership(b, map[uint64]int{3: 0, 4: 0, 5: 0})
-	if owners[3] != 1 || owners[5] != 0 {
-		t.Fatalf("RecoverMastership = %v", owners)
 	}
 }

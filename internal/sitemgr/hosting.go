@@ -222,6 +222,10 @@ func (s *Site) BootstrapPartitionFrom(src *Site, part uint64, cut vclock.Vector)
 // through its masters, so their tvvs are comparable). Rows whose only writes
 // predate the retained log prefix (checkpoint truncation) cannot be rebuilt
 // — run with MinReplicas >= 2 to keep a live source through single failures.
+//
+// This is a fold, not a Replay: the target is a live site whose clock
+// already covers every entry, so applyEntry would skip them all. It walks
+// each entry's members the same way (see members).
 func (s *Site) RebuildPartitionFromLogs(part uint64, cut vclock.Vector) int {
 	type cand struct {
 		data    []byte
@@ -230,36 +234,25 @@ func (s *Site) RebuildPartitionFromLogs(part uint64, cut vclock.Vector) int {
 		deleted bool
 	}
 	best := make(map[storage.RowRef]cand)
-	consider := func(origin int, seq uint64, tvv vclock.Vector, writes []storage.Write) {
-		if origin < len(cut) && seq > cut[origin] {
-			return
-		}
-		for _, w := range writes {
-			if s.cfg.Partitioner(w.Ref) != part {
-				continue
-			}
-			c := cand{data: w.Data, stamp: storage.Stamp{Origin: origin, Seq: seq}, tvv: tvv, deleted: w.Deleted}
-			if b, ok := best[w.Ref]; ok && !c.tvv.DominatesEq(b.tvv) {
-				continue
-			}
-			best[w.Ref] = c
-		}
-	}
 	for origin := 0; origin < s.m; origin++ {
-		log := s.cfg.Broker.Log(origin)
-		cur := log.Subscribe(0)
-		for {
-			e, ok := cur.TryNext()
-			if !ok {
-				break
-			}
-			switch e.Kind {
-			case wal.KindUpdate:
-				consider(origin, e.TVV[origin], e.TVV, e.Writes)
-			case wal.KindEpoch:
-				first := e.FirstSeq()
-				for j := range e.Txns {
-					consider(origin, first+uint64(j), e.Txns[j].TVV, e.Txns[j].Writes)
+		cur := s.cfg.Broker.Log(origin).Subscribe(0)
+		for e, ok := cur.TryNext(); ok; e, ok = cur.TryNext() {
+			var one [1]wal.EpochTxn
+			first, txns := members(&e, &one)
+			for j := range txns {
+				seq := first + uint64(j)
+				if origin < len(cut) && seq > cut[origin] {
+					break
+				}
+				for _, w := range txns[j].Writes {
+					if s.cfg.Partitioner(w.Ref) != part {
+						continue
+					}
+					c := cand{data: w.Data, stamp: storage.Stamp{Origin: origin, Seq: seq}, tvv: txns[j].TVV, deleted: w.Deleted}
+					if b, ok := best[w.Ref]; ok && !c.tvv.DominatesEq(b.tvv) {
+						continue
+					}
+					best[w.Ref] = c
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package sitemgr
 
 import (
+	"fmt"
+
 	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 	"dynamast/internal/wal"
@@ -20,14 +22,8 @@ func (s *Site) BootstrapFrom(peer *Site) {
 	// As in RestoreSnapshot, fence the background appliers for the whole
 	// copy + clock adoption: a refresh entry older than a copied row must
 	// not be installed over it after the copy lands.
-	for o := range s.applyMu {
-		s.applyMu[o].Lock()
-	}
-	defer func() {
-		for o := range s.applyMu {
-			s.applyMu[o].Unlock()
-		}
-	}()
+	s.lockAppliers()
+	defer s.unlockAppliers()
 	peerVV := peer.clock.Now()
 	// Same guard as RestoreSnapshot: our appliers may have outrun the
 	// peer's copy for some rows; a peer row at or below what they already
@@ -49,81 +45,137 @@ func (s *Site) BootstrapFrom(peer *Site) {
 	s.nextSeq.Store(peerVV[s.id])
 }
 
-// RecoverLocal replays this site's own redo log into the local store,
-// restoring every update it had committed before the crash, and advances
-// the clock's own dimension accordingly. Remote dimensions are recovered by
-// the refresh appliers re-reading the peers' logs.
-func (s *Site) RecoverLocal() error {
-	_, err := s.RecoverLocalFrom(0)
-	return err
-}
-
-// RecoverLocalFrom replays this site's own redo log starting at offset from
-// (a checkpoint manifest's replay position; 0 = the whole retained log) and
-// returns how many update records it applied. Entries at or below the
-// site's restored clock are skipped, so replaying a slightly-too-early
-// suffix is harmless.
-func (s *Site) RecoverLocalFrom(from uint64) (uint64, error) {
-	cur := s.log.Subscribe(from)
-	defer cur.Close()
-	var applied uint64
-	for {
-		e, ok := cur.TryNext()
-		if !ok {
-			return applied, nil
+// Replay brings the site to the end of every origin's log, reading origin
+// o's log from offsets[o] (a checkpoint manifest's replay positions; nil =
+// the whole retained logs). It is the paper's redo recovery: one merge of
+// all M logs in dependency order, each entry installed through applyEntry
+// once the update application rule admits it (Equation 1; CanApplyEpoch for
+// a sealed epoch, of which a single update is the one-member case). The
+// site's own log is one of the M and gets no special case: installing it
+// ahead of the peers' logs would stack the older version of a remastered
+// key over the newer one its new master wrote.
+//
+// Replay needs no background applier: it keeps one cursor per origin,
+// reads each entry once, and sweeps the cursors until every one is at the
+// end its log had when Replay started. A started site's appliers may claim
+// part of the same suffix concurrently; applyMu and applyEntry's coverage
+// check make that harmless. A sweep that installs nothing while entries
+// remain, against a clock nothing else has moved, means some entry depends
+// on a write no retained log holds, and Replay returns an error naming it
+// rather than waiting. own and peers count the members Replay itself
+// installed from this site's log and from the others'.
+func (s *Site) Replay(offsets []uint64) (own, peers uint64, err error) {
+	heads := make([]replayCursor, s.m)
+	for o := range heads {
+		var from uint64
+		if o < len(offsets) {
+			from = offsets[o]
 		}
-		switch e.Kind {
-		case wal.KindUpdate:
-			seq := e.TVV[s.id]
-			if seq <= s.clock.Get(s.id) {
-				continue
-			}
-			s.store.Apply(storage.Stamp{Origin: s.id, Seq: seq}, e.Writes)
-			s.clock.Advance(s.id, seq)
-			applied++
-			if s.nextSeq.Load() < seq {
-				s.nextSeq.Store(seq)
-			}
-		case wal.KindEpoch:
-			// Members are seq-dense from FirstSeq; replay each like the
-			// standalone update record it coalesces.
-			first := e.FirstSeq()
-			for j := range e.Txns {
-				seq := first + uint64(j)
-				if seq <= s.clock.Get(s.id) {
-					continue
+		log := s.cfg.Broker.Log(o)
+		heads[o] = replayCursor{cur: log.Subscribe(from), end: log.Len()}
+		defer heads[o].cur.Close()
+	}
+	// svv is the clock as Replay has moved it. The appliers move the clock
+	// too, so a sweep that stalls against svv retries against a fresh copy
+	// before it gives up.
+	svv := s.clock.Now()
+	for {
+		progressed, stalled := false, -1
+		for o := range heads {
+			h := &heads[o]
+			for e := h.peek(); e != nil; e = h.pop() {
+				if e.IsUpdate() {
+					if e.TVV[o] > s.clock.Get(o) {
+						if !vclock.CanApplyEpoch(svv, e.TVV, o, e.FirstSeq()) {
+							break
+						}
+						n, _ := s.applyEntry(o, e, nil)
+						if o == s.id {
+							own += uint64(n)
+						} else {
+							peers += uint64(n)
+						}
+					}
+					svv[o] = max(svv[o], e.TVV[o])
 				}
-				s.store.Apply(storage.Stamp{Origin: s.id, Seq: seq}, e.Txns[j].Writes)
-				s.clock.Advance(s.id, seq)
-				applied++
-				if s.nextSeq.Load() < seq {
-					s.nextSeq.Store(seq)
-				}
+				progressed = true
 			}
+			if h.peek() != nil && stalled < 0 {
+				stalled = o
+			}
+		}
+		if stalled < 0 {
+			s.refreshes.Add(peers)
+			return own, peers, nil
+		}
+		if !progressed {
+			now := s.clock.Now()
+			if now.Equal(svv) {
+				return own, peers, s.unordered(stalled, heads[stalled].peek())
+			}
+			svv = now
 		}
 	}
 }
 
-// RecoverMastership reconstructs partition ownership by folding the
-// release/grant entries of every site's log over an initial placement.
-// Entries are merged in a deterministic interleaving: mastership of a
-// partition alternates release -> grant, and each grant names the releasing
-// peer, so replaying each log in order and matching grant entries to their
-// releases yields the final owner of every partition.
-func RecoverMastership(b *wal.Broker, initial map[uint64]int) map[uint64]int {
-	return FoldMastership(b, initial).Owner
+// replayCursor is Replay's position in one origin's log: a batch of
+// entries read ahead and the log's end when Replay started, short of which
+// reading never blocks.
+type replayCursor struct {
+	cur  *wal.Cursor
+	end  uint64
+	buf  []wal.Entry
+	next int
 }
 
-// MastershipFold is the outcome of folding every site's release/grant log
+// peek returns the next unconsumed entry, or nil at the end.
+func (c *replayCursor) peek() *wal.Entry {
+	if c.next == len(c.buf) {
+		if c.cur.Offset() >= c.end {
+			return nil
+		}
+		c.buf, _ = c.cur.NextBatch(c.buf[:0], maxRefreshBatch)
+		c.next = 0
+		if len(c.buf) == 0 {
+			return nil // the log closed under Replay
+		}
+	}
+	return &c.buf[c.next]
+}
+
+// pop consumes the entry peek returned and returns the one after it.
+func (c *replayCursor) pop() *wal.Entry {
+	c.next++
+	return c.peek()
+}
+
+// unordered reports an entry of origin's log that no remaining log entry
+// can make applicable: its first member's sequence and the first clause of
+// the application rule the site clock fails.
+func (s *Site) unordered(origin int, e *wal.Entry) error {
+	svv, first := s.clock.Now(), e.FirstSeq()
+	dim, need := origin, first-1
+	for k, want := range e.TVV {
+		if k != origin && svv[k] < want {
+			dim, need = k, want
+			break
+		}
+	}
+	return fmt.Errorf("sitemgr: site %d replay cannot order origin %d seq %d: it needs svv[%d] >= %d, replay reached %d",
+		s.id, origin, first, dim, need, svv[dim])
+}
+
+// MastershipFold is the outcome of folding the sites' release/grant log
 // records: the reconstructed owner and the epoch of the winning grant per
 // partition, plus the transfers that were cut in half by a coordinator
 // crash (release logged, grant never executed).
 type MastershipFold struct {
-	// Owner is the reconstructed master per partition (last grant wins,
-	// epoch-arbitrated; see RecoverMastership).
+	// Owner is the reconstructed master of every partition with a grant in
+	// the folded logs (last grant wins, epoch-arbitrated). Partitions with
+	// none are absent: callers fill in their own placement.
 	Owner map[uint64]int
-	// Epoch is the epoch of the grant that installed Owner (0 when the
-	// owner comes from the initial placement or an unfenced grant).
+	// Epoch is the epoch of the grant that installed Owner (0 for an
+	// unfenced grant).
 	Epoch map[uint64]uint64
 	// Dangling maps partitions whose highest-epoch operation is a RELEASE
 	// to the releasing site: the grant leg of that transfer never executed
@@ -137,58 +189,55 @@ type MastershipFold struct {
 	MaxEpoch uint64
 }
 
-// FoldMastership is RecoverMastership exposing the full fold: per-partition
-// winning epochs and dangling releases. The fold only sees the retained log
-// suffixes — checkpoint truncation can have dropped old grant records — so
-// callers holding fresher metadata (a standby's mirrored map) must overlay
-// it, keeping whichever source carries the higher epoch per partition.
-func FoldMastership(b *wal.Broker, initial map[uint64]int) MastershipFold {
+// FoldMastership reconstructs partition ownership from the release/grant
+// records of every site's log, reading site i's log from from[i] (nil = the
+// whole retained logs). The fold only sees those suffixes — checkpoint
+// truncation can have dropped old grant records — so callers holding
+// fresher metadata (a checkpoint's placement, a standby's mirrored map)
+// overlay it, keeping whichever source carries the higher epoch per
+// partition.
+//
+// Logs are per-site FIFO; a partition is granted to site g only after g's
+// predecessor released it, so for each partition the grant entries across
+// logs form a chain whose tail is normally the unique grant not followed by
+// a release of the same partition in the same site's log. A site failover
+// breaks that uniqueness — the dead site's log still ends in a grant
+// because it never released — so when several sites end in granted state
+// the remaster epoch arbitrates: the failover (or any later transfer) ran
+// under a strictly higher epoch than every earlier grant. Ties break by
+// site order, so the fold is deterministic.
+func FoldMastership(b *wal.Broker, from []uint64) MastershipFold {
 	f := MastershipFold{
-		Owner:    make(map[uint64]int, len(initial)),
+		Owner:    make(map[uint64]int),
 		Epoch:    make(map[uint64]uint64),
 		Dangling: make(map[uint64]int),
 	}
-	for p, site := range initial {
-		f.Owner[p] = site
-	}
-	// Count grants per (partition, site): the last grant in any log for a
-	// partition determines its owner. Logs are per-site FIFO; a partition
-	// is granted to site g only after g's predecessor released it, so for
-	// each partition the grant entries across logs form a chain and the
-	// chain's tail is normally the unique grant not followed by a release
-	// of the same partition in the same site's log. A site failover breaks
-	// that uniqueness — the dead site's log still ends in a grant because
-	// it never released — so when several sites end in granted state the
-	// remaster epoch arbitrates: the failover (or any later transfer) ran
-	// under a strictly higher epoch than every earlier grant.
 	type lastOp struct {
 		granted bool
 		epoch   uint64
 	}
 	state := make(map[uint64]map[int]lastOp) // partition -> site -> last op
 	for i := 0; i < b.Sites(); i++ {
-		cur := b.Log(i).Subscribe(0)
-		for {
-			e, ok := cur.TryNext()
-			if !ok {
-				cur.Close()
-				break
+		var off uint64
+		if i < len(from) {
+			off = from[i]
+		}
+		cur := b.Log(i).Subscribe(off)
+		for e, ok := cur.TryNext(); ok; e, ok = cur.TryNext() {
+			if e.Kind != wal.KindGrant && e.Kind != wal.KindRelease {
+				continue
 			}
-			switch e.Kind {
-			case wal.KindGrant, wal.KindRelease:
-				if e.Epoch > f.MaxEpoch {
-					f.MaxEpoch = e.Epoch
+			f.MaxEpoch = max(f.MaxEpoch, e.Epoch)
+			for _, p := range e.Partitions {
+				m := state[p]
+				if m == nil {
+					m = make(map[int]lastOp)
+					state[p] = m
 				}
-				for _, p := range e.Partitions {
-					m := state[p]
-					if m == nil {
-						m = make(map[int]lastOp)
-						state[p] = m
-					}
-					m[i] = lastOp{granted: e.Kind == wal.KindGrant, epoch: e.Epoch}
-				}
+				m[i] = lastOp{granted: e.Kind == wal.KindGrant, epoch: e.Epoch}
 			}
 		}
+		cur.Close()
 	}
 	for p, sites := range state {
 		best, bestEpoch := -1, uint64(0)
@@ -219,85 +268,8 @@ func FoldMastership(b *wal.Broker, initial map[uint64]int) MastershipFold {
 	return f
 }
 
-// RecoverMastershipFrom reconstructs partition ownership from a checkpoint:
-// the manifest's placement snapshot seeds the map, and only the log
-// suffixes at or past foldOffsets (each origin's log end when the placement
-// was captured) are folded on top. A suffix grant overrides the placement
-// only under a strictly higher epoch than the one that installed the
-// placement entry — sites fence stale-epoch remaster ops, so every
-// post-capture grant satisfies this, while the strict comparison keeps a
-// replayed copy of the placement-installing grant from flapping ownership.
-// Ties among suffix grants break deterministically by site order, matching
-// RecoverMastership. The second result is the highest epoch observed
-// anywhere (placement or suffix): the recovered selector's epoch counter
-// must start above it.
-func RecoverMastershipFrom(b *wal.Broker, placement map[uint64]int, placementEpochs map[uint64]uint64, foldOffsets []uint64) (map[uint64]int, uint64) {
-	owner := make(map[uint64]int, len(placement))
-	for p, site := range placement {
-		owner[p] = site
-	}
-	var maxEpoch uint64
-	for _, e := range placementEpochs {
-		if e > maxEpoch {
-			maxEpoch = e
-		}
-	}
-	type lastOp struct {
-		granted bool
-		epoch   uint64
-	}
-	state := make(map[uint64]map[int]lastOp)
-	for i := 0; i < b.Sites(); i++ {
-		var from uint64
-		if i < len(foldOffsets) {
-			from = foldOffsets[i]
-		}
-		cur := b.Log(i).Subscribe(from)
-		for {
-			e, ok := cur.TryNext()
-			if !ok {
-				cur.Close()
-				break
-			}
-			if e.Kind != wal.KindGrant && e.Kind != wal.KindRelease {
-				continue
-			}
-			if e.Epoch > maxEpoch {
-				maxEpoch = e.Epoch
-			}
-			for _, p := range e.Partitions {
-				m := state[p]
-				if m == nil {
-					m = make(map[int]lastOp)
-					state[p] = m
-				}
-				m[i] = lastOp{granted: e.Kind == wal.KindGrant, epoch: e.Epoch}
-			}
-		}
-	}
-	for p, sites := range state {
-		best, bestEpoch := -1, uint64(0)
-		if site, ok := placement[p]; ok {
-			best, bestEpoch = site, placementEpochs[p]
-		}
-		for site := 0; site < b.Sites(); site++ {
-			op, ok := sites[site]
-			if !ok || !op.granted {
-				continue
-			}
-			if best < 0 || op.epoch > bestEpoch {
-				best, bestEpoch = site, op.epoch
-			}
-		}
-		if best >= 0 {
-			owner[p] = best
-		}
-	}
-	return owner, maxEpoch
-}
-
-// AdoptMastership installs an ownership map (produced by
-// RecoverMastership) into this site.
+// AdoptMastership installs an ownership map (produced by FoldMastership)
+// into this site.
 func (s *Site) AdoptMastership(owner map[uint64]int) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
@@ -307,105 +279,4 @@ func (s *Site) AdoptMastership(owner map[uint64]int) {
 		st.releasing = false
 	}
 	s.pcond.Broadcast()
-}
-
-// CatchUp applies every remaining applicable refresh entry synchronously
-// (without waiting on propagation delay); used by recovery paths and tests
-// to bring a site to a target vector before serving traffic.
-func (s *Site) CatchUp(target vclock.Vector) {
-	s.CatchUpFrom(nil, target)
-}
-
-// CatchUpFrom is CatchUp starting each origin's log at offsets[origin] (a
-// checkpoint manifest's replay positions; nil = from the beginning) and
-// returns how many refresh records it applied. Already-applied entries in
-// the suffix are skipped by sequence, so replay is idempotent.
-func (s *Site) CatchUpFrom(offsets []uint64, target vclock.Vector) uint64 {
-	var applied uint64
-	for {
-		progressed := false
-		for origin := 0; origin < s.m; origin++ {
-			if origin == s.id {
-				continue
-			}
-			var from uint64
-			if origin < len(offsets) {
-				from = offsets[origin]
-			}
-			cur := s.cfg.Broker.Log(origin).Subscribe(from)
-			for {
-				e, ok := cur.TryNext()
-				if !ok {
-					break
-				}
-				if e.Kind == wal.KindEpoch {
-					// A sealed epoch installs as one unit: the closing
-					// vector's dependency check covers every member (see
-					// vclock.CanApplyEpoch), and the clock advances straight
-					// to the last member.
-					first := e.FirstSeq()
-					last := e.TVV[origin]
-					s.applyMu[origin].Lock()
-					if last <= s.clock.Get(origin) {
-						s.applyMu[origin].Unlock()
-						continue
-					}
-					if !vclock.CanApplyEpoch(s.clock.Now(), e.TVV, origin, first) {
-						s.applyMu[origin].Unlock()
-						break
-					}
-					base := s.clock.Get(origin)
-					var n uint64
-					for j := range e.Txns {
-						seq := first + uint64(j)
-						if seq <= base {
-							continue
-						}
-						writes := e.Txns[j].Writes
-						if s.hosting != nil {
-							writes = s.filterHosted(writes)
-						}
-						s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, writes)
-						n++
-					}
-					s.clock.Advance(origin, last)
-					s.applyMu[origin].Unlock()
-					s.refreshes.Add(n)
-					applied += n
-					progressed = true
-					continue
-				}
-				if e.Kind != wal.KindUpdate {
-					continue
-				}
-				seq := e.TVV[origin]
-				// The background applyLoop may be working the same suffix;
-				// applyMu makes check+install+advance atomic so neither
-				// replier stacks a stale version over the other's newer one.
-				s.applyMu[origin].Lock()
-				if seq <= s.clock.Get(origin) {
-					s.applyMu[origin].Unlock()
-					continue
-				}
-				if !vclock.CanApply(s.clock.Now(), e.TVV, origin) {
-					s.applyMu[origin].Unlock()
-					break
-				}
-				writes := e.Writes
-				if s.hosting != nil {
-					writes = s.filterHosted(writes)
-				}
-				s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, writes)
-				s.clock.Advance(origin, seq)
-				s.applyMu[origin].Unlock()
-				s.refreshes.Add(1)
-				applied++
-				progressed = true
-			}
-			cur.Close()
-		}
-		if s.clock.Now().DominatesEq(target) || !progressed {
-			return applied
-		}
-	}
 }

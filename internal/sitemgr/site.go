@@ -170,12 +170,12 @@ type Site struct {
 	pool      *execPool
 	applyPool *execPool
 
-	// applyMu[origin] makes a replier's {clock check, store install, clock
-	// advance} atomic per origin. The background applyLoop and a recovery
-	// catch-up replay can work the same log suffix concurrently; without
-	// this, one replier may install a stale version on top of a newer one
-	// the other already applied (version chains are newest-first, so a late
-	// stale install poisons the head and every snapshot read after it).
+	// applyMu[origin] makes applyEntry's {clock check, store install, clock
+	// advance} atomic per origin. The background applyLoop and Replay can
+	// work the same log suffix concurrently; without this, one replier may
+	// install a stale version on top of a newer one the other already
+	// applied (version chains are newest-first, so a late stale install
+	// poisons the head and every snapshot read after it).
 	applyMu []sync.Mutex
 
 	pmu   sync.Mutex
@@ -506,29 +506,24 @@ func (s *Site) applyLoop(origin int) {
 // the blocking gates (propagation delay, Equation 1 dependency waits) run
 // on the first entry of each chunk only, OUTSIDE any apply-pool slot —
 // holding a slot while parked on a cross-origin dependency could starve
-// the applier that would satisfy it — and the chunk is then greedily
-// extended with entries already applicable under one clock snapshot.
-// Extension is conservative: it requires consecutive same-origin sequence
+// the applier that would satisfy it. An update chunk is then greedily
+// extended with updates already applicable under one clock snapshot;
+// extension is conservative: it requires consecutive same-origin sequence
 // numbers (commit order makes origin's log dense in that dimension, so
 // sequential in-chunk application preserves the svv[origin]==tvv[origin]-1
-// clause) and snapshot-satisfied cross-origin clauses; anything not
-// provably ready ends the chunk and re-enters the blocking gate. Each
-// chunk occupies one apply-pool slot and is charged its summed cost.
-// Returns false when the site stopped.
+// clause) and snapshot-satisfied cross-origin clauses, and anything not
+// provably ready ends the chunk and re-enters the blocking gate. A sealed
+// epoch is its own chunk, gated once on its closing vector (see
+// vclock.CanApplyEpoch). Each chunk occupies one apply-pool slot and is
+// charged its summed cost. Returns false when the site stopped.
 func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
+	// Under partial replication kept collects an entry's installed members
+	// with their filtered writes, which is what this site is shipped.
+	var kept []wal.EpochTxn
 	i := 0
 	for i < len(batch) {
 		e := &batch[i]
-		if e.Kind == wal.KindEpoch {
-			// A sealed epoch is its own chunk: one dependency gate on its
-			// closing vector, one apply-pool slot, one batched install.
-			if !s.applyEpoch(origin, e) {
-				return false
-			}
-			i++
-			continue
-		}
-		if e.Kind != wal.KindUpdate || e.TVV[origin] <= s.clock.Get(origin) {
+		if !e.IsUpdate() || e.TVV[origin] <= s.clock.Get(origin) {
 			i++ // mastership record, or already applied (bootstrap/recovery overlap)
 			continue
 		}
@@ -542,13 +537,11 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			}
 		}
 		// Wait until every transaction the chunk head depends on has been
-		// applied.
+		// applied: origin's entry before it (an update is the one-member
+		// epoch, first == last) and the cross-origin clauses.
+		s.clock.WaitDimAtLeast(origin, e.FirstSeq()-1)
 		for k, want := range e.TVV {
-			if k == origin {
-				s.clock.WaitDimAtLeast(k, want-1)
-				continue
-			}
-			if want > 0 {
+			if k != origin && want > 0 {
 				s.clock.WaitDimAtLeast(k, want)
 			}
 		}
@@ -559,33 +552,36 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			return false
 		default:
 		}
-		// Greedily extend the chunk with entries ready under one snapshot.
-		snap := s.clock.Now()
-		prevSeq := e.TVV[origin]
 		end := i + 1
-	extend:
-		for end < len(batch) {
-			n := &batch[end]
-			if n.Kind != wal.KindUpdate || n.TVV[origin] != prevSeq+1 {
-				break
-			}
-			if d := s.cfg.PropagationDelay; d > 0 && time.Since(n.At) < d {
-				break
-			}
-			for k, want := range n.TVV {
-				if k != origin && want > snap[k] {
-					break extend
+		if e.Kind == wal.KindUpdate {
+			// Greedily extend the chunk with updates ready under one snapshot.
+			snap := s.clock.Now()
+			prevSeq := e.TVV[origin]
+		extend:
+			for end < len(batch) {
+				n := &batch[end]
+				if n.Kind != wal.KindUpdate || n.TVV[origin] != prevSeq+1 {
+					break
 				}
+				if d := s.cfg.PropagationDelay; d > 0 && time.Since(n.At) < d {
+					break
+				}
+				for k, want := range n.TVV {
+					if k != origin && want > snap[k] {
+						break extend
+					}
+				}
+				prevSeq = n.TVV[origin]
+				end++
 			}
-			prevSeq = n.TVV[origin]
-			end++
 		}
 		chunk := batch[i:end]
 		if s.hosting == nil {
 			var bytes int
 			for j := range chunk {
-				bytes += transport.MsgOverhead +
-					transport.SizeOfVector(chunk[j].TVV) + transport.SizeOfWrites(chunk[j].Writes)
+				var one [1]wal.EpochTxn
+				_, txns := members(&chunk[j], &one)
+				bytes += frameBytes(&chunk[j], txns)
 			}
 			s.net.Account(transport.CatReplication, bytes)
 		}
@@ -595,41 +591,22 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			var cost time.Duration
 			var bytes int
 			for j := range chunk {
-				c := &chunk[j]
-				seq := c.TVV[origin]
-				s.applyMu[origin].Lock()
-				if seq <= s.clock.Get(origin) {
-					// A recovery catch-up replayed this entry between the
-					// dependency gate and here; installing it now would
-					// stack a stale version over the newer state.
-					s.applyMu[origin].Unlock()
-					continue
+				kept = kept[:0]
+				n, writes := s.applyEntry(origin, &chunk[j], &kept)
+				if n == 0 {
+					continue // installed by a recovery replay after the gate
 				}
-				writes := c.Writes
-				if s.hosting != nil {
-					// Filter to hosted partitions inside the applyMu critical
-					// section (hosting flips hold all apply mutexes, so the
-					// decision is exactly ordered against them). The clock
-					// still advances past fully filtered entries — the svv
-					// stays dense; see hosting.go.
-					writes = s.filterHosted(writes)
-				}
-				s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, writes)
-				s.bumpWatermarks(writes, c.TVV)
-				s.clock.Advance(origin, seq)
-				s.applyMu[origin].Unlock()
-				applied++
+				applied += uint64(n)
 				if s.hosting != nil {
 					// Per-destination frame filtering: this site receives the
-					// envelope and commit vector (the svv must advance) but
-					// only the write payloads it hosts.
-					bytes += transport.MsgOverhead + transport.SizeOfVector(c.TVV)
-					if len(writes) > 0 {
-						bytes += transport.SizeOfWrites(writes)
-					}
+					// envelope and vectors (the svv must advance) but only the
+					// write payloads it hosts.
+					bytes += frameBytes(&chunk[j], kept)
 				}
 				if !s.cfg.Costs.Zero() {
-					cost += s.cfg.Costs.RefreshBase + time.Duration(len(writes))*s.cfg.Costs.PerRefreshWrite
+					// One refresh base per entry: a sealed epoch is applied as
+					// one refresh unit.
+					cost += s.cfg.Costs.RefreshBase + time.Duration(writes)*s.cfg.Costs.PerRefreshWrite
 				}
 			}
 			if bytes > 0 {
@@ -642,18 +619,106 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 		s.ob.refreshApply.ObserveDuration(time.Since(applyStart))
 		now := time.Now()
 		for j := range chunk {
-			c := &chunk[j]
-			lag := now.Sub(c.At)
-			s.ob.refreshes.Inc()
-			s.ob.refreshLag.ObserveDuration(lag)
-			s.ob.lastLag.Set(lag.Seconds())
-			s.ob.refreshStage.ObserveDuration(lag)
-			s.tracer.RefreshApplied(origin, c.TVV[origin], lag)
-			s.spans.RefreshApplied(origin, c.TVV[origin], s.id, lag, now)
+			var one [1]wal.EpochTxn
+			first, txns := members(&chunk[j], &one)
+			for m := range txns {
+				seq, lag := first+uint64(m), now.Sub(txns[m].At)
+				s.ob.refreshes.Inc()
+				s.ob.refreshLag.ObserveDuration(lag)
+				s.ob.lastLag.Set(lag.Seconds())
+				s.ob.refreshStage.ObserveDuration(lag)
+				s.tracer.RefreshApplied(origin, seq, lag)
+				s.spans.RefreshApplied(origin, seq, s.id, lag, now)
+			}
 		}
 		i = end
 	}
 	return true
+}
+
+// members returns the transactions an update or sealed-epoch entry carries
+// and the commit sequence of the first; member j has sequence first+j. A
+// KindUpdate entry is the one-member case of a KindEpoch, staged in one.
+// Mastership records carry none.
+func members(e *wal.Entry, one *[1]wal.EpochTxn) (first uint64, txns []wal.EpochTxn) {
+	switch e.Kind {
+	case wal.KindUpdate:
+		one[0] = wal.EpochTxn{TVV: e.TVV, At: e.At, Writes: e.Writes}
+		txns = one[:]
+	case wal.KindEpoch:
+		txns = e.Txns
+	}
+	return e.FirstSeq(), txns
+}
+
+// applyEntry installs one update or sealed-epoch entry of origin's log: it
+// is the only path by which log entries reach the store, shared by the
+// refresh appliers and Replay, whose callers have already established the
+// entry's dependencies (Equation 1, CanApplyEpoch for an epoch). Under
+// applyMu[origin] it skips the members the clock already covers, filters
+// each remaining member to hosted partitions (hosting flips hold every apply
+// mutex, so the decision is exactly ordered against them), installs it,
+// folds its vector into the partition watermarks, and then advances the
+// clock once — past fully filtered members too, so the svv stays dense (see
+// hosting.go). Replaying this site's own log also moves the commit sequence
+// allocator past the entry.
+//
+// It returns how many members it installed and how many writes they kept.
+// With kept non-nil, a partially replicating site also appends each
+// installed member that kept any writes, filtered, for per-destination
+// frame pricing.
+func (s *Site) applyEntry(origin int, e *wal.Entry, kept *[]wal.EpochTxn) (installed, writes int) {
+	var one [1]wal.EpochTxn
+	first, txns := members(e, &one)
+	s.applyMu[origin].Lock()
+	defer s.applyMu[origin].Unlock()
+	base := s.clock.Get(origin)
+	for j := range txns {
+		seq := first + uint64(j)
+		if seq <= base {
+			continue
+		}
+		t := txns[j]
+		if s.hosting != nil {
+			t.Writes = s.filterHosted(t.Writes)
+			if kept != nil && len(t.Writes) > 0 {
+				*kept = append(*kept, t)
+			}
+		}
+		s.store.Apply(storage.Stamp{Origin: origin, Seq: seq}, t.Writes)
+		s.bumpWatermarks(t.Writes, t.TVV)
+		installed++
+		writes += len(t.Writes)
+	}
+	if installed == 0 {
+		return 0, 0
+	}
+	last := e.TVV[origin]
+	s.clock.Advance(origin, last)
+	if origin == s.id && s.nextSeq.Load() < last {
+		s.nextSeq.Store(last)
+	}
+	return installed, writes
+}
+
+// frameBytes prices origin's entry e as shipped to this site carrying the
+// member write sets txns: the full members under full replication, only the
+// hosted ones under partial replication. A single update prices as its
+// envelope, vector and writes; a sealed epoch as its coalesced wire frame,
+// so partial- and full-replication accounting stay byte-comparable. Fully
+// filtered epoch members need no vector on the wire — the dense svv
+// advances by the member count and the closing vector covers the gate.
+func frameBytes(e *wal.Entry, txns []wal.EpochTxn) int {
+	if e.Kind == wal.KindEpoch {
+		f := *e
+		f.Txns = txns
+		return transport.MsgOverhead + wal.EntryWireSize(&f)
+	}
+	n := transport.MsgOverhead + transport.SizeOfVector(e.TVV)
+	if len(txns) > 0 {
+		n += transport.SizeOfWrites(txns[0].Writes)
+	}
+	return n
 }
 
 // sleep waits for d unless the site stops first.

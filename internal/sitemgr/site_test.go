@@ -659,7 +659,7 @@ func TestRecoveryBootstrapAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered.Store().CreateTable("t")
-	if err := recovered.RecoverLocal(); err != nil {
+	if _, _, err := recovered.Replay(nil); err != nil {
 		t.Fatal(err)
 	}
 	if recovered.SVV()[0] != 5 {
@@ -671,7 +671,11 @@ func TestRecoveryBootstrapAndReplay(t *testing.T) {
 		}
 	}
 	// Recovery must resume the commit sequence without reuse.
-	recovered.AdoptMastership(RecoverMastership(broker, map[uint64]int{0: 0}))
+	owner := map[uint64]int{0: 0}
+	for p, site := range FoldMastership(broker, nil).Owner {
+		owner[p] = site
+	}
+	recovered.AdoptMastership(owner)
 	tx, err := recovered.Begin(nil, []storage.RowRef{ref(9)})
 	if err != nil {
 		t.Fatal(err)
@@ -717,7 +721,10 @@ func TestRecoverMastershipFromLogs(t *testing.T) {
 	for p := uint64(0); p < 10; p++ {
 		initial[p] = 0
 	}
-	owner := RecoverMastership(broker, initial)
+	owner := initial
+	for p, site := range FoldMastership(broker, nil).Owner {
+		owner[p] = site
+	}
 	if owner[3] != 2 {
 		t.Errorf("partition 3 owner = %d, want 2", owner[3])
 	}
@@ -753,12 +760,14 @@ func TestCatchUp(t *testing.T) {
 		tx.Write(ref(k), []byte{byte(k)})
 		last = mustCommit(t, tx)
 	}
-	lagger.CatchUp(last)
+	if _, _, err := lagger.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
 	if !lagger.SVV().DominatesEq(last) {
-		t.Fatalf("CatchUp left svv at %v", lagger.SVV())
+		t.Fatalf("Replay left svv at %v", lagger.SVV())
 	}
 	if data, ok := lagger.ReadLocal(ref(3)); !ok || data[0] != 3 {
-		t.Fatalf("CatchUp data: %v %v", data, ok)
+		t.Fatalf("Replay data: %v %v", data, ok)
 	}
 }
 

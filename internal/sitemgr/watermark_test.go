@@ -63,7 +63,10 @@ func TestGrantWaitsOnlyForRelevantUpdates(t *testing.T) {
 	tx, _ := s0.Begin(nil, []storage.RowRef{ref(1)})
 	tx.Write(ref(1), []byte("a"))
 	tvv := mustCommit(t, tx)
-	s1.CatchUp(tvv) // site 1 applies partition 0's update synchronously
+	// Site 1 applies partition 0's update synchronously.
+	if _, _, err := s1.Replay(nil); err != nil || !s1.SVV().DominatesEq(tvv) {
+		t.Fatalf("replay: %v, svv %v", err, s1.SVV())
+	}
 
 	// A later unrelated commit that site 1 never applies.
 	tx2, _ := s0.Begin(nil, []storage.RowRef{ref(501)})

@@ -165,6 +165,7 @@ type Write struct {
 // through a shared log entry) are published unwritten. One slice handed to two
 // commits is a caller bug; tests panic on it (a debug assertion).
 func (s *Store) Apply(stamp Stamp, writes []Write) {
+	var t *Table // consecutive writes to one table look it up once
 	for i := range writes {
 		w := &writes[i]
 		if w.Stamp != stamp {
@@ -173,7 +174,10 @@ func (s *Store) Apply(stamp Stamp, writes []Write) {
 			}
 			w.Stamp = stamp
 		}
-		s.CreateTable(w.Ref.Table).Record(w.Ref.Key, true).install(w, s.maxVersions)
+		if t == nil || t.name != w.Ref.Table {
+			t = s.CreateTable(w.Ref.Table)
+		}
+		t.Record(w.Ref.Key, true).install(w, s.maxVersions)
 	}
 }
 

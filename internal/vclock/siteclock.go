@@ -62,14 +62,12 @@ func (c *SiteClock) Advance(k int, seq uint64) {
 	}
 }
 
-// Get returns dimension k of the current vector.
+// Get returns dimension k of the current vector, without the lock.
 func (c *SiteClock) Get(k int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if k >= len(c.vv) {
 		return 0
 	}
-	return c.vv[k]
+	return atomic.LoadUint64(&c.vv[k])
 }
 
 // WaitDominatesEq blocks until the clock dominates min elementwise. It
