@@ -305,125 +305,36 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 }
 
 // TestReplicaResubmitAfterRemaster covers the ErrNotMaster resubmit path
-// under fault injection: a replica's cached location goes stale after a
-// mid-run remaster, the data site rejects the routed transaction, and the
-// session must retry through RouteToMaster — across injected drops on the
-// replica->master forwarding wire — and commit exactly once.
+// on a one-shard control plane with a standby, under delay faults on the
+// routing wire: the front's cached location goes stale, the data site
+// rejects the routed transaction, and the session's resubmit through the
+// front commits exactly once and leaves the cache pointing at the new
+// master (see staleCacheWriteRecovers).
 func TestReplicaResubmitAfterRemaster(t *testing.T) {
 	inj := transport.NewInjector(7)
-	inj.SetRules(
-		transport.Rule{Category: transport.CatRoute, Kind: transport.FaultDrop, Prob: 0.25},
-		transport.Rule{Category: transport.CatRoute, Kind: transport.FaultDelay, Prob: 1, Delay: 50 * time.Microsecond},
-	)
-	c, err := NewCluster(Config{
-		Sites:            2,
-		Partitioner:      partitionBy100,
-		Weights:          selector.YCSBWeights(),
-		SelectorReplicas: 1,
-		Faults:           inj,
+	inj.SetRules(transport.Rule{Category: transport.CatRoute, Kind: transport.FaultDelay, Prob: 1, Delay: 50 * time.Microsecond})
+	c := newShardedCluster(t, 2, 1, func(cfg *Config) {
+		cfg.SelectorReplicas = 1
+		cfg.Faults = inj
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	c.CreateTable("kv")
-	rows := make([]systems.LoadRow, 0, 200)
-	for k := uint64(0); k < 200; k++ {
-		rows = append(rows, systems.LoadRow{Ref: ref(k), Data: []byte{byte(k)}})
-	}
-	c.Load(rows)
-
-	rep := c.SelectorReplicas()[0]
-	sess := c.Session(0) // client 0 routes through replica 0
-
-	// Prime the replica cache: a local write to partition 0 caches its
-	// current master.
-	if err := sess.Update([]storage.RowRef{ref(5)}, func(tx systems.Tx) error {
-		return tx.Write(ref(5), []byte{1})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m0 := c.Selector().MasterOf(0)
-	m1 := 1 - m0
-	if owner, _ := rep.Mirror(); owner[0] != m0 {
-		t.Fatalf("replica cache did not prime: %v", owner)
-	}
-
-	// Mid-run remaster behind the replica's back: partition 0 moves to the
-	// other site (direct site-to-site transfer + master-selector
-	// registration — the replica is not told).
-	rel, err := c.Sites()[m0].Release([]uint64{0}, m1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sites()[m1].Grant([]uint64{0}, rel, m0, 0); err != nil {
-		t.Fatal(err)
-	}
-	c.Selector().RegisterPartition(0, m1)
-
-	// The replica now routes partition 0 at the old master, which rejects
-	// with ErrNotMaster; the session's retry must resubmit through
-	// RouteToMaster (riding out injected CatRoute drops) and commit the
-	// increment exactly once.
-	before := c.Stats().Commits
-	if err := sess.Update([]storage.RowRef{ref(5)}, func(tx systems.Tx) error {
-		v, _ := tx.Read(ref(5))
-		return tx.Write(ref(5), []byte{v[0] + 1})
-	}); err != nil {
-		t.Fatalf("resubmit update: %v", err)
-	}
-	if got := rep.Resubmits(); got == 0 {
-		t.Fatal("session never resubmitted through RouteToMaster")
-	}
-	if got := c.Stats().Commits; got != before+1 {
-		t.Fatalf("commits went %d -> %d, want exactly one more", before, got)
-	}
-	// The refreshed cache points at the new master.
-	if owner, _ := rep.Mirror(); owner[0] != m1 {
-		t.Fatalf("replica cache not refreshed after resubmit: partition 0 at %d, want %d", owner[0], m1)
-	}
-	// The committed value is the single increment.
-	if err := sess.Read(func(tx systems.Tx) error {
-		v, _ := tx.Read(ref(5))
-		if len(v) != 1 || v[0] != 2 {
-			return fmt.Errorf("value = %v, want [2]", v)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	staleCacheWriteRecovers(t, c)
 	if inj.InjectedTotal() == 0 {
 		t.Fatal("no faults were injected on the routing wire")
 	}
 }
 
 // TestFailoverRefreshesReplicaCaches is the regression test for failover
-// leaving replica caches pointing at the dead site: Failover must push the
-// heirs into every replica proactively, so post-failover writes route
+// leaving cached routes pointing at the dead site: the failover's
+// re-registrations publish on the delta feed, so the front's cache already
+// names every orphaned partition's heir and post-failover writes route
 // correctly on the first attempt instead of bouncing off ErrNotMaster (or
 // hanging on a site that can no longer answer at all).
 func TestFailoverRefreshesReplicaCaches(t *testing.T) {
-	c, err := NewCluster(Config{
-		Sites:            3,
-		Partitioner:      partitionBy100,
-		Weights:          selector.YCSBWeights(),
-		SelectorReplicas: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	c.CreateTable("kv")
-	rows := make([]systems.LoadRow, 0, 1000)
-	for k := uint64(0); k < 1000; k++ {
-		rows = append(rows, systems.LoadRow{Ref: ref(k), Data: []byte{byte(k)}})
-	}
-	c.Load(rows)
-
-	rep := c.SelectorReplicas()[0]
+	c := newShardedCluster(t, 3, 1, func(cfg *Config) { cfg.SelectorReplicas = 1 })
+	cache := c.Group().Cache()
 	sess := c.Session(0)
 
-	// Cache every partition's location in the replica.
+	// Route every partition once so the cache holds its location.
 	for p := uint64(0); p < 10; p++ {
 		key := ref(p * 100)
 		if err := sess.Update([]storage.RowRef{key}, func(tx systems.Tx) error {
@@ -433,7 +344,7 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 		}
 	}
 	victim := c.Selector().MasterOf(0)
-	cached, _ := rep.Mirror()
+	cached, _ := cache.Mirror()
 	victimParts := make([]uint64, 0, 4)
 	for p, site := range cached {
 		if site == victim {
@@ -449,20 +360,21 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The replica cache must already point every orphaned partition at its
-	// heir — no stale entries at the dead site.
-	owner, _ := rep.Mirror()
+	// The cache must already point every orphaned partition at its heir —
+	// no stale entries at the dead site.
+	owner, _ := cache.Mirror()
 	for _, p := range victimParts {
 		if owner[p] == victim {
-			t.Fatalf("replica cache still routes partition %d at the dead site", p)
+			t.Fatalf("cache still routes partition %d at the dead site", p)
 		}
 		if want := c.Selector().MasterOf(p); owner[p] != want {
-			t.Fatalf("replica cache: partition %d at %d, selector says %d", p, owner[p], want)
+			t.Fatalf("cache: partition %d at %d, selector says %d", p, owner[p], want)
 		}
 	}
 
-	// First-attempt routing: the writes succeed without a single
-	// stale-metadata resubmit.
+	// First-attempt routing: the writes succeed from the cache without a
+	// single stale-metadata resubmit.
+	stale, hits := cache.StaleWrites(), cache.WriteRoutes()
 	for _, p := range victimParts {
 		key := ref(p * 100)
 		if err := sess.Update([]storage.RowRef{key}, func(tx systems.Tx) error {
@@ -471,7 +383,10 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 			t.Fatalf("post-failover write to partition %d: %v", p, err)
 		}
 	}
-	if got := rep.Resubmits(); got != 0 {
-		t.Fatalf("%d stale-metadata resubmits after failover, want 0 (caches should be pre-refreshed)", got)
+	if got := cache.StaleWrites() - stale; got != 0 {
+		t.Fatalf("%d stale-metadata resubmits after failover, want 0 (the cache should be pre-refreshed)", got)
+	}
+	if got := cache.WriteRoutes() - hits; got != uint64(len(victimParts)) {
+		t.Fatalf("cache served %d of %d post-failover writes", got, len(victimParts))
 	}
 }

@@ -65,10 +65,12 @@ type Config struct {
 	// Costs prices transactional work (zero = free; benchmarks use
 	// sitemgr.DefaultCostModel).
 	Costs sitemgr.CostModel
-	// SelectorReplicas adds replica site-selectors (Appendix I): clients
-	// are assigned to replicas round-robin; single-sited write sets route
-	// locally at the replica and only remastering decisions reach the
-	// master selector. 0 keeps the stand-alone selector.
+	// SelectorReplicas is the number of standby selectors behind each
+	// router shard's leader (Appendix I's distributed site selector). The
+	// standbys mirror the leader's placement; with any standby (or several
+	// shards) sessions route reads and single-sited writes off a gossiped
+	// placement cache, and only remastering decisions reach a leader. 0
+	// keeps the stand-alone selector.
 	SelectorReplicas int
 	// SelectorShards, when above 1, splits the selector control plane into
 	// that many independent router shards, each owning a contiguous range
@@ -80,8 +82,8 @@ type Config struct {
 	// router. Use WithSelectorShards.
 	SelectorShards int
 	// SelectorLease, when positive, puts the selector tier under
-	// lease-based leadership (high availability): the replicas double as
-	// hot standbys fed by the leader's metadata delta stream, the leader
+	// lease-based leadership (high availability): the standbys' mirrors are
+	// fed by the leader's metadata delta stream, the leader
 	// renews a lease of this TTL, and on expiry a standby promotes —
 	// fencing the deposed leader's in-flight remaster chains with a fresh
 	// epoch and reconciling its mirror against the sites' WAL fold.
@@ -145,7 +147,7 @@ type Cluster struct {
 	broker *wal.Broker
 	sites  []*sitemgr.Site
 	sel    *selector.Selector   // shard 0's initial master (compat accessor)
-	repl   *selector.Replicated // shard 0's replica tier (compat accessor)
+	repl   *selector.Replicated // shard 0's selector tier (compat accessor)
 	repls  []*selector.Replicated
 	group  *selector.Group
 
@@ -333,7 +335,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		replicas = 2 // HA needs standbys; two matches the paper's testbed headroom
 	}
 
-	// One selector + replica tier per router shard. Single-shard
+	// One selector + standby tier per router shard. Single-shard
 	// deployments keep the pre-sharding construction byte for byte: the
 	// selector registers its own metrics and no shard hooks are installed.
 	// Sharded deployments give each shard's selector the group hooks —
@@ -373,13 +375,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.sel = c.repls[0].Master
 	c.repl = c.repls[0]
 
-	// The group dispatches control-plane calls by partition owner and runs
-	// the gossiped placement cache; with one shard it is pure pass-through.
-	// Built before EnableHA so every shard's lease goroutine starts after
-	// c.group is assigned (the hooks read it).
+	// The group dispatches control-plane calls by partition owner and owns
+	// the sessions' front, whose placement cache exists whenever the control
+	// plane has more than one node (shards or standbys). Built before
+	// EnableHA so every shard's lease goroutine starts after c.group is
+	// assigned (the hooks read it).
 	c.group, err = selector.NewGroup(selector.GroupConfig{
 		Shards:         c.repls,
-		Cache:          shards > 1,
 		GossipInterval: cfg.PlacementInterval, // reuse the placement cadence knob; 0 = default
 		Obs:            c.obs,
 	})
@@ -588,9 +590,8 @@ func (c *Cluster) SelectorShardHA(i int) *selector.HA { return c.repls[i].HA() }
 // KillSelector simulates a crash of the selector node currently holding
 // shard 0's leadership and returns its id (0 = initial master, i+1 =
 // standby i). The lease expires unrenewed and a surviving standby
-// promotes; until then write routing fails fast with the retryable
-// selector.ErrNoLeader while read routing keeps flowing off the replica
-// tier. Requires HA.
+// promotes; until then writes the front's cache cannot route fail fast with
+// the retryable selector.ErrNoLeader while reads keep flowing. Requires HA.
 func (c *Cluster) KillSelector() int { return c.KillSelectorShard(0) }
 
 // KillSelectorShard crashes the current leaseholder of router shard i and
@@ -604,7 +605,7 @@ func (c *Cluster) KillSelectorShard(i int) int {
 	return ha.KillLeader()
 }
 
-// SelectorReplicas exposes the replica selector tier (empty unless
+// SelectorReplicas exposes shard 0's standby selectors (empty unless
 // configured).
 func (c *Cluster) SelectorReplicas() []*selector.Replica { return c.repl.Replicas() }
 

@@ -269,14 +269,12 @@ func (c *Cluster) failoverShard(si, dead int, parts []uint64, survivors []int, r
 				lastErr = fmt.Errorf("core: failover grant to site %d: %w", heir, err)
 				continue
 			}
+			// Registration publishes on the shard's delta feed, so the
+			// front's cache and the standbys stop pointing at the dead site
+			// before any write bounces off it.
 			for _, p := range ids {
 				sel.RegisterPartitionEpoch(p, heir, epoch)
 			}
-			// Replica caches still point the batch at the dead site; push
-			// the heir proactively so replicas stop routing there now
-			// instead of waiting for each cached entry's ErrNotMaster
-			// bounce off a site that can no longer answer at all.
-			c.repls[si].LearnAll(ids, heir)
 			granted = true
 		}
 		if !granted && firstErr == nil {

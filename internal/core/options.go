@@ -106,7 +106,11 @@ func WithFailureDetection(fd FailureDetectionConfig) Option {
 	return optionFunc(func(c *Config) { c.FailureDetection = fd })
 }
 
-// WithSelectorReplicas adds replica site-selectors (Appendix I).
+// WithSelectorReplicas sets the number of standby selectors behind each
+// router shard's leader (Appendix I). Standbys mirror the leader's
+// placement; with any standby, sessions route reads and single-sited writes
+// off the gossiped placement cache. Under WithSelectorLease a standby
+// promotes when the leader's lease expires.
 func WithSelectorReplicas(n int) Option {
 	return optionFunc(func(c *Config) { c.SelectorReplicas = n })
 }
@@ -132,7 +136,7 @@ func WithSelectorShards(n int) Option {
 }
 
 // WithSelectorLease puts the selector tier under lease-based leader
-// failover with the given lease TTL: replicas double as hot standbys and
+// failover with the given lease TTL: the standbys' mirrors are kept hot and
 // one promotes — fencing the deposed leader and reconciling against the
 // sites' WAL fold — when the leader's lease expires. d <= 0 disables HA.
 func WithSelectorLease(d time.Duration) Option {

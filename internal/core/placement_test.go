@@ -292,7 +292,7 @@ func TestReplicaAddBootstrapRace(t *testing.T) {
 }
 
 // TestPartialReplicationByteSavings is the headline experiment for adaptive
-// partial replication (BENCH_partial.json): a 64-partition, 8-site cluster
+// partial replication: a 64-partition, 8-site cluster
 // under a Zipfian-skewed workload, replication bounds [2, 3] vs classic
 // full replication. Partial replication must cut replication bytes per
 // committed transaction by at least half and keep the mean per-site

@@ -55,7 +55,7 @@ type Session struct {
 	c      *Cluster
 	id     int
 	cvv    vclock.Vector
-	router selector.Router
+	router *selector.Front
 
 	// nextSC, when sampled, is the distributed trace context the next update
 	// transaction joins (set by the RPC server when a remote client shipped
@@ -63,9 +63,8 @@ type Session struct {
 	nextSC obs.SpanContext
 }
 
-// Session opens a session for client id. With replica selectors
-// configured, the session is assigned one round-robin; otherwise it talks
-// to the master selector.
+// Session opens a session for client id, routing through the selector
+// group's front.
 func (c *Cluster) Session(id int) *Session {
 	c.sessions.Add(1)
 	return &Session{c: c, id: id, cvv: vclock.New(len(c.sites)), router: c.group.RouterFor(id)}
@@ -133,13 +132,6 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		routeSpan = obs.NewSpanID()
 	}
 
-	// With the sharded selector's gossiped placement cache, a first attempt
-	// whose write set is cached single-sited routes with zero selector RPCs
-	// (both begin_transaction legs skipped). A stale cache answer is safe:
-	// the data site bounces it (ErrNotMaster/ErrStaleEpoch) and the retry
-	// below resubmits authoritatively through the owning router shard.
-	cachedW, _ := s.router.(cachedWriteRouter)
-
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -147,9 +139,14 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		t0 := time.Now()
 		var route selector.Route
 		var err error
+		// With a placement cache, a first attempt whose write set is cached
+		// single-sited routes with zero selector RPCs (both
+		// begin_transaction legs skipped). A stale cache answer is safe: the
+		// data site bounces it (ErrNotMaster/ErrStaleEpoch) and the retry
+		// resubmits authoritatively through the owning router shard.
 		cached := false
-		if cachedW != nil && attempt == 0 {
-			route, cached = cachedW.RouteWriteCached(s.id, writeSet, s.cvv)
+		if attempt == 0 {
+			route, cached = s.router.CachedWrite(s.id, writeSet)
 		}
 		t1 := time.Now()
 		if !cached {
@@ -261,34 +258,11 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 // round runs in a goroutine and the wait is abandoned on cancellation; the
 // chain itself always runs to completion (or rolls back) in the background,
 // so abandoning the wait never tears mastership — the client just no longer
-// observes the result. The replica fallback resubmits through the master
-// selector after a data site rejected the transaction on stale replica
-// metadata (Appendix I).
+// observes the result. A retry resubmits through the front after a data
+// site rejected the transaction on stale cached metadata (Appendix I).
 func (s *Session) routeCtx(ctx context.Context, attempt int, writeSet []storage.RowRef, sc obs.SpanContext) (selector.Route, error) {
-	route := func(cvv vclock.Vector) (selector.Route, error) {
-		if attempt > 0 {
-			// A prior attempt was rejected on stale replica metadata;
-			// resubmit through the master selector, keeping any sampled
-			// trace context so the resubmit's remaster spans stay in the
-			// transaction's trace.
-			if sc.Sampled() {
-				if mr, ok := s.router.(masterRouterTraced); ok {
-					return mr.RouteToMasterTraced(s.id, writeSet, cvv, sc)
-				}
-			}
-			if mr, ok := s.router.(masterRouter); ok {
-				return mr.RouteToMaster(s.id, writeSet, cvv)
-			}
-		}
-		if sc.Sampled() {
-			if tr, ok := s.router.(tracedRouter); ok {
-				return tr.RouteWriteTraced(s.id, writeSet, cvv, sc)
-			}
-		}
-		return s.router.RouteWrite(s.id, writeSet, cvv)
-	}
 	if ctx.Done() == nil {
-		return route(s.cvv)
+		return s.route(attempt, writeSet, s.cvv, sc)
 	}
 	type res struct {
 		r   selector.Route
@@ -297,7 +271,7 @@ func (s *Session) routeCtx(ctx context.Context, attempt int, writeSet []storage.
 	ch := make(chan res, 1)
 	cvv := s.cvv.Clone() // the goroutine may outlive this call
 	go func() {
-		r, err := route(cvv)
+		r, err := s.route(attempt, writeSet, cvv, sc)
 		ch <- res{r, err}
 	}()
 	select {
@@ -306,6 +280,15 @@ func (s *Session) routeCtx(ctx context.Context, attempt int, writeSet []storage.
 	case <-ctx.Done():
 		return selector.Route{}, ctx.Err()
 	}
+}
+
+// route is one authoritative routing decision; a retry goes through the
+// front's Resubmit so a stale cached entry learns the answer.
+func (s *Session) route(attempt int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (selector.Route, error) {
+	if attempt > 0 {
+		return s.router.Resubmit(s.id, writeSet, cvv, sc)
+	}
+	return s.router.Write(s.id, writeSet, cvv, sc)
 }
 
 // beginCtx runs Begin, which blocks until the site can serve the
@@ -337,39 +320,6 @@ func (s *Session) beginCtx(ctx context.Context, site *sitemgr.Site, minVV vclock
 		}()
 		return nil, ctx.Err()
 	}
-}
-
-// tracedRouter is the optional routing capability carrying a sampled trace
-// context; both *selector.Selector and *selector.Replica implement it.
-type tracedRouter interface {
-	RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (selector.Route, error)
-}
-
-// masterRouter is the optional stale-metadata fallback: resubmit the
-// routing decision through the master selector after a data site rejected
-// the transaction (*selector.Replica implements it; the master selector
-// itself needs no fallback — its metadata is authoritative).
-type masterRouter interface {
-	RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (selector.Route, error)
-}
-
-// masterRouterTraced is masterRouter under a sampled distributed trace.
-type masterRouterTraced interface {
-	RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (selector.Route, error)
-}
-
-// cachedWriteRouter is the optional zero-RPC optimistic write routing off
-// the gossiped placement cache (*selector.CachedRouter implements it). The
-// second result reports whether the cache could serve the route; false
-// falls back to the selector round trip.
-type cachedWriteRouter interface {
-	RouteWriteCached(client int, writeSet []storage.RowRef, cvv vclock.Vector) (selector.Route, bool)
-}
-
-// cachedReadRouter is the optional zero-RPC read routing off the gossiped
-// placement cache (*selector.CachedRouter implements it).
-type cachedReadRouter interface {
-	RouteReadCached(client int, cvv vclock.Vector, parts []uint64) (selector.Route, bool)
 }
 
 // trace assembles the transaction's lifecycle trace, records it in the
@@ -441,13 +391,6 @@ func (s *Session) ReadCtx(ctx context.Context, fn func(systems.Tx) error) error 
 	return s.ReadHintedCtx(ctx, nil, fn)
 }
 
-// partsRouter is the optional partition-aware read routing capability
-// (partial replication); *selector.Selector and *selector.Replica implement
-// it.
-type partsRouter interface {
-	RouteReadParts(client int, cvv vclock.Vector, parts []uint64) selector.Route
-}
-
 // readParts maps a read hint to its deduplicated partition set.
 func (s *Session) readParts(hint []storage.RowRef) []uint64 {
 	parts := make([]uint64, 0, len(hint))
@@ -502,16 +445,12 @@ func (s *Session) ReadHintedCtx(ctx context.Context, hint []storage.RowRef, fn f
 		// ErrNotHosted below, and the retry routes authoritatively.
 		var route selector.Route
 		cached := false
-		if cr, ok := s.router.(cachedReadRouter); ok && attempt == 0 {
-			route, cached = cr.RouteReadCached(s.id, s.cvv, parts)
+		if attempt == 0 {
+			route, cached = s.router.CachedRead(s.id, s.cvv, parts)
 		}
 		if !cached {
 			c.net.Send(transport.CatRoute, transport.MsgOverhead)
-			if pr, ok := s.router.(partsRouter); ok && len(parts) > 0 {
-				route = pr.RouteReadParts(s.id, s.cvv, parts)
-			} else {
-				route = s.router.RouteRead(s.id, s.cvv)
-			}
+			route = s.router.Read(s.id, s.cvv, parts)
 			c.net.Send(transport.CatRoute, transport.MsgOverhead)
 		}
 

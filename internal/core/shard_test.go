@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/selector"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
@@ -225,13 +226,32 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 	}
 }
 
-// TestStaleCacheWriteRecovers drives the optimistic-write fallback: the
-// cache's owner entry goes stale (an epoch-0 seed behind a higher cached
-// epoch — the monotonic ingest rightly refuses the rollback), the routed
-// write bounces off the former master with ErrNotMaster, and the session's
-// resubmit routes authoritatively and commits exactly once.
+// TestStaleCacheWriteRecovers drives the optimistic-write fallback on every
+// control-plane topology that has a placement cache.
 func TestStaleCacheWriteRecovers(t *testing.T) {
-	c := newShardedCluster(t, 2, 4, nil)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		mutate func(*Config)
+	}{
+		{"1shard+1replica", 1, func(cfg *Config) { cfg.SelectorReplicas = 1 }},
+		{"1shard+HA", 1, func(cfg *Config) { cfg.SelectorLease = time.Second }},
+		{"4shards", 4, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			staleCacheWriteRecovers(t, newShardedCluster(t, 2, tc.shards, tc.mutate))
+		})
+	}
+}
+
+// staleCacheWriteRecovers makes the cache's owner entry for partition 0 go
+// stale (an epoch-0 seed behind a higher cached epoch — the monotonic ingest
+// rightly refuses the rollback), then checks that the routed write bounces
+// off the former master with ErrNotMaster, the session's resubmit routes
+// authoritatively and commits exactly once, and the resubmit's answer is
+// learned: the cache points at the new master afterwards.
+func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
+	t.Helper()
 	g, cache := c.Group(), c.Group().Cache()
 	sess := c.Session(3)
 
@@ -280,6 +300,9 @@ func TestStaleCacheWriteRecovers(t *testing.T) {
 	if got := g.MasterOf(0); got != other {
 		t.Fatalf("selector did not follow the seed: master %d, want %d", got, other)
 	}
+	if r, ok := probeCachedWrite(c, 3, ref(2)); !ok || r.Site != dest {
+		t.Fatalf("cache route = %+v/%v, want the stale site %d", r, ok, dest)
+	}
 
 	before := c.Stats().Commits
 	staleBefore := cache.StaleWrites()
@@ -299,6 +322,10 @@ func TestStaleCacheWriteRecovers(t *testing.T) {
 	if cache.StaleWrites() == staleBefore {
 		t.Fatal("recovery did not go through the stale-cache resubmit path")
 	}
+	// The resubmit's authoritative answer replaced the stale entry.
+	if r, ok := probeCachedWrite(c, 3, ref(2)); !ok || r.Site != other {
+		t.Fatalf("cache route after the resubmit = %+v/%v, want the new master %d", r, ok, other)
+	}
 	if err := sess.Read(func(tx systems.Tx) error {
 		v, _ := tx.Read(ref(2))
 		if len(v) != 1 || v[0] != 3 {
@@ -310,14 +337,116 @@ func TestStaleCacheWriteRecovers(t *testing.T) {
 	}
 }
 
-// probeCachedWrite asks the session's router what the cache would answer for
-// a write, without committing anything.
+// probeCachedWrite asks the session front what the cache would answer for a
+// write, without committing anything.
 func probeCachedWrite(c *Cluster, client int, key storage.RowRef) (selector.Route, bool) {
-	cr, ok := c.Group().RouterFor(client).(*selector.CachedRouter)
-	if !ok {
-		return selector.Route{}, false
+	return c.Group().RouterFor(client).CachedWrite(client, []storage.RowRef{key})
+}
+
+// TestShardedRemasterCollidingEpochs is the regression test for remaster
+// chains of different router shards that carry the same epoch number (each
+// shard allocates its own): a site must not answer the second chain with the
+// first one's memoized result, which left it neither taking nor giving up
+// ownership and the update retrying until it failed.
+func TestShardedRemasterCollidingEpochs(t *testing.T) {
+	write := func(sess *Session, parts ...uint64) error {
+		ws := make([]storage.RowRef, len(parts))
+		for i, p := range parts {
+			ws[i] = ref(p * 100)
+		}
+		return sess.Update(ws, func(tx systems.Tx) error {
+			for _, r := range ws {
+				if err := tx.Write(r, []byte{1}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
-	return cr.RouteWriteCached(client, []storage.RowRef{key}, nil)
+	t.Run("two-chains", func(t *testing.T) {
+		c := newShardedCluster(t, 3, 4, nil)
+		sess := c.Session(1)
+		for _, parts := range [][]uint64{{0, 3}, {1, 4}} {
+			if err := write(sess, parts...); err != nil {
+				t.Fatalf("update of partitions %v: %v", parts, err)
+			}
+		}
+	})
+	t.Run("same-shard-pairs", func(t *testing.T) {
+		c := newShardedCluster(t, 2, 4, nil)
+		g := c.Group()
+		buckets := make([][]uint64, g.Shards())
+		for p := uint64(0); p < 64; p++ {
+			buckets[g.ShardOf(p)] = append(buckets[g.ShardOf(p)], p)
+		}
+		rng := rand.New(rand.NewSource(1))
+		sess := c.Session(1)
+		for i := 0; i < 200; i++ {
+			b := buckets[rng.Intn(len(buckets))]
+			if len(b) < 2 {
+				continue
+			}
+			x := rng.Intn(len(b))
+			y := (x + 1 + rng.Intn(len(b)-1)) % len(b)
+			if err := write(sess, b[x], b[y]); err != nil {
+				t.Fatalf("update %d of partitions {%d, %d}: %v", i, b[x], b[y], err)
+			}
+		}
+	})
+}
+
+// TestShardedClusterRegistersRouteMetrics checks that a sharded control
+// plane publishes the unlabeled routing and remaster series README documents
+// (summed over shards), not only the shard-labeled ones.
+func TestShardedClusterRegistersRouteMetrics(t *testing.T) {
+	c := newShardedCluster(t, 3, 4, nil)
+	g := c.Group()
+	// Partitions of one shard, so the remasters do not depend on how chains
+	// of different shards interact.
+	var parts []uint64
+	for p := uint64(0); len(parts) < 4; p++ {
+		if g.ShardOf(p) == g.ShardOf(0) {
+			parts = append(parts, p)
+		}
+	}
+	sess := c.Session(1)
+	for i := 0; i < 20; i++ {
+		a, b := ref(parts[i%4]*100), ref(parts[(i+1)%4]*100)
+		if err := sess.Update([]storage.RowRef{a, b}, func(tx systems.Tx) error {
+			if err := tx.Write(a, []byte{1}); err != nil {
+				return err
+			}
+			return tx.Write(b, []byte{1})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Read(func(tx systems.Tx) error { _, _ = tx.Read(a); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := c.Obs().Snapshot()
+	m := g.Metrics()
+	if m.RemasterTxns == 0 {
+		t.Fatal("workload never remastered")
+	}
+	for _, want := range []struct {
+		name   string
+		labels []obs.Label
+		value  uint64
+	}{
+		{"dynamast_route_total", []obs.Label{obs.L("type", "write")}, m.WriteTxns},
+		{"dynamast_route_total", []obs.Label{obs.L("type", "read")}, m.ReadTxns},
+		{"dynamast_remaster_total", nil, m.RemasterTxns},
+		{"dynamast_remaster_partitions_total", nil, m.PartsMoved},
+	} {
+		got, ok := snap.Value(want.name, want.labels...)
+		if !ok {
+			t.Fatalf("%s%v not registered at 4 shards", want.name, want.labels)
+		}
+		if got != float64(want.value) {
+			t.Fatalf("%s%v = %v, Group.Metrics says %d", want.name, want.labels, got, want.value)
+		}
+	}
 }
 
 // TestChaosShardLeaderKill is the sharded control plane's chaos run: the

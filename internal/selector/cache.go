@@ -14,37 +14,126 @@ import (
 // the upper bound on how stale a cache entry the delta feed missed can stay.
 const DefaultGossipInterval = 20 * time.Millisecond
 
-// PlacementCache is the gossiped read-only placement view of a sharded
-// selector group: mastership (and, under partial replication, replica-set)
-// snapshots versioned by install epoch. Two feeds keep it fresh:
-//
-//   - every shard's existing leader->standby mastership delta feed is
-//     piggybacked into ingest (same deltas, one more consumer), so
-//     remaster decisions reach the cache with no extra machinery;
-//   - a periodic anti-entropy pull copies each shard leader's placement
-//     snapshot, catching entries the delta feed cannot carry (first-sight
-//     placements that never remastered, replica-set changes, promotions'
-//     reconciled maps). GossipInterval bounds the staleness window.
-//
-// Sessions route reads off the cache — and optimistically route writes —
-// with zero router RPCs. Staleness is safe by construction: a read routed
-// to a site that no longer hosts the partition bounces with ErrNotHosted,
-// and a write routed to a former master bounces with ErrNotMaster or loses
-// its fence race with ErrStaleEpoch; the session's existing resubmit path
-// then routes authoritatively through the owning router shard, which
-// refreshes this cache via its delta feed.
-type PlacementCache struct {
-	g        *Group
-	interval time.Duration
-
+// placementMap is an epoch-versioned partition -> master map: the one type
+// behind both the front's placement cache and every HA standby's mirror.
+// Installs are epoch-monotonic per partition (install), so feed deliveries,
+// gossip pulls and promotion re-seeds commute, and a straggler below the
+// installed epoch never rolls an entry back.
+type placementMap struct {
 	mu    sync.RWMutex
 	owner map[uint64]int
 	epoch map[uint64]uint64
-	sets  map[uint64][]int // replica sets; nil under full replication
+}
+
+// install applies the epoch-monotonic rule to one partition. Caller holds
+// m.mu exclusively.
+func (m *placementMap) install(p uint64, site int, epoch uint64) {
+	if m.owner == nil {
+		m.owner = make(map[uint64]int)
+		m.epoch = make(map[uint64]uint64)
+	}
+	if epoch >= m.epoch[p] {
+		m.owner[p] = site
+		m.epoch[p] = epoch
+	}
+}
+
+// ingest applies one mastership delta from a shard leader's feed.
+func (m *placementMap) ingest(parts []uint64, site int, epoch uint64) {
+	m.mu.Lock()
+	for _, p := range parts {
+		m.install(p, site, epoch)
+	}
+	m.mu.Unlock()
+}
+
+// seed merges a full placement snapshot (owner and install epoch per
+// partition), keeping only the partitions keep accepts (nil keeps all).
+func (m *placementMap) seed(owner map[uint64]int, epochs map[uint64]uint64, keep func(uint64) bool) {
+	m.mu.Lock()
+	for p, site := range owner {
+		if keep == nil || keep(p) {
+			m.install(p, site, epochs[p])
+		}
+	}
+	m.mu.Unlock()
+}
+
+// learn installs an authoritative routing answer regardless of epoch: the
+// router just decided parts are mastered at site, so an entry whose cached
+// epoch is higher than the truth's (a move the feed never reported) stops
+// bouncing writes. The install epochs are untouched; the next delta or
+// gossip pull at that epoch or above overrides the answer as usual.
+func (m *placementMap) learn(parts []uint64, site int) {
+	m.mu.Lock()
+	for _, p := range parts {
+		m.install(p, site, m.epoch[p])
+	}
+	m.mu.Unlock()
+}
+
+// single returns the master of every partition if all are mapped to the
+// same site.
+func (m *placementMap) single(parts []uint64) (int, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	site, ok := m.owner[parts[0]]
+	if !ok {
+		return 0, false
+	}
+	for _, p := range parts[1:] {
+		if s, ok := m.owner[p]; !ok || s != site {
+			return 0, false
+		}
+	}
+	return site, true
+}
+
+// Mirror copies the map: owner and install epoch per partition.
+func (m *placementMap) Mirror() (map[uint64]int, map[uint64]uint64) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	owner := make(map[uint64]int, len(m.owner))
+	epochs := make(map[uint64]uint64, len(m.owner))
+	for p, site := range m.owner {
+		owner[p] = site
+		epochs[p] = m.epoch[p]
+	}
+	return owner, epochs
+}
+
+// Size returns the number of mapped partitions.
+func (m *placementMap) Size() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.owner)
+}
+
+// PlacementCache is the front's gossiped read-only placement view:
+// mastership (and, under partial replication, replica-set) snapshots
+// versioned by install epoch. Three sources keep it fresh:
+//
+//   - every shard leader's mastership delta feed (the same deltas the HA
+//     standbys mirror, one more consumer) reaches ingest synchronously;
+//   - a periodic anti-entropy pull copies each shard leader's placement
+//     snapshot, catching what the feed cannot carry (replica-set changes,
+//     promotions' reconciled maps). GossipInterval bounds that window;
+//   - an authoritative resubmit learns its answer (see Front.Resubmit).
+//
+// Staleness is safe by construction: a read routed to a site that no longer
+// hosts the partition bounces with ErrNotHosted, and a write routed to a
+// former master bounces with ErrNotMaster or loses its fence race with
+// ErrStaleEpoch; the session then resubmits through the front.
+type PlacementCache struct {
+	placementMap
+	g        *Group
+	interval time.Duration
+
+	sets map[uint64][]int // replica sets under mu; nil under full replication
 
 	readRoutes  atomic.Uint64 // reads served with zero router RPCs
 	writeRoutes atomic.Uint64 // writes served with zero router RPCs
-	staleWrites atomic.Uint64 // cached writes bounced and resubmitted
+	staleWrites atomic.Uint64 // writes resubmitted after a failed attempt
 	misses      atomic.Uint64 // routes that fell back to a router
 	gossipTicks atomic.Uint64
 
@@ -57,13 +146,7 @@ func newPlacementCache(g *Group, interval time.Duration, reg *obs.Registry) *Pla
 	if interval <= 0 {
 		interval = DefaultGossipInterval
 	}
-	c := &PlacementCache{
-		g:        g,
-		interval: interval,
-		owner:    make(map[uint64]int),
-		epoch:    make(map[uint64]uint64),
-		stop:     make(chan struct{}),
-	}
+	c := &PlacementCache{g: g, interval: interval, stop: make(chan struct{})}
 	c.instrument(reg)
 	return c
 }
@@ -91,149 +174,57 @@ func (c *PlacementCache) stopLoop() {
 	c.wg.Wait()
 }
 
-// ingest applies one mastership delta (piggybacked off a shard's delta
-// feed). Epoch-monotonic per partition: a straggler below the installed
-// epoch never rolls the cache back.
-func (c *PlacementCache) ingest(parts []uint64, site int, epoch uint64) {
-	c.mu.Lock()
-	for _, p := range parts {
-		if epoch >= c.epoch[p] {
-			c.owner[p] = site
-			c.epoch[p] = epoch
-		}
-	}
-	c.mu.Unlock()
-}
-
 // gossip pulls every shard leader's placement snapshot — the anti-entropy
-// pass bounding staleness for entries no delta carries.
+// pass bounding staleness for entries no delta carries. Each shard
+// contributes only its own range: another shard's epochs come from a
+// different allocator and must never out-arbitrate the owner's.
 func (c *PlacementCache) gossip() {
 	c.gossipTicks.Add(1)
 	for i := 0; i < c.g.n; i++ {
 		sel := c.g.Shard(i)
 		placement, epochs := sel.PlacementSnapshot()
+		c.seed(placement, epochs, func(p uint64) bool { return c.g.ShardOf(p) == i })
 		table := sel.PlacementTable()
-		c.mu.Lock()
-		for p, site := range placement {
-			if c.g.ShardOf(p) != i {
-				continue
-			}
-			if e := epochs[p]; e >= c.epoch[p] {
-				c.owner[p] = site
-				c.epoch[p] = e
-			}
+		if table == nil {
+			continue
 		}
-		if table != nil {
-			if c.sets == nil {
-				c.sets = make(map[uint64][]int, len(table))
-			}
-			for p, set := range table {
-				if c.g.ShardOf(p) == i {
-					c.sets[p] = set
-				}
+		c.mu.Lock()
+		if c.sets == nil {
+			c.sets = make(map[uint64][]int, len(table))
+		}
+		for p, set := range table {
+			if c.g.ShardOf(p) == i {
+				c.sets[p] = set
 			}
 		}
 		c.mu.Unlock()
 	}
 }
 
-// lookupOwner returns the cached master of every partition if all are
-// cached at the same site.
-func (c *PlacementCache) lookupOwner(parts []uint64) (int, bool) {
+// hosts intersects the cached replica sets of parts; ok is false when a
+// partition's set is not cached.
+func (c *PlacementCache) hosts(parts []uint64) ([]int, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	site, ok := c.owner[parts[0]]
-	if !ok {
-		return 0, false
-	}
-	for _, p := range parts[1:] {
-		m, ok := c.owner[p]
-		if !ok || m != site {
-			return 0, false
-		}
-	}
-	return site, true
-}
-
-// routeWriteCached serves a write route purely from the cache: all
-// partitions cached as mastered at one live site. The decision mirrors the
-// replica tier's local-decision model — counted as a write transaction and
-// fed back into the owning shards' statistics — without any router RPC. A
-// multi-site or uncached set returns false; the caller falls back to the
-// routers (an optimistic wrong answer is recovered by the data site's
-// ErrNotMaster/ErrStaleEpoch bounce and the session's resubmit).
-func (c *PlacementCache) routeWriteCached(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, bool) {
-	s0 := c.g.Shard(0)
-	parts := s0.writeParts(writeSet)
-	if len(parts) == 0 {
-		return Route{Site: 0}, true
-	}
-	site, ok := c.lookupOwner(parts)
-	if !ok || s0.SiteDown(site) {
-		c.misses.Add(1)
-		return Route{}, false
-	}
-	c.writeRoutes.Add(1)
-	// Stats feedback: finishWrite dispatches through the shard hooks, so
-	// the sample lands on every owning shard's stripes.
-	c.g.ShardFor(parts[0]).finishWrite(client, parts, site, time.Now())
-	return Route{Site: site}, true
-}
-
-// routeReadCached serves a partition-hinted read from the cached replica
-// sets (or, under full replication, from the full site set): a fresh-enough
-// host is picked with the selector's read policy, with zero router RPCs.
-func (c *PlacementCache) routeReadCached(client int, cvv vclock.Vector, parts []uint64) (Route, bool) {
-	s0 := c.g.Shard(0)
-	if len(parts) == 0 {
-		c.readRoutes.Add(1)
-		return s0.RouteRead(client, cvv), true
-	}
 	var hosts []int
-	if s0.placement == nil {
-		// Full replication: every site hosts everything.
-		hosts = make([]int, len(s0.sites))
-		for i := range hosts {
-			hosts[i] = i
+	for i, p := range parts {
+		set, ok := c.sets[p]
+		if !ok {
+			return nil, false
 		}
-	} else {
-		c.mu.RLock()
-		for i, p := range parts {
-			set, ok := c.sets[p]
-			if !ok {
-				c.mu.RUnlock()
-				c.misses.Add(1)
-				return Route{}, false
-			}
-			if i == 0 {
-				hosts = append(hosts, set...)
-				continue
-			}
-			kept := hosts[:0]
-			for _, m := range hosts {
-				for _, n := range set {
-					if n == m {
-						kept = append(kept, m)
-						break
-					}
-				}
-			}
-			hosts = kept
+		if i == 0 {
+			hosts = append(hosts, set...)
+			continue
 		}
-		c.mu.RUnlock()
-		if len(hosts) == 0 {
-			c.misses.Add(1)
-			return Route{}, false
+		kept := hosts[:0]
+		for _, m := range hosts {
+			if containsSite(set, m) {
+				kept = append(kept, m)
+			}
 		}
+		hosts = kept
 	}
-	// Feed read statistics to the owning shards (the paper's replicas
-	// report samples back asynchronously; the cache does the same).
-	for si, sub := range c.g.partsByShard(parts) {
-		c.g.Shard(si).stats.RecordRead(client, sub)
-	}
-	c.readRoutes.Add(1)
-	s0.readTxns.Add(1)
-	return pickFreshHost(s0, hosts, cvv, c.g.ShardFor(parts[0]), parts[0]), true
+	return hosts, true
 }
 
 // ReadRoutes returns how many reads the cache served without a router RPC.
@@ -242,19 +233,13 @@ func (c *PlacementCache) ReadRoutes() uint64 { return c.readRoutes.Load() }
 // WriteRoutes returns how many writes the cache served without a router RPC.
 func (c *PlacementCache) WriteRoutes() uint64 { return c.writeRoutes.Load() }
 
-// StaleWrites returns how many cache-routed writes bounced at a data site
-// and were resubmitted through a router shard.
+// StaleWrites returns how many writes were resubmitted through the routers
+// after a failed attempt (a cached route bounced by a data site, or a
+// transient routing fault).
 func (c *PlacementCache) StaleWrites() uint64 { return c.staleWrites.Load() }
 
 // Misses returns how many route attempts fell back to the routers.
 func (c *PlacementCache) Misses() uint64 { return c.misses.Load() }
-
-// Size returns the number of cached mastership entries.
-func (c *PlacementCache) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.owner)
-}
 
 func (c *PlacementCache) instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -262,7 +247,7 @@ func (c *PlacementCache) instrument(reg *obs.Registry) {
 	}
 	reg.Help("dynamast_selector_cache_routes_total", "Session routes served purely from the gossiped placement cache.")
 	reg.Help("dynamast_selector_cache_misses_total", "Session routes that fell back to a router shard on a cache miss.")
-	reg.Help("dynamast_selector_cache_stale_writes_total", "Cache-routed writes bounced by a data site and resubmitted authoritatively.")
+	reg.Help("dynamast_selector_cache_stale_writes_total", "Writes resubmitted authoritatively after a failed attempt (stale cache bounce or transient fault).")
 	reg.Help("dynamast_selector_cache_entries", "Mastership entries in the gossiped placement cache.")
 	reg.Help("dynamast_selector_cache_gossip_total", "Anti-entropy gossip pulls refreshing the placement cache.")
 	reg.Func("dynamast_selector_cache_routes_total", obs.KindCounter, func() float64 {
@@ -288,64 +273,125 @@ func (c *PlacementCache) instrument(reg *obs.Registry) {
 	})
 }
 
-// CachedRouter is the session-facing router of a sharded group with the
-// placement cache enabled: reads and single-site writes come straight from
-// the cache (no router involvement), everything else dispatches into the
-// group, and stale-metadata resubmits count against the cache before
-// routing authoritatively.
-type CachedRouter struct {
+// Router is the routing interface the harness pins: *Front implements it
+// for sessions, and a bare *Selector satisfies it too.
+type Router interface {
+	RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error)
+	RouteRead(client int, cvv vclock.Vector) Route
+}
+
+// Front is the one session-facing router (the distributed site selector of
+// Appendix I), the same for every control-plane topology. With a placement
+// cache it routes reads and single-sited writes from the cache with zero
+// router RPCs and sends everything else to the owning router shards; a
+// write the cache routed to a stale master bounces at the data site, and
+// the session resubmits through Resubmit, which learns the authoritative
+// answer. The cache exists whenever the control plane has more than one
+// node (standbys, or several shards). On a one-node control plane c is nil
+// and every call goes straight to the shard's selector.
+type Front struct {
 	g *Group
 	c *PlacementCache
 }
 
-// RouteWriteCached serves a write purely from the cache when its write set
-// is cached single-sited; ok=false means the caller must route through the
-// group (the session then pays the selector round trip).
-func (r *CachedRouter) RouteWriteCached(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, bool) {
-	return r.c.routeWriteCached(client, writeSet, cvv)
+// CachedWrite serves a write purely from the cache when every partition of
+// its write set is cached as mastered at one live site; the decision is fed
+// back into the owning shards' statistics like any routed write. ok=false
+// (a miss, or no cache) means the caller must route through Write.
+func (f *Front) CachedWrite(client int, writeSet []storage.RowRef) (Route, bool) {
+	c := f.c
+	if c == nil {
+		return Route{}, false
+	}
+	s0 := f.g.Shard(0)
+	parts := s0.writeParts(writeSet)
+	if len(parts) == 0 {
+		return Route{Site: 0}, true
+	}
+	site, ok := c.single(parts)
+	if !ok || s0.SiteDown(site) {
+		c.misses.Add(1)
+		return Route{}, false
+	}
+	c.writeRoutes.Add(1)
+	f.g.ShardFor(parts[0]).finishWrite(client, parts, site, time.Now())
+	return Route{Site: site}, true
 }
 
-// RouteReadCached serves a partition-hinted read purely from the cached
-// replica sets; ok=false falls back to the group's routers.
-func (r *CachedRouter) RouteReadCached(client int, cvv vclock.Vector, parts []uint64) (Route, bool) {
-	return r.c.routeReadCached(client, cvv, parts)
+// Write routes a write authoritatively through the owning router shards,
+// remastering if its partitions are mastered at different sites. A sampled
+// sc makes every remaster chain record its release and grant spans as
+// children of sc.Span.
+func (f *Front) Write(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
+	return f.g.routeWrite(client, writeSet, cvv, sc)
 }
 
-// RouteWrite implements Router authoritatively. The session tries
-// RouteWriteCached first and only lands here on a miss, so this does not
-// re-consult the cache (a second consult would double-count misses).
-func (r *CachedRouter) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return r.g.RouteWrite(client, writeSet, cvv)
+// Resubmit is Write for an attempt after a failed one — typically a data
+// site bounced a stale cached route with ErrNotMaster or ErrStaleEpoch. With
+// a cache the resubmit is counted and its answer learned, so a cached entry
+// the feed cannot correct stops bouncing later writes.
+func (f *Front) Resubmit(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
+	if f.c == nil {
+		return f.g.routeWrite(client, writeSet, cvv, sc)
+	}
+	f.c.staleWrites.Add(1)
+	route, err := f.g.routeWrite(client, writeSet, cvv, sc)
+	if err == nil {
+		f.c.learn(f.g.Shard(0).writeParts(writeSet), route.Site)
+	}
+	return route, err
 }
 
-// RouteWriteTraced is RouteWrite under a sampled trace.
-func (r *CachedRouter) RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return r.g.RouteWriteTraced(client, writeSet, cvv, sc)
+// RouteWrite implements Router: Write without a trace.
+func (f *Front) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
+	return f.g.routeWrite(client, writeSet, cvv, obs.SpanContext{})
 }
 
-// RouteToMaster is the stale-metadata resubmit: the optimistic cache route
-// bounced (ErrNotMaster / ErrStaleEpoch at the data site), so route
-// authoritatively through the owning router shards.
-func (r *CachedRouter) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	r.c.staleWrites.Add(1)
-	return r.g.RouteToMaster(client, writeSet, cvv)
+// CachedRead serves a read from the cache: without a partition hint (or
+// under full replication) any fresh-enough site will do, and with one the
+// pick is among the cached replica sets' common hosts. ok=false (no cache,
+// or a hinted partition whose replica set is not cached) means the caller
+// must route through Read.
+func (f *Front) CachedRead(client int, cvv vclock.Vector, parts []uint64) (Route, bool) {
+	c := f.c
+	if c == nil {
+		return Route{}, false
+	}
+	s0 := f.g.Shard(0)
+	if len(parts) == 0 {
+		c.readRoutes.Add(1)
+		return s0.RouteRead(client, cvv), true
+	}
+	var hosts []int
+	if s0.placement == nil {
+		hosts = make([]int, len(s0.sites))
+		for i := range hosts {
+			hosts[i] = i
+		}
+	} else if h, ok := c.hosts(parts); ok && len(h) > 0 {
+		hosts = h
+	} else {
+		c.misses.Add(1)
+		return Route{}, false
+	}
+	// Feed read statistics to the owning shards (the paper's replicas
+	// report samples back asynchronously; the cache does the same).
+	for si, sub := range f.g.partsByShard(parts) {
+		f.g.Shard(si).stats.RecordRead(client, sub)
+	}
+	c.readRoutes.Add(1)
+	s0.readTxns.Add(1)
+	return pickFreshHost(s0, hosts, cvv, f.g.ShardFor(parts[0]), parts[0]), true
 }
 
-// RouteToMasterTraced is RouteToMaster under a sampled trace.
-func (r *CachedRouter) RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	r.c.staleWrites.Add(1)
-	return r.g.RouteToMasterTraced(client, writeSet, cvv, sc)
+// Read routes a read authoritatively: to a fresh site hosting every hinted
+// partition (partial replication), or to any fresh site.
+func (f *Front) Read(client int, cvv vclock.Vector, parts []uint64) Route {
+	return f.g.routeReadParts(client, cvv, parts)
 }
 
-// RouteRead implements Router: version-vector reads need no placement, so
-// they are always cache-grade (zero router RPCs by nature).
-func (r *CachedRouter) RouteRead(client int, cvv vclock.Vector) Route {
-	r.c.readRoutes.Add(1)
-	return r.g.RouteRead(client, cvv)
-}
-
-// RouteReadParts routes a partition-hinted read authoritatively through the
-// group (the session tries RouteReadCached first).
-func (r *CachedRouter) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
-	return r.g.RouteReadParts(client, cvv, parts)
+// RouteRead implements Router: reads consult only site version vectors,
+// which every shard sees identically, so shard 0 decides.
+func (f *Front) RouteRead(client int, cvv vclock.Vector) Route {
+	return f.g.Shard(0).RouteRead(client, cvv)
 }

@@ -36,12 +36,13 @@ import (
 //     write OR of the client's previous write, so both sides of every
 //     cross-shard pair record it and neither placement controller sees a
 //     one-sided affinity signal.
-//   - Sessions route reads (and optimistically route writes) off a gossiped
-//     read-only placement cache (cache.go) without touching any router.
+//   - Sessions route through the Front (cache.go), which serves reads and
+//     single-sited writes off a gossiped read-only placement cache without
+//     touching any router.
 //
-// With one shard the Group is pure pass-through: RouterFor delegates to the
-// single Replicated tier, no hooks are installed, and the wire behavior is
-// byte-for-byte the single-leader selector.
+// With one shard no hooks are installed and routing goes straight to the
+// shard's selector; with one shard and no standbys there is no cache
+// either, and the wire behavior is byte-for-byte the single-leader selector.
 
 // MaxRouterShards bounds the shard count (recent-owner sets are uint64
 // bitmasks).
@@ -74,14 +75,9 @@ type GroupConfig struct {
 	// Shards are the per-shard Replicated tiers, indexed by shard.
 	Shards []*Replicated
 	// GossipInterval is the placement cache's anti-entropy pull period
-	// (bounds cache staleness; 0 = DefaultGossipInterval). Cache only.
+	// (bounds cache staleness; 0 = DefaultGossipInterval).
 	GossipInterval time.Duration
-	// Cache enables the gossiped placement cache: sessions route reads —
-	// and optimistically route writes — off the cache with zero router
-	// RPCs, falling back to the routers on a miss or an ErrNotMaster/
-	// ErrStaleEpoch resubmit.
-	Cache bool
-	// Obs receives the dynamast_selector_shard_* metrics.
+	// Obs receives the dynamast_selector_shard_* and cache metrics.
 	Obs *obs.Registry
 }
 
@@ -92,6 +88,7 @@ type Group struct {
 	repls []*Replicated
 	n     int
 	cache *PlacementCache
+	front *Front
 
 	// recent is the inter-shard co-access hint channel: per client, the
 	// owner-shard set of the last routed write.
@@ -105,6 +102,8 @@ type Group struct {
 // tiers. The shard selectors must have been built with GroupHooks(i, n,
 // get) so their scoring and stats flow through the group; get's late-bound
 // reference must resolve to the returned group before any traffic routes.
+// The front gets a placement cache whenever the control plane has more than
+// one node: several shards, or standbys behind each leader.
 func NewGroup(cfg GroupConfig) (*Group, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("selector: group requires at least one shard")
@@ -116,11 +115,12 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	for i := range g.recent {
 		g.recent[i].m = make(map[int]recentOwners)
 	}
-	if cfg.Cache && g.n > 1 {
+	if g.n > 1 || len(cfg.Shards[0].replicas) > 0 {
 		g.cache = newPlacementCache(g, cfg.GossipInterval, cfg.Obs)
 		g.wireCacheFeed()
 		g.cache.start()
 	}
+	g.front = &Front{g: g, c: g.cache}
 	g.instrument(cfg.Obs)
 	return g, nil
 }
@@ -154,7 +154,6 @@ func GroupHooks(i, n int, get func() *Group) ShardHooks {
 // Shards without HA get the sink wired as the selector's feed directly.
 func (g *Group) wireCacheFeed() {
 	for _, repl := range g.repls {
-		repl := repl
 		repl.setFeedSink(g.cache.ingest)
 		if repl.ha == nil {
 			repl.Master.SetDeltaFeed(repl.deliverDelta)
@@ -177,8 +176,8 @@ func (g *Group) ShardOf(part uint64) int { return RouterShardOf(part, g.n) }
 // ShardFor returns the leader selector of the shard owning a partition.
 func (g *Group) ShardFor(part uint64) *Selector { return g.repls[g.ShardOf(part)].Leader() }
 
-// Cache returns the gossiped placement cache (nil when disabled or
-// single-shard).
+// Cache returns the front's gossiped placement cache (nil on a one-node
+// control plane).
 func (g *Group) Cache() *PlacementCache { return g.cache }
 
 // CrossShardWrites returns how many write routes spanned multiple shards.
@@ -195,19 +194,9 @@ func (g *Group) Stop() {
 	}
 }
 
-// RouterFor assigns a client its router. Single-shard groups delegate to
-// the shard's own replica tier — the pre-sharding path, untouched. Sharded
-// groups hand out the cache-backed router (or the group itself when the
-// cache is off); the per-shard replicas then serve purely as HA standbys.
-func (g *Group) RouterFor(client int) Router {
-	if g.n == 1 {
-		return g.repls[0].RouterFor(client)
-	}
-	if g.cache != nil {
-		return &CachedRouter{g: g, c: g.cache}
-	}
-	return g
-}
+// RouterFor returns a client's router: the group's one Front, shared by
+// every client (each call carries its client id).
+func (g *Group) RouterFor(client int) *Front { return g.front }
 
 // hintOf resolves a partition's master hint read-only across the group:
 // the owning shard's lock-free hint if the partition exists, its initial
@@ -273,31 +262,16 @@ func (g *Group) dispatchRecord(client int, parts []uint64, now time.Time) {
 
 // --- Routing ---
 
-// RouteWrite implements Router: single-shard write sets delegate wholesale
-// to the owning shard's routing loop; cross-shard sets run the group
-// decision (global lock order, one destination, per-shard remaster chains).
-func (g *Group) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// RouteWriteTraced is RouteWrite under a sampled distributed trace.
-func (g *Group) RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, sc)
-}
-
-// RouteToMaster is the authoritative resubmit path (stale metadata bounced
-// at a data site): the group IS the master tier, so route authoritatively.
-func (g *Group) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// RouteToMasterTraced is RouteToMaster under a sampled trace.
-func (g *Group) RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return g.routeWrite(client, writeSet, cvv, sc)
-}
-
+// routeWrite routes a write authoritatively: a one-shard group hands it
+// straight to the shard's selector, single-shard write sets delegate
+// wholesale to the owning shard's routing loop, and cross-shard sets run the
+// group decision (global lock order, one destination, per-shard remaster
+// chains).
 func (g *Group) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
 	s0 := g.Shard(0)
+	if g.n == 1 {
+		return s0.routeWrite(client, writeSet, cvv, sc)
+	}
 	parts := s0.writeParts(writeSet)
 	if len(parts) == 0 {
 		return s0.routeWrite(client, writeSet, cvv, sc)
@@ -488,16 +462,10 @@ func (g *Group) finishCross(client int, parts []uint64, sels []*Selector, site i
 	}
 }
 
-// RouteRead implements Router: reads consult only site version vectors,
-// which every shard sees identically, so shard 0 decides (and counts).
-func (g *Group) RouteRead(client int, cvv vclock.Vector) Route {
-	return g.Shard(0).RouteRead(client, cvv)
-}
-
-// RouteReadParts routes a partition-hinted read (partial replication):
+// routeReadParts routes a read, partition-hinted under partial replication:
 // single-shard hints delegate; cross-shard hints intersect the owning
 // shards' replica sets and apply the same freshness pick.
-func (g *Group) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
+func (g *Group) routeReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
 	s0 := g.Shard(0)
 	if g.n == 1 || len(parts) == 0 || s0.placement == nil {
 		return s0.RouteReadParts(client, cvv, parts)
@@ -771,18 +739,6 @@ func (g *Group) PlacementInfo() PlacementInfo {
 	return info
 }
 
-// LearnAll refreshes every shard's replica caches for the given partitions
-// (failover uses it; each partition goes to its owning shard's tier).
-func (g *Group) LearnAll(parts []uint64, site int) {
-	if g.n == 1 {
-		g.repls[0].LearnAll(parts, site)
-		return
-	}
-	for si, sub := range g.partsByShard(parts) {
-		g.repls[si].LearnAll(sub, site)
-	}
-}
-
 // Weights returns the strategy hyperparameters (uniform across shards).
 func (g *Group) Weights() Weights { return g.Shard(0).Weights() }
 
@@ -828,11 +784,27 @@ func (g *Group) Metrics() Metrics {
 
 // instrument registers the per-shard and group metrics. Shard selectors are
 // built without a registry (their unlabeled series would collide), so the
-// group publishes shard-labeled collectors over their counters instead.
+// group publishes shard-labeled collectors over their counters instead, plus
+// the unlabeled routing and remaster series as sums over shards.
 func (g *Group) instrument(reg *obs.Registry) {
 	if reg == nil || g.n == 1 {
 		return
 	}
+	reg.Help("dynamast_route_total", "Routing decisions by transaction type.")
+	reg.Help("dynamast_remaster_total", "Write transactions that required mastership transfer.")
+	reg.Help("dynamast_remaster_partitions_total", "Partitions whose mastership was transferred.")
+	reg.Func("dynamast_remaster_total", obs.KindCounter, func() float64 {
+		return float64(g.Metrics().RemasterTxns)
+	})
+	reg.Func("dynamast_remaster_partitions_total", obs.KindCounter, func() float64 {
+		return float64(g.Metrics().PartsMoved)
+	})
+	reg.Func("dynamast_route_total", obs.KindCounter, func() float64 {
+		return float64(g.Metrics().WriteTxns)
+	}, obs.L("type", "write"))
+	reg.Func("dynamast_route_total", obs.KindCounter, func() float64 {
+		return float64(g.Metrics().ReadTxns)
+	}, obs.L("type", "read"))
 	reg.Help("dynamast_selector_shards", "Router shards in the selector control plane.")
 	reg.Help("dynamast_selector_shard_routes_total", "Routing decisions handled per router shard (writes + reads).")
 	reg.Help("dynamast_selector_shard_write_routes_total", "Write routing decisions handled per router shard.")

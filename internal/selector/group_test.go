@@ -11,15 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/wal"
 )
 
 // newShardedGroup builds m replicating data sites fronted by an n-shard
-// router group (no HA, no replicas — the sharding machinery itself). Every
-// partition starts mastered at site 0, as in newCluster.
-func newShardedGroup(t *testing.T, m, shards int, cache bool, stats StatsConfig) (*Group, []*sitemgr.Site) {
+// router group with the given standbys per shard (no HA). Every partition
+// starts mastered at site 0, as in newCluster.
+func newShardedGroup(t *testing.T, m, shards, standbys int, stats StatsConfig) (*Group, []*sitemgr.Site) {
 	t.Helper()
 	b := wal.NewBroker(m)
 	sites := make([]*sitemgr.Site, m)
@@ -55,10 +56,10 @@ func newShardedGroup(t *testing.T, m, shards int, cache bool, stats StatsConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		repls[i] = NewReplicated(sel, 0, nil)
+		repls[i] = NewReplicated(sel, standbys, nil)
 	}
 	var err error
-	g, err = NewGroup(GroupConfig{Shards: repls, Cache: cache, GossipInterval: 2 * time.Millisecond})
+	g, err = NewGroup(GroupConfig{Shards: repls, GossipInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +114,20 @@ func TestRouterShardOfProperties(t *testing.T) {
 }
 
 func TestGroupSingleShardPassThrough(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 1, true, StatsConfig{HistorySize: 128})
+	g, _ := newShardedGroup(t, 2, 1, 0, StatsConfig{HistorySize: 128})
 	if g.Cache() != nil {
 		t.Fatal("single-shard group built a placement cache")
 	}
-	// The router is the shard's own selector — not the group, not a cache.
-	if _, ok := g.RouterFor(1).(*Selector); !ok {
-		t.Fatalf("single-shard RouterFor = %T, want the selector itself", g.RouterFor(1))
+	// The router is the group's front with no cache: every call goes
+	// straight to the shard's selector.
+	front := g.RouterFor(1)
+	if front.c != nil {
+		t.Fatal("one-node front carries a placement cache")
 	}
-	r, err := g.RouteWrite(1, []storage.RowRef{ref(1), ref(150)}, nil)
+	if _, ok := front.CachedWrite(1, []storage.RowRef{ref(1)}); ok {
+		t.Fatal("one-node front served a write without its selector")
+	}
+	r, err := front.RouteWrite(1, []storage.RowRef{ref(1), ref(150)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +140,7 @@ func TestGroupSingleShardPassThrough(t *testing.T) {
 }
 
 func TestGroupCrossShardWriteRemasters(t *testing.T) {
-	g, sites := newShardedGroup(t, 2, 2, false, StatsConfig{HistorySize: 128})
+	g, sites := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
 	buckets := shardBuckets(50, 2)
 	pa, pb := buckets[0][0], buckets[1][0]
 
@@ -150,7 +156,7 @@ func TestGroupCrossShardWriteRemasters(t *testing.T) {
 	g.ShardFor(pb).RegisterPartition(pb, 1)
 
 	ws := []storage.RowRef{ref(pa*100 + 1), ref(pb*100 + 1)}
-	r, err := g.RouteWrite(7, ws, nil)
+	r, err := g.RouterFor(7).RouteWrite(7, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +201,7 @@ func TestGroupCrossShardWriteRemasters(t *testing.T) {
 		}
 	}
 	// Re-routing the now co-located set takes the single-master fast path.
-	r2, err := g.RouteWrite(7, ws, nil)
+	r2, err := g.RouterFor(7).RouteWrite(7, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +219,7 @@ func TestGroupCrossShardWriteRemasters(t *testing.T) {
 // prev-owner delivery of dispatchRecord covers every tracker.
 func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 	cfg := StatsConfig{HistorySize: 4096, Stripes: 4, InterWindow: time.Hour}
-	g, _ := newShardedGroup(t, 2, 2, false, cfg)
+	g, _ := newShardedGroup(t, 2, 2, 0, cfg)
 	reference := NewStats(cfg)
 
 	buckets := shardBuckets(50, 2)
@@ -296,51 +302,57 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 }
 
 func TestPlacementCacheIngestMonotonic(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 2, true, StatsConfig{HistorySize: 128})
+	g, _ := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
 	c := g.Cache()
 	if c == nil {
-		t.Fatal("sharded group with Cache on built no cache")
+		t.Fatal("sharded group built no cache")
 	}
 	// Partition 77 exists nowhere, so gossip never touches it.
 	c.ingest([]uint64{77}, 1, 10)
-	if site, ok := c.lookupOwner([]uint64{77}); !ok || site != 1 {
+	if site, ok := c.single([]uint64{77}); !ok || site != 1 {
 		t.Fatalf("after ingest: owner = %d/%v, want 1", site, ok)
 	}
 	// A straggler below the installed epoch never rolls the cache back.
 	c.ingest([]uint64{77}, 0, 9)
-	if site, _ := c.lookupOwner([]uint64{77}); site != 1 {
+	if site, _ := c.single([]uint64{77}); site != 1 {
 		t.Fatalf("stale delta rolled the cache back to site %d", site)
 	}
 	// An equal-or-newer epoch wins.
 	c.ingest([]uint64{77}, 0, 11)
-	if site, _ := c.lookupOwner([]uint64{77}); site != 0 {
+	if site, _ := c.single([]uint64{77}); site != 0 {
 		t.Fatalf("newer delta did not install: owner %d, want 0", site)
+	}
+	// An authoritative answer overrides regardless of epoch, and the next
+	// delta at the installed epoch still wins over it.
+	c.learn([]uint64{77}, 1)
+	if site, _ := c.single([]uint64{77}); site != 1 {
+		t.Fatalf("learned answer not installed: owner %d, want 1", site)
+	}
+	c.ingest([]uint64{77}, 0, 11)
+	if site, _ := c.single([]uint64{77}); site != 0 {
+		t.Fatalf("delta at the installed epoch lost to a learned answer: owner %d", site)
 	}
 }
 
 func TestCachedRouterServesAndFallsBack(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 2, true, StatsConfig{HistorySize: 128})
-	cr, ok := g.RouterFor(3).(*CachedRouter)
-	if !ok {
-		t.Fatalf("cache-enabled RouterFor = %T, want *CachedRouter", g.RouterFor(3))
-	}
-	c := g.Cache()
+	g, _ := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
+	front, c := g.RouterFor(3), g.Cache()
 
 	// Nothing routed yet: the partitions do not exist on any shard, so the
 	// cache misses and the caller must fall back to the routers.
-	if _, ok := cr.RouteWriteCached(3, []storage.RowRef{ref(1)}, nil); ok {
+	if _, ok := front.CachedWrite(3, []storage.RowRef{ref(1)}); ok {
 		t.Fatal("cache served a write for a partition it never saw")
 	}
 	if c.Misses() == 0 {
 		t.Fatal("cache miss not counted")
 	}
 
-	// Materialize the partition through the group, then pull placement.
-	if _, err := g.RouteWrite(3, []storage.RowRef{ref(1)}, nil); err != nil {
+	// Materialize the partition through the routers, then pull placement.
+	if _, err := front.RouteWrite(3, []storage.RowRef{ref(1)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.gossip()
-	route, ok := cr.RouteWriteCached(3, []storage.RowRef{ref(1)}, nil)
+	route, ok := front.CachedWrite(3, []storage.RowRef{ref(1)})
 	if !ok || route.Site != 0 {
 		t.Fatalf("cached write route = %+v/%v, want site 0 hit", route, ok)
 	}
@@ -349,7 +361,7 @@ func TestCachedRouterServesAndFallsBack(t *testing.T) {
 	}
 
 	// Reads under full replication are always cache-grade.
-	if _, ok := cr.RouteReadCached(3, nil, []uint64{0}); !ok {
+	if _, ok := front.CachedRead(3, nil, []uint64{0}); !ok {
 		t.Fatal("full-replication read missed the cache")
 	}
 	if c.ReadRoutes() == 0 {
@@ -358,11 +370,11 @@ func TestCachedRouterServesAndFallsBack(t *testing.T) {
 
 	// The resubmit path counts against the cache and routes authoritatively.
 	before := c.StaleWrites()
-	if _, err := cr.RouteToMaster(3, []storage.RowRef{ref(1)}, nil); err != nil {
+	if _, err := front.Resubmit(3, []storage.RowRef{ref(1)}, nil, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.StaleWrites() != before+1 {
-		t.Fatal("RouteToMaster did not count a stale cache write")
+		t.Fatal("Resubmit did not count a stale cache write")
 	}
 }
 
@@ -404,8 +416,10 @@ func TestShardedRoutingThroughputScales(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer g.Stop()
+		front := g.RouterFor(0)
 		for p := uint64(0); p < parts; p++ {
-			if _, err := g.RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
+			if _, err := front.RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -434,7 +448,7 @@ func TestShardedRoutingThroughputScales(t *testing.T) {
 					ws[0] = storage.RowRef{Table: "t", Key: bucket[base] * 100}
 					ws[1] = storage.RowRef{Table: "t", Key: bucket[(base+1)%len(bucket)] * 100}
 					ws[2] = storage.RowRef{Table: "t", Key: bucket[(base+2)%len(bucket)] * 100}
-					if _, err := g.RouteWrite(client, ws, nil); err != nil {
+					if _, err := front.RouteWrite(client, ws, nil); err != nil {
 						t.Error(err)
 						total.Add(n)
 						return
@@ -486,8 +500,9 @@ func newBenchGroup(b *testing.B, m, shards int, parts uint64) *Group {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(g.Stop)
 	for p := uint64(0); p < parts; p++ {
-		if _, err := g.RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
+		if _, err := g.RouterFor(0).RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -519,7 +534,7 @@ func BenchmarkRouteWriteParallelSharded(b *testing.B) {
 					ws[0] = storage.RowRef{Table: "t", Key: bucket[base] * 100}
 					ws[1] = storage.RowRef{Table: "t", Key: bucket[(base+1)%len(bucket)] * 100}
 					ws[2] = storage.RowRef{Table: "t", Key: bucket[(base+2)%len(bucket)] * 100}
-					if _, err := g.RouteWrite(client, ws, nil); err != nil {
+					if _, err := g.RouterFor(client).RouteWrite(client, ws, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

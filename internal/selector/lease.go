@@ -18,8 +18,8 @@ import (
 //
 // The selector tier is DynaMast's availability-critical state: every update
 // transaction passes through it, and its partition map is the routing
-// truth. This file turns the replica tier (replica.go) into hot standbys
-// and puts leadership under a renewable lease with fencing tokens:
+// truth. This file makes the standby tier (replica.go) hot and puts
+// leadership under a renewable lease with fencing tokens:
 //
 //   - The lease lives in a LeaseStore, standing in for the small
 //     highly-available coordination service (etcd/ZooKeeper-style) such
@@ -49,8 +49,9 @@ import (
 // no deposed-leader operation can reach any site's log, so the fold in
 // step (3) is a complete account of site-level ownership. Routing
 // unavailability is bounded by the expiry-detection delay plus promotion
-// work — about 1.5x the lease TTL — during which writes fail fast with the
-// retryable ErrNoLeader and reads keep flowing off the replica tier.
+// work — about 1.5x the lease TTL — during which writes the front cannot
+// serve from its placement cache fail fast with the retryable ErrNoLeader,
+// and reads keep flowing.
 
 // ErrNoLeader is returned by write routing (and lease-validated epoch
 // allocation) while the selector tier has no active leader — during the
@@ -310,9 +311,9 @@ type HA struct {
 
 // EnableHA puts the selector tier under lease-based leadership: the master
 // becomes the initial leader (its epoch allocator moves into the lease
-// store), the replicas become hot standbys fed by the leader's delta
-// stream, and a background watcher renews the lease and promotes a standby
-// when it expires. Requires at least one replica to stand by.
+// store), the standbys' mirrors are fed by the leader's delta stream, and a
+// background watcher renews the lease and promotes a standby when it
+// expires. Requires at least one standby.
 func (r *Replicated) EnableHA(selCfg Config, cfg HAConfig) (*HA, error) {
 	if len(r.replicas) == 0 {
 		return nil, fmt.Errorf("selector: HA requires at least one replica standby")
@@ -348,7 +349,7 @@ func (r *Replicated) EnableHA(selCfg Config, cfg HAConfig) (*HA, error) {
 	r.Master.SetDeltaFeed(ha.broadcast)
 	placement, epochs := r.Master.PlacementSnapshot()
 	for _, rep := range r.replicas {
-		rep.seedMirror(placement, epochs)
+		rep.seed(placement, epochs, nil)
 	}
 	ha.instrument(cfg.Obs)
 	r.ha = ha
@@ -456,7 +457,8 @@ func (ha *HA) broadcast(parts []uint64, site int, epoch uint64) {
 	size := transport.MsgOverhead + transport.SizeOfPartitions(parts) + 16
 	for _, rep := range ha.repl.replicas {
 		ha.repl.net.Account(transport.CatLease, size)
-		rep.ingest(seq, parts, site, epoch)
+		rep.ingest(parts, site, epoch)
+		rep.feedSeq.Store(seq)
 	}
 	ha.repl.deliverDelta(parts, site, epoch)
 }
@@ -618,7 +620,7 @@ func (ha *HA) promote() {
 	ha.repl.leader.Store(newSel)
 	placement, eps := newSel.PlacementSnapshot()
 	for _, rep := range ha.repl.replicas {
-		rep.seedMirror(placement, eps)
+		rep.seed(placement, eps, nil)
 	}
 	ha.node.Store(int32(cand))
 	ha.token = token

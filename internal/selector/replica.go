@@ -1,55 +1,31 @@
 package selector
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"dynamast/internal/obs"
-	"dynamast/internal/storage"
 	"dynamast/internal/transport"
-	"dynamast/internal/vclock"
 )
 
-// Replica is a replica site-selector (Appendix I): a scalability tier in
-// front of the master selector. It holds a possibly stale copy of the
-// partition-location metadata; write transactions whose (cached) masters
-// are all at one site are routed directly — no master-selector involvement
-// — and only transactions that appear to need remastering are forwarded to
-// the master. Because remastering is rare, replicas stay fresh and absorb
-// nearly all routing load.
-//
-// Stale metadata is possible: a data site rejects transactions for
-// partitions it no longer masters (sitemgr.ErrNotMaster), and the client
-// resubmits through the master selector, which performs any remastering
-// and refreshes this replica's cache.
-//
-// Under the HA tier (lease.go) each replica doubles as a hot standby: the
-// leader's delta feed keeps the replica's mirror — owner plus the epoch
-// that installed it — continuously fresh, and a promotion reconciles that
-// mirror against the sites' WAL fold to become the new leader's map.
+// Replica is a selector standby: a mirror of its shard leader's
+// partition -> master map, install epoch included. Under the HA tier
+// (lease.go) the leader's delta feed keeps the mirror continuously fresh,
+// and a promotion reconciles it against the sites' WAL fold to become the
+// new leader's map. Standbys route nothing: sessions route through the
+// Front, whose placement cache consumes the same feed.
 type Replica struct {
-	master *Replicated
-	net    *transport.Network
-
-	mu    sync.RWMutex
-	cache map[uint64]int
-	// epochs mirrors the install epoch of each cached owner (fed by the
-	// HA delta stream; lazily cached lookups carry epoch 0, which never
-	// out-arbitrates a fold entry during promotion reconciliation).
-	epochs map[uint64]uint64
+	placementMap
 	// feedSeq is the last delta-feed sequence number ingested; the
 	// leader's sequence minus this is the standby's lag.
 	feedSeq atomic.Uint64
-
-	// resubmits counts stale-metadata fallbacks routed through
-	// RouteToMaster after a data site rejected a transaction.
-	resubmits atomic.Uint64
 }
 
-// Replicated wraps a master Selector with its replica tier. Under HA the
-// leader pointer is swapped on promotion; Master keeps naming the initial
-// leader for compatibility.
+// FeedSeq returns the last delta-feed sequence number this standby
+// ingested.
+func (r *Replica) FeedSeq() uint64 { return r.feedSeq.Load() }
+
+// Replicated is one router shard's selector tier: the leader selector and
+// its standbys. Under HA the leader pointer is swapped on promotion; Master
+// keeps naming the initial leader.
 type Replicated struct {
 	Master   *Selector
 	replicas []*Replica
@@ -58,18 +34,14 @@ type Replicated struct {
 	ha       *HA
 
 	// feedSink is an extra consumer of the leader's mastership delta feed
-	// (the sharded selector's gossiped placement cache). It survives leader
-	// swaps: under HA the broadcast fan-out forwards each delta here, and
-	// without HA the Group wires the master's feed to deliverDelta directly.
+	// (the front's placement cache). It survives leader swaps: under HA the
+	// broadcast fan-out forwards each delta here, and without HA the Group
+	// wires the master's feed to deliverDelta directly.
 	feedSink atomic.Pointer[func(parts []uint64, site int, epoch uint64)]
 }
 
-// setFeedSink installs (or clears) the extra delta-feed consumer.
+// setFeedSink installs the extra delta-feed consumer.
 func (r *Replicated) setFeedSink(f func(parts []uint64, site int, epoch uint64)) {
-	if f == nil {
-		r.feedSink.Store(nil)
-		return
-	}
 	r.feedSink.Store(&f)
 }
 
@@ -80,22 +52,17 @@ func (r *Replicated) deliverDelta(parts []uint64, site int, epoch uint64) {
 	}
 }
 
-// NewReplicated builds n replica selectors over master.
+// NewReplicated builds a tier of master plus n standbys.
 func NewReplicated(master *Selector, n int, net *transport.Network) *Replicated {
 	r := &Replicated{Master: master, net: net}
 	r.leader.Store(master)
 	for i := 0; i < n; i++ {
-		r.replicas = append(r.replicas, &Replica{
-			master: r,
-			net:    net,
-			cache:  make(map[uint64]int),
-			epochs: make(map[uint64]uint64),
-		})
+		r.replicas = append(r.replicas, &Replica{})
 	}
 	return r
 }
 
-// Replicas returns the replica tier.
+// Replicas returns the standby tier.
 func (r *Replicated) Replicas() []*Replica { return r.replicas }
 
 // Leader returns the selector currently holding leadership (the master
@@ -104,216 +71,3 @@ func (r *Replicated) Leader() *Selector { return r.leader.Load() }
 
 // HA returns the high-availability state machine, nil unless EnableHA ran.
 func (r *Replicated) HA() *HA { return r.ha }
-
-// LearnAll installs fresh partition locations in every replica's cache
-// (failover uses it so replicas stop routing at a dead site immediately,
-// rather than waiting for each cached entry's ErrNotMaster bounce).
-func (r *Replicated) LearnAll(parts []uint64, site int) {
-	for _, rep := range r.replicas {
-		rep.Learn(parts, site)
-	}
-}
-
-// RouterFor assigns a client a selector: replicas round-robin, or the
-// master when no replicas exist.
-func (r *Replicated) RouterFor(client int) Router {
-	if len(r.replicas) == 0 {
-		return r.Master
-	}
-	return r.replicas[client%len(r.replicas)]
-}
-
-// Router is the routing interface sessions use; *Selector and *Replica
-// both implement it.
-type Router interface {
-	RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error)
-	RouteRead(client int, cvv vclock.Vector) Route
-}
-
-// sel returns the selector this replica currently forwards to: the live
-// leader under HA, the static master otherwise.
-func (r *Replica) sel() *Selector { return r.master.Leader() }
-
-// lookup returns the replica's cached master for a partition, filling the
-// cache from the master's metadata on a miss (modelled as part of the
-// replica's asynchronous metadata feed; misses are free of master work).
-func (r *Replica) lookup(part uint64) int {
-	r.mu.RLock()
-	m, ok := r.cache[part]
-	r.mu.RUnlock()
-	if ok {
-		return m
-	}
-	m = r.sel().MasterOf(part)
-	r.mu.Lock()
-	r.cache[part] = m
-	r.mu.Unlock()
-	return m
-}
-
-// Learn installs fresh locations (called after a master-routed decision).
-// The mirrored install epochs are untouched: Learn's source is the
-// leader's live map, whose epoch the delta feed delivers separately.
-func (r *Replica) Learn(parts []uint64, site int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range parts {
-		r.cache[p] = site
-	}
-}
-
-// ingest applies one leader delta to the standby mirror. Deltas for the
-// same partition arrive in epoch order (the leader publishes under the
-// partition's exclusive lock), but a lower-epoch straggler racing a
-// failover registration is still discarded by the epoch comparison.
-func (r *Replica) ingest(seq uint64, parts []uint64, site int, epoch uint64) {
-	r.mu.Lock()
-	for _, p := range parts {
-		if epoch >= r.epochs[p] {
-			r.cache[p] = site
-			r.epochs[p] = epoch
-		}
-	}
-	r.mu.Unlock()
-	r.feedSeq.Store(seq)
-}
-
-// seedMirror replaces the standby mirror (and routing cache) with a full
-// placement snapshot — HA wiring at start, and re-seeding after a
-// promotion reconciled the map.
-func (r *Replica) seedMirror(placement map[uint64]int, epochs map[uint64]uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cache = make(map[uint64]int, len(placement))
-	r.epochs = make(map[uint64]uint64, len(placement))
-	for p, site := range placement {
-		r.cache[p] = site
-		r.epochs[p] = epochs[p]
-	}
-}
-
-// Mirror copies the standby's mirrored placement: owner and install epoch
-// per partition. Promotion reconciles it against the WAL fold.
-func (r *Replica) Mirror() (map[uint64]int, map[uint64]uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	owner := make(map[uint64]int, len(r.cache))
-	epochs := make(map[uint64]uint64, len(r.cache))
-	for p, site := range r.cache {
-		owner[p] = site
-		epochs[p] = r.epochs[p]
-	}
-	return owner, epochs
-}
-
-// FeedSeq returns the last delta-feed sequence number this standby
-// ingested.
-func (r *Replica) FeedSeq() uint64 { return r.feedSeq.Load() }
-
-// Resubmits returns how many stale-metadata resubmits this replica routed
-// through the master selector.
-func (r *Replica) Resubmits() uint64 { return r.resubmits.Load() }
-
-// RouteWrite implements Router. If the cached locations are single-sited,
-// the replica routes locally; otherwise it forwards to the master
-// selector (one extra routing hop), learning the outcome.
-func (r *Replica) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return r.routeWrite(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// RouteWriteTraced is RouteWrite carrying a sampled trace context: a
-// forwarded decision hands sc to the master selector, whose remaster
-// chains record their release/grant spans under it. Locally decided
-// (single-sited) routes involve no remastering, so no extra spans arise.
-func (r *Replica) RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return r.routeWrite(client, writeSet, cvv, sc)
-}
-
-func (r *Replica) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	sel := r.sel()
-	parts := sel.writeParts(writeSet)
-	if len(parts) == 0 {
-		return Route{Site: 0}, nil
-	}
-	single := true
-	site := r.lookup(parts[0])
-	for _, p := range parts[1:] {
-		if r.lookup(p) != site {
-			single = false
-			break
-		}
-	}
-	if single {
-		// Local decision; record statistics at the master tier so the
-		// strategies keep learning (the paper's replicas feed samples
-		// back asynchronously).
-		sel.finishWrite(client, parts, site, time.Now())
-		return Route{Site: site}, nil
-	}
-	// Forward to the master selector: one replica->master round trip, each
-	// leg exposed to injected wire faults (a lost leg is retryable at the
-	// session; the decision itself is stateless until it returns).
-	if err := r.forward(transport.MsgOverhead + transport.SizeOfRefs(writeSet)); err != nil {
-		return Route{}, err
-	}
-	route, err := sel.routeWrite(client, writeSet, cvv, sc)
-	if err == nil {
-		r.Learn(parts, route.Site)
-	}
-	return route, err
-}
-
-// forward charges (and fault-exposes) the replica -> master request leg
-// and the response leg of a forwarded routing decision.
-func (r *Replica) forward(reqSize int) error {
-	if err := r.net.SendTo(transport.CatRoute, transport.SelectorNode, transport.SelectorNode, reqSize); err != nil {
-		return err
-	}
-	return r.net.SendTo(transport.CatRoute, transport.SelectorNode, transport.SelectorNode, transport.MsgOverhead)
-}
-
-// RouteToMaster is the stale-metadata fallback: the client's transaction
-// was rejected by a data site, so resubmit through the master selector and
-// refresh the cache.
-func (r *Replica) RouteToMaster(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return r.RouteToMasterTraced(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// RouteToMasterTraced is RouteToMaster under a sampled distributed trace:
-// the resubmitted decision's remaster chains record their release/grant
-// spans as children of sc.Span, so stale-metadata bounces stay visible in
-// the transaction's trace instead of vanishing between two route spans.
-func (r *Replica) RouteToMasterTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	r.resubmits.Add(1)
-	sel := r.sel()
-	if err := r.forward(transport.MsgOverhead + transport.SizeOfRefs(writeSet)); err != nil {
-		return Route{}, err
-	}
-	route, err := sel.routeWrite(client, writeSet, cvv, sc)
-	if err == nil {
-		r.Learn(sel.writeParts(writeSet), route.Site)
-	}
-	return route, err
-}
-
-// RouteRead implements Router: read routing does not change in the
-// distributed design (any sufficiently fresh replica site works), and it
-// keeps working off the current leader's site vectors even while that
-// leader is deposed — reads never touch the mastership map.
-func (r *Replica) RouteRead(client int, cvv vclock.Vector) Route {
-	return r.sel().RouteRead(client, cvv)
-}
-
-// RouteReadParts routes a read restricted to the sites hosting the given
-// partitions (partial replication). Replica sets live only at the leader, so
-// the decision delegates; like RouteRead it stays available while deposed.
-func (r *Replica) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
-	return r.sel().RouteReadParts(client, cvv, parts)
-}
-
-// CacheSize returns the number of cached partition locations.
-func (r *Replica) CacheSize() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.cache)
-}

@@ -59,7 +59,7 @@ type Config struct {
 	// latency, strategy feature scores); nil disables instrumentation.
 	Obs *obs.Registry
 	// Spans receives the release/grant spans of sampled traced routing
-	// decisions (RouteWriteTraced); nil disables span recording.
+	// decisions (Front.Write); nil disables span recording.
 	Spans *obs.SpanRecorder
 	// Hooks wire this selector into a sharded Group (zero value = the
 	// stand-alone, whole-map selector). They live in the Config so an HA
@@ -698,14 +698,10 @@ func (s *Selector) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.
 	return s.routeWrite(client, writeSet, cvv, obs.SpanContext{})
 }
 
-// RouteWriteTraced is RouteWrite under a sampled distributed trace: sc is
-// the route span's context, and any remaster chain records one release span
-// (at the source site) and one grant span (at the destination) per chain as
-// children of sc.Span.
-func (s *Selector) RouteWriteTraced(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	return s.routeWrite(client, writeSet, cvv, sc)
-}
-
+// routeWrite is RouteWrite under a distributed trace: with a sampled sc (the
+// route span's context), each remaster chain records one release span (at
+// the source site) and one grant span (at the destination) as children of
+// sc.Span.
 func (s *Selector) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
 	if s.deposed.Load() {
 		return Route{}, ErrNoLeader
@@ -796,8 +792,8 @@ func (s *Selector) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.
 }
 
 // finishWrite records statistics and routing counters for a decided write
-// (called by the master's own routing paths and by replica selectors'
-// local decisions).
+// (called by the selector's own routing paths and by the front's cached
+// routes).
 func (s *Selector) finishWrite(client int, parts []uint64, site int, start time.Time) {
 	now := time.Now()
 	elapsed := now.Sub(start)

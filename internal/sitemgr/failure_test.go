@@ -64,6 +64,50 @@ func TestReleaseGrantIdempotentPerEpoch(t *testing.T) {
 	}
 }
 
+// TestReleaseGrantMemoPerChain covers a sharded selector, whose router
+// shards allocate epochs independently: two chains with the same epoch over
+// disjoint partitions must both take effect, while a retry of either is
+// still a memo hit that logs nothing.
+func TestReleaseGrantMemoPerChain(t *testing.T) {
+	sites, b := testCluster(t, 2)
+	s0, s1 := sites[0], sites[1]
+
+	const epoch = 3
+	relA, err := s0.Release([]uint64{1}, 1, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s0.Release([]uint64{2}, 1, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if s0.Masters(1) || s0.Masters(2) {
+		t.Fatalf("same-epoch releases did not both surrender: p1=%v p2=%v", s0.Masters(1), s0.Masters(2))
+	}
+	if _, err := s1.Grant([]uint64{1}, relA, 0, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Grant([]uint64{2}, relA, 0, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if !s1.Masters(1) || !s1.Masters(2) {
+		t.Fatalf("same-epoch grants did not both take ownership: p1=%v p2=%v", s1.Masters(1), s1.Masters(2))
+	}
+
+	// Retries of the first chain are lookups: same vector, no new entries.
+	if again, err := s0.Release([]uint64{1}, 1, epoch); err != nil || !again.Equal(relA) {
+		t.Fatalf("retried release = %v/%v, first returned %v", again, err, relA)
+	}
+	if _, err := s1.Grant([]uint64{1}, relA, 0, epoch); err != nil {
+		t.Fatal(err)
+	}
+	if n := countKind(b, 0, wal.KindRelease); n != 2 {
+		t.Fatalf("%d release entries logged, want 2", n)
+	}
+	if n := countKind(b, 1, wal.KindGrant); n != 2 {
+		t.Fatalf("%d grant entries logged, want 2", n)
+	}
+}
+
 func TestStaleEpochFenced(t *testing.T) {
 	sites, _ := testCluster(t, 3)
 	s0, s1 := sites[0], sites[1]

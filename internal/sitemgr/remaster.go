@@ -8,8 +8,9 @@ import (
 )
 
 // Epoch fencing. The selector stamps every remaster chain with a fresh
-// monotonic epoch; Release and Grant memoize their results per epoch and
-// fence per-partition state with the highest epoch that touched it, so:
+// monotonic epoch; Release and Grant memoize their results per chain (see
+// chainKey) and fence per-partition state with the highest epoch that
+// touched it, so:
 //
 //   - a retried release/grant (lost RPC response, selector retry after a
 //     timeout) re-executes as a lookup, never a second state change;
@@ -26,14 +27,29 @@ import (
 // finished long ago) and are pruned in batches.
 const memoLimit = 512
 
-// memoize records an epoch's result in m, pruning stale epochs when the
-// map grows past memoLimit. Caller holds s.remu.
-func memoize(m map[uint64]vclock.Vector, epoch uint64, vv vclock.Vector) {
-	m[epoch] = vv
+// chainKey identifies one remaster chain: its epoch and its first
+// partition. An epoch alone is not enough under a sharded selector, where
+// every router shard runs its own allocator and two shards hand out the same
+// numbers; but one shard never reuses an epoch, and shards own disjoint
+// partitions, so two chains never share both.
+type chainKey struct{ epoch, part uint64 }
+
+func keyOf(parts []uint64, epoch uint64) chainKey {
+	k := chainKey{epoch: epoch}
+	if len(parts) > 0 {
+		k.part = parts[0]
+	}
+	return k
+}
+
+// memoize records a chain's result in m, pruning stale epochs when the map
+// grows past memoLimit. Caller holds s.remu.
+func memoize(m map[chainKey]vclock.Vector, k chainKey, vv vclock.Vector) {
+	m[k] = vv
 	if len(m) > memoLimit {
-		for e := range m {
-			if e+memoLimit/2 < epoch {
-				delete(m, e)
+		for old := range m {
+			if old.epoch+memoLimit/2 < k.epoch {
+				delete(m, old)
 			}
 		}
 	}
@@ -61,7 +77,7 @@ func memoize(m map[uint64]vclock.Vector, epoch uint64, vv vclock.Vector) {
 func (s *Site) Release(parts []uint64, to int, epoch uint64) (vclock.Vector, error) {
 	if epoch != 0 {
 		s.remu.Lock()
-		if vv, ok := s.relMemo[epoch]; ok {
+		if vv, ok := s.relMemo[keyOf(parts, epoch)]; ok {
 			s.remu.Unlock()
 			return vv, nil
 		}
@@ -166,7 +182,7 @@ func (s *Site) Release(parts []uint64, to int, epoch uint64) (vclock.Vector, err
 	}
 	if epoch != 0 {
 		s.remu.Lock()
-		memoize(s.relMemo, epoch, relVV)
+		memoize(s.relMemo, keyOf(parts, epoch), relVV)
 		s.remu.Unlock()
 	}
 	return relVV, nil
@@ -194,7 +210,7 @@ func (s *Site) writersIdle(parts []uint64) bool {
 func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64) (vclock.Vector, error) {
 	if epoch != 0 {
 		s.remu.Lock()
-		if vv, ok := s.grantMemo[epoch]; ok {
+		if vv, ok := s.grantMemo[keyOf(parts, epoch)]; ok {
 			s.remu.Unlock()
 			return vv, nil
 		}
@@ -279,7 +295,7 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 	now := s.clock.Now()
 	if epoch != 0 {
 		s.remu.Lock()
-		memoize(s.grantMemo, epoch, now)
+		memoize(s.grantMemo, keyOf(parts, epoch), now)
 		s.remu.Unlock()
 	}
 	return now, nil

@@ -217,8 +217,8 @@ type Site struct {
 
 	// remu guards the epoch memo maps (idempotent release/grant retries).
 	remu      sync.Mutex
-	relMemo   map[uint64]vclock.Vector
-	grantMemo map[uint64]vclock.Vector
+	relMemo   map[chainKey]vclock.Vector
+	grantMemo map[chainKey]vclock.Vector
 
 	// Counters for experiment reporting.
 	commits    atomic.Uint64
@@ -344,8 +344,8 @@ func New(cfg Config) (*Site, error) {
 		prepared:  make(map[uint64]*preparedTxn),
 		stopped:   make(chan struct{}),
 		pool:      newExecPool(cfg.ExecSlots),
-		relMemo:   make(map[uint64]vclock.Vector),
-		grantMemo: make(map[uint64]vclock.Vector),
+		relMemo:   make(map[chainKey]vclock.Vector),
+		grantMemo: make(map[chainKey]vclock.Vector),
 		applyMu:   make([]sync.Mutex, cfg.Sites),
 	}
 	if cfg.PartialReplication {
