@@ -33,18 +33,21 @@
 //	metrics [prom] [traces N]          full observability snapshot; "prom"
 //	                                   switches to Prometheus exposition
 //	                                   format, "traces N" appends the N most
-//	                                   recent transaction lifecycle traces
+//	                                   recent sampled traces with their
+//	                                   lifecycle stages
 //
 // HTTP commands (against the daemon's -metrics-listen endpoint, -http flag;
 // these do not open an RPC connection):
 //
 //	traces [slow] [N]                  the N most recent (or, with "slow",
-//	                                   slowest-first) transaction lifecycle
-//	                                   traces from /debug/traces
-//	spans [N]                          summaries of retained distributed
-//	                                   traces from /debug/spans
-//	trace <hexid>                      one distributed trace's span tree,
-//	                                   rendered with parent indentation
+//	                                   slowest-first) sampled traces from
+//	                                   /debug/traces: hex id, execute site,
+//	                                   span count and the lifecycle stages
+//	                                   derived from the span tree (the
+//	                                   daemon samples 1 in -trace-sample)
+//	trace <hexid>                      one trace's span tree from
+//	                                   /debug/spans, rendered with parent
+//	                                   indentation
 //	flightrec                          the flight-recorder event ring
 //	epochs                             epoch group-commit status: configured
 //	                                   interval, seal/commit rates over a 1s
@@ -85,7 +88,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "dynamastd address")
-	httpAddr := flag.String("http", "127.0.0.1:9090", "dynamastd -metrics-listen address (traces/spans/trace/flightrec commands)")
+	httpAddr := flag.String("http", "127.0.0.1:9090", "dynamastd -metrics-listen address (traces/trace/flightrec/epochs/selector commands)")
 	client := flag.Int("client", 1, "client/session id")
 	flag.Parse()
 	args := flag.Args()
@@ -96,7 +99,7 @@ func main() {
 
 	cmd, args := args[0], args[1:]
 	switch cmd {
-	case "traces", "spans", "trace", "flightrec", "epochs", "selector":
+	case "traces", "trace", "flightrec", "epochs", "selector":
 		// HTTP-only commands: no RPC session needed.
 		if err := runHTTP(*httpAddr, cmd, args); err != nil {
 			log.Fatalf("dynactl: %s: %v", cmd, err)
@@ -156,37 +159,8 @@ func runHTTP(addr, cmd string, args []string) error {
 		if err := getJSON(addr, path, &traces); err != nil {
 			return err
 		}
-		for _, tr := range traces {
-			fmt.Printf("trace %d client=%d site=%d seq=%d remastered=%v total=%s\n",
-				tr.ID, tr.Client, tr.Site, tr.Seq, tr.Remastered, tr.Total)
-			for _, st := range []string{"route", "remaster", "execute", "commit", "wal_publish", "refresh_apply"} {
-				if ns, ok := tr.Stages[st]; ok {
-					fmt.Printf("  %-13s %s\n", st, time.Duration(ns))
-				}
-			}
-		}
+		printTraces(traces)
 		fmt.Printf("(%d traces)\n", len(traces))
-		return nil
-
-	case "spans":
-		n := 0
-		if len(args) == 1 {
-			v, err := strconv.Atoi(args[0])
-			if err != nil || v < 0 {
-				return fmt.Errorf("usage: spans [N]")
-			}
-			n = v
-		} else if len(args) > 1 {
-			return fmt.Errorf("usage: spans [N]")
-		}
-		var sums []obs.TraceSummaryJSON
-		if err := getJSON(addr, fmt.Sprintf("/debug/spans?n=%d", n), &sums); err != nil {
-			return err
-		}
-		for _, s := range sums {
-			fmt.Printf("trace %s  root=%-8s spans=%-3d dur=%s\n", s.Trace, s.Root, s.Spans, s.Dur)
-		}
-		fmt.Printf("(%d traces)\n", len(sums))
 		return nil
 
 	case "trace":
@@ -558,6 +532,20 @@ func runSelector(addr string) error {
 	return nil
 }
 
+// printTraces renders trace headlines, each followed by its lifecycle
+// stages in execution order.
+func printTraces(traces []obs.TraceJSON) {
+	for _, tr := range traces {
+		fmt.Printf("trace %s site=%d remastered=%v spans=%d total=%s\n",
+			tr.Trace, tr.Site, tr.Remastered, tr.Spans, tr.Total)
+		for _, st := range obs.Stages() {
+			if ns, ok := tr.Stages[st.String()]; ok {
+				fmt.Printf("  %-13s %s\n", st, time.Duration(ns))
+			}
+		}
+	}
+}
+
 // printSpanTree renders a span list as an indented tree (children under
 // parents, siblings in start order); orphaned spans print at the root.
 func printSpanTree(spans []obs.SpanJSON) {
@@ -835,15 +823,7 @@ func run(cl *server.Client, cmd string, args []string) error {
 		} else {
 			m.Snapshot.WriteText(os.Stdout)
 		}
-		for _, tr := range m.Traces {
-			fmt.Printf("trace %d client=%d site=%d seq=%d remastered=%v total=%s\n",
-				tr.ID, tr.Client, tr.Site, tr.Seq, tr.Remastered, tr.Total)
-			for _, st := range []string{"route", "remaster", "execute", "commit", "wal_publish", "refresh_apply"} {
-				if ns, ok := tr.Stages[st]; ok {
-					fmt.Printf("  %-13s %s\n", st, time.Duration(ns))
-				}
-			}
-		}
+		printTraces(m.Traces)
 		return nil
 
 	case "bench":

@@ -12,9 +12,11 @@
 // ycsb (the default), tpcc or smallbank, the paper's per-workload values.
 //
 // With -metrics-listen set, the daemon serves Prometheus-format metrics on
-// /metrics and recent transaction lifecycle traces on /debug/traces (see
-// internal/obs). The same snapshot is available through `dynactl metrics`
-// over the RPC port, and is printed on shutdown.
+// /metrics, the sampled traces (1 in -trace-sample updates) with their
+// lifecycle stages on /debug/traces, and one trace's span tree on
+// /debug/spans?trace=<hex id> (see internal/obs). The same snapshot is
+// available through `dynactl metrics` over the RPC port, and is printed on
+// shutdown.
 //
 // Chaos testing: -fault-spec installs a deterministic fault injector on the
 // cluster wire ("category:kind:prob[:delay]", comma-separated; seeded with
@@ -82,17 +84,17 @@ func parseWeights(name string) (dynamast.Weights, error) {
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7070", "address to serve on")
-	metricsListen := flag.String("metrics-listen", "", "address for the /metrics and /debug/traces HTTP endpoints (empty = disabled)")
+	metricsListen := flag.String("metrics-listen", "", "address for the /metrics, /debug/traces and /debug/spans HTTP endpoints (empty = disabled)")
 	sites := flag.Int("sites", 4, "number of data sites")
 	partitionSize := flag.Uint64("partition-size", 100, "keys per partition group")
 	walDir := flag.String("wal-dir", "", "directory for durable update logs (empty = in-memory)")
 	checkpointEvery := flag.Duration("checkpoint-every", 0, "background checkpoint interval; snapshots every site, truncates the covered WAL prefix and bounds restart time (0 = disabled; requires -wal-dir)")
 	checkpointRecords := flag.Uint64("checkpoint-every-records", 0, "additionally checkpoint after this many new WAL records (0 = disabled)")
-	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "recent transaction traces retained for /debug/traces")
+	traceRing := flag.Int("trace-ring", obs.DefaultTraceRing, "sampled traces retained for /debug/traces and /debug/spans")
 	faultSpec := flag.String("fault-spec", "", "fault-injection rules, comma-separated category:kind:prob[:delay] (e.g. \"remaster:drop:0.01,txn:delay:0.05:1ms\"); empty = injector disabled")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault-decision stream")
 	heartbeat := flag.Duration("heartbeat-interval", 0, "site failure-detection probe interval (0 = detection disabled)")
-	traceSample := flag.Int("trace-sample", 0, "head-sample 1 in N update transactions for distributed span tracing, served on /debug/spans (0 = off)")
+	traceSample := flag.Int("trace-sample", 64, "head-sample 1 in N update transactions for span tracing, served on /debug/traces and /debug/spans (0 = off; the stage histograms cover every update regardless)")
 	sloSpec := flag.String("slo", "", "SLO targets, comma-separated metric:quantile:threshold (e.g. \"dynamast_txn_seconds:p99:250ms\"); empty = disabled")
 	sloInterval := flag.Duration("slo-interval", time.Second, "SLO evaluation window")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder snapshots on failover/recovery/panic (empty = no disk snapshots)")
@@ -234,7 +236,7 @@ func main() {
 		}
 		defer ln.Close()
 		mux := http.NewServeMux()
-		mux.Handle("/", obs.Handler(cluster.Obs(), cluster.Tracer(), cluster.Spans()))
+		mux.Handle("/", obs.Handler(cluster.Obs(), cluster.Spans()))
 		if *pprofOn {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -196,6 +197,36 @@ func TestExperimentPrint(t *testing.T) {
 	}
 }
 
+// TestFig7BreakdownFromStageHistograms: the breakdown read off the stage
+// histograms keeps Figure 7's five rows, no phase is negative, and the
+// shares cover the whole update latency.
+func TestFig7BreakdownFromStageHistograms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run skipped in -short")
+	}
+	scale := Scale{Duration: 80 * time.Millisecond, Warmup: 40 * time.Millisecond, Clients: 8, Keys: 2_000, Seed: 3}
+	exp, err := Fig7Breakdown(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.Rows) != 5 {
+		t.Fatalf("Fig7 has %d rows, want 5", len(exp.Rows))
+	}
+	pct := 0.0
+	for _, row := range exp.Rows {
+		if row.Values["avg_us"] < 0 {
+			t.Errorf("phase %q avg_us = %g, want >= 0", row.Label, row.Values["avg_us"])
+		}
+		pct += row.Values["pct"]
+	}
+	if exp.Rows[1].Label != "network" || exp.Rows[1].Values["avg_us"] <= 0 {
+		t.Errorf("network row = %+v, want a positive wire share", exp.Rows[1])
+	}
+	if math.Abs(pct-100) > 0.1 {
+		t.Fatalf("phase shares sum to %g%%, want 100", pct)
+	}
+}
+
 func TestQuickScaleExperimentsRun(t *testing.T) {
 	// Smoke the experiment wiring end-to-end at a tiny scale (not the
 	// figures' reporting runs; just that every experiment executes).
@@ -203,9 +234,6 @@ func TestQuickScaleExperimentsRun(t *testing.T) {
 		t.Skip("experiment smoke skipped in -short")
 	}
 	scale := Scale{Duration: 80 * time.Millisecond, Warmup: 40 * time.Millisecond, Clients: 8, Keys: 2_000, Seed: 3}
-	if _, err := Fig7Breakdown(scale); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := FigOverhead(scale); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dynamast/internal/core"
+	"dynamast/internal/obs"
 	"dynamast/internal/selector"
 	"dynamast/internal/transport"
 	"dynamast/internal/workload"
@@ -402,7 +403,9 @@ func Fig5aSensitivity(scale Scale) (*Experiment, error) {
 
 // Fig7Breakdown (E10): DynaMast's per-phase latency breakdown on uniform
 // YCSB 50/50 (site-selector locate+route, network, begin, transaction
-// logic, commit).
+// logic, commit), read off the cluster's stage histograms. Network is the
+// mean update latency minus the stage means: the wire legs are the only
+// intervals no stage covers.
 func Fig7Breakdown(scale Scale) (*Experiment, error) {
 	wl := workload.NewYCSB(workload.YCSBConfig{Keys: scale.Keys, RMWPercent: 50})
 	env := DefaultEnv(4)
@@ -413,9 +416,22 @@ func Fig7Breakdown(scale Scale) (*Experiment, error) {
 	}
 	defer sys.Close()
 	Run(sys, wl, scale.opts())
-	cluster := sys.(*core.Cluster)
-	bd := cluster.Breakdown()
-	total := bd.Route + bd.Network + bd.Begin + bd.Logic + bd.Commit
+	snap := sys.(*core.Cluster).Obs().Snapshot()
+	mean := func(name string, label obs.Label) time.Duration {
+		sm, ok := snap.Get(name, label)
+		if !ok || sm.Count == 0 {
+			return 0
+		}
+		return time.Duration(sm.Sum / float64(sm.Count) * float64(time.Second))
+	}
+	stage := func(st obs.Stage) time.Duration {
+		return mean("dynamast_txn_stage_seconds", obs.L("stage", st.String()))
+	}
+	route := stage(obs.StageRoute) + stage(obs.StageRemaster)
+	begin, logic := stage(obs.StageBegin), stage(obs.StageExecute)
+	commit := stage(obs.StageCommit) + stage(obs.StageWALPublish)
+	network := max(mean("dynamast_txn_seconds", obs.L("type", "update"))-route-begin-logic-commit, 0)
+	total := route + network + begin + logic + commit
 	exp := &Experiment{ID: "Fig7", Caption: "DynaMast update-transaction latency breakdown (YCSB uniform 50/50)",
 		Columns: []string{"avg_us", "pct"}}
 	phase := func(name string, d time.Duration) {
@@ -427,11 +443,11 @@ func Fig7Breakdown(scale Scale) (*Experiment, error) {
 			"avg_us": float64(d) / 1e3, "pct": pct,
 		}})
 	}
-	phase("route (selector incl. remaster)", bd.Route)
-	phase("network", bd.Network)
-	phase("begin (locks + session wait)", bd.Begin)
-	phase("transaction logic", bd.Logic)
-	phase("commit", bd.Commit)
+	phase("route (selector incl. remaster)", route)
+	phase("network", network)
+	phase("begin (locks + session wait)", begin)
+	phase("transaction logic", logic)
+	phase("commit", commit)
 	return exp, nil
 }
 

@@ -118,12 +118,13 @@ type Config struct {
 	// Obs receives the cluster's metrics; nil creates a private registry
 	// (reachable through Cluster.Obs).
 	Obs *obs.Registry
-	// TraceRing caps the in-memory ring of recent transaction lifecycle
-	// traces (0 = obs.DefaultTraceRing).
+	// TraceRing caps the in-memory ring of retained sampled span traces
+	// (0 = obs.DefaultTraceRing).
 	TraceRing int
 	// TraceSampleEvery head-samples one in every N locally originated update
 	// transactions for distributed span tracing (0 disables sampling; RPC
-	// clients that send their own trace context are always honored).
+	// clients that send their own trace context are always honored). The
+	// stage histograms cover every update regardless.
 	TraceSampleEvery int
 	// SLOTargets are watched latency quantile thresholds; breaches count in
 	// dynamast_slo_breaches_total and land in the flight recorder.
@@ -151,8 +152,7 @@ type Cluster struct {
 	repls  []*selector.Replicated
 	group  *selector.Group
 
-	breakdown Breakdown
-	sessions  atomic.Uint64
+	sessions atomic.Uint64
 
 	// Partial replication (see placement.go).
 	placeMu   sync.Mutex // serializes replica adds/drops
@@ -181,7 +181,6 @@ type Cluster struct {
 	recoverDur   *obs.Histogram
 
 	obs     *obs.Registry
-	tracer  *obs.Tracer
 	spans   *obs.SpanRecorder
 	sampler *obs.Sampler
 	slo     *obs.SLOEngine
@@ -216,7 +215,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if c.obs == nil {
 		c.obs = obs.NewRegistry()
 	}
-	c.tracer = obs.NewTracer(cfg.TraceRing)
 	c.spans = obs.NewSpanRecorder(cfg.TraceRing)
 	c.sampler = obs.NewSampler(cfg.TraceSampleEvery)
 	if cfg.FlightDir != "" {
@@ -296,7 +294,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			EpochInterval: epochIv,
 			Costs:         cfg.Costs,
 			Obs:           c.obs,
-			Tracer:        c.tracer,
 			Spans:         c.spans,
 		}
 		if partial {
@@ -500,9 +497,6 @@ func (c *Cluster) instrument() {
 
 // Obs exposes the cluster's metrics registry.
 func (c *Cluster) Obs() *obs.Registry { return c.obs }
-
-// Tracer exposes the transaction-lifecycle trace ring.
-func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
 
 // Spans exposes the distributed-trace span recorder.
 func (c *Cluster) Spans() *obs.SpanRecorder { return c.spans }

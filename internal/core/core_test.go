@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/selector"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
@@ -289,7 +290,10 @@ func TestScansRunAtReplicas(t *testing.T) {
 	}
 }
 
-func TestBreakdownAccumulates(t *testing.T) {
+// TestStageHistogramsAccumulate: every committed update feeds each
+// session-side lifecycle stage once; the refresh_apply stage belongs to the
+// replicas' appliers.
+func TestStageHistogramsAccumulate(t *testing.T) {
 	c := newTestCluster(t, 2)
 	sess := c.Session(1)
 	for i := 0; i < 5; i++ {
@@ -299,12 +303,21 @@ func TestBreakdownAccumulates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bd := c.Breakdown()
-	if bd.Count != 5 {
-		t.Fatalf("breakdown count = %d", bd.Count)
-	}
-	if bd.Logic <= 0 || bd.Commit <= 0 {
-		t.Fatalf("breakdown = %+v", bd)
+	snap := c.Obs().Snapshot()
+	for _, st := range obs.Stages() {
+		if st == obs.StageRefreshApply {
+			continue
+		}
+		sm, ok := snap.Get("dynamast_txn_stage_seconds", obs.L("stage", st.String()))
+		if !ok || sm.Count != 5 {
+			t.Fatalf("stage %s: count %d (registered %v), want 5", st, sm.Count, ok)
+		}
+		switch st {
+		case obs.StageBegin, obs.StageExecute, obs.StageCommit:
+			if sm.Sum <= 0 {
+				t.Fatalf("stage %s sum = %g, want > 0", st, sm.Sum)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dynamast/internal/obs"
@@ -116,7 +115,6 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		ctx = context.Background()
 	}
 	c := s.c
-	bd := &c.breakdown
 
 	// Join the remote client's trace when one was shipped, else make the
 	// local head-sampling decision. The route span id is fixed up front so
@@ -174,7 +172,6 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		if !cached {
 			c.net.Send(transport.CatRoute, transport.MsgOverhead+transport.SizeOfVector(route.MinVV))
 		}
-		t3 := time.Now()
 
 		minVV := s.cvv.Clone().MaxInto(route.MinVV)
 		site := c.sites[route.Site]
@@ -241,14 +238,7 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		t8 := time.Now()
 
 		s.cvv = s.cvv.MaxInto(tvv)
-
-		bd.record(phaseNetwork, t1.Sub(t0)+t3.Sub(t2)+t4.Sub(t3)+t8.Sub(t7))
-		bd.record(phaseRoute, t2.Sub(t1))
-		bd.record(phaseBegin, t5.Sub(t4))
-		bd.record(phaseLogic, t6.Sub(t5))
-		bd.record(phaseCommit, t7.Sub(t6))
-		bd.count.Add(1)
-		c.trace(s.id, route, tvv, sc, routeSpan, t0, t1, t2, t4, t6, t7, t8, tx.WALPublish())
+		c.observe(route, sc, routeSpan, t0, t1, t2, t4, t5, t6, t7, t8, tx.WALPublish())
 		return nil
 	}
 }
@@ -322,52 +312,36 @@ func (s *Session) beginCtx(ctx context.Context, site *sitemgr.Site, minVV vclock
 	}
 }
 
-// trace assembles the transaction's lifecycle trace, records it in the
-// trace ring, and feeds the per-stage histograms. The refresh-apply stage
-// is completed later by the replicas' appliers (see sitemgr.applyLoop).
-// For sampled transactions it also records the selector-side spans: the
-// root txn span, the route span (whose release/grant children the selector
-// recorded mid-route), and the execute span at the routed site; the commit
-// and wal_flush spans were recorded inside Txn.Commit.
-func (c *Cluster) trace(client int, route selector.Route, tvv vclock.Vector,
-	sc obs.SpanContext, routeSpan uint64,
-	t0, t1, t2, t4, t6, t7, t8 time.Time, walPublish time.Duration) {
+// observe feeds a committed update's latency to the end-to-end and
+// per-stage histograms; the refresh_apply stage is observed by the
+// replicas' appliers when it happens. The wire legs (t0→t1: request to the
+// selector; t2→t4: its reply and the stored-procedure shipment; t7→t8: the
+// commit reply) are the only intervals no stage covers, so the update mean
+// minus the stage means is the network share (Figure 7). For sampled
+// transactions it also records the selector-side spans: the root txn span,
+// the route span (whose release/grant children the selector recorded
+// mid-route), and the begin and execute spans at the routed site; the
+// commit and wal_flush spans were recorded inside Txn.Commit.
+func (c *Cluster) observe(route selector.Route, sc obs.SpanContext, routeSpan uint64,
+	t0, t1, t2, t4, t5, t6, t7, t8 time.Time, walPublish time.Duration) {
 	if sc.Sampled() {
 		c.spans.Record(obs.Span{Trace: sc.Trace, ID: sc.Span,
 			Name: "txn", Site: obs.SelectorSite, Start: t0, Dur: t8.Sub(t0)})
 		c.spans.Record(obs.Span{Trace: sc.Trace, ID: routeSpan, Parent: sc.Span,
 			Name: "route", Site: obs.SelectorSite, Start: t1, Dur: t2.Sub(t1)})
 		c.spans.Record(obs.Span{Trace: sc.Trace, Parent: sc.Span,
-			Name: "execute", Site: route.Site, Start: t4, Dur: t6.Sub(t4)})
+			Name: "begin", Site: route.Site, Start: t4, Dur: t5.Sub(t4)})
+		c.spans.Record(obs.Span{Trace: sc.Trace, Parent: sc.Span,
+			Name: "execute", Site: route.Site, Start: t5, Dur: t6.Sub(t5)})
 	}
-	clamp := func(d time.Duration) time.Duration {
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-	tr := obs.Trace{
-		Client:     client,
-		Site:       route.Site,
-		Seq:        tvv[route.Site],
-		Remastered: route.Remastered,
-		PartsMoved: route.PartsMoved,
-		Start:      t0,
-		Total:      t8.Sub(t0),
-	}
-	tr.Stages[obs.StageRoute] = clamp(t2.Sub(t1) - route.RemasterWait)
-	tr.Stages[obs.StageRemaster] = route.RemasterWait
-	tr.Stages[obs.StageExecute] = t6.Sub(t4)
-	tr.Stages[obs.StageCommit] = clamp(t7.Sub(t6) - walPublish)
-	tr.Stages[obs.StageWALPublish] = walPublish
-	c.tracer.Record(tr)
-	for st, d := range tr.Stages {
-		if obs.Stage(st) == obs.StageRefreshApply {
-			continue // observed by the appliers when it happens
-		}
-		c.stageDur[st].ObserveDuration(d)
-	}
-	c.updateDur.ObserveDuration(tr.Total)
+	// Histograms clamp negative observations to zero.
+	c.stageDur[obs.StageRoute].ObserveDuration(t2.Sub(t1) - route.RemasterWait)
+	c.stageDur[obs.StageRemaster].ObserveDuration(route.RemasterWait)
+	c.stageDur[obs.StageBegin].ObserveDuration(t5.Sub(t4))
+	c.stageDur[obs.StageExecute].ObserveDuration(t6.Sub(t5))
+	c.stageDur[obs.StageCommit].ObserveDuration(t7.Sub(t6) - walPublish)
+	c.stageDur[obs.StageWALPublish].ObserveDuration(walPublish)
+	c.updateDur.ObserveDuration(t8.Sub(t0))
 }
 
 // Read executes fn as a read-only transaction at a replica satisfying the
@@ -534,55 +508,3 @@ func (a txAdapter) Scan(table string, lo, hi uint64) []storage.KV {
 	return a.tx.Scan(table, lo, hi)
 }
 func (a txAdapter) Write(ref storage.RowRef, data []byte) error { return a.tx.Write(ref, data) }
-
-// Breakdown phases (Figure 7's latency categories). Locate/route is
-// reported from the selector's own metrics; the session adds network,
-// begin, logic and commit.
-type phase int
-
-const (
-	phaseRoute phase = iota
-	phaseNetwork
-	phaseBegin
-	phaseLogic
-	phaseCommit
-	numPhases
-)
-
-// Breakdown accumulates per-phase latency across a cluster's update
-// transactions.
-type Breakdown struct {
-	nanos [numPhases]atomic.Int64
-	count atomic.Uint64
-}
-
-func (b *Breakdown) record(p phase, d time.Duration) { b.nanos[p].Add(int64(d)) }
-
-// BreakdownReport is the averaged per-phase latency.
-type BreakdownReport struct {
-	Count   uint64
-	Route   time.Duration // selector processing incl. remastering wait
-	Network time.Duration
-	Begin   time.Duration // lock acquisition + session-freshness wait
-	Logic   time.Duration // stored procedure execution
-	Commit  time.Duration
-}
-
-// Breakdown returns the averaged latency breakdown of all update
-// transactions executed so far.
-func (c *Cluster) Breakdown() BreakdownReport {
-	n := c.breakdown.count.Load()
-	r := BreakdownReport{Count: n}
-	if n == 0 {
-		return r
-	}
-	avg := func(p phase) time.Duration {
-		return time.Duration(c.breakdown.nanos[p].Load() / int64(n))
-	}
-	r.Route = avg(phaseRoute)
-	r.Network = avg(phaseNetwork)
-	r.Begin = avg(phaseBegin)
-	r.Logic = avg(phaseLogic)
-	r.Commit = avg(phaseCommit)
-	return r
-}

@@ -11,17 +11,16 @@ import (
 // Handler serves the observability endpoints over HTTP:
 //
 //	/metrics               Prometheus text exposition of the registry
-//	/debug/traces          JSON dump of recent transaction traces
-//	                       (?n=50 limits, ?slowest=50 or ?sort=slow orders
-//	                       by total latency)
-//	/debug/spans           distributed-trace span trees: without parameters
-//	                       a summary of retained traces (?n= limits), with
-//	                       ?trace=<hex id> the full span list of one trace
+//	/debug/traces          the retained sampled traces with their
+//	                       span-derived stages, newest first (?n=50 limits,
+//	                       ?slowest=50 or ?sort=slow orders by total
+//	                       latency)
+//	/debug/spans           ?trace=<hex id>: one trace's full span list
 //	/debug/flightrecorder  the process flight-recorder ring as JSON
 //
-// dynamastd mounts it behind the -metrics-listen flag. The Tracer and
-// SpanRecorder may be nil (the endpoints serve empty lists).
-func Handler(r *Registry, t *Tracer, sr *SpanRecorder) http.Handler {
+// dynamastd mounts it behind the -metrics-listen flag. The SpanRecorder may
+// be nil (/debug/traces serves an empty list).
+func Handler(r *Registry, sr *SpanRecorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -33,7 +32,7 @@ func Handler(r *Registry, t *Tracer, sr *SpanRecorder) http.Handler {
 		if !ok {
 			return
 		}
-		var traces []Trace
+		slow := q.Get("sort") == "slow"
 		if s := q.Get("slowest"); s != "" {
 			sn, ok := intParam(w, s, "slowest")
 			if !ok {
@@ -42,38 +41,25 @@ func Handler(r *Registry, t *Tracer, sr *SpanRecorder) http.Handler {
 			if sn > 0 {
 				n = sn
 			}
-			traces = t.Slowest(n)
-		} else if q.Get("sort") == "slow" {
-			traces = t.Slowest(n)
-		} else {
-			traces = t.Recent(n)
+			slow = true
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(TracesJSON(traces))
+		json.NewEncoder(w).Encode(sr.Traces(n, slow))
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, req *http.Request) {
-		q := req.URL.Query()
-		if id := q.Get("trace"); id != "" {
-			trace, err := strconv.ParseUint(id, 16, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad trace id %q: want hex", id), http.StatusBadRequest)
-				return
-			}
-			spans := sr.Spans(trace)
-			if spans == nil {
-				http.Error(w, fmt.Sprintf("trace %s not retained", id), http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(SpansJSON(spans))
+		id := req.URL.Query().Get("trace")
+		trace, err := strconv.ParseUint(id, 16, 64)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad trace id %q: want ?trace=<hex id> (list traces at /debug/traces)", id), http.StatusBadRequest)
 			return
 		}
-		n, ok := intParam(w, q.Get("n"), "n")
-		if !ok {
+		spans := sr.Spans(trace)
+		if spans == nil {
+			http.Error(w, fmt.Sprintf("trace %s not retained", id), http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(SummariesJSON(sr.Summaries(n)))
+		json.NewEncoder(w).Encode(SpansJSON(spans))
 	})
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -95,45 +81,6 @@ func intParam(w http.ResponseWriter, val, name string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// TraceJSON is the wire form of a Trace: stage durations keyed by name, in
-// nanoseconds, plus rounded human-readable totals.
-type TraceJSON struct {
-	ID         uint64           `json:"id"`
-	Client     int              `json:"client"`
-	Site       int              `json:"site"`
-	Seq        uint64           `json:"seq"`
-	Remastered bool             `json:"remastered"`
-	PartsMoved int              `json:"parts_moved"`
-	Start      time.Time        `json:"start"`
-	TotalNS    int64            `json:"total_ns"`
-	Total      string           `json:"total"`
-	Stages     map[string]int64 `json:"stages_ns"`
-}
-
-// TracesJSON converts traces to their wire form.
-func TracesJSON(traces []Trace) []TraceJSON {
-	out := make([]TraceJSON, len(traces))
-	for i, tr := range traces {
-		stages := make(map[string]int64, NumStages)
-		for s, d := range tr.Stages {
-			stages[Stage(s).String()] = int64(d)
-		}
-		out[i] = TraceJSON{
-			ID:         tr.ID,
-			Client:     tr.Client,
-			Site:       tr.Site,
-			Seq:        tr.Seq,
-			Remastered: tr.Remastered,
-			PartsMoved: tr.PartsMoved,
-			Start:      tr.Start,
-			TotalNS:    int64(tr.Total),
-			Total:      tr.Total.Round(time.Microsecond).String(),
-			Stages:     stages,
-		}
-	}
-	return out
 }
 
 // SpanJSON is the wire form of a Span. Trace and span ids render as hex
@@ -165,32 +112,6 @@ func SpansJSON(spans []Span) []SpanJSON {
 		}
 		if sp.Parent != 0 {
 			out[i].Parent = fmt.Sprintf("%016x", sp.Parent)
-		}
-	}
-	return out
-}
-
-// TraceSummaryJSON is the wire form of a TraceSummary.
-type TraceSummaryJSON struct {
-	Trace string    `json:"trace"`
-	Spans int       `json:"spans"`
-	Root  string    `json:"root,omitempty"`
-	Start time.Time `json:"start"`
-	DurNS int64     `json:"dur_ns"`
-	Dur   string    `json:"dur"`
-}
-
-// SummariesJSON converts trace summaries to their wire form.
-func SummariesJSON(sums []TraceSummary) []TraceSummaryJSON {
-	out := make([]TraceSummaryJSON, len(sums))
-	for i, s := range sums {
-		out[i] = TraceSummaryJSON{
-			Trace: fmt.Sprintf("%016x", s.Trace),
-			Spans: s.Spans,
-			Root:  s.Root,
-			Start: s.Start,
-			DurNS: int64(s.Dur),
-			Dur:   s.Dur.Round(time.Microsecond).String(),
 		}
 	}
 	return out

@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// testHandler builds a Handler over a populated registry, tracer, and span
-// recorder, returning the pieces for assertions.
-func testHandler(t *testing.T) (http.Handler, *Tracer, *SpanRecorder) {
+// testHandler builds a Handler over a populated registry and span
+// recorder, returning the recorder for assertions. The recorder holds three
+// traces totalling 1, 3 and 2 ms, recorded in that order.
+func testHandler(t *testing.T) (http.Handler, *SpanRecorder) {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Counter("dynamast_test_commits_total", L("site", "0")).Add(7)
@@ -20,16 +21,18 @@ func testHandler(t *testing.T) (http.Handler, *Tracer, *SpanRecorder) {
 	reg.Gauge("dynamast_test_mastered_partitions").Set(12)
 	reg.Histogram("dynamast_test_txn_seconds").Observe(0.002)
 
-	tr := NewTracer(16)
-	for i := 0; i < 3; i++ {
-		trc := Trace{Client: 1, Site: i, Seq: uint64(i + 1), Start: time.Now(),
-			Total: time.Duration(i+1) * time.Millisecond}
-		trc.Stages[StageRoute] = time.Microsecond
-		tr.Record(trc)
-	}
-
 	sr := NewSpanRecorder(16)
-	return Handler(reg, tr, sr), tr, sr
+	for i, ms := range []int{1, 3, 2} {
+		sc := NewTraceContext()
+		start := time.Now()
+		sr.Record(Span{Trace: sc.Trace, ID: sc.Span, Name: "txn", Site: SelectorSite,
+			Start: start, Dur: time.Duration(ms) * time.Millisecond})
+		sr.Record(Span{Trace: sc.Trace, Parent: sc.Span, Name: "route", Site: SelectorSite,
+			Start: start, Dur: time.Microsecond})
+		sr.Record(Span{Trace: sc.Trace, Parent: sc.Span, Name: "execute", Site: i,
+			Start: start, Dur: time.Microsecond})
+	}
+	return Handler(reg, sr), sr
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -40,7 +43,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 func TestHandlerMetricsFormat(t *testing.T) {
-	h, _, _ := testHandler(t)
+	h, _ := testHandler(t)
 	rec := get(t, h, "/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d, want 200", rec.Code)
@@ -68,59 +71,63 @@ func TestHandlerMetricsFormat(t *testing.T) {
 }
 
 func TestHandlerTraces(t *testing.T) {
-	h, _, _ := testHandler(t)
+	h, _ := testHandler(t)
+	list := func(path string) []TraceJSON {
+		t.Helper()
+		rec := get(t, h, path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type = %q, want application/json", ct)
+		}
+		var out []TraceJSON
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	totals := func(l []TraceJSON) []time.Duration {
+		out := make([]time.Duration, len(l))
+		for i, tr := range l {
+			out[i] = time.Duration(tr.TotalNS)
+		}
+		return out
+	}
+	ms := time.Millisecond
 
-	rec := get(t, h, "/debug/traces")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /debug/traces = %d, want 200", rec.Code)
+	all := list("/debug/traces")
+	// Newest first: the last-recorded trace (site 2, total 2ms) leads.
+	if got := totals(all); fmt.Sprint(got) != fmt.Sprint([]time.Duration{2 * ms, 3 * ms, ms}) {
+		t.Fatalf("newest-first totals = %v", got)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type = %q, want application/json", ct)
+	if all[0].Site != 2 || all[0].Stages["route"] != int64(time.Microsecond) {
+		t.Fatalf("first trace = %+v, want site 2 with a 1µs route stage", all[0])
 	}
-	var all []TraceJSON
-	if err := json.NewDecoder(rec.Body).Decode(&all); err != nil {
-		t.Fatal(err)
+	if got := list("/debug/traces?n=2"); len(got) != 2 {
+		t.Fatalf("?n=2 returned %d traces", len(got))
 	}
-	if len(all) != 3 {
-		t.Fatalf("got %d traces, want 3", len(all))
-	}
-	// Newest first: the last-recorded trace (site 2, total 3ms) leads.
-	if all[0].Site != 2 || all[0].TotalNS != int64(3*time.Millisecond) {
-		t.Fatalf("first trace = %+v, want the newest", all[0])
-	}
-	if all[0].Stages["route"] != int64(time.Microsecond) {
-		t.Fatalf("stages_ns missing route: %+v", all[0].Stages)
-	}
-
-	var limited []TraceJSON
-	rec = get(t, h, "/debug/traces?n=2")
-	if err := json.NewDecoder(rec.Body).Decode(&limited); err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != 2 {
-		t.Fatalf("?n=2 returned %d traces", len(limited))
-	}
-
-	var slowest []TraceJSON
-	rec = get(t, h, "/debug/traces?slowest=2")
-	if err := json.NewDecoder(rec.Body).Decode(&slowest); err != nil {
-		t.Fatal(err)
-	}
-	if len(slowest) != 2 || slowest[0].TotalNS < slowest[1].TotalNS {
-		t.Fatalf("?slowest=2 not ordered by latency: %+v", slowest)
-	}
-	if slowest[0].TotalNS != int64(3*time.Millisecond) {
-		t.Fatalf("slowest trace TotalNS = %d, want 3ms", slowest[0].TotalNS)
+	for path, want := range map[string][]time.Duration{
+		"/debug/traces?slowest=2":        {3 * ms, 2 * ms},
+		"/debug/traces?sort=slow":        {3 * ms, 2 * ms, ms},
+		"/debug/traces?sort=slow&n=1":    {3 * ms},
+		"/debug/traces?slowest=0&n=2":    {3 * ms, 2 * ms},
+		"/debug/traces?slowest=5&sort=x": {3 * ms, 2 * ms, ms},
+	} {
+		if got := totals(list(path)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s totals = %v, want %v", path, got, want)
+		}
 	}
 }
 
 func TestHandlerTracesBadParams(t *testing.T) {
-	h, _, _ := testHandler(t)
+	h, _ := testHandler(t)
 	for _, path := range []string{
 		"/debug/traces?n=abc",
 		"/debug/traces?n=-1",
 		"/debug/traces?slowest=xyz",
 		"/debug/traces?slowest=-5",
+		"/debug/spans",
 		"/debug/spans?n=abc",
 		"/debug/spans?n=-2",
 		"/debug/spans?trace=nothex",
@@ -132,30 +139,15 @@ func TestHandlerTracesBadParams(t *testing.T) {
 }
 
 func TestHandlerSpans(t *testing.T) {
-	h, _, sr := testHandler(t)
+	h, sr := testHandler(t)
 	sc := NewTraceContext()
 	sr.Record(Span{Trace: sc.Trace, ID: sc.Span, Name: "txn", Site: SelectorSite,
 		Start: time.Now(), Dur: 2 * time.Millisecond})
 	sr.Record(Span{Trace: sc.Trace, Parent: sc.Span, Name: "execute", Site: 1,
 		Start: time.Now(), Dur: time.Millisecond})
 
-	rec := get(t, h, "/debug/spans")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /debug/spans = %d, want 200", rec.Code)
-	}
-	var sums []TraceSummaryJSON
-	if err := json.NewDecoder(rec.Body).Decode(&sums); err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 1 || sums[0].Spans != 2 || sums[0].Root != "txn" {
-		t.Fatalf("summaries = %+v", sums)
-	}
 	wantID := fmt.Sprintf("%016x", sc.Trace)
-	if sums[0].Trace != wantID {
-		t.Fatalf("summary trace id %q, want hex %q", sums[0].Trace, wantID)
-	}
-
-	rec = get(t, h, "/debug/spans?trace="+wantID)
+	rec := get(t, h, "/debug/spans?trace="+wantID)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/spans?trace= = %d, want 200", rec.Code)
 	}
@@ -182,7 +174,7 @@ func TestHandlerSpans(t *testing.T) {
 }
 
 func TestHandlerFlightRecorder(t *testing.T) {
-	h, _, _ := testHandler(t)
+	h, _ := testHandler(t)
 	tag := fmt.Sprintf("http-test-%d", FlightEventCount())
 	RecordEvent(FlightRPCRetry, SelectorSite, "retrying (%s)", tag)
 
@@ -208,11 +200,18 @@ func TestHandlerFlightRecorder(t *testing.T) {
 	}
 }
 
-func TestHandlerNilTracerAndRecorder(t *testing.T) {
-	h := Handler(NewRegistry(), nil, nil)
-	for _, path := range []string{"/debug/traces", "/debug/spans", "/metrics"} {
-		if rec := get(t, h, path); rec.Code != http.StatusOK {
-			t.Errorf("GET %s with nil sources = %d, want 200", path, rec.Code)
-		}
+// TestHandlerNilRecorder: without a span recorder the trace list is an
+// empty JSON list and no trace is retained.
+func TestHandlerNilRecorder(t *testing.T) {
+	h := Handler(NewRegistry(), nil)
+	if rec := get(t, h, "/metrics"); rec.Code != http.StatusOK {
+		t.Errorf("GET /metrics = %d, want 200", rec.Code)
+	}
+	rec := get(t, h, "/debug/traces")
+	if rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
+		t.Errorf("GET /debug/traces = %d %q, want 200 []", rec.Code, rec.Body.String())
+	}
+	if rec := get(t, h, "/debug/spans?trace=00000000deadbeef"); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /debug/spans?trace= = %d, want 404", rec.Code)
 	}
 }

@@ -15,10 +15,10 @@ func TestBucketIndex(t *testing.T) {
 		{0, 0},
 		{-1, 0},
 		{0.5e-6, 0},
-		{1e-6, 0},     // exactly the first bound
-		{1.5e-6, 1},   // (1µs, 2µs]
-		{2e-6, 1},     // exactly 2µs
-		{2.1e-6, 2},   // (2µs, 4µs]
+		{1e-6, 0},            // exactly the first bound
+		{1.5e-6, 1},          // (1µs, 2µs]
+		{2e-6, 1},            // exactly 2µs
+		{2.1e-6, 2},          // (2µs, 4µs]
 		{1e-3, 10},           // (512µs, 1.024ms]
 		{1.0, 20},            // (524ms, 1.05s]
 		{100.0, histBuckets}, // overflow bucket
@@ -141,12 +141,6 @@ func TestNilInstrumentsNoop(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram recorded")
 	}
-	var tr *Tracer
-	tr.Record(Trace{})
-	tr.RefreshApplied(0, 1, time.Second)
-	if tr.Count() != 0 || tr.Recent(5) != nil || tr.Slowest(5) != nil {
-		t.Fatal("nil tracer recorded")
-	}
 	r.Func("f", KindGauge, func() float64 { return 1 })
 	r.Help("f", "help")
 }
@@ -230,70 +224,5 @@ func TestWriteTextFormat(t *testing.T) {
 	}
 	if !strings.Contains(out, "n=1") || !strings.Contains(out, "avg=3ms") {
 		t.Errorf("histogram summary missing in:\n%s", out)
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(Trace{Site: i % 2, Seq: uint64(i), Total: time.Duration(i) * time.Millisecond})
-	}
-	if tr.Count() != 10 {
-		t.Fatalf("count = %d", tr.Count())
-	}
-	recent := tr.Recent(100)
-	if len(recent) != 4 {
-		t.Fatalf("ring kept %d", len(recent))
-	}
-	// Most recent first.
-	if recent[0].Seq != 9 || recent[3].Seq != 6 {
-		t.Fatalf("recent order: %d..%d", recent[0].Seq, recent[3].Seq)
-	}
-	if ids := tr.Recent(2); len(ids) != 2 || ids[0].Seq != 9 {
-		t.Fatalf("limited recent = %+v", ids)
-	}
-	slow := tr.Slowest(2)
-	if len(slow) != 2 || slow[0].Seq != 9 || slow[1].Seq != 8 {
-		t.Fatalf("slowest = %+v", slow)
-	}
-}
-
-func TestTracerRefreshApplied(t *testing.T) {
-	tr := NewTracer(8)
-	rec := tr.Record(Trace{Site: 1, Seq: 42})
-	tr.RefreshApplied(1, 42, 5*time.Millisecond)
-	tr.RefreshApplied(1, 42, 3*time.Millisecond) // smaller lag must not regress it
-	tr.RefreshApplied(1, 42, 9*time.Millisecond) // larger lag wins
-	tr.RefreshApplied(0, 42, time.Hour)          // different site: ignored
-	got := tr.Recent(1)[0]
-	if got.ID != rec.ID {
-		t.Fatalf("trace id %d != %d", got.ID, rec.ID)
-	}
-	if got.Stages[StageRefreshApply] != 9*time.Millisecond {
-		t.Fatalf("refresh_apply = %v", got.Stages[StageRefreshApply])
-	}
-	// Evicted stamps must not be reachable.
-	small := NewTracer(1)
-	small.Record(Trace{Site: 0, Seq: 1})
-	small.Record(Trace{Site: 0, Seq: 2}) // evicts seq 1
-	small.RefreshApplied(0, 1, time.Second)
-	if got := small.Recent(1)[0]; got.Seq != 2 || got.Stages[StageRefreshApply] != 0 {
-		t.Fatalf("evicted stamp leaked: %+v", got)
-	}
-}
-
-func TestTraceJSON(t *testing.T) {
-	tr := Trace{ID: 3, Client: 7, Site: 1, Seq: 9, Remastered: true,
-		PartsMoved: 2, Total: 1500 * time.Microsecond}
-	tr.Stages[StageRoute] = time.Millisecond
-	out := TracesJSON([]Trace{tr})
-	if len(out) != 1 || out[0].ID != 3 || !out[0].Remastered {
-		t.Fatalf("json = %+v", out)
-	}
-	if out[0].Stages["route"] != int64(time.Millisecond) {
-		t.Fatalf("stages = %+v", out[0].Stages)
-	}
-	if out[0].Total != "1.5ms" {
-		t.Fatalf("total = %q", out[0].Total)
 	}
 }

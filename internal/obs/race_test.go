@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// TestConcurrentRegistry hammers every instrument type from parallel writers
-// while readers snapshot and render; it exists to run under -race and to
-// check the final counts are exact (no lost updates).
+// TestConcurrentRegistry hammers every instrument type and the span
+// recorder from parallel writers while readers snapshot, render and list
+// traces; it exists to run under -race and to check the final counts are
+// exact (no lost updates).
 func TestConcurrentRegistry(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(64)
+	sr := NewSpanRecorder(64)
 	const (
 		writers = 8
 		perG    = 2000
@@ -36,8 +37,8 @@ func TestConcurrentRegistry(t *testing.T) {
 				s.WritePrometheus(io.Discard)
 				s.WriteText(io.Discard)
 				r.Histogram("lat_seconds").Quantile(0.99)
-				tr.Recent(10)
-				tr.Slowest(5)
+				sr.Traces(10, false)
+				sr.Traces(5, true)
 			}
 		}()
 	}
@@ -54,9 +55,11 @@ func TestConcurrentRegistry(t *testing.T) {
 				ga.Set(float64(i))
 				ga.Add(0.5)
 				h.Observe(float64(i%100) / 1e4)
-				tr.Record(Trace{Site: g, Seq: uint64(i + 1),
-					Total: time.Duration(i) * time.Microsecond})
-				tr.RefreshApplied(g, uint64(i+1), time.Microsecond)
+				sc := NewTraceContext()
+				sr.Record(Span{Trace: sc.Trace, ID: sc.Span, Name: "txn",
+					Start: time.Now(), Dur: time.Duration(i) * time.Microsecond})
+				sr.RegisterStamp(g, uint64(i+1), sc)
+				sr.RefreshApplied(g, uint64(i+1), g+1, time.Microsecond, time.Now())
 				// Re-registration races with other writers and readers.
 				r.Func("collected", KindGauge, func() float64 { return float64(i) })
 			}
@@ -82,7 +85,12 @@ func TestConcurrentRegistry(t *testing.T) {
 	if h.Count() != writers*perG {
 		t.Fatalf("histogram count = %d", h.Count())
 	}
-	if tr.Count() != writers*perG {
-		t.Fatalf("tracer count = %d", tr.Count())
+	// A stamp registered after other writers evicted its trace re-admits the
+	// trace, so the count may exceed one per iteration but never fall short.
+	if traces, _, _ := sr.Counts(); traces < writers*perG {
+		t.Fatalf("span recorder traces = %d, want >= %d", traces, writers*perG)
+	}
+	if got := len(sr.Traces(0, false)); got != 64 {
+		t.Fatalf("ring lists %d traces, want its capacity 64", got)
 	}
 }

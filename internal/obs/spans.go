@@ -1,23 +1,22 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Cross-site distributed tracing. The in-process Tracer (trace.go) stamps a
-// transaction's lifecycle as six fixed stages; it cannot follow a trace
-// across an RPC boundary or attribute time to the individual release/grant
-// legs of a remaster chain. The span layer fixes that: a SpanContext —
-// 64-bit trace id plus 64-bit span id — travels inside the binary RPC frame
-// (one reserved flags bit; zero bytes when unsampled) and through the
-// selector → site → replica call path, and every participant records timed
-// Spans against the shared trace id. The result is one span tree per
-// sampled transaction with cross-site causal edges: route with its release
-// (source site) and grant (destination site) children, execute, commit with
-// its WAL-flush child, and one refresh-apply span per replica that applied
-// the update.
+// Cross-site distributed tracing, the per-transaction view beside the
+// aggregate stage histograms. A SpanContext — 64-bit trace id plus 64-bit
+// span id — travels inside the binary RPC frame (one reserved flags bit;
+// zero bytes when unsampled) and through the selector → site → replica call
+// path, and every participant records timed Spans against the shared trace
+// id. The result is one span tree per sampled transaction with cross-site
+// causal edges: route with its release (source site) and grant (destination
+// site) children, begin, execute, commit with its WAL-flush child, and one
+// refresh-apply span per replica that applied the update. The lifecycle
+// stages of a retained trace are derived from that tree (trace.go).
 
 // SpanContext identifies a position in a distributed trace: the trace it
 // belongs to and the span the current operation should record (or parent
@@ -126,8 +125,9 @@ type spanStamp struct {
 }
 
 // stampRef records which ring slot (and which trace occupying it) a stamp
-// belongs to, so eviction can drop exactly its own entries — the same
-// slot-reuse hazard the Tracer's byStamp index has.
+// belongs to, so eviction can drop exactly its own entries: a commit stamp
+// can recur (a recovered site restarts its sequence) and be re-pointed at a
+// newer slot.
 type stampRef struct {
 	slot  int
 	trace uint64
@@ -151,20 +151,20 @@ type SpanRecorder struct {
 	have    int
 	byTrace map[uint64]int
 	byStamp map[spanStamp]stampRef
+	// stamps mirrors len(byStamp) so RefreshApplied can skip the lock when
+	// no stamp is registered.
+	stamps atomic.Int64
 
 	traces  atomic.Uint64 // lifetime traces started
 	spans   atomic.Uint64 // lifetime spans recorded
 	dropped atomic.Uint64 // spans dropped by the per-trace cap
 }
 
-// DefaultSpanTraces is the default number of retained traces.
-const DefaultSpanTraces = 256
-
 // NewSpanRecorder returns a recorder retaining the last capacity traces
-// (capacity <= 0 selects DefaultSpanTraces).
+// (capacity <= 0 selects DefaultTraceRing).
 func NewSpanRecorder(capacity int) *SpanRecorder {
 	if capacity <= 0 {
-		capacity = DefaultSpanTraces
+		capacity = DefaultTraceRing
 	}
 	return &SpanRecorder{
 		slots:   make([]traceSlot, capacity),
@@ -193,6 +193,7 @@ func (r *SpanRecorder) slotFor(trace uint64) int {
 				delete(r.byStamp, st)
 			}
 		}
+		r.stamps.Store(int64(len(r.byStamp)))
 	}
 	*old = traceSlot{trace: trace, spans: old.spans[:0], stamps: old.stamps[:0]}
 	r.byTrace[trace] = slot
@@ -238,6 +239,7 @@ func (r *SpanRecorder) RegisterStamp(site int, seq uint64, sc SpanContext) {
 	slot := r.slotFor(sc.Trace)
 	st := spanStamp{site, seq}
 	r.byStamp[st] = stampRef{slot: slot, trace: sc.Trace, span: sc.Span}
+	r.stamps.Store(int64(len(r.byStamp)))
 	r.slots[slot].stamps = append(r.slots[slot].stamps, st)
 }
 
@@ -245,8 +247,14 @@ func (r *SpanRecorder) RegisterStamp(site int, seq uint64, sc SpanContext) {
 // transaction committed at (origin, seq), if that trace is still retained.
 // The span covers [now-lag, now]: the time from commit publication until
 // the replica applied the refresh transaction.
+//
+// Every replica calls it for every member it applies, so with no stamp
+// registered it returns before locking. The lock-free miss is safe because
+// the origin registers a sampled commit's stamp inside its commit critical
+// section, before the log append (or epoch buffer) publishes the entry: no
+// replica can apply an entry before its stamp has raised the count.
 func (r *SpanRecorder) RefreshApplied(origin int, seq uint64, site int, lag time.Duration, now time.Time) {
-	if r == nil {
+	if r == nil || r.stamps.Load() == 0 {
 		return
 	}
 	r.mu.Lock()
@@ -287,46 +295,28 @@ func (r *SpanRecorder) Spans(trace uint64) []Span {
 	return append([]Span(nil), r.slots[slot].spans...)
 }
 
-// TraceSummary is one retained trace's headline: id, span count, the root
-// span's name and window.
-type TraceSummary struct {
-	Trace uint64
-	Spans int
-	Root  string
-	Start time.Time
-	Dur   time.Duration
-}
-
-// Summaries returns up to n retained traces, newest first (n <= 0 means
-// all).
-func (r *SpanRecorder) Summaries(n int) []TraceSummary {
+// Traces returns up to n retained traces (n <= 0 means all) with their
+// span-derived stages: newest first, or slowest first by total when slow
+// is set. The result is never nil, so it encodes as a JSON list.
+func (r *SpanRecorder) Traces(n int, slow bool) []TraceJSON {
+	out := []TraceJSON{}
 	if r == nil {
-		return nil
+		return out
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= 0 || n > r.have {
-		n = r.have
+	for i := 0; i < r.have; i++ {
+		if !slow && n > 0 && len(out) == n {
+			break
+		}
+		s := &r.slots[((r.next-1-i)%len(r.slots)+len(r.slots))%len(r.slots)]
+		out = append(out, traceJSON(s.trace, s.spans))
 	}
-	out := make([]TraceSummary, 0, n)
-	for i := 0; i < n; i++ {
-		slot := ((r.next-1-i)%len(r.slots) + len(r.slots)) % len(r.slots)
-		s := &r.slots[slot]
-		if s.trace == 0 {
-			continue
-		}
-		sum := TraceSummary{Trace: s.trace, Spans: len(s.spans)}
-		for j := range s.spans {
-			sp := &s.spans[j]
-			if sp.Parent == 0 && sum.Root == "" {
-				sum.Root = sp.Name
-				sum.Dur = sp.Dur
-			}
-			if sum.Start.IsZero() || sp.Start.Before(sum.Start) {
-				sum.Start = sp.Start
-			}
-		}
-		out = append(out, sum)
+	r.mu.Unlock()
+	if slow {
+		sort.SliceStable(out, func(i, j int) bool { return out[i].TotalNS > out[j].TotalNS })
+	}
+	if n > 0 && n < len(out) {
+		out = out[:n]
 	}
 	return out
 }

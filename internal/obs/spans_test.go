@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -101,8 +102,8 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 	r.Record(Span{Trace: 1, Name: "x"})
 	r.RegisterStamp(0, 1, SpanContext{Trace: 1, Span: 2})
 	r.RefreshApplied(0, 1, 1, time.Millisecond, time.Now())
-	if r.Spans(1) != nil || r.Summaries(0) != nil {
-		t.Fatal("nil recorder must return nil lists")
+	if r.Spans(1) != nil || len(r.Traces(0, false)) != 0 {
+		t.Fatal("nil recorder must return empty lists")
 	}
 	if a, b, c := r.Counts(); a != 0 || b != 0 || c != 0 {
 		t.Fatal("nil recorder counts must be zero")
@@ -246,29 +247,62 @@ func TestSpanStampSlotReuseNoMisattribution(t *testing.T) {
 	}
 }
 
+// TestSpanRecorderSummaries pins the trace list's headline fields and its
+// newest-first order.
 func TestSpanRecorderSummaries(t *testing.T) {
 	r := NewSpanRecorder(8)
-	var scs []SpanContext
+	var ids []string
 	for i := 0; i < 3; i++ {
 		sc := NewTraceContext()
-		scs = append(scs, sc)
+		ids = append(ids, fmt.Sprintf("%016x", sc.Trace))
 		r.Record(Span{Trace: sc.Trace, ID: sc.Span, Name: "txn",
 			Start: time.Now(), Dur: time.Duration(i+1) * time.Millisecond})
-		r.Record(Span{Trace: sc.Trace, Parent: sc.Span, Name: "execute"})
+		r.Record(Span{Trace: sc.Trace, Parent: sc.Span, Name: "execute", Site: 2})
 	}
-	sums := r.Summaries(0)
-	if len(sums) != 3 {
-		t.Fatalf("Summaries(0) returned %d, want 3", len(sums))
+	list := r.Traces(0, false)
+	if len(list) != 3 {
+		t.Fatalf("Traces(0) returned %d, want 3", len(list))
 	}
-	// Newest first.
-	if sums[0].Trace != scs[2].Trace || sums[2].Trace != scs[0].Trace {
-		t.Fatalf("summaries not newest-first: %+v", sums)
+	if list[0].Trace != ids[2] || list[2].Trace != ids[0] {
+		t.Fatalf("traces not newest-first: %+v", list)
 	}
-	if sums[0].Spans != 2 || sums[0].Root != "txn" || sums[0].Dur != 3*time.Millisecond {
-		t.Fatalf("summary wrong: %+v", sums[0])
+	if got := list[0]; got.Spans != 2 || got.Site != 2 || got.TotalNS != int64(3*time.Millisecond) || got.Total != "3ms" {
+		t.Fatalf("headline wrong: %+v", got)
 	}
-	if got := r.Summaries(2); len(got) != 2 || got[0].Trace != scs[2].Trace {
-		t.Fatalf("Summaries(2) = %+v", got)
+	if got := r.Traces(2, false); len(got) != 2 || got[0].Trace != ids[2] {
+		t.Fatalf("Traces(2) = %+v", got)
+	}
+}
+
+// TestRefreshAppliedUnsampledTakesNoLock pins the unsampled refresh path:
+// with no stamp registered — none ever, or every one evicted with its
+// trace — RefreshApplied must return without taking the recorder's mutex,
+// which every replica would otherwise contend on for every applied member.
+func TestRefreshAppliedUnsampledTakesNoLock(t *testing.T) {
+	r := NewSpanRecorder(1)
+	returns := func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		done := make(chan struct{})
+		go func() {
+			r.RefreshApplied(0, 1, 1, time.Millisecond, time.Now())
+			close(done)
+		}()
+		select {
+		case <-done:
+			return true
+		case <-time.After(time.Second):
+			return false
+		}
+	}
+	if !returns() {
+		t.Fatal("RefreshApplied blocked on the recorder lock with no stamp ever registered")
+	}
+	old := NewTraceContext()
+	r.RegisterStamp(0, 1, old)
+	r.Record(Span{Trace: NewTraceContext().Trace, Name: "txn"}) // evicts old and its stamp
+	if !returns() {
+		t.Fatal("RefreshApplied blocked on the recorder lock after the last stamp was evicted")
 	}
 }
 
@@ -287,35 +321,5 @@ func TestSpanRecorderInstrument(t *testing.T) {
 	}
 	if v, ok := snap.Value("dynamast_trace_spans_dropped_total"); !ok || v != 0 {
 		t.Fatalf("dynamast_trace_spans_dropped_total = %v (ok=%v), want 0", v, ok)
-	}
-}
-
-// TestTracerStampEvictionGuard is the Tracer-side regression test for the
-// same hazard class: evicting a trace whose commit stamp was re-pointed at
-// a newer ring slot must not delete the newer entry.
-func TestTracerStampEvictionGuard(t *testing.T) {
-	tr := NewTracer(2)
-	// Slot 0: trace A with stamp (site 1, seq 9).
-	tr.Record(Trace{Client: 1, Site: 1, Seq: 9})
-	// Slot 1: trace B with the SAME stamp (the origin site restarted its
-	// sequence counter) — the byStamp entry is re-pointed at slot 1.
-	b := tr.Record(Trace{Client: 2, Site: 1, Seq: 9})
-	// Slot 0 reused by an unrelated trace C: evicting A walks its stamp
-	// (1, 9), which now belongs to B. The guard must keep it.
-	tr.Record(Trace{Client: 3, Site: 2, Seq: 5})
-
-	tr.RefreshApplied(1, 9, 7*time.Millisecond)
-	var got Trace
-	for _, x := range tr.Recent(0) {
-		if x.ID == b.ID {
-			got = x
-		}
-	}
-	if got.ID == 0 {
-		t.Fatal("stamp-owning trace not found in ring")
-	}
-	if got.Stages[StageRefreshApply] != 7*time.Millisecond {
-		t.Fatalf("refresh-apply lag %v not attributed to the stamp's current owner",
-			got.Stages[StageRefreshApply])
 	}
 }

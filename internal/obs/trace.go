@@ -1,15 +1,17 @@
 package obs
 
 import (
-	"sort"
-	"sync"
+	"fmt"
 	"time"
 )
 
 // Stage is one phase of an update transaction's lifecycle, in execution
 // order. The stages mirror the paper's latency-breakdown categories
 // (Figure 7) extended with the asynchronous tail: WAL publication and the
-// replicas' refresh application.
+// replicas' refresh application. Sessions feed them to the
+// dynamast_txn_stage_seconds histograms for every update; a sampled
+// transaction's span tree yields the same stages for that one transaction
+// (see TraceJSON).
 type Stage int
 
 const (
@@ -19,8 +21,10 @@ const (
 	// StageRemaster is the release/grant RPC wait, zero when the write set
 	// was already single-sited.
 	StageRemaster
-	// StageExecute is the stored procedure (begin + logic, including
-	// session-freshness waits and modelled CPU).
+	// StageBegin is the site's begin: write-set lock acquisition plus the
+	// session-freshness wait.
+	StageBegin
+	// StageExecute is the stored procedure, including its modelled CPU.
 	StageExecute
 	// StageCommit is the local commit critical section, excluding the
 	// update-log append.
@@ -38,7 +42,7 @@ const (
 
 // stageNames holds the label values used in metrics and trace JSON.
 var stageNames = [NumStages]string{
-	"route", "remaster", "execute", "commit", "wal_publish", "refresh_apply",
+	"route", "remaster", "begin", "execute", "commit", "wal_publish", "refresh_apply",
 }
 
 // String names the stage.
@@ -58,159 +62,80 @@ func Stages() []Stage {
 	return out
 }
 
-// Trace is one update transaction's recorded lifecycle.
-type Trace struct {
-	// ID is assigned by the tracer, dense from 1.
-	ID uint64
-	// Client is the session/client id.
-	Client int
-	// Site is the execution site.
-	Site int
-	// Seq is the transaction's commit sequence number at Site; (Site, Seq)
-	// is the commit stamp replicas key refresh application on.
-	Seq uint64
-	// Remastered reports whether routing required mastership transfers.
-	Remastered bool
-	// PartsMoved is the number of partitions transferred.
-	PartsMoved int
-	// Start is the submission time.
-	Start time.Time
-	// Stages holds the per-stage durations.
-	Stages [NumStages]time.Duration
-	// Total is the client-observed latency (includes network time not
-	// attributed to any stage).
-	Total time.Duration
-}
-
-// StageMap renders the stage durations keyed by stage name.
-func (t Trace) StageMap() map[string]time.Duration {
-	out := make(map[string]time.Duration, NumStages)
-	for i, d := range t.Stages {
-		out[Stage(i).String()] = d
-	}
-	return out
-}
-
-// Tracer keeps a bounded in-memory ring of recent transaction traces for
-// slow-query inspection, with late completion of the asynchronous
-// refresh-apply stage. A nil *Tracer no-ops.
-type Tracer struct {
-	mu      sync.Mutex
-	ring    []Trace
-	have    int // traces currently in the ring
-	next    int // next write slot
-	seq     uint64
-	byStamp map[traceStamp]int // commit stamp -> ring slot, for refresh completion
-}
-
-type traceStamp struct {
-	site int
-	seq  uint64
-}
-
-// DefaultTraceRing is the default ring capacity.
+// DefaultTraceRing is the default number of sampled traces a SpanRecorder
+// retains.
 const DefaultTraceRing = 256
 
-// NewTracer returns a tracer retaining the last capacity traces
-// (capacity <= 0 selects DefaultTraceRing).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceRing
-	}
-	return &Tracer{
-		ring:    make([]Trace, capacity),
-		byStamp: make(map[traceStamp]int, capacity),
-	}
+// TraceJSON is the wire form of one retained trace: its hex id, the site
+// that executed it, whether routing remastered, the span count, the trace's
+// window, and the lifecycle stages derived from its span tree, in
+// nanoseconds.
+type TraceJSON struct {
+	Trace      string           `json:"trace"`
+	Site       int              `json:"site"`
+	Remastered bool             `json:"remastered"`
+	Spans      int              `json:"spans"`
+	Start      time.Time        `json:"start"`
+	TotalNS    int64            `json:"total_ns"`
+	Total      string           `json:"total"`
+	Stages     map[string]int64 `json:"stages_ns"`
 }
 
-// Record inserts a completed (up to WAL publish) trace, assigns its ID, and
-// returns it. The oldest trace is evicted when the ring is full.
-func (t *Tracer) Record(tr Trace) Trace {
-	if t == nil {
-		return tr
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.seq++
-	tr.ID = t.seq
-	slot := t.next
-	if old := t.ring[slot]; old.ID != 0 {
-		// Drop the evicted trace's stamp entry — but only if it still points
-		// here. A commit stamp can recur (a recovered site restarts its
-		// sequence), in which case the entry was re-pointed at a newer slot;
-		// deleting it would strand that slot's refresh-apply completion and
-		// let the index grow past the ring under stamp churn.
-		st := traceStamp{old.Site, old.Seq}
-		if cur, ok := t.byStamp[st]; ok && cur == slot {
-			delete(t.byStamp, st)
+// traceJSON derives a trace's headline from its spans. Total is the root
+// txn span; the stages come from span names:
+//
+//	route          the route span minus its release/grant window
+//	remaster       earliest release/grant start to latest release/grant end
+//	begin, execute their own spans
+//	commit         the commit span minus wal_flush
+//	wal_publish    wal_flush
+//	refresh_apply  the largest refresh_apply span (the slowest replica)
+//
+// Parallel remaster chains overlap, so remaster is their window, not their
+// sum; route is what the window leaves of the route span.
+func traceJSON(trace uint64, spans []Span) TraceJSON {
+	out := TraceJSON{Trace: fmt.Sprintf("%016x", trace), Site: SelectorSite, Spans: len(spans)}
+	var st [NumStages]time.Duration
+	var route, commit, total time.Duration
+	var remLo, remHi time.Time
+	for _, sp := range spans {
+		if out.Start.IsZero() || sp.Start.Before(out.Start) {
+			out.Start = sp.Start
+		}
+		switch sp.Name {
+		case "txn":
+			total = sp.Dur
+		case "route":
+			route += sp.Dur
+		case "release", "grant":
+			out.Remastered = true
+			if remLo.IsZero() || sp.Start.Before(remLo) {
+				remLo = sp.Start
+			}
+			if end := sp.Start.Add(sp.Dur); end.After(remHi) {
+				remHi = end
+			}
+		case "begin":
+			st[StageBegin] += sp.Dur
+		case "execute":
+			st[StageExecute] += sp.Dur
+			out.Site = sp.Site
+		case "commit":
+			commit += sp.Dur
+		case "wal_flush":
+			st[StageWALPublish] += sp.Dur
+		case "refresh_apply":
+			st[StageRefreshApply] = max(st[StageRefreshApply], sp.Dur)
 		}
 	}
-	t.ring[slot] = tr
-	if tr.Seq != 0 {
-		t.byStamp[traceStamp{tr.Site, tr.Seq}] = slot
-	}
-	t.next = (t.next + 1) % len(t.ring)
-	if t.have < len(t.ring) {
-		t.have++
-	}
-	return tr
-}
-
-// RefreshApplied completes the refresh-apply stage of the trace committed
-// at (site, seq), if it is still in the ring: the stage records the slowest
-// replica apply observed so far.
-func (t *Tracer) RefreshApplied(site int, seq uint64, lag time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	slot, ok := t.byStamp[traceStamp{site, seq}]
-	if !ok {
-		return
-	}
-	if lag > t.ring[slot].Stages[StageRefreshApply] {
-		t.ring[slot].Stages[StageRefreshApply] = lag
-	}
-}
-
-// Count returns the number of traces recorded so far (lifetime, not ring
-// occupancy).
-func (t *Tracer) Count() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
-// Recent returns up to n traces, newest first (n <= 0 means the whole
-// ring).
-func (t *Tracer) Recent(n int) []Trace {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 || n > t.have {
-		n = t.have
-	}
-	out := make([]Trace, 0, n)
-	for i := 0; i < n; i++ {
-		slot := ((t.next-1-i)%len(t.ring) + len(t.ring)) % len(t.ring)
-		out = append(out, t.ring[slot])
+	st[StageRemaster] = remHi.Sub(remLo)
+	st[StageRoute] = max(route-st[StageRemaster], 0)
+	st[StageCommit] = max(commit-st[StageWALPublish], 0)
+	out.TotalNS = int64(total)
+	out.Total = total.Round(time.Microsecond).String()
+	out.Stages = make(map[string]int64, NumStages)
+	for s, d := range st {
+		out.Stages[Stage(s).String()] = int64(d)
 	}
 	return out
-}
-
-// Slowest returns up to n retained traces ordered by total latency,
-// slowest first.
-func (t *Tracer) Slowest(n int) []Trace {
-	all := t.Recent(0)
-	sort.Slice(all, func(i, j int) bool { return all[i].Total > all[j].Total })
-	if n > 0 && n < len(all) {
-		all = all[:n]
-	}
-	return all
 }

@@ -17,13 +17,15 @@ import (
 )
 
 // TestMetricsEndToEnd drives a small cluster through remastering-forcing
-// update transactions and checks the full observability surface: the
-// /metrics Prometheus endpoint, the /debug/traces lifecycle traces (with
-// route → remaster → commit → refresh-apply spans), and the metrics RPC that
+// update transactions, every one sampled, and checks the full observability
+// surface: the /metrics Prometheus endpoint, the /debug/traces list whose
+// stages derive from each trace's span tree (route → release/grant → begin
+// → execute → commit → WAL flush → refresh apply), and the metrics RPC that
 // backs `dynactl metrics`.
 func TestMetricsEndToEnd(t *testing.T) {
 	cluster, err := core.NewCluster(core.Config{
-		Sites: 2,
+		Sites:            2,
+		TraceSampleEvery: 1,
 		// One key per partition, alternating initial masters: any two-key
 		// write set {2k, 2k+1} spans both sites and must remaster.
 		Partitioner:   func(ref storage.RowRef) uint64 { return ref.Key },
@@ -42,7 +44,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}()
 
 	// The same handler dynamastd mounts behind -metrics-listen.
-	web := httptest.NewServer(obs.Handler(cluster.Obs(), cluster.Tracer(), cluster.Spans()))
+	web := httptest.NewServer(obs.Handler(cluster.Obs(), cluster.Spans()))
 	defer web.Close()
 
 	cl, err := Dial(addr.String(), 1)
@@ -109,8 +111,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal("no remaster transactions counted")
 	}
 
-	// /debug/traces: poll until a remastered trace carries non-zero spans
-	// for every lifecycle stage (refresh-apply completes asynchronously).
+	// /debug/traces: poll until a remastered trace carries every lifecycle
+	// stage (refresh-apply completes asynchronously).
+	stages := []string{"route", "remaster", "begin", "execute", "commit", "wal_publish", "refresh_apply"}
 	var goodTrace *obs.TraceJSON
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && goodTrace == nil {
@@ -119,9 +122,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tr := range traces {
-			if tr.Remastered && tr.TotalNS > 0 &&
-				tr.Stages["route"] > 0 && tr.Stages["remaster"] > 0 &&
-				tr.Stages["commit"] > 0 && tr.Stages["refresh_apply"] > 0 {
+			complete := tr.Remastered && tr.TotalNS > 0
+			for _, st := range stages {
+				complete = complete && tr.Stages[st] > 0
+			}
+			if complete {
 				goodTrace = &traces[i]
 				break
 			}
@@ -131,19 +136,19 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 	if goodTrace == nil {
-		t.Fatal("no remastered trace with route/remaster/commit/refresh_apply spans appeared")
+		t.Fatalf("no remastered trace with all of %v > 0 appeared", stages)
 	}
-	if goodTrace.PartsMoved == 0 {
-		t.Errorf("remastered trace moved no partitions: %+v", goodTrace)
-	}
-	if goodTrace.Stages["execute"] <= 0 || goodTrace.Stages["wal_publish"] <= 0 {
-		t.Errorf("execute/wal_publish spans missing: %+v", goodTrace.Stages)
+	if goodTrace.Site < 0 || goodTrace.Spans < 9 {
+		t.Errorf("remastered trace headline incomplete: %+v", goodTrace)
 	}
 
 	// ?sort=slow must order by total latency.
 	var slow []obs.TraceJSON
-	if err := json.Unmarshal(get("/debug/traces?sort=slow&n=3"), &slow); err != nil {
+	if err := json.Unmarshal(get("/debug/traces?sort=slow"), &slow); err != nil {
 		t.Fatal(err)
+	}
+	if len(slow) != txns {
+		t.Fatalf("?sort=slow listed %d traces, want all %d sampled updates", len(slow), txns)
 	}
 	for i := 1; i < len(slow); i++ {
 		if slow[i].TotalNS > slow[i-1].TotalNS {
@@ -207,7 +212,7 @@ func TestMetricsContentType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go http.Serve(ln, obs.Handler(cluster.Obs(), cluster.Tracer(), cluster.Spans()))
+	go http.Serve(ln, obs.Handler(cluster.Obs(), cluster.Spans()))
 	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -229,14 +229,14 @@ func (s *Server) handleStats(*StatsRequest) (*StatsReply, error) {
 }
 
 // MetricsRequest asks for an observability snapshot. Traces limits how
-// many recent lifecycle traces ride along (0 = none).
+// many recent sampled traces ride along (0 = none).
 type MetricsRequest struct {
 	Traces int
 }
 
 // MetricsReply carries the full registry snapshot and, when requested,
-// recent transaction lifecycle traces — the same data the /metrics and
-// /debug/traces HTTP endpoints serve.
+// the most recent sampled traces with their span-derived stages — the same
+// data the /metrics and /debug/traces HTTP endpoints serve.
 type MetricsReply struct {
 	Snapshot obs.Snapshot
 	Traces   []obs.TraceJSON
@@ -245,7 +245,7 @@ type MetricsReply struct {
 func (s *Server) handleMetrics(req *MetricsRequest) (*MetricsReply, error) {
 	reply := &MetricsReply{Snapshot: s.cluster.Obs().Snapshot()}
 	if req.Traces > 0 {
-		reply.Traces = obs.TracesJSON(s.cluster.Tracer().Recent(req.Traces))
+		reply.Traces = s.cluster.Spans().Traces(req.Traces, false)
 	}
 	return reply, nil
 }
@@ -389,7 +389,7 @@ func (c *Client) Txn(writeSet []storage.RowRef, ops []Op) ([]OpResult, error) {
 // TxnTraced is Txn carrying a sampled distributed trace context (start one
 // with obs.NewTraceContext): the context rides the RPC frame — zero extra
 // bytes when unsampled — and the server records the transaction's span tree
-// under it. Fetch the spans afterwards from /debug/spans?trace=<id>.
+// under it. Fetch the spans afterwards from /debug/spans?trace=<hex id>.
 func (c *Client) TxnTraced(sc obs.SpanContext, writeSet []storage.RowRef, ops []Op) ([]OpResult, error) {
 	var resp TxnResponse
 	err := c.rpc.CallTraced(context.Background(), sc, "txn",
@@ -426,7 +426,7 @@ func (c *Client) Stats() (*StatsReply, error) {
 }
 
 // Metrics fetches the cluster's observability snapshot, with up to traces
-// recent lifecycle traces.
+// recent sampled traces.
 func (c *Client) Metrics(traces int) (*MetricsReply, error) {
 	var reply MetricsReply
 	if err := c.rpc.Call("metrics", &MetricsRequest{Traces: traces}, &reply); err != nil {

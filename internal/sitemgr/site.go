@@ -88,9 +88,6 @@ type Config struct {
 	// Obs receives the site's metrics (commit/abort/refresh counters and
 	// latency histograms, freshness gauges); nil disables instrumentation.
 	Obs *obs.Registry
-	// Tracer receives refresh-apply completions for the transaction
-	// lifecycle traces; nil disables them.
-	Tracer *obs.Tracer
 	// Spans receives the commit/WAL-flush/refresh-apply spans of sampled
 	// distributed traces; nil disables span recording.
 	Spans *obs.SpanRecorder
@@ -228,9 +225,8 @@ type Site struct {
 
 	// Observability (all instruments are nil-safe no-ops when the site is
 	// built without a registry).
-	ob     siteInstruments
-	tracer *obs.Tracer
-	spans  *obs.SpanRecorder
+	ob    siteInstruments
+	spans *obs.SpanRecorder
 }
 
 // siteInstruments are the site's registered metrics.
@@ -361,7 +357,6 @@ func New(cfg Config) (*Site, error) {
 	s.cfg.ApplySlots = cfg.ApplySlots
 	s.pcond = sync.NewCond(&s.pmu)
 	s.ep.cond = sync.NewCond(&s.ep.mu)
-	s.tracer = cfg.Tracer
 	s.spans = cfg.Spans
 	s.instrument(cfg.Obs)
 	return s, nil
@@ -627,7 +622,6 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 				s.ob.refreshLag.ObserveDuration(lag)
 				s.ob.lastLag.Set(lag.Seconds())
 				s.ob.refreshStage.ObserveDuration(lag)
-				s.tracer.RefreshApplied(origin, seq, lag)
 				s.spans.RefreshApplied(origin, seq, s.id, lag, now)
 			}
 		}

@@ -35,7 +35,7 @@ type Txn struct {
 	scan *[]storage.KV
 
 	// walPublish is the update-log append time measured during Commit;
-	// sessions read it to split the commit stage in lifecycle traces.
+	// sessions read it to split the commit stage from wal_publish.
 	walPublish time.Duration
 
 	// sc is the sampled trace context of the distributed transaction this

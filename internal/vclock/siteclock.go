@@ -13,14 +13,21 @@ import (
 //
 // Dimensions only grow and are stored atomically (under mu), so a wait whose
 // condition already holds — the usual case on the refresh path — sees that
-// with atomic loads and never touches the mutex.
+// with atomic loads and never touches the mutex. Now is lock-free too: every
+// store is bracketed by two increments of gen, so a reader that sees the
+// same even gen before and after its loads holds a vector that existed.
 type SiteClock struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
+	gen         atomic.Uint64 // odd while a store under mu is in progress
 	site        int
 	vv          Vector
 	interrupted bool
 }
+
+// nowSpins bounds Now's lock-free attempts before it falls back to the
+// mutex, so a reader never spins on a writer that was descheduled mid-store.
+const nowSpins = 64
 
 // NewSiteClock returns a clock for site index site in an m-site system.
 func NewSiteClock(site, m int) *SiteClock {
@@ -32,11 +39,37 @@ func NewSiteClock(site, m int) *SiteClock {
 // Site returns the owning site's index.
 func (c *SiteClock) Site() int { return c.site }
 
-// Now returns a snapshot copy of the current vector.
+// Now returns a snapshot copy of the current vector. Dimensions are loaded
+// one by one, so without the gen check a reader could pair an old dimension
+// with a newer one whose entries depend on what the old one misses. Readers
+// take no lock: a transaction's begin and every read route call Now, and
+// parking them on a mutex the refresh appliers also take puts an applier
+// batch into the reader's latency.
 func (c *SiteClock) Now() Vector {
+	out := make(Vector, len(c.vv))
+	for range nowSpins {
+		g := c.gen.Load()
+		if g&1 != 0 {
+			continue
+		}
+		for k := range c.vv {
+			out[k] = atomic.LoadUint64(&c.vv[k])
+		}
+		if c.gen.Load() == g {
+			return out
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.vv.Clone()
+	copy(out, c.vv)
+	return out
+}
+
+// store sets dimension k under mu, bracketed for Now's lock-free readers.
+func (c *SiteClock) store(k int, seq uint64) {
+	c.gen.Add(1)
+	atomic.StoreUint64(&c.vv[k], seq)
+	c.gen.Add(1)
 }
 
 // TickLocal atomically increments the site's own dimension and returns the
@@ -45,7 +78,7 @@ func (c *SiteClock) Now() Vector {
 func (c *SiteClock) TickLocal() Vector {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	atomic.AddUint64(&c.vv[c.site], 1)
+	c.store(c.site, c.vv[c.site]+1)
 	out := c.vv.Clone()
 	c.cond.Broadcast()
 	return out
@@ -57,7 +90,7 @@ func (c *SiteClock) Advance(k int, seq uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if k < len(c.vv) && c.vv[k] < seq {
-		atomic.StoreUint64(&c.vv[k], seq)
+		c.store(k, seq)
 		c.cond.Broadcast()
 	}
 }

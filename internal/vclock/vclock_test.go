@@ -3,6 +3,7 @@ package vclock
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -335,6 +336,50 @@ func TestSiteClockWaitDimAtLeast(t *testing.T) {
 		c.Advance(1, s)
 	}
 	wg.Wait()
+}
+
+// TestSiteClockNowConsistentCut checks that the lock-free Now never pairs an
+// old dimension with a newer one. The writer raises dimension 0 before the
+// last dimension to the same value, as an applier installs a dependency
+// before its dependent, so every vector the clock ever held has
+// v[last] <= v[0]; a reader that loaded the dimensions in order without the
+// gen check could see v[last] ahead of v[0]. The wide vector widens the
+// window between the two loads.
+func TestSiteClockNowConsistentCut(t *testing.T) {
+	const m, n = 64, 200_000
+	c := NewSiteClock(0, m)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	bad := make(chan Vector, 1)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if v := c.Now(); v[m-1] > v[0] {
+					select {
+					case bad <- v:
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+	for s := uint64(1); s <= n; s++ {
+		c.TickLocal()
+		c.Advance(m-1, s)
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case v := <-bad:
+		t.Fatalf("Now returned %v, a vector the clock never held", v)
+	default:
+	}
+	if v := c.Now(); v[0] != n || v[m-1] != n {
+		t.Fatalf("final Now = %v", v)
+	}
 }
 
 func TestSiteClockConcurrentTicks(t *testing.T) {
