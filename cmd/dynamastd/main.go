@@ -1,7 +1,8 @@
 // Command dynamastd hosts a DynaMast cluster behind a TCP endpoint.
 // Remote clients submit transactions as declared write sets plus operation
-// lists over the gob-framed RPC protocol (see internal/server); the
-// embedded site selector routes and remasters exactly as in the paper.
+// lists over the binary-codec RPC protocol (see internal/server and
+// internal/codec); the embedded site selector routes and remasters exactly
+// as in the paper.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Cluster: runs DynaMast behind a real TCP server (the same wire protocol
 // cmd/dynamastd serves) and drives it with concurrent remote clients over
-// gob-framed RPC — demonstrating that the system is a networked database,
+// binary-codec RPC — demonstrating that the system is a networked database,
 // not only an embeddable library.
 package main
 

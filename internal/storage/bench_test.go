@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dynamast/internal/vclock"
@@ -18,7 +19,7 @@ func BenchmarkRecordInstall(b *testing.B) {
 	}
 	for _, cap := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("versions=%d", cap), func(b *testing.B) {
-			r := newRecord()
+			r := new(Record)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -34,7 +35,7 @@ func BenchmarkRecordInstall(b *testing.B) {
 func BenchmarkRecordRead(b *testing.B) {
 	recs := make([]*Record, 1024)
 	for i := range recs {
-		recs[i] = newRecord()
+		recs[i] = new(Record)
 		for s := uint64(1); s <= 4; s++ {
 			install(recs[i], Stamp{0, s}, make([]byte, 100), false, 4)
 		}
@@ -88,9 +89,9 @@ func BenchmarkTableScan1000(b *testing.B) {
 	}
 }
 
-// BenchmarkTableScan runs scans from GOMAXPROCS goroutines at once, over the
-// two key shapes that bound the merge: dense keys rotate through every shard,
-// stride-16 keys all sit in one.
+// BenchmarkTableScan runs scans from GOMAXPROCS goroutines at once, over
+// dense keys, which rotate through every point-lookup shard, and stride-16
+// keys, which all sit in one.
 func BenchmarkTableScan(b *testing.B) {
 	for _, stride := range []uint64{1, tableShards} {
 		t := NewTable("t")
@@ -117,6 +118,33 @@ func BenchmarkTableScan(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkTableInsert loads 100k new keys into an empty table per
+// iteration, in ascending order (a bulk load, TPC-C's order ids) and in
+// shuffled order (every insert lands mid-index); ns/key is the cost of one
+// Record(create).
+func BenchmarkTableInsert(b *testing.B) {
+	const n = 100_000
+	for _, order := range []string{"ascending", "shuffled"} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		if order == "shuffled" {
+			rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		}
+		b.Run(order, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := NewTable("t")
+				for _, k := range keys {
+					t.Record(k, true)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/key")
+		})
 	}
 }
 

@@ -42,8 +42,9 @@ func (s Stamp) VisibleAt(snap vclock.Vector) bool {
 // fixed number of version slots.
 const MaxVersionCap = 8
 
-// Record is a multi-versioned row: one allocation holding the transaction
-// write lock, the installer mutex and the version slots, newest first (slots
+// Record is a multi-versioned row: one fixed-size object, carved from its
+// table's record slab (see slabLen), holding the transaction write lock, the
+// installer mutex and the version slots, newest first (slots
 // past the store's cap stay nil). A version is the committed transaction's
 // own Write cell (see Store.Apply), immutable once published, so readers walk
 // the slots with atomic loads and take no lock. The write lock (Lock/Unlock)
@@ -54,8 +55,6 @@ type Record struct {
 	mu   sync.Mutex // serialises installers (commit path, refresh appliers, imports)
 	v    [MaxVersionCap]atomic.Pointer[Write]
 }
-
-func newRecord() *Record { return new(Record) }
 
 // Lock acquires the record's write lock, blocking until available.
 func (r *Record) Lock() { r.lock.Lock() }

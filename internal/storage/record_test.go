@@ -89,7 +89,7 @@ func TestRecordMatchesSliceModel(t *testing.T) {
 	const origins = 3
 	for _, maxVersions := range []int{1, 2, 4, 8} {
 		rnd := rand.New(rand.NewSource(int64(maxVersions)))
-		r := newRecord()
+		r := new(Record)
 		var ref sliceChain
 		var seqs [origins]uint64
 		for step := 0; step < 400; step++ {
@@ -149,7 +149,7 @@ func TestRecordReadersNeverSkipAVersion(t *testing.T) {
 	const installs, readers = 20000, 3
 	var wg sync.WaitGroup
 	for _, maxVersions := range []int{1, 2, 4, 8} {
-		r := newRecord()
+		r := new(Record)
 		var started, done atomic.Uint64 // highest install begun / completed
 		install(r, Stamp{0, 1}, []byte{0, 0, 1}, false, maxVersions)
 		started.Store(1)
@@ -247,16 +247,17 @@ func TestNewStoreRejectsCapBeyondSlots(t *testing.T) {
 	NewStore(MaxVersionCap + 1)
 }
 
-// TestHotPathAllocations pins what the layout is for: a record is one
-// allocation, installing a commit's write set into existing records is none
-// (the cells are the caller's slice), and a scan into a buffer with room is
-// none.
+// TestHotPathAllocations pins what the layout is for: a new record is a
+// slot of its table's record slab, not an allocation of its own, installing a
+// commit's write set into existing records is none (the cells are the
+// caller's slice), and a scan into a buffer with room is none.
 func TestHotPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	if n := testing.AllocsPerRun(100, func() { sink = newRecord() }); n != 1 {
-		t.Errorf("newRecord: %v allocations, want 1", n)
+	idx, key := &NewTable("t").idx, uint64(0)
+	if n := testing.AllocsPerRun(1000, func() { sink = idx.insert(key); key++ }); n != 0 {
+		t.Errorf("index insert of a new key: %v allocations per record, want 0 (%d records a slab)", n, slabLen)
 	}
 
 	s := NewStore(0)

@@ -21,18 +21,25 @@ func (m scanModel) install(tb *Table, key uint64, seq uint64, data []byte, delet
 	m[key] = append(m[key], version{stamp: Stamp{0, seq}, data: data, deleted: deleted})
 }
 
-// scan is what a scan of [lo, hi) at snap must return: of each key's newest
-// DefaultMaxVersions installs, the newest one visible; a tombstone hides the
-// row, and a key with retained versions but none visible sets evicted.
-func (m scanModel) scan(lo, hi uint64, snap vclock.Vector) (rows []KV, evicted bool) {
-	var keys []uint64
+// sortedKeys returns the model's keys in ascending order.
+func (m scanModel) sortedKeys() []uint64 {
+	keys := make([]uint64, 0, len(m))
 	for k := range m {
-		if lo <= k && k < hi {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	slices.Sort(keys)
+	return keys
+}
+
+// scan is what a scan of [lo, hi) at snap must return, given the model's
+// sortedKeys: of each key's newest DefaultMaxVersions installs, the newest
+// one visible; a tombstone hides the row, and a key with retained versions
+// but none visible sets evicted.
+func (m scanModel) scan(keys []uint64, lo, hi uint64, snap vclock.Vector) (rows []KV, evicted bool) {
 	for _, k := range keys {
+		if k < lo || k >= hi {
+			continue
+		}
 		chain := m[k]
 		if len(chain) > DefaultMaxVersions {
 			chain = chain[len(chain)-DefaultMaxVersions:]
@@ -70,11 +77,12 @@ func checkRows(t *testing.T, what string, got, want []KV) {
 	}
 }
 
-// checkScans compares Scan/ScanChecked and ScanKeys with the model over one
-// range, and ScanKeys' early stop at a random row.
-func checkScans(t *testing.T, rnd *rand.Rand, tb *Table, m scanModel, lo, hi uint64, snap vclock.Vector) {
+// checkScans compares Scan/ScanChecked and ScanKeys with the model, whose
+// sortedKeys are keys, over one range, and ScanKeys' early stop at a random
+// row.
+func checkScans(t *testing.T, rnd *rand.Rand, tb *Table, m scanModel, keys []uint64, lo, hi uint64, snap vclock.Vector) {
 	t.Helper()
-	want, wantEv := m.scan(lo, hi, snap)
+	want, wantEv := m.scan(keys, lo, hi, snap)
 	// ScanChecked appends: what dst already held stays in front of the rows.
 	kept := KV{Key: 1<<64 - 1, Value: []byte("kept")}
 	got, ev := tb.ScanChecked([]KV{kept}, lo, hi, snap)
@@ -105,78 +113,103 @@ func checkScans(t *testing.T, rnd *rand.Rand, tb *Table, m scanModel, lo, hi uin
 	}
 }
 
-func TestScanRandomizedAgainstModel(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	tb := NewTable("t")
-	m := scanModel{}
-	// Key shapes: a dense run, stride-16 keys that all land in one shard,
-	// sparse composite keys with high bits set, and the top of the key space.
-	draw := func() uint64 {
-		switch rnd.Intn(4) {
-		case 0:
-			return uint64(rnd.Intn(120))
-		case 1:
-			return 1000 + 16*uint64(rnd.Intn(60)) + 3
-		case 2:
-			return 1<<63 | uint64(rnd.Intn(8))<<40 | uint64(rnd.Intn(40))
-		default:
-			return math.MaxUint64 - uint64(rnd.Intn(20))
+// checkIndex checks the table index's invariants while no writer runs: runs
+// are non-empty, within runCap and at capacity runCap+1; keys ascend strictly
+// within and across runs; and the index, Keys() and the shard maps hold the
+// same records.
+func checkIndex(t *testing.T, tb *Table) {
+	t.Helper()
+	inMaps := 0
+	for i := range tb.shards {
+		inMaps += len(tb.shards[i].recs)
+	}
+	keys := tb.Keys()
+	n, prev := 0, uint64(0)
+	for ri, run := range tb.idx.runs {
+		if len(run) == 0 || len(run) > runCap || cap(run) != runCap+1 {
+			t.Fatalf("run %d: len %d cap %d, want len 1..%d and cap %d", ri, len(run), cap(run), runCap, runCap+1)
+		}
+		for i, e := range run {
+			if n > 0 && e.key <= prev {
+				t.Fatalf("run %d entry %d: key %d after %d", ri, i, e.key, prev)
+			}
+			if tb.shard(e.key).recs[e.key] != e.rec {
+				t.Fatalf("run %d entry %d: key %d is not its shard map's record", ri, i, e.key)
+			}
+			n, prev = n+1, e.key
 		}
 	}
-	const installs = 1500
-	for seq := uint64(1); seq <= installs; seq++ {
-		k := draw()
-		if rnd.Intn(3) == 0 {
-			k = 16*uint64(rnd.Intn(7)) + 5 // hot keys: chains longer than the cap
-		}
-		m.install(tb, k, seq, []byte{byte(seq), byte(seq >> 8)}, rnd.Intn(6) == 0)
+	if n != keys || n != inMaps {
+		t.Fatalf("index holds %d entries, Keys() = %d, shard maps %d", n, keys, inMaps)
 	}
-	var keys []uint64
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	bound := func() uint64 { return keys[rnd.Intn(len(keys))] + uint64(rnd.Intn(3)) - 1 }
+}
 
-	fixed := [][2]uint64{
-		{0, math.MaxUint64}, {0, 0}, {5, 5}, {10, 3}, {math.MaxUint64, 0},
-		{math.MaxUint64, math.MaxUint64}, {math.MaxUint64 - 1, math.MaxUint64},
-		{1 << 63, math.MaxUint64}, {1003, 1003 + 16*60}, {0, 120},
-	}
-	check := func() {
-		t.Helper()
-		for _, snap := range []vclock.Vector{{installs}, {installs / 2}, {0}, {}} {
-			for _, r := range fixed {
-				checkScans(t, rnd, tb, m, r[0], r[1], snap)
-			}
-			for i := 0; i < 200; i++ {
-				checkScans(t, rnd, tb, m, bound(), bound(), snap)
-			}
-		}
-		// The unbounded walks see every key, MaxUint64 included, in order.
-		var latest []uint64
-		tb.ForEachLatest(func(k uint64, _ []byte, _ Stamp) { latest = append(latest, k) })
-		var exported []uint64
-		tb.exportAt("t", vclock.Vector{installs}, func(_ string, k uint64, _ []byte, _ Stamp) bool {
-			exported = append(exported, k)
-			return true
-		})
-		var live []uint64
-		for _, k := range keys {
-			if chain, ok := m[k]; ok && !chain[len(chain)-1].deleted {
-				live = append(live, k)
-			}
-		}
-		if !slices.Equal(latest, live) || !slices.Equal(exported, live) {
-			t.Fatalf("full walks: ForEachLatest %d keys, exportAt %d, model %d (or out of order)", len(latest), len(exported), len(live))
+// edgeRanges returns scan ranges that end exactly on run edges: each run
+// alone and without its end keys, and each gap between two runs with and
+// without the keys either side of it.
+func edgeRanges(tb *Table) (ranges [][2]uint64) {
+	runs := tb.idx.runs
+	for i, run := range runs {
+		first, last := run[0].key, run[len(run)-1].key
+		ranges = append(ranges, [2]uint64{first, last + 1}, [2]uint64{first + 1, last})
+		if i+1 < len(runs) {
+			next := runs[i+1][0].key
+			ranges = append(ranges, [2]uint64{last, next + 1}, [2]uint64{last + 1, next})
 		}
 	}
-	check()
+	return ranges
+}
 
-	// RemoveMatching keeps the two index slices aligned.
-	drop := func(k uint64) bool { return k%3 == 0 }
-	want := 0
+// checkTable checks the index invariants, then every scan against the model
+// at four snapshots (installs numbered 1..top): over the fixed ranges, the
+// run-edge ranges, a range before and after every key and 200 random ranges
+// near keys; then the two unbounded walks.
+func checkTable(t *testing.T, rnd *rand.Rand, tb *Table, m scanModel, top uint64, fixed [][2]uint64) {
+	t.Helper()
+	checkIndex(t, tb)
+	keys := m.sortedKeys()
+	ranges := append(slices.Clone(fixed), edgeRanges(tb)...)
+	if len(keys) > 0 {
+		ranges = append(ranges, [2]uint64{0, keys[0]})
+		if last := keys[len(keys)-1]; last < math.MaxUint64 {
+			ranges = append(ranges, [2]uint64{last + 1, math.MaxUint64})
+		}
+	}
+	for _, snap := range []vclock.Vector{{top}, {top / 2}, {0}, {}} {
+		for _, r := range ranges {
+			checkScans(t, rnd, tb, m, keys, r[0], r[1], snap)
+		}
+		for i := 0; i < 200 && len(keys) > 0; i++ {
+			bound := func() uint64 { return keys[rnd.Intn(len(keys))] + uint64(rnd.Intn(3)) - 1 }
+			checkScans(t, rnd, tb, m, keys, bound(), bound(), snap)
+		}
+	}
+	// The unbounded walks, over [0, MaxUint64], see every live key, MaxUint64
+	// included, in order.
+	var latest []uint64
+	tb.ForEachLatest(func(k uint64, _ []byte, _ Stamp) { latest = append(latest, k) })
+	var exported []uint64
+	tb.exportAt("t", vclock.Vector{top}, func(_ string, k uint64, _ []byte, _ Stamp) bool {
+		exported = append(exported, k)
+		return true
+	})
+	var live []uint64
 	for _, k := range keys {
+		if chain := m[k]; !chain[len(chain)-1].deleted {
+			live = append(live, k)
+		}
+	}
+	if !slices.Equal(latest, live) || !slices.Equal(exported, live) {
+		t.Fatalf("full walks: ForEachLatest %d keys, exportAt %d, model %d (or out of order)", len(latest), len(exported), len(live))
+	}
+}
+
+// removeMatching runs RemoveMatching on the table and the model and checks
+// the count and Keys() against the model.
+func removeMatching(t *testing.T, tb *Table, m scanModel, drop func(k uint64) bool) {
+	t.Helper()
+	want := 0
+	for k := range m {
 		if drop(k) {
 			delete(m, k)
 			want++
@@ -188,11 +221,105 @@ func TestScanRandomizedAgainstModel(t *testing.T) {
 	if tb.Keys() != len(m) {
 		t.Fatalf("Keys() = %d after removal, model %d", tb.Keys(), len(m))
 	}
-	check()
 }
 
-// A ScanKeys callback runs outside the shard locks: creating a key in the
-// shard being scanned must not deadlock, and the new key is not visited.
+func TestScanRandomizedAgainstModel(t *testing.T) {
+	fixed := [][2]uint64{
+		{0, math.MaxUint64}, {0, 0}, {5, 5}, {10, 3}, {math.MaxUint64, 0},
+		{math.MaxUint64, math.MaxUint64}, {math.MaxUint64 - 1, math.MaxUint64},
+		{1 << 63, math.MaxUint64}, {1003, 1003 + 16*60}, {0, 120},
+	}
+
+	t.Run("empty", func(t *testing.T) {
+		checkTable(t, rand.New(rand.NewSource(1)), NewTable("t"), scanModel{}, 1, fixed)
+	})
+
+	t.Run("mixed", func(t *testing.T) {
+		rnd := rand.New(rand.NewSource(1))
+		tb := NewTable("t")
+		m := scanModel{}
+		// Key shapes: a dense run, stride-16 keys that all land in one shard,
+		// sparse composite keys with high bits set, and the top of the key
+		// space.
+		draw := func() uint64 {
+			switch rnd.Intn(4) {
+			case 0:
+				return uint64(rnd.Intn(120))
+			case 1:
+				return 1000 + 16*uint64(rnd.Intn(60)) + 3
+			case 2:
+				return 1<<63 | uint64(rnd.Intn(8))<<40 | uint64(rnd.Intn(40))
+			default:
+				return math.MaxUint64 - uint64(rnd.Intn(20))
+			}
+		}
+		const installs = 1500
+		for seq := uint64(1); seq <= installs; seq++ {
+			k := draw()
+			if rnd.Intn(3) == 0 {
+				k = 16*uint64(rnd.Intn(7)) + 5 // hot keys: chains longer than the cap
+			}
+			m.install(tb, k, seq, []byte{byte(seq), byte(seq >> 8)}, rnd.Intn(6) == 0)
+		}
+		checkTable(t, rnd, tb, m, installs, fixed)
+		removeMatching(t, tb, m, func(k uint64) bool { return k%3 == 0 })
+		checkTable(t, rnd, tb, m, installs, fixed)
+	})
+
+	// Insert orders that split runs at their end (ascending), their front
+	// (descending) and their middle (shuffled), over enough keys for several
+	// runs. Keys are spaced two apart, so every gap between keys is a range.
+	const n = 3*runCap + 7
+	for _, order := range []string{"ascending", "descending", "shuffled"} {
+		t.Run(order, func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(2))
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = 10 + 2*uint64(i)
+			}
+			switch order {
+			case "descending":
+				slices.Reverse(keys)
+			case "shuffled":
+				rnd.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			tb := NewTable("t")
+			m := scanModel{}
+			for i, k := range keys {
+				m.install(tb, k, uint64(i+1), []byte{byte(i), byte(i >> 8)}, i%7 == 0)
+			}
+			if runs := len(tb.idx.runs); runs < 4 {
+				t.Fatalf("%d keys made %d runs, want at least 4", n, runs)
+			}
+			checkTable(t, rnd, tb, m, n, fixed)
+
+			// Drop the second run whole, and every third key elsewhere.
+			runs := len(tb.idx.runs)
+			second := tb.idx.runs[1]
+			lo, last := second[0].key, second[len(second)-1].key
+			removeMatching(t, tb, m, func(k uint64) bool { return lo <= k && k <= last || k%3 == 0 })
+			if got := len(tb.idx.runs); got != runs-1 {
+				t.Fatalf("removing a whole run left %d runs, want %d", got, runs-1)
+			}
+			checkTable(t, rnd, tb, m, n, fixed)
+
+			// Inserts land in the survivors and the gap, then everything goes.
+			for i := uint64(0); i < runCap; i++ {
+				k := lo + 2*i + 1
+				m.install(tb, k, n, []byte{byte(i)}, false)
+			}
+			checkTable(t, rnd, tb, m, n, fixed)
+			removeMatching(t, tb, m, func(uint64) bool { return true })
+			if len(tb.idx.runs) != 0 {
+				t.Fatalf("an empty table keeps %d runs", len(tb.idx.runs))
+			}
+			checkTable(t, rnd, tb, m, n, fixed)
+		})
+	}
+}
+
+// A ScanKeys callback runs outside the table locks: creating a key in the
+// table being scanned must not deadlock, and the new key is not visited.
 func TestScanKeysReentrantCallback(t *testing.T) {
 	tb := NewTable("t")
 	for k := uint64(0); k < 64; k++ {
@@ -223,7 +350,10 @@ func TestScanKeysReentrantCallback(t *testing.T) {
 
 // Scans race inserts of new keys and RemoveMatching: every result is
 // strictly ascending (so duplicate-free) and holds every key that was present
-// throughout. Run with -race -count=10.
+// throughout. Readers run a fixed number of scans, not until the writers
+// stop: scans are cheap, and readers looping until then take the index lock
+// so often that they slow the writers, and the test, tenfold. Run with
+// -race -count=10.
 func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 	tb := NewTable("t")
 	snap := vclock.Vector{1}
@@ -240,12 +370,11 @@ func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 		install(tb.Record(k, true), Stamp{0, 1}, []byte{1}, false, 4)
 	}
 
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
+	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		writers.Add(1)
+		wg.Add(1)
 		go func(w int) {
-			defer writers.Done()
+			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 4000; i++ {
 				k := uint64(rnd.Intn(6000))*2 + 1
@@ -253,9 +382,9 @@ func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 			}
 		}(w)
 	}
-	writers.Add(1)
+	wg.Add(1)
 	go func() {
-		defer writers.Done()
+		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			tb.RemoveMatching(func(k uint64) bool { return k%2 == 1 && k%uint64(3+i%5) == 0 })
 		}
@@ -277,17 +406,12 @@ func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 		}
 	}
 	for r := 0; r < 3; r++ {
-		readers.Add(1)
+		wg.Add(1)
 		go func(r int) {
-			defer readers.Done()
+			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(100 + r)))
 			var got []uint64
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 300; i++ {
 				lo := uint64(rnd.Intn(12_000))
 				hi := lo + uint64(rnd.Intn(2000))
 				got = got[:0]
@@ -310,9 +434,8 @@ func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 			}
 		}(r)
 	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
+	wg.Wait()
+	checkIndex(t, tb)
 }
 
 func TestScanAllocatesOnce(t *testing.T) {

@@ -40,8 +40,7 @@ func (s *Store) ExportAt(svv vclock.Vector, fn func(table string, key uint64, da
 }
 
 // exportAt walks one table in key order. The index entries are copied out
-// under the shard read locks (see Table.walk); version reads and fn run
-// outside them.
+// under the index read lock (see walk); version reads and fn run outside it.
 func (t *Table) exportAt(name string, svv vclock.Vector, fn func(table string, key uint64, data []byte, stamp Stamp) bool) bool {
 	for _, e := range t.refs(0, math.MaxUint64) {
 		if data, stamp, ok := e.rec.ExportAt(svv); ok && !fn(name, e.key, data, stamp) {
@@ -74,7 +73,22 @@ func (r *Record) ExportAt(snap vclock.Vector) (data []byte, stamp Stamp, ok bool
 // recovery rebuilding a store from a snapshot file before replaying the WAL
 // suffix on top.
 func (s *Store) ImportRow(table string, key uint64, data []byte, stamp Stamp) {
-	s.CreateTable(table).Record(key, true).install(&Write{Data: data, Stamp: stamp}, s.maxVersions)
+	s.CreateTable(table).Record(key, true).install(s.newCell(data, stamp), s.maxVersions)
+}
+
+// newCell returns a version cell for an imported row, carved from the
+// store's cell slab (see slabLen): an import, unlike a commit, has no write
+// set whose elements could serve as the cells.
+func (s *Store) newCell(data []byte, stamp Stamp) *Write {
+	s.cellMu.Lock()
+	defer s.cellMu.Unlock()
+	if len(s.cells) == 0 {
+		s.cells = make([]Write, slabLen)
+	}
+	w := &s.cells[0]
+	s.cells = s.cells[1:]
+	w.Data, w.Stamp = data, stamp
+	return w
 }
 
 // ImportRowIfNewer is ImportRow guarded against replay inversion: when the
@@ -92,7 +106,7 @@ func (s *Store) ImportRowIfNewer(table string, key uint64, data []byte, stamp St
 	if r.VersionCount() > 0 && stamp.Origin < len(applied) && stamp.Seq <= applied[stamp.Origin] {
 		return false
 	}
-	r.install(&Write{Data: data, Stamp: stamp}, s.maxVersions)
+	r.install(s.newCell(data, stamp), s.maxVersions)
 	return true
 }
 
@@ -119,6 +133,6 @@ func (s *Store) ImportRowSuperseding(table string, key uint64, data []byte, stam
 			return false // local state is ahead of the exporter
 		}
 	}
-	r.install(&Write{Data: data, Stamp: stamp}, s.maxVersions)
+	r.install(s.newCell(data, stamp), s.maxVersions)
 	return true
 }

@@ -31,7 +31,7 @@ func TestStampVisibleAt(t *testing.T) {
 }
 
 func TestRecordReadSnapshots(t *testing.T) {
-	r := newRecord()
+	r := new(Record)
 	install(r, Stamp{0, 1}, []byte("v1"), false, 4)
 	install(r, Stamp{0, 2}, []byte("v2"), false, 4)
 	install(r, Stamp{1, 1}, []byte("v3"), false, 4)
@@ -56,7 +56,7 @@ func TestRecordReadSnapshots(t *testing.T) {
 }
 
 func TestRecordTombstone(t *testing.T) {
-	r := newRecord()
+	r := new(Record)
 	install(r, Stamp{0, 1}, []byte("v1"), false, 4)
 	install(r, Stamp{0, 2}, nil, true, 4)
 	if d, ok := r.Read(vclock.Vector{1}); !ok || string(d) != "v1" {
@@ -71,7 +71,7 @@ func TestRecordTombstone(t *testing.T) {
 }
 
 func TestRecordVersionCap(t *testing.T) {
-	r := newRecord()
+	r := new(Record)
 	for seq := uint64(1); seq <= 10; seq++ {
 		install(r, Stamp{0, seq}, []byte{byte(seq)}, false, 4)
 	}
@@ -89,7 +89,7 @@ func TestRecordVersionCap(t *testing.T) {
 }
 
 func TestRecordLockMutualExclusion(t *testing.T) {
-	r := newRecord()
+	r := new(Record)
 	r.Lock()
 	if r.TryLock() {
 		t.Fatal("TryLock succeeded while held")
@@ -118,7 +118,7 @@ func TestRecordLockMutualExclusion(t *testing.T) {
 }
 
 func TestRecordCrossGoroutineUnlock(t *testing.T) {
-	r := newRecord()
+	r := new(Record)
 	r.Lock()
 	done := make(chan struct{})
 	go func() {
@@ -329,7 +329,7 @@ func TestStoreApplyAndGet(t *testing.T) {
 func TestQuickSnapshotReadsSingleOrigin(t *testing.T) {
 	f := func(nVersions uint8, snapSeq uint8) bool {
 		n := int(nVersions%20) + 1
-		r := newRecord()
+		r := new(Record)
 		for seq := 1; seq <= n; seq++ {
 			install(r, Stamp{0, uint64(seq)}, []byte{byte(seq)}, false, 4)
 		}
@@ -356,7 +356,7 @@ func TestQuickSnapshotReadsSingleOrigin(t *testing.T) {
 // Property: concurrent lock/install/read never corrupts a record — every
 // read observes a value that was installed, and the chain stays bounded.
 func TestConcurrentInstallAndRead(t *testing.T) {
-	r := newRecord()
+	r := new(Record)
 	install(r, Stamp{0, 1}, []byte{0, 1}, false, 4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

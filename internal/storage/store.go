@@ -21,6 +21,9 @@ type Store struct {
 
 	mu     sync.RWMutex
 	tables map[string]*Table
+
+	cellMu sync.Mutex
+	cells  []Write // the unused rest of the current import cell slab
 }
 
 // NewStore returns an empty store keeping maxVersions versions per record

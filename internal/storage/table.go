@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -10,20 +11,49 @@ import (
 
 const tableShards = 16
 
+// runCap bounds a run of the table index: an insert shifts at most this many
+// entries, and a run that reaches runCap+1 splits in two.
+const runCap = 512
+
+// slabLen is how many records, or imported version cells (see
+// Store.newCell), one allocation holds. A table's records and a load's cells
+// live as long as the store, so the collector marks one object per slab
+// instead of one per row: that is most of the heap, and a shorter mark phase
+// is what keeps the update tail flat as scans get faster. The cost is that a
+// slab is freed only once none of its records or cells is referenced.
+const slabLen = 128
+
 // Table is a row-oriented in-memory table keyed by uint64 primary keys.
-// Records are sharded by key. A shard holds a map for point lookups and an
-// ordered index — its keys ascending and, parallel to them, the records —
-// for range walks, which all go through walk.
+// Point lookups go through 16 shards by key, each a map under its own lock.
+// Range walks, which all go through walk, read one ordered index over the
+// whole table: a directory of sorted runs of at most runCap entries, under
+// one RWMutex. A new key enters its shard's map and the index in one
+// critical section, shard lock first.
 type Table struct {
 	name   string
 	shards [tableShards]tableShard
+	idx    index
 }
 
 type tableShard struct {
-	mu      sync.RWMutex
-	recs    map[uint64]*Record // point lookups only
-	keys    []uint64           // sorted; maintained on insert
-	ordered []*Record          // ordered[i] is the record of keys[i]
+	mu   sync.RWMutex
+	recs map[uint64]*Record
+}
+
+// index is the table's ordered index. runs are non-empty and ascending: every
+// key of runs[i] is below every key of runs[i+1]. Each run has capacity
+// runCap+1, so an insert never reallocates one. New records are carved from
+// slab under the same lock.
+type index struct {
+	mu   sync.RWMutex
+	runs [][]recRef
+	slab []Record // the unused rest of the current record slab
+}
+
+// recRef is one index entry.
+type recRef struct {
+	key uint64
+	rec *Record
 }
 
 // NewTable returns an empty table with the given name.
@@ -56,12 +86,63 @@ func (t *Table) Record(key uint64, create bool) *Record {
 	if r = s.recs[key]; r != nil {
 		return r
 	}
-	r = newRecord()
+	r = t.idx.insert(key)
 	s.recs[key] = r
-	i, _ := slices.BinarySearch(s.keys, key)
-	s.keys = slices.Insert(s.keys, i, key)
-	s.ordered = slices.Insert(s.ordered, i, r)
 	return r
+}
+
+// seek returns the position of the first entry with key >= k: a run and an
+// offset into it, or (len(runs), 0) when every key is below k. The caller
+// holds x.mu.
+func (x *index) seek(k uint64) (ri, i int) {
+	ri, _ = slices.BinarySearchFunc(x.runs, k, func(run []recRef, k uint64) int {
+		return cmp.Compare(run[len(run)-1].key, k)
+	})
+	if ri < len(x.runs) {
+		i, _ = slices.BinarySearchFunc(x.runs[ri], k, func(e recRef, k uint64) int {
+			return cmp.Compare(e.key, k)
+		})
+	}
+	return ri, i
+}
+
+// insert adds a new record for key, which the index does not hold, and
+// returns it. A run that overflows splits at its middle, except that an
+// insert at either end of a run (the shape of ascending and descending loads)
+// leaves the full side whole.
+func (x *index) insert(key uint64) *Record {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if len(x.slab) == 0 {
+		x.slab = make([]Record, slabLen)
+	}
+	e := recRef{key, &x.slab[0]}
+	x.slab = x.slab[1:]
+	ri, i := x.seek(key)
+	if ri == len(x.runs) {
+		if ri == 0 {
+			x.runs = append(x.runs, append(make([]recRef, 0, runCap+1), e))
+			return e.rec
+		}
+		ri, i = ri-1, len(x.runs[ri-1]) // above every key: the last run's end
+	}
+	run := slices.Insert(x.runs[ri], i, e)
+	x.runs[ri] = run
+	if len(run) <= runCap {
+		return e.rec
+	}
+	at := len(run) / 2
+	switch i {
+	case len(run) - 1:
+		at = runCap
+	case 0:
+		at = 1
+	}
+	tail := append(make([]recRef, 0, runCap+1), run[at:]...)
+	clear(run[at:]) // drop the moved records' references from the old array
+	x.runs[ri] = run[:at]
+	x.runs = slices.Insert(x.runs, ri+1, tail)
+	return e.rec
 }
 
 // Get reads key at snapshot snap.
@@ -98,7 +179,7 @@ type KV struct {
 	Value []byte
 }
 
-// batch is what walk merged last: up to walkBatch index entries in key order.
+// batch is what walk copied last: up to walkBatch index entries in key order.
 // walk's caller owns it and its emit reads it.
 type batch struct {
 	n    int
@@ -108,77 +189,59 @@ type batch struct {
 const walkBatch = 16
 
 // walk is the table's one scan loop. It visits every record with
-// lo <= key <= last in ascending key order: two binary searches find each
-// shard's run, dst is grown once for the records the runs hold, and a merge
-// of the runs fills b with the records, up to walkBatch at a time, and calls
+// lo <= key <= last (lo <= last) in ascending key order: two binary searches
+// per end, one in the run directory and one in the run, bound a contiguous
+// range of the index; dst is grown once for the entries in it, and the range
+// is copied into b, up to walkBatch entries at a time, each batch handed to
 // emit, which appends to dst what it makes of b. dst may be nil; the extended
 // slice is returned.
 //
-// Locking contract: inserts shift a shard's index in place, so a run is only
-// valid while its shard is read-locked. walk takes every shard's read lock
-// (in index order; writers hold one shard lock at a time, so this cannot
-// deadlock) and holds them all until the merge is done. emit runs under
-// those locks: it may read the records but must not call back into the table
-// or into caller-supplied code.
+// Locking contract: inserts shift a run in place and split runs, so the range
+// is only valid while the index is read-locked. walk holds the index read
+// lock until the copy is done, and emit runs under it: emit may read the
+// records but must not call back into the table or into caller-supplied code.
 func walk[T any](t *Table, dst []T, lo, last uint64, b *batch, emit func(dst []T) []T) []T {
-	var (
-		keys    [tableShards][]uint64  // what is left of each live run
-		recs    [tableShards][]*Record // parallel to keys
-		head    [tableShards]uint64    // keys[i][0], side by side for the merge
-		live, n int
-	)
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		start, _ := slices.BinarySearch(s.keys, lo)
-		end, found := slices.BinarySearch(s.keys, last)
-		if found {
-			end++
-		}
-		if start < end {
-			keys[live], recs[live], head[live] = s.keys[start:end], s.ordered[start:end], s.keys[start]
-			live++
-			n += end - start
+	x := &t.idx
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	r0, i0 := x.seek(lo)
+	r1, i1 := x.seek(last)
+	if r1 < len(x.runs) && x.runs[r1][i1].key == last {
+		if i1++; i1 == len(x.runs[r1]) {
+			r1, i1 = r1+1, 0
 		}
 	}
-	defer func() {
-		for i := range t.shards {
-			t.shards[i].mu.RUnlock()
-		}
-	}()
+	n := i1 - i0 // the entries from (r0, i0) up to (r1, i1)
+	for _, run := range x.runs[r0:r1] {
+		n += len(run)
+	}
+	if n == 0 {
+		return dst
+	}
 	dst = slices.Grow(dst, n)
-	for live > 0 {
-		m := 0
-		for i := 1; i < live; i++ {
-			if head[i] < head[m] {
-				m = i
+	for ri, i := r0, i0; n > 0; ri, i = ri+1, 0 {
+		seg := x.runs[ri][i:]
+		seg = seg[:min(len(seg), n)]
+		n -= len(seg)
+		for len(seg) > 0 {
+			m := copy(b.refs[b.n:], seg)
+			seg = seg[m:]
+			if b.n += m; b.n == walkBatch {
+				dst = emit(dst)
+				b.n = 0
 			}
 		}
-		b.refs[b.n] = recRef{head[m], recs[m][0]}
-		b.n++
-		if keys[m], recs[m] = keys[m][1:], recs[m][1:]; len(keys[m]) > 0 {
-			head[m] = keys[m][0]
-		} else {
-			live--
-			keys[m], recs[m], head[m] = keys[live], recs[live], head[live]
-		}
-		if b.n == walkBatch || live == 0 {
-			dst = emit(dst)
-			b.n = 0
-		}
+	}
+	if b.n > 0 {
+		dst = emit(dst)
+		b.n = 0
 	}
 	return dst
 }
 
-// recRef is one index entry.
-type recRef struct {
-	key uint64
-	rec *Record
-}
-
 // refs copies the index entries with lo <= key <= last out of the table in
 // key order, for callers that read the records, or run caller-supplied code,
-// outside the shard locks.
+// outside the index lock.
 func (t *Table) refs(lo, last uint64) []recRef {
 	var b batch
 	return walk(t, nil, lo, last, &b, func(dst []recRef) []recRef {
@@ -230,7 +293,7 @@ func (t *Table) ScanChecked(dst []KV, lo, hi uint64, snap vclock.Vector) (out []
 }
 
 // ScanKeys calls fn for each visible row in [lo, hi) in key order; fn
-// returning false stops the scan early. fn runs outside every shard lock, so
+// returning false stops the scan early. fn runs outside every table lock, so
 // it may use the table. The returned evicted flag is ScanChecked's, over the
 // rows visited.
 func (t *Table) ScanKeys(lo, hi uint64, snap vclock.Vector, fn func(key uint64, data []byte) bool) (evicted bool) {
@@ -249,43 +312,54 @@ func (t *Table) ScanKeys(lo, hi uint64, snap vclock.Vector, fn func(key uint64, 
 
 // Keys returns the number of records (of any visibility) in the table.
 func (t *Table) Keys() int {
+	t.idx.mu.RLock()
+	defer t.idx.mu.RUnlock()
 	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += len(s.keys)
-		s.mu.RUnlock()
+	for _, run := range t.idx.runs {
+		n += len(run)
 	}
 	return n
 }
 
 // RemoveMatching deletes every record whose key matches and returns how
-// many were removed. Callers must exclude concurrent readers of the removed
-// keys; lookups racing the removal see either the record or a clean miss.
+// many were removed. It holds every shard lock, then the index lock, so the
+// maps and the index change in one critical section; match runs under them
+// and must not use the table. Callers must exclude concurrent readers of the
+// removed keys; lookups racing the removal see either the record or a clean
+// miss.
 func (t *Table) RemoveMatching(match func(key uint64) bool) int {
-	removed := 0
 	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
+		t.shards[i].mu.Lock()
+		defer t.shards[i].mu.Unlock()
+	}
+	x := &t.idx
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	removed := 0
+	runs := x.runs[:0]
+	for _, run := range x.runs {
 		kept := 0
-		for j, k := range s.keys {
-			if match(k) {
-				delete(s.recs, k)
+		for _, e := range run {
+			if match(e.key) {
+				delete(t.shard(e.key).recs, e.key)
 				removed++
 				continue
 			}
-			s.keys[kept], s.ordered[kept] = k, s.ordered[j]
+			run[kept] = e
 			kept++
 		}
-		clear(s.ordered[kept:]) // drop the removed records' last references
-		s.keys, s.ordered = s.keys[:kept], s.ordered[:kept]
-		s.mu.Unlock()
+		clear(run[kept:]) // drop the index's references to the removed records
+		if kept > 0 {
+			runs = append(runs, run[:kept])
+		}
 	}
+	clear(x.runs[len(runs):])
+	x.runs = runs
 	return removed
 }
 
 // ForEachLatest iterates every record's newest version in key order; used to
-// bootstrap a recovering replica from a live one. fn runs outside the shard
+// bootstrap a recovering replica from a live one. fn runs outside the table
 // locks.
 func (t *Table) ForEachLatest(fn func(key uint64, data []byte, stamp Stamp)) {
 	for _, e := range t.refs(0, math.MaxUint64) {
