@@ -56,14 +56,13 @@
 //	                                   frames saved
 //	selector                           selector control-plane status. Single
 //	                                   router: the node holding the leadership
-//	                                   lease, lease epoch, standby delta-feed
-//	                                   lag, leader-change/renewal/expiry counts
-//	                                   and mean promotion latency. Sharded
+//	                                   lease, lease epoch, leader-change/
+//	                                   renewal/expiry counts and mean
+//	                                   promotion latency. Sharded
 //	                                   (-selector-shards > 1): one row per
 //	                                   router shard — leaseholder, lease epoch,
-//	                                   standby lag, partitions owned and
-//	                                   routes/sec — plus cross-shard and
-//	                                   placement-cache counters
+//	                                   partitions owned and routes/sec — plus
+//	                                   cross-shard and placement-cache counters
 package main
 
 import (
@@ -312,7 +311,6 @@ type selectorStats struct {
 	epoch      float64 // dynamast_selector_lease_epoch
 	renewals   float64 // dynamast_selector_lease_renewals_total
 	expiries   float64 // dynamast_selector_lease_expiries_total
-	lag        float64 // dynamast_selector_standby_lag
 	promoteSum float64 // dynamast_selector_promotion_seconds_sum
 	promoteCnt float64 // dynamast_selector_promotion_seconds_count
 	routes     float64 // dynamast_selector_shard_routes_total
@@ -412,8 +410,6 @@ func scrapeSelectorStats(addr string) (*selectorScrape, error) {
 			sc.at(shard).renewals = v
 		case "dynamast_selector_lease_expiries_total":
 			sc.at(shard).expiries = v
-		case "dynamast_selector_standby_lag":
-			sc.at(shard).lag = v
 		case "dynamast_selector_promotion_seconds_sum":
 			sc.at(shard).promoteSum = v
 		case "dynamast_selector_promotion_seconds_count":
@@ -451,7 +447,6 @@ func printLeaseStats(st *selectorStats) {
 	}
 	fmt.Printf("leader:           node %d (%s)\n", int(st.leader), who)
 	fmt.Printf("lease epoch:      %.0f\n", st.epoch)
-	fmt.Printf("standby lag:      %.0f delta(s) behind the feed\n", st.lag)
 	fmt.Printf("leader changes:   %.0f\n", st.changes)
 	fmt.Printf("lease renewals:   %.0f\n", st.renewals)
 	fmt.Printf("lease expiries:   %.0f\n", st.expiries)
@@ -463,8 +458,8 @@ func printLeaseStats(st *selectorStats) {
 
 // runSelector scrapes the selector metrics and prints the control plane's
 // state. For a sharded control plane it scrapes twice about a second apart
-// and prints one row per router shard — leaseholder, lease epoch, standby
-// lag, partitions owned, and routes/sec over the window — plus the
+// and prints one row per router shard — leaseholder, lease epoch,
+// partitions owned, and routes/sec over the window — plus the
 // cross-shard and placement-cache counters. For a single router it prints
 // the classic HA leadership view.
 func runSelector(addr string) error {
@@ -501,28 +496,27 @@ func runSelector(addr string) error {
 		fmt.Print(" (no lease; -selector-lease 0)")
 	}
 	fmt.Println()
-	fmt.Printf("%-6s %-24s %-12s %-12s %-11s %s\n",
-		"shard", "leaseholder", "lease epoch", "standby lag", "partitions", "routes/s")
+	fmt.Printf("%-6s %-24s %-12s %-11s %s\n",
+		"shard", "leaseholder", "lease epoch", "partitions", "routes/s")
 	for i := 0; i < after.shards; i++ {
 		st := after.shard[i]
 		if st == nil {
 			continue
 		}
-		holder, epoch, lag := "-", "-", "-"
+		holder, epoch := "-", "-"
 		if st.present {
 			holder = "node 0 (initial master)"
 			if st.leader > 0 {
 				holder = fmt.Sprintf("node %d (standby %d)", int(st.leader), int(st.leader)-1)
 			}
 			epoch = fmt.Sprintf("%.0f", st.epoch)
-			lag = fmt.Sprintf("%.0f", st.lag)
 		}
 		rate := st.routes
 		if prev := before.shard[i]; prev != nil {
 			rate = (st.routes - prev.routes) / window
 		}
-		fmt.Printf("%-6d %-24s %-12s %-12s %-11.0f %.1f\n",
-			i, holder, epoch, lag, st.partitions, rate)
+		fmt.Printf("%-6d %-24s %-12s %-11.0f %.1f\n",
+			i, holder, epoch, st.partitions, rate)
 	}
 	fmt.Printf("cross-shard writes: %.0f, co-access hints exchanged: %.0f\n",
 		after.crossWrites, after.crossHints)

@@ -33,7 +33,7 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 	if ha == nil {
 		t.Fatal("SelectorLease did not enable HA")
 	}
-	if got := len(c.SelectorReplicas()); got != 2 {
+	if got := c.SelectorReplicas(); got != 2 {
 		t.Fatalf("HA defaulted %d standbys, want 2", got)
 	}
 	oldLeader := c.Selector()

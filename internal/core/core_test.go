@@ -436,8 +436,8 @@ func TestSelectorReplicasEndToEnd(t *testing.T) {
 		rows = append(rows, systems.LoadRow{Ref: ref(k), Data: []byte{byte(k)}})
 	}
 	c.Load(rows)
-	if len(c.SelectorReplicas()) != 2 {
-		t.Fatalf("replica tier size = %d", len(c.SelectorReplicas()))
+	if c.SelectorReplicas() != 2 {
+		t.Fatalf("replica tier size = %d", c.SelectorReplicas())
 	}
 
 	// Two sessions on different replicas update overlapping partitions:

@@ -107,10 +107,10 @@ func WithFailureDetection(fd FailureDetectionConfig) Option {
 }
 
 // WithSelectorReplicas sets the number of standby selectors behind each
-// router shard's leader (Appendix I). Standbys mirror the leader's
-// placement; with any standby, sessions route reads and single-sited writes
-// off the gossiped placement cache. Under WithSelectorLease a standby
-// promotes when the leader's lease expires.
+// router shard's leader (Appendix I). Standbys hold no state; with any
+// standby, sessions route reads and single-sited writes off the gossiped
+// placement cache. Under WithSelectorLease a standby promotes when the
+// leader's lease expires.
 func WithSelectorReplicas(n int) Option {
 	return optionFunc(func(c *Config) { c.SelectorReplicas = n })
 }
@@ -136,9 +136,9 @@ func WithSelectorShards(n int) Option {
 }
 
 // WithSelectorLease puts the selector tier under lease-based leader
-// failover with the given lease TTL: the standbys' mirrors are kept hot and
-// one promotes — fencing the deposed leader and reconciling against the
-// sites' WAL fold — when the leader's lease expires. d <= 0 disables HA.
+// failover with the given lease TTL: when the leader's lease expires a
+// standby promotes, fencing the deposed leader and rebuilding the map from
+// the last checkpoint and the sites' WAL. d <= 0 disables HA.
 func WithSelectorLease(d time.Duration) Option {
 	return optionFunc(func(c *Config) { c.SelectorLease = d })
 }

@@ -14,110 +14,18 @@ import (
 // the upper bound on how stale a cache entry the delta feed missed can stay.
 const DefaultGossipInterval = 20 * time.Millisecond
 
-// placementMap is an epoch-versioned partition -> master map: the one type
-// behind both the front's placement cache and every HA standby's mirror.
-// Installs are epoch-monotonic per partition (install), so feed deliveries,
-// gossip pulls and promotion re-seeds commute, and a straggler below the
-// installed epoch never rolls an entry back.
-type placementMap struct {
-	mu    sync.RWMutex
-	owner map[uint64]int
-	epoch map[uint64]uint64
-}
-
-// install applies the epoch-monotonic rule to one partition. Caller holds
-// m.mu exclusively.
-func (m *placementMap) install(p uint64, site int, epoch uint64) {
-	if m.owner == nil {
-		m.owner = make(map[uint64]int)
-		m.epoch = make(map[uint64]uint64)
-	}
-	if epoch >= m.epoch[p] {
-		m.owner[p] = site
-		m.epoch[p] = epoch
-	}
-}
-
-// ingest applies one mastership delta from a shard leader's feed.
-func (m *placementMap) ingest(parts []uint64, site int, epoch uint64) {
-	m.mu.Lock()
-	for _, p := range parts {
-		m.install(p, site, epoch)
-	}
-	m.mu.Unlock()
-}
-
-// seed merges a full placement snapshot (owner and install epoch per
-// partition), keeping only the partitions keep accepts (nil keeps all).
-func (m *placementMap) seed(owner map[uint64]int, epochs map[uint64]uint64, keep func(uint64) bool) {
-	m.mu.Lock()
-	for p, site := range owner {
-		if keep == nil || keep(p) {
-			m.install(p, site, epochs[p])
-		}
-	}
-	m.mu.Unlock()
-}
-
-// learn installs an authoritative routing answer regardless of epoch: the
-// router just decided parts are mastered at site, so an entry whose cached
-// epoch is higher than the truth's (a move the feed never reported) stops
-// bouncing writes. The install epochs are untouched; the next delta or
-// gossip pull at that epoch or above overrides the answer as usual.
-func (m *placementMap) learn(parts []uint64, site int) {
-	m.mu.Lock()
-	for _, p := range parts {
-		m.install(p, site, m.epoch[p])
-	}
-	m.mu.Unlock()
-}
-
-// single returns the master of every partition if all are mapped to the
-// same site.
-func (m *placementMap) single(parts []uint64) (int, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	site, ok := m.owner[parts[0]]
-	if !ok {
-		return 0, false
-	}
-	for _, p := range parts[1:] {
-		if s, ok := m.owner[p]; !ok || s != site {
-			return 0, false
-		}
-	}
-	return site, true
-}
-
-// Mirror copies the map: owner and install epoch per partition.
-func (m *placementMap) Mirror() (map[uint64]int, map[uint64]uint64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	owner := make(map[uint64]int, len(m.owner))
-	epochs := make(map[uint64]uint64, len(m.owner))
-	for p, site := range m.owner {
-		owner[p] = site
-		epochs[p] = m.epoch[p]
-	}
-	return owner, epochs
-}
-
-// Size returns the number of mapped partitions.
-func (m *placementMap) Size() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.owner)
-}
-
 // PlacementCache is the front's gossiped read-only placement view:
 // mastership (and, under partial replication, replica-set) snapshots
-// versioned by install epoch. Three sources keep it fresh:
+// versioned by install epoch. Installs are epoch-monotonic per partition
+// (install), so feed deliveries and gossip pulls commute, and a straggler
+// below the installed epoch never rolls an entry back. Three sources keep
+// it fresh:
 //
-//   - every shard leader's mastership delta feed (the same deltas the HA
-//     standbys mirror, one more consumer) reaches ingest synchronously;
+//   - every shard leader's mastership delta feed reaches ingest
+//     synchronously;
 //   - a periodic anti-entropy pull copies each shard leader's placement
 //     snapshot, catching what the feed cannot carry (replica-set changes,
-//     promotions' reconciled maps). GossipInterval bounds that window;
+//     promotions' rebuilt maps). GossipInterval bounds that window;
 //   - an authoritative resubmit learns its answer (see Front.Resubmit).
 //
 // Staleness is safe by construction: a read routed to a site that no longer
@@ -125,11 +33,13 @@ func (m *placementMap) Size() int {
 // former master bounces with ErrNotMaster or loses its fence race with
 // ErrStaleEpoch; the session then resubmits through the front.
 type PlacementCache struct {
-	placementMap
+	mu    sync.RWMutex
+	owner map[uint64]int
+	epoch map[uint64]uint64
+	sets  map[uint64][]int // replica sets; nil under full replication
+
 	g        *Group
 	interval time.Duration
-
-	sets map[uint64][]int // replica sets under mu; nil under full replication
 
 	readRoutes  atomic.Uint64 // reads served with zero router RPCs
 	writeRoutes atomic.Uint64 // writes served with zero router RPCs
@@ -225,6 +135,91 @@ func (c *PlacementCache) hosts(parts []uint64) ([]int, bool) {
 		hosts = kept
 	}
 	return hosts, true
+}
+
+// install applies the epoch-monotonic rule to one partition. Caller holds
+// c.mu exclusively.
+func (c *PlacementCache) install(p uint64, site int, epoch uint64) {
+	if c.owner == nil {
+		c.owner = make(map[uint64]int)
+		c.epoch = make(map[uint64]uint64)
+	}
+	if epoch >= c.epoch[p] {
+		c.owner[p] = site
+		c.epoch[p] = epoch
+	}
+}
+
+// ingest applies one mastership delta from a shard leader's feed.
+func (c *PlacementCache) ingest(parts []uint64, site int, epoch uint64) {
+	c.mu.Lock()
+	for _, p := range parts {
+		c.install(p, site, epoch)
+	}
+	c.mu.Unlock()
+}
+
+// seed merges a full placement snapshot (owner and install epoch per
+// partition), keeping only the partitions keep accepts.
+func (c *PlacementCache) seed(owner map[uint64]int, epochs map[uint64]uint64, keep func(uint64) bool) {
+	c.mu.Lock()
+	for p, site := range owner {
+		if keep(p) {
+			c.install(p, site, epochs[p])
+		}
+	}
+	c.mu.Unlock()
+}
+
+// learn installs an authoritative routing answer regardless of epoch: the
+// router just decided parts are mastered at site, so an entry whose cached
+// epoch is higher than the truth's (a move the feed never reported) stops
+// bouncing writes. The install epochs are untouched; the next delta or
+// gossip pull at that epoch or above overrides the answer as usual.
+func (c *PlacementCache) learn(parts []uint64, site int) {
+	c.mu.Lock()
+	for _, p := range parts {
+		c.install(p, site, c.epoch[p])
+	}
+	c.mu.Unlock()
+}
+
+// single returns the master of every partition if all are mapped to the
+// same site.
+func (c *PlacementCache) single(parts []uint64) (int, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	site, ok := c.owner[parts[0]]
+	if !ok {
+		return 0, false
+	}
+	for _, p := range parts[1:] {
+		if s, ok := c.owner[p]; !ok || s != site {
+			return 0, false
+		}
+	}
+	return site, true
+}
+
+// Mirror copies the cached mastership: owner and install epoch per
+// partition.
+func (c *PlacementCache) Mirror() (map[uint64]int, map[uint64]uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	owner := make(map[uint64]int, len(c.owner))
+	epochs := make(map[uint64]uint64, len(c.owner))
+	for p, site := range c.owner {
+		owner[p] = site
+		epochs[p] = c.epoch[p]
+	}
+	return owner, epochs
+}
+
+// Size returns the number of cached mastership entries.
+func (c *PlacementCache) Size() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.owner)
 }
 
 // ReadRoutes returns how many reads the cache served without a router RPC.

@@ -33,7 +33,7 @@ func TestReplicatedRouterAssignment(t *testing.T) {
 	}
 	// A standby tier makes the control plane multi-node: the front caches.
 	g1, _ := newShardedGroup(t, 2, 1, 2, stats)
-	if len(g1.Repl(0).Replicas()) != 2 {
+	if g1.Repl(0).Standbys() != 2 {
 		t.Fatal("standby count")
 	}
 	if g1.Cache() == nil || g1.RouterFor(3).c != g1.Cache() {

@@ -21,7 +21,7 @@ import (
 // the selector's own lock striping uses, so shard assignment is a pure
 // function of the partition id). Each shard is a full Replicated tier: its
 // own Selector (routing loop + stats stripes + placement state), its own
-// standby replicas, and — under HA — its own lease, which doubles as that
+// standbys, and — under HA — its own lease, which doubles as that
 // shard's remaster-epoch allocator (one key of a KeyedLeaseStore).
 //
 // Cross-shard concerns are handled at the edges:
@@ -115,9 +115,11 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	for i := range g.recent {
 		g.recent[i].m = make(map[int]recentOwners)
 	}
-	if g.n > 1 || len(cfg.Shards[0].replicas) > 0 {
+	if g.n > 1 || cfg.Shards[0].standbys > 0 {
 		g.cache = newPlacementCache(g, cfg.GossipInterval, cfg.Obs)
-		g.wireCacheFeed()
+		for _, repl := range g.repls {
+			repl.setFeedSink(g.cache.ingest)
+		}
 		g.cache.start()
 	}
 	g.front = &Front{g: g, c: g.cache}
@@ -145,19 +147,6 @@ func GroupHooks(i, n int, get func() *Group) ShardHooks {
 			return get().ShardFor(d1).stats.CoAccess(d1, intra, buf)
 		},
 		SiteLoads: func() []float64 { return get().siteLoads() },
-	}
-}
-
-// wireCacheFeed taps every shard's mastership delta feed into the cache.
-// Shards under HA already broadcast their feed to standbys; the Replicated
-// feed sink forwards each delta to the cache and survives leader swaps.
-// Shards without HA get the sink wired as the selector's feed directly.
-func (g *Group) wireCacheFeed() {
-	for _, repl := range g.repls {
-		repl.setFeedSink(g.cache.ingest)
-		if repl.ha == nil {
-			repl.Master.SetDeltaFeed(repl.deliverDelta)
-		}
 	}
 }
 

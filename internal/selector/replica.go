@@ -6,43 +6,29 @@ import (
 	"dynamast/internal/transport"
 )
 
-// Replica is a selector standby: a mirror of its shard leader's
-// partition -> master map, install epoch included. Under the HA tier
-// (lease.go) the leader's delta feed keeps the mirror continuously fresh,
-// and a promotion reconciles it against the sites' WAL fold to become the
-// new leader's map. Standbys route nothing: sessions route through the
-// Front, whose placement cache consumes the same feed.
-type Replica struct {
-	placementMap
-	// feedSeq is the last delta-feed sequence number ingested; the
-	// leader's sequence minus this is the standby's lag.
-	feedSeq atomic.Uint64
-}
-
-// FeedSeq returns the last delta-feed sequence number this standby
-// ingested.
-func (r *Replica) FeedSeq() uint64 { return r.feedSeq.Load() }
-
 // Replicated is one router shard's selector tier: the leader selector and
-// its standbys. Under HA the leader pointer is swapped on promotion; Master
-// keeps naming the initial leader.
+// a count of standbys. A standby holds no state: under HA (lease.go) it
+// only contends for the lease, and its promotion rebuilds the map from the
+// last checkpoint and the sites' logs. Under HA the leader pointer is
+// swapped on promotion; Master keeps naming the initial leader.
 type Replicated struct {
 	Master   *Selector
-	replicas []*Replica
+	standbys int
 	net      *transport.Network
 	leader   atomic.Pointer[Selector]
 	ha       *HA
 
-	// feedSink is an extra consumer of the leader's mastership delta feed
-	// (the front's placement cache). It survives leader swaps: under HA the
-	// broadcast fan-out forwards each delta here, and without HA the Group
-	// wires the master's feed to deliverDelta directly.
+	// feedSink consumes the leader's mastership delta feed (the front's
+	// placement cache). It survives leader swaps: every leader's feed is
+	// wired to deliverDelta.
 	feedSink atomic.Pointer[func(parts []uint64, site int, epoch uint64)]
 }
 
-// setFeedSink installs the extra delta-feed consumer.
+// setFeedSink installs the delta-feed consumer and wires the current
+// leader's feed to it.
 func (r *Replicated) setFeedSink(f func(parts []uint64, site int, epoch uint64)) {
 	r.feedSink.Store(&f)
+	r.Leader().SetDeltaFeed(r.deliverDelta)
 }
 
 // deliverDelta hands one committed mastership flip to the feed sink, if any.
@@ -54,16 +40,13 @@ func (r *Replicated) deliverDelta(parts []uint64, site int, epoch uint64) {
 
 // NewReplicated builds a tier of master plus n standbys.
 func NewReplicated(master *Selector, n int, net *transport.Network) *Replicated {
-	r := &Replicated{Master: master, net: net}
+	r := &Replicated{Master: master, standbys: n, net: net}
 	r.leader.Store(master)
-	for i := 0; i < n; i++ {
-		r.replicas = append(r.replicas, &Replica{})
-	}
 	return r
 }
 
-// Replicas returns the standby tier.
-func (r *Replicated) Replicas() []*Replica { return r.replicas }
+// Standbys returns the number of standby selectors.
+func (r *Replicated) Standbys() int { return r.standbys }
 
 // Leader returns the selector currently holding leadership (the master
 // outside HA deployments).

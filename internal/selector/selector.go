@@ -201,8 +201,8 @@ type Selector struct {
 	// consults site version vectors, which staleness cannot corrupt.
 	deposed atomic.Bool
 
-	// feed, when set, mirrors committed mastership flips to the standby
-	// selectors (the leader -> standby delta stream of the HA tier).
+	// feed, when set, publishes committed mastership flips to the front's
+	// placement cache.
 	feed atomic.Pointer[func(parts []uint64, site int, epoch uint64)]
 
 	// downSites flags sites declared failed (heartbeat misses); routing and
@@ -485,15 +485,15 @@ func (s *Selector) depose() { s.deposed.Store(true) }
 // control-plane leader.
 func (s *Selector) Deposed() bool { return s.deposed.Load() }
 
-// SetDeltaFeed installs the leader -> standby mastership delta stream:
-// every committed metadata flip (remaster chain completion, failover
+// SetDeltaFeed installs the mastership delta stream: every committed
+// metadata flip (remaster chain completion, failover
 // registration, first-sight placement) is published to f.
 func (s *Selector) SetDeltaFeed(f func(parts []uint64, site int, epoch uint64)) {
 	s.feed.Store(&f)
 }
 
-// publish mirrors a committed mastership flip to the standbys, if a delta
-// feed is wired.
+// publish hands a committed mastership flip to the delta feed, if one is
+// wired.
 func (s *Selector) publish(parts []uint64, site int, epoch uint64) {
 	if f := s.feed.Load(); f != nil {
 		(*f)(parts, site, epoch)
@@ -529,13 +529,12 @@ func (s *Selector) RegisterPartition(id uint64, master int) {
 
 // RegisterPartitionEpoch seeds a partition's master together with the
 // remaster epoch that installed it; failover and recovery use it so
-// checkpointed placement snapshots carry accurate epochs.
+// checkpointed placement snapshots carry accurate epochs. It is metadata
+// only: the caller has already settled ownership at the sites, so a
+// partition this selector has not seen yet gets no first-sight grant (which
+// would make its initial site a second master).
 func (s *Selector) RegisterPartitionEpoch(id uint64, master int, epoch uint64) {
-	p := s.part(id)
-	p.mu.Lock()
-	p.setMaster(master, epoch)
-	p.mu.Unlock()
-	s.noteMaster([]uint64{id}, master)
+	s.install(id, master, epoch)
 	s.publish([]uint64{id}, master, epoch)
 }
 
@@ -575,25 +574,31 @@ func (s *Selector) CurrentEpoch() uint64 { return s.epochs.Current() }
 // freshly allocated epochs keep out-fencing pre-crash ones.
 func (s *Selector) BumpEpoch(n uint64) { s.epochs.Bump(n) }
 
-// adoptPlacement installs a reconciled placement map (partition -> master,
+// adoptPlacement installs a rebuilt placement map (partition -> master,
 // with the epoch that installed each entry) without issuing any site-level
 // grants: promotion already verified — and where needed repaired — the
 // sites' own ownership state, so this is a pure metadata install.
 func (s *Selector) adoptPlacement(owner map[uint64]int, epochs map[uint64]uint64) {
 	for p, site := range owner {
-		sh := &s.shards[shardOf(p)]
-		sh.mu.Lock()
-		in := sh.m[p]
-		if in == nil {
-			in = &partInfo{}
-			sh.m[p] = in
-		}
-		sh.mu.Unlock()
-		in.mu.Lock()
-		in.setMaster(site, epochs[p])
-		in.mu.Unlock()
-		s.noteMaster([]uint64{p}, site)
+		s.install(p, site, epochs[p])
 	}
+}
+
+// install sets one partition's master and install epoch, creating its
+// entry without a first-sight grant.
+func (s *Selector) install(id uint64, master int, epoch uint64) {
+	sh := &s.shards[shardOf(id)]
+	sh.mu.Lock()
+	in := sh.m[id]
+	if in == nil {
+		in = &partInfo{}
+		sh.m[id] = in
+	}
+	sh.mu.Unlock()
+	in.mu.Lock()
+	in.setMaster(master, epoch)
+	in.mu.Unlock()
+	s.noteMaster([]uint64{id}, master)
 }
 
 // MasterOf returns the current master site of a partition.

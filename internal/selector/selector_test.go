@@ -561,8 +561,8 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 	}
 	// Log-based recovery agrees: the rollback grant out-epochs the phantom
 	// grant, so arbitration is unambiguous.
-	if owner := sitemgr.FoldMastership(b, nil).Owner; owner[0] != 0 {
-		t.Fatalf("recovered owner = %d, want 0", owner[0])
+	if fold, err := sitemgr.FoldMastership(b, sitemgr.FoldBase{}); err != nil || fold.Owner[0] != 0 {
+		t.Fatalf("recovered owner = %d (%v), want 0", fold.Owner[0], err)
 	}
 }
 

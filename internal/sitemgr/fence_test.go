@@ -3,6 +3,7 @@ package sitemgr
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"dynamast/internal/wal"
 )
@@ -114,7 +115,10 @@ func TestFoldMastership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := FoldMastership(b, nil)
+	f, err := FoldMastership(b, FoldBase{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := f.Epoch[3]; got != 2 {
 		t.Fatalf("fold epoch of partition 3 = %d, want 2", got)
 	}
@@ -124,20 +128,67 @@ func TestFoldMastership(t *testing.T) {
 	if _, dangling := f.Dangling[3]; dangling {
 		t.Fatal("completed chain reported dangling")
 	}
-	// The fold names owners only where a log grant exists; callers overlay
-	// it on their own placement, so the dangling partition and the
-	// untouched one keep their seed owner.
-	if _, owned := f.Owner[4]; owned {
-		t.Fatal("dangling partition acquired a fold owner")
-	}
-	owner := map[uint64]int{3: 0, 4: 0, 5: 0}
-	for p, site := range f.Owner {
-		owner[p] = site
-	}
-	if owner[3] != 1 || owner[4] != 0 || owner[5] != 0 {
-		t.Fatalf("overlaid owners = %v, want 3 -> 1, 4 -> 0, 5 -> 0", owner)
+	// The zero base names owners only where a log grant exists: the
+	// dangling partition and the untouched one have none.
+	if f.Owner[3] != 1 || len(f.Owner) != 1 {
+		t.Fatalf("zero-base owners = %v, want only 3 -> 1", f.Owner)
 	}
 	if f.MaxEpoch != 3 {
 		t.Fatalf("fold max epoch = %d, want 3", f.MaxEpoch)
+	}
+
+	// A base overlays: a partition only in the base keeps its entry, and a
+	// grant replaces a base entry only under a strictly higher epoch.
+	base := FoldBase{
+		Owner: map[uint64]int{3: 0, 5: 1},
+		Epoch: map[uint64]uint64{3: 1, 5: 1},
+	}
+	if f, err = FoldMastership(b, base); err != nil {
+		t.Fatal(err)
+	}
+	if f.Owner[5] != 1 || f.Epoch[5] != 1 {
+		t.Fatalf("base-only partition 5 = %d@%d, want 1@1", f.Owner[5], f.Epoch[5])
+	}
+	if f.Owner[3] != 1 || f.Epoch[3] != 2 {
+		t.Fatalf("partition 3 = %d@%d, want the higher-epoch grant 1@2", f.Owner[3], f.Epoch[3])
+	}
+	if base.Owner[3] != 0 || base.Epoch[3] != 1 {
+		t.Fatal("the fold wrote through to the caller's base")
+	}
+	// An equal-epoch grant keeps the base entry, and a base install at the
+	// release's epoch settles that release: the grant leg ran, below the
+	// base's fold offsets.
+	tie := FoldBase{
+		Owner: map[uint64]int{3: 0, 4: 1},
+		Epoch: map[uint64]uint64{3: 2, 4: 3},
+	}
+	if f, err = FoldMastership(b, tie); err != nil {
+		t.Fatal(err)
+	}
+	if f.Owner[3] != 0 || f.Owner[4] != 1 {
+		t.Fatalf("equal-epoch owners = %v, want the base's 3 -> 0, 4 -> 1", f.Owner)
+	}
+	if len(f.Dangling) != 0 {
+		t.Fatalf("dangling = %v, want none under a base that installed the release's epoch", f.Dangling)
+	}
+
+	// A base whose fold offset is behind a truncated log is refused: the
+	// records in the gap are covered only by a newer base.
+	end := b.Log(0).Len()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Log(0).Base() < end {
+		if time.Now().After(deadline) {
+			t.Fatalf("site 0 log not truncated to %d (base %d)", end, b.Log(0).Base())
+		}
+		if _, err := b.Log(0).SetLowWater(end); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond) // the peer's refresh cursor pins the floor until it drains
+	}
+	if _, err := FoldMastership(b, FoldBase{From: []uint64{end - 1, 0}}); !errors.Is(err, ErrFoldBaseTruncated) {
+		t.Fatalf("stale base: err = %v, want ErrFoldBaseTruncated", err)
+	}
+	if _, err := FoldMastership(b, FoldBase{From: []uint64{end, 0}}); err != nil {
+		t.Fatalf("base at the truncation floor: %v", err)
 	}
 }

@@ -672,7 +672,11 @@ func TestRecoveryBootstrapAndReplay(t *testing.T) {
 	}
 	// Recovery must resume the commit sequence without reuse.
 	owner := map[uint64]int{0: 0}
-	for p, site := range FoldMastership(broker, nil).Owner {
+	fold, err := FoldMastership(broker, FoldBase{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, site := range fold.Owner {
 		owner[p] = site
 	}
 	recovered.AdoptMastership(owner)
@@ -722,7 +726,11 @@ func TestRecoverMastershipFromLogs(t *testing.T) {
 		initial[p] = 0
 	}
 	owner := initial
-	for p, site := range FoldMastership(broker, nil).Owner {
+	fold, err := FoldMastership(broker, FoldBase{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, site := range fold.Owner {
 		owner[p] = site
 	}
 	if owner[3] != 2 {

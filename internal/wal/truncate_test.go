@@ -153,3 +153,40 @@ func TestSetLowWaterNeverLowers(t *testing.T) {
 		t.Fatalf("lowering: dropped=%d base=%d lw=%d, want 0/8/8", dropped, l.Base(), l.LowWater())
 	}
 }
+
+// TestFullTruncationKeepsOffsetsAcrossReopen truncates a file-backed log up
+// to its end: the newest record stays in the file, so the reopened log
+// keeps its absolute offsets and appends continue after them instead of
+// reusing offsets a checkpoint already names.
+func TestFullTruncationKeepsOffsetsAcrossReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site-0.wal")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 20; i++ {
+		if _, err := l.Append(updateEntry(0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.SetLowWater(20); err != nil {
+		t.Fatal(err)
+	}
+	if l.Base() != 19 || l.Len() != 20 {
+		t.Fatalf("base=%d len=%d, want 19/20", l.Base(), l.Len())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Base() != 19 || l2.Len() != 20 {
+		t.Fatalf("reopened base=%d len=%d, want 19/20", l2.Base(), l2.Len())
+	}
+	if off, err := l2.Append(updateEntry(0, 21)); err != nil || off != 20 {
+		t.Fatalf("append after reopen: off=%d err=%v, want 20", off, err)
+	}
+}

@@ -525,6 +525,12 @@ func (l *Log) SetLowWater(off uint64) (uint64, error) {
 	if floor > l.visible {
 		floor = l.visible
 	}
+	// A file-backed log keeps its newest entry: a reopened log takes its
+	// base from the first record, so an emptied file would restart offsets
+	// at 0 under checkpoints that name absolute offsets.
+	if l.fileBacked && floor == l.visible && floor > 0 {
+		floor--
+	}
 	for c := range l.cursors {
 		if c.next < floor {
 			floor = c.next
