@@ -139,9 +139,9 @@ func ExampleCluster_Session() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	m := cluster.Selector().Metrics()
+	m := cluster.Group().Metrics()
 	fmt.Printf("remastered %d transaction(s); partitions co-located: %v\n",
-		m.RemasterTxns, cluster.Selector().MasterOf(0) == cluster.Selector().MasterOf(1))
+		m.RemasterTxns, cluster.Group().MasterOf(0) == cluster.Group().MasterOf(1))
 	// Output: remastered 1 transaction(s); partitions co-located: true
 }
 

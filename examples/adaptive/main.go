@@ -30,7 +30,7 @@ func key(part uint64, r *rand.Rand) uint64 {
 func drive(cluster *dynamast.Cluster, pair func(uint64) uint64, d time.Duration, label string) {
 	start := time.Now()
 	deadline := start.Add(d)
-	startMetrics := cluster.Selector().Metrics()
+	startMetrics := cluster.Group().Metrics()
 	done := make(chan int, clients)
 	for c := 0; c < clients; c++ {
 		go func(c int) {
@@ -63,7 +63,7 @@ func drive(cluster *dynamast.Cluster, pair func(uint64) uint64, d time.Duration,
 	for c := 0; c < clients; c++ {
 		total += <-done
 	}
-	m := cluster.Selector().Metrics()
+	m := cluster.Group().Metrics()
 	fmt.Printf("%-22s %6.0f txn/s   remastered %4d txns, moved %4d partitions\n",
 		label, float64(total)/d.Seconds(),
 		m.RemasterTxns-startMetrics.RemasterTxns,

@@ -117,7 +117,7 @@ func main() {
 	want := uint64(accounts * initialBalance)
 	fmt.Printf("audit: total=%d want=%d ok=%v\n", total, want, total == want)
 
-	m := cluster.Selector().Metrics()
+	m := cluster.Group().Metrics()
 	st := cluster.Stats()
 	fmt.Printf("transfers committed: %d (per site %v)\n", st.Commits, st.PerSiteCommits)
 	fmt.Printf("remastered: %d of %d write txns (%.1f%%)\n",

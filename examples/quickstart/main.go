@@ -70,10 +70,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	m := cluster.Selector().Metrics()
+	m := cluster.Group().Metrics()
 	fmt.Printf("write txns: %d, remastered: %d, partitions moved: %d\n",
 		m.WriteTxns, m.RemasterTxns, m.PartsMoved)
 	for p := uint64(0); p < 10; p++ {
-		fmt.Printf("partition %d mastered at site %d\n", p, cluster.Selector().MasterOf(p))
+		fmt.Printf("partition %d mastered at site %d\n", p, cluster.Group().MasterOf(p))
 	}
 }

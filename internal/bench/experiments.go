@@ -295,7 +295,7 @@ func Fig5bAdaptivity(scale Scale) (*Experiment, error) {
 	// Phase 2: the workload changes; measure slices from the change.
 	exp := &Experiment{ID: "Fig5b", Caption: "DynaMast adaptivity after a correlation change (per-slice)",
 		Columns: []string{"txn_per_s", "remaster_pct"}}
-	m := cluster.Selector().Metrics()
+	m := cluster.Group().Metrics()
 	lastW, lastR := m.WriteTxns, m.RemasterTxns
 	slice := scale.Duration / 2
 	if slice <= 0 {
@@ -304,7 +304,7 @@ func Fig5bAdaptivity(scale Scale) (*Experiment, error) {
 	var firstRate, lastRate float64
 	for i := 0; i < 6; i++ {
 		res := Run(sys, wl2, Options{Clients: 100, Duration: slice, Seed: scale.Seed + int64(i) + 1})
-		m = cluster.Selector().Metrics()
+		m = cluster.Group().Metrics()
 		dw, dr := m.WriteTxns-lastW, m.RemasterTxns-lastR
 		lastW, lastR = m.WriteTxns, m.RemasterTxns
 		rate := 0.0
@@ -370,9 +370,9 @@ func Fig5aSensitivity(scale Scale) (*Experiment, error) {
 		}
 		res := Run(sys, wl, scale.opts())
 		cluster := sys.(interface {
-			Selector() *selector.Selector
+			Group() *selector.Group
 		})
-		m := cluster.Selector().Metrics()
+		m := cluster.Group().Metrics()
 		var maxR, minR, total uint64
 		minR = ^uint64(0)
 		for _, n := range m.RoutedPerSite {
@@ -594,10 +594,10 @@ func FigOverhead(scale Scale) (*Experiment, error) {
 	defer sys.Close()
 	res := Run(sys, wl, scale.opts())
 	cluster := sys.(interface {
-		Selector() *selector.Selector
+		Group() *selector.Group
 		Network() *transport.Network
 	})
-	m := cluster.Selector().Metrics()
+	m := cluster.Group().Metrics()
 	exp := &Experiment{ID: "FigOverhead", Caption: "DynaMast remastering overhead (YCSB uniform 50/50)",
 		Columns: []string{"value"}}
 	remPct := 0.0

@@ -36,7 +36,7 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 	if got := c.SelectorReplicas(); got != 2 {
 		t.Fatalf("HA defaulted %d standbys, want 2", got)
 	}
-	oldLeader := c.Selector()
+	oldLeader := c.Group().Shard(0)
 
 	const (
 		pairs   = chaosPairs
@@ -174,11 +174,11 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 		stopAll()
 		t.Fatal("killed leader not deposed")
 	}
-	if _, err := oldLeader.RouteWrite(999, []storage.RowRef{ref(1)}, nil); !errors.Is(err, selector.ErrNoLeader) {
+	if _, err := oldLeader.AllocEpoch(); !errors.Is(err, selector.ErrNoLeader) {
 		stopAll()
-		t.Fatalf("deposed leader routed a write: %v", err)
+		t.Fatalf("deposed leader allocated a remaster epoch: %v", err)
 	}
-	if c.Selector() == oldLeader {
+	if c.Group().Shard(0) == oldLeader {
 		stopAll()
 		t.Fatal("cluster still exposes the deposed selector as leader")
 	}
@@ -280,7 +280,7 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 		if owners != 1 {
 			t.Fatalf("partition %d has %d owning sites, want exactly 1", p, owners)
 		}
-		if got := c.Selector().MasterOf(p); got != ownerSite {
+		if got := c.Group().MasterOf(p); got != ownerSite {
 			t.Fatalf("partition %d: selector says %d, sites say %d", p, got, ownerSite)
 		}
 	}
@@ -343,7 +343,7 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := c.Selector().MasterOf(0)
+	victim := c.Group().MasterOf(0)
 	cached, _ := cache.Mirror()
 	victimParts := make([]uint64, 0, 4)
 	for p, site := range cached {
@@ -367,7 +367,7 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 		if owner[p] == victim {
 			t.Fatalf("cache still routes partition %d at the dead site", p)
 		}
-		if want := c.Selector().MasterOf(p); owner[p] != want {
+		if want := c.Group().MasterOf(p); owner[p] != want {
 			t.Fatalf("cache: partition %d at %d, selector says %d", p, owner[p], want)
 		}
 	}

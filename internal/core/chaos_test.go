@@ -80,7 +80,7 @@ func TestChaosKillSiteMidRunCheckpointed(t *testing.T) {
 	})
 	initial := map[uint64]int{}
 	for p := uint64(0); p < 10; p++ {
-		initial[p] = c.Selector().MasterOf(p)
+		initial[p] = c.Group().MasterOf(p)
 	}
 	total := runChaosKillSiteMidRun(t, c, inj)
 	c.Close()
@@ -273,7 +273,7 @@ func runChaosKillSiteMidRun(t *testing.T, c *Cluster, inj *transport.Injector) i
 	}
 	failoverWindow := time.Since(killedAt)
 	t.Logf("failover window: %v", failoverWindow)
-	if !c.Selector().SiteDown(victim) {
+	if !c.Group().SiteDown(victim) {
 		t.Fatal("selector does not mark the killed site down")
 	}
 
@@ -369,7 +369,7 @@ func runChaosKillSiteMidRun(t *testing.T, c *Cluster, inj *transport.Injector) i
 func TestChaosManualFailoverRecoversMastership(t *testing.T) {
 	c := newTestCluster(t, 4)
 	victim := 1
-	owned := c.Selector().MasteredBy(victim)
+	owned := c.Group().MasteredBy(victim)
 	if len(owned) == 0 {
 		t.Skip("victim owns nothing under this scatter")
 	}
@@ -385,7 +385,7 @@ func TestChaosManualFailoverRecoversMastership(t *testing.T) {
 		t.Fatalf("failovers = %d, want 1", got)
 	}
 	for _, p := range owned {
-		if len(c.Selector().MasteredBy(victim)) != 0 {
+		if len(c.Group().MasteredBy(victim)) != 0 {
 			t.Fatalf("partition %d still mastered by dead site", p)
 		}
 	}
@@ -427,11 +427,11 @@ func TestHeartbeatRetriesIncompleteFailover(t *testing.T) {
 	c.Load(rows)
 
 	victim := 2
-	if len(c.Selector().MasteredBy(victim)) == 0 {
+	if len(c.Group().MasteredBy(victim)) == 0 {
 		t.Skip("victim owns nothing under this scatter")
 	}
 	c.KillSite(victim)
-	c.Selector().MarkDown(victim) // down, but no failover ran
+	c.Group().MarkDown(victim) // down, but no failover ran
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Failovers() == 0 {
 		if time.Now().After(deadline) {
@@ -439,7 +439,7 @@ func TestHeartbeatRetriesIncompleteFailover(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := len(c.Selector().MasteredBy(victim)); got != 0 {
+	if got := len(c.Group().MasteredBy(victim)); got != 0 {
 		t.Fatalf("%d partitions still mastered at the dead site", got)
 	}
 	if !c.FailedOver(victim) {
@@ -454,7 +454,7 @@ func TestHeartbeatRetriesIncompleteFailover(t *testing.T) {
 func TestFailoverFallsBackToLiveHeir(t *testing.T) {
 	c := newTestCluster(t, 4)
 	victim, unreliable := 2, 1
-	owned := c.Selector().MasteredBy(victim)
+	owned := c.Group().MasteredBy(victim)
 	if len(owned) == 0 {
 		t.Skip("victim owns nothing under this scatter")
 	}
@@ -467,7 +467,7 @@ func TestFailoverFallsBackToLiveHeir(t *testing.T) {
 		t.Fatal("failover did not complete")
 	}
 	for _, p := range owned {
-		m := c.Selector().MasterOf(p)
+		m := c.Group().MasterOf(p)
 		if m == victim || m == unreliable {
 			t.Fatalf("partition %d mastered at dead site %d", p, m)
 		}

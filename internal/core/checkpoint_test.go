@@ -33,7 +33,7 @@ func drive(t *testing.T, c *Cluster, sess *Session, n int, salt byte) map[uint64
 func captureInitial(c *Cluster) map[uint64]int {
 	initial := map[uint64]int{}
 	for p := uint64(0); p < 10; p++ {
-		initial[p] = c.Selector().MasterOf(p)
+		initial[p] = c.Group().MasterOf(p)
 	}
 	return initial
 }
@@ -117,7 +117,7 @@ func TestCheckpointRestartReplaysOnlySuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, v := range want {
-		data, ok := c2.Sites()[c2.Selector().MasterOf(k/100)].ReadLocal(ref(k))
+		data, ok := c2.Sites()[c2.Group().MasterOf(k/100)].ReadLocal(ref(k))
 		if !ok || data[0] != v {
 			t.Fatalf("key %d after recovery: %v %v, want %d", k, data, ok, v)
 		}
@@ -216,7 +216,7 @@ func TestCorruptedCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, v := range want {
-		data, ok := c2.Sites()[c2.Selector().MasterOf(k/100)].ReadLocal(ref(k))
+		data, ok := c2.Sites()[c2.Group().MasterOf(k/100)].ReadLocal(ref(k))
 		if !ok || data[0] != v {
 			t.Fatalf("key %d after fallback recovery: %v %v, want %d", k, data, ok, v)
 		}
@@ -277,7 +277,7 @@ func TestCloseTwiceAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, v := range want {
-		data, ok := c2.Sites()[c2.Selector().MasterOf(k/100)].ReadLocal(ref(k))
+		data, ok := c2.Sites()[c2.Group().MasterOf(k/100)].ReadLocal(ref(k))
 		if !ok || data[0] != v {
 			t.Fatalf("key %d after restart: %v %v, want %d", k, data, ok, v)
 		}

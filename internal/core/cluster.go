@@ -150,7 +150,6 @@ type Cluster struct {
 	net    *transport.Network
 	broker *wal.Broker
 	sites  []*sitemgr.Site
-	sel    *selector.Selector   // shard 0's initial master (compat accessor)
 	repl   *selector.Replicated // shard 0's selector tier (compat accessor)
 	repls  []*selector.Replicated
 	group  *selector.Group
@@ -338,13 +337,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		replicas = 2 // HA needs standbys; two matches the paper's testbed headroom
 	}
 
-	// One selector + standby tier per router shard. Single-shard
-	// deployments keep the pre-sharding construction byte for byte: the
-	// selector registers its own metrics and no shard hooks are installed.
-	// Sharded deployments give each shard's selector the group hooks —
-	// ownership guard, foreign-master resolution, group-wide stats and
-	// load — and leave per-selector metrics to the group's shard-labeled
-	// collectors (unlabeled re-registrations would collide).
+	// One selector + standby tier per router shard. The shard selectors
+	// hold state and run chains; the group routes and owns the routing
+	// metrics, so none of them registers instruments.
 	c.repls = make([]*selector.Replicated, shards)
 	selCfgs := make([]selector.Config, shards)
 	for i := 0; i < shards; i++ {
@@ -359,10 +354,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			MinReplicas:   minRF,
 			MaxReplicas:   maxRF,
 			Spans:         c.spans,
-			Hooks:         selector.GroupHooks(i, shards, func() *selector.Group { return c.group }),
-		}
-		if shards == 1 {
-			selCfg.Obs = c.obs
+			Shard:         i,
+			Shards:        shards,
 		}
 		sel, err := selector.New(selCfg)
 		if err != nil {
@@ -375,14 +368,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.repls[i] = selector.NewReplicated(sel, replicas, c.net)
 		selCfgs[i] = selCfg
 	}
-	c.sel = c.repls[0].Master
 	c.repl = c.repls[0]
 
 	// The group dispatches control-plane calls by partition owner and owns
 	// the sessions' front, whose placement cache exists whenever the control
 	// plane has more than one node (shards or standbys). Built before
 	// EnableHA so every shard's lease goroutine starts after c.group is
-	// assigned (the hooks read it).
+	// assigned.
 	c.group, err = selector.NewGroup(selector.GroupConfig{
 		Shards:         c.repls,
 		GossipInterval: cfg.PlacementInterval, // reuse the placement cadence knob; 0 = default
@@ -404,11 +396,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				Broker: c.broker,
 				Base:   c.foldBase,
 				Obs:    c.obs,
-			}
-			if shards > 1 {
-				ha.Store = leases.View(i)
-				ha.Shard = i
-				ha.Shards = shards
+				Store:  leases.View(i),
 			}
 			if _, err := c.repls[i].EnableHA(selCfgs[i], ha); err != nil {
 				c.broker.Close()
@@ -559,22 +547,8 @@ func (c *Cluster) Load(rows []systems.LoadRow) {
 	}
 }
 
-// leader returns the selector currently holding shard 0's control-plane
-// leadership: the initial master outside HA deployments, the promoted
-// standby's selector after a lease failover. Single-router deployments
-// route every cluster-internal selector use through it; sharded
-// deployments dispatch through c.group instead (leader() then covers only
-// the shard-0 slice of uniform state such as weights).
-func (c *Cluster) leader() *selector.Selector { return c.repl.Leader() }
-
-// Selector exposes the site selector currently holding shard 0's
-// leadership (experiments tweak weights and read routing metrics through
-// it). Outside HA deployments this is always shard 0's master selector;
-// use Group for shard-aware access.
-func (c *Cluster) Selector() *selector.Selector { return c.leader() }
-
-// Group exposes the sharded selector control plane (pass-through with one
-// shard).
+// Group exposes the selector control plane: routing, routing metrics, and
+// every shard's leader (Group().Shard(i)).
 func (c *Cluster) Group() *selector.Group { return c.group }
 
 // SelectorShardCount returns the number of router shards (1 = unsharded).

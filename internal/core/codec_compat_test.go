@@ -126,7 +126,7 @@ func TestRecoverFromGobBuildDurableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, v := range want {
-		data, ok := c2.Sites()[c2.Selector().MasterOf(k/100)].ReadLocal(ref(k))
+		data, ok := c2.Sites()[c2.Group().MasterOf(k/100)].ReadLocal(ref(k))
 		if !ok || data[0] != v {
 			t.Fatalf("key %d after gob-build recovery: %v %v, want %d", k, data, ok, v)
 		}
@@ -165,7 +165,7 @@ func TestRecoverFromGobBuildDurableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, v := range want {
-		data, ok := c3.Sites()[c3.Selector().MasterOf(k/100)].ReadLocal(ref(k))
+		data, ok := c3.Sites()[c3.Group().MasterOf(k/100)].ReadLocal(ref(k))
 		if !ok || data[0] != v {
 			t.Fatalf("key %d after mixed-format recovery: %v %v, want %d", k, data, ok, v)
 		}

@@ -51,7 +51,7 @@ func newPartialCluster(t *testing.T, m, min, max int) *Cluster {
 // full replication.
 func TestDefaultIsFullReplication(t *testing.T) {
 	c := newTestCluster(t, 3)
-	if c.Selector().PartialPlacement() {
+	if c.Group().PartialPlacement() {
 		t.Fatal("default cluster reports partial placement")
 	}
 	info := c.Placement()
@@ -67,7 +67,7 @@ func TestDefaultIsFullReplication(t *testing.T) {
 				t.Fatalf("site %d does not host partition %d under full replication", s.ID(), p)
 			}
 		}
-		if set := c.Selector().ReplicaSet(5); len(set) != 3 {
+		if set := c.Group().ReplicaSet(5); len(set) != 3 {
 			t.Fatalf("ReplicaSet under full replication = %v, want all 3 sites", set)
 		}
 	}
@@ -97,7 +97,7 @@ func TestDefaultIsFullReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Selector().PartialPlacement() {
+	if c2.Group().PartialPlacement() {
 		t.Fatal("StaticFullReplication enabled partial placement")
 	}
 }
@@ -119,7 +119,7 @@ func TestReplicationFactorOptionValidation(t *testing.T) {
 // master is one of them, and non-members hold none of the partition's rows.
 func TestPartialSeedMembership(t *testing.T) {
 	c := newPartialCluster(t, 4, 2, 4)
-	sel := c.Selector()
+	sel := c.Group().Shard(0)
 	if !sel.PartialPlacement() {
 		t.Fatal("partial placement not enabled")
 	}
@@ -160,7 +160,7 @@ func TestPartialSeedMembership(t *testing.T) {
 // invariant holds after the remaster chain completes.
 func TestRemasterToNonReplica(t *testing.T) {
 	c := newPartialCluster(t, 4, 1, 4)
-	sel := c.Selector()
+	sel := c.Group().Shard(0)
 
 	// Find two partitions with different (singleton) replica sets.
 	p1 := uint64(0)
@@ -212,7 +212,7 @@ func TestRemasterToNonReplica(t *testing.T) {
 // installed.
 func TestReplicaAddBootstrapRace(t *testing.T) {
 	c := newPartialCluster(t, 3, 1, 3)
-	sel := c.Selector()
+	sel := c.Group().Shard(0)
 	const part = uint64(0)
 	master := sel.MasterOf(part)
 	tgt := -1
@@ -402,7 +402,7 @@ func TestChaosPartialReplicationSeed42(t *testing.T) {
 	})
 	runChaosKillSiteMidRun(t, c, inj)
 	// The run must actually have operated in partial mode.
-	if !c.Selector().PartialPlacement() {
+	if !c.Group().PartialPlacement() {
 		t.Fatal("chaos cluster was not in partial mode")
 	}
 	info := c.Placement()

@@ -35,7 +35,7 @@ func TestClusterCrashRecoveryEndToEnd(t *testing.T) {
 	// Capture the load-time mastership (the WAL only records changes).
 	initial := map[uint64]int{}
 	for p := uint64(0); p < 10; p++ {
-		initial[p] = c.Selector().MasterOf(p)
+		initial[p] = c.Group().MasterOf(p)
 	}
 
 	// Drive cross-partition updates so mastership moves and commits land
@@ -67,7 +67,7 @@ func TestClusterCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	finalMasters := map[uint64]int{}
 	for p := uint64(0); p < 10; p++ {
-		finalMasters[p] = c.Selector().MasterOf(p)
+		finalMasters[p] = c.Group().MasterOf(p)
 	}
 	c.Close() // "crash": all in-memory state gone; only the WALs remain
 	ends := logEnds(c)
@@ -86,7 +86,7 @@ func TestClusterCrashRecoveryEndToEnd(t *testing.T) {
 
 	// Mastership matches the pre-crash state.
 	for p := uint64(0); p < 10; p++ {
-		if got := c2.Selector().MasterOf(p); got != finalMasters[p] {
+		if got := c2.Group().MasterOf(p); got != finalMasters[p] {
 			t.Errorf("partition %d recovered owner %d, want %d", p, got, finalMasters[p])
 		}
 	}
@@ -177,7 +177,7 @@ func TestClusterRecoverConvenience(t *testing.T) {
 	}
 	c.CreateTable("kv")
 	c.Load([]systems.LoadRow{{Ref: ref(1), Data: []byte("init")}, {Ref: ref(101), Data: []byte("init")}})
-	initial := map[uint64]int{0: c.Selector().MasterOf(0), 1: c.Selector().MasterOf(1)}
+	initial := map[uint64]int{0: c.Group().MasterOf(0), 1: c.Group().MasterOf(1)}
 	sess := c.Session(1)
 	if err := sess.Update([]storage.RowRef{ref(1), ref(101)}, func(tx systems.Tx) error {
 		tx.Write(ref(1), []byte("a"))
@@ -185,7 +185,7 @@ func TestClusterRecoverConvenience(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	master := c.Selector().MasterOf(0)
+	master := c.Group().MasterOf(0)
 	if err := c.WaitQuiesced(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestClusterRecoverConvenience(t *testing.T) {
 	if err := c2.Recover(initial); err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.Selector().MasterOf(0); got != master {
+	if got := c2.Group().MasterOf(0); got != master {
 		t.Fatalf("recovered master %d, want %d", got, master)
 	}
 	sess2 := c2.Session(2)
@@ -239,7 +239,7 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 	c.Load(rows)
 	initial := map[uint64]int{}
 	for p := uint64(0); p < 10; p++ {
-		initial[p] = c.Selector().MasterOf(p)
+		initial[p] = c.Group().MasterOf(p)
 	}
 
 	// Some traffic, including cross-partition remastering.
@@ -261,7 +261,7 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 	// Fail over a site that masters something.
 	victim := -1
 	for i := 0; i < 3; i++ {
-		if len(c.Selector().MasteredBy(i)) > 0 {
+		if len(c.Group().MasteredBy(i)) > 0 {
 			victim = i
 			break
 		}
@@ -269,7 +269,7 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no site masters anything")
 	}
-	orphans := c.Selector().MasteredBy(victim)
+	orphans := c.Group().MasteredBy(victim)
 	c.KillSite(victim)
 	if err := c.Failover(victim); err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 	}
 	finalMasters := map[uint64]int{}
 	for p := uint64(0); p < 10; p++ {
-		finalMasters[p] = c.Selector().MasterOf(p)
+		finalMasters[p] = c.Group().MasterOf(p)
 	}
 	if err := c.WaitQuiesced(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -309,12 +309,12 @@ func TestCrashRestartAfterFailoverReconstructsMastership(t *testing.T) {
 	// post-failover writes without waiting for quiescence.
 	requireAtLogEnds(t, c2, ends)
 	for p := uint64(0); p < 10; p++ {
-		if got := c2.Selector().MasterOf(p); got != finalMasters[p] {
+		if got := c2.Group().MasterOf(p); got != finalMasters[p] {
 			t.Errorf("partition %d recovered master %d, want %d", p, got, finalMasters[p])
 		}
 	}
 	for _, p := range orphans {
-		if got := c2.Selector().MasterOf(p); got == victim {
+		if got := c2.Group().MasterOf(p); got == victim {
 			t.Errorf("partition %d reconstructed onto the failed site %d", p, victim)
 		}
 	}

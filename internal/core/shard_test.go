@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -395,56 +396,119 @@ func TestShardedRemasterCollidingEpochs(t *testing.T) {
 	})
 }
 
-// TestShardedClusterRegistersRouteMetrics checks that a sharded control
-// plane publishes the unlabeled routing and remaster series README documents
-// (summed over shards), not only the shard-labeled ones.
+// TestShardedClusterRegistersRouteMetrics checks, at 1 and 4 shards under
+// HA, that the control plane publishes the same routing metric families,
+// that the unlabeled routing and remaster series README documents equal
+// Group.Metrics (summed over shards), and that neither ever decreases across
+// a shard leader's kill and promotion.
 func TestShardedClusterRegistersRouteMetrics(t *testing.T) {
-	c := newShardedCluster(t, 3, 4, nil)
-	g := c.Group()
-	// Partitions of one shard, so the remasters do not depend on how chains
-	// of different shards interact.
-	var parts []uint64
-	for p := uint64(0); len(parts) < 4; p++ {
-		if g.ShardOf(p) == g.ShardOf(0) {
-			parts = append(parts, p)
-		}
-	}
-	sess := c.Session(1)
-	for i := 0; i < 20; i++ {
-		a, b := ref(parts[i%4]*100), ref(parts[(i+1)%4]*100)
-		if err := sess.Update([]storage.RowRef{a, b}, func(tx systems.Tx) error {
-			if err := tx.Write(a, []byte{1}); err != nil {
-				return err
+	routing := func(name string) bool {
+		for _, prefix := range []string{"dynamast_route", "dynamast_remaster", "dynamast_strategy_", "dynamast_selector_"} {
+			if strings.HasPrefix(name, prefix) {
+				return true
 			}
-			return tx.Write(b, []byte{1})
-		}); err != nil {
-			t.Fatal(err)
 		}
-		if err := sess.Read(func(tx systems.Tx) error { _, _ = tx.Read(a); return nil }); err != nil {
-			t.Fatal(err)
+		return false
+	}
+	families := make(map[int]map[string]bool)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := newShardedCluster(t, 3, shards, func(cfg *Config) { cfg.SelectorLease = 100 * time.Millisecond })
+			g := c.Group()
+			// Partitions of one shard, so the remasters do not depend on how
+			// chains of different shards interact.
+			var parts []uint64
+			for p := uint64(0); len(parts) < 4; p++ {
+				if g.ShardOf(p) == g.ShardOf(0) {
+					parts = append(parts, p)
+				}
+			}
+			sess := c.Session(1)
+			work := func(n int) {
+				for i := 0; i < n; i++ {
+					a, b := ref(parts[i%4]*100), ref(parts[(i+1)%4]*100)
+					if err := sess.Update([]storage.RowRef{a, b}, func(tx systems.Tx) error {
+						if err := tx.Write(a, []byte{1}); err != nil {
+							return err
+						}
+						return tx.Write(b, []byte{1})
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if err := sess.Read(func(tx systems.Tx) error { _, _ = tx.Read(a); return nil }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// check asserts the unlabeled series equal Group.Metrics and
+			// returns the values.
+			series := []struct {
+				name   string
+				labels []obs.Label
+				value  func(selector.Metrics) uint64
+			}{
+				{"dynamast_route_total", []obs.Label{obs.L("type", "write")}, func(m selector.Metrics) uint64 { return m.WriteTxns }},
+				{"dynamast_route_total", []obs.Label{obs.L("type", "read")}, func(m selector.Metrics) uint64 { return m.ReadTxns }},
+				{"dynamast_remaster_total", nil, func(m selector.Metrics) uint64 { return m.RemasterTxns }},
+				{"dynamast_remaster_partitions_total", nil, func(m selector.Metrics) uint64 { return m.PartsMoved }},
+			}
+			check := func() []uint64 {
+				snap, m := c.Obs().Snapshot(), g.Metrics()
+				var out []uint64
+				for _, want := range series {
+					got, ok := snap.Value(want.name, want.labels...)
+					if !ok {
+						t.Fatalf("%s%v not registered", want.name, want.labels)
+					}
+					if got != float64(want.value(m)) {
+						t.Fatalf("%s%v = %v, Group.Metrics says %d", want.name, want.labels, got, want.value(m))
+					}
+					out = append(out, want.value(m))
+				}
+				return out
+			}
+
+			work(20)
+			before := check()
+			if before[2] == 0 {
+				t.Fatal("workload never remastered")
+			}
+			victim := g.ShardOf(parts[0])
+			c.KillSelectorShard(victim)
+			deadline := time.Now().Add(10 * time.Second)
+			for c.SelectorShardHA(victim).Promotions() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("shard leader was not promoted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			work(4)
+			after := check()
+			for i, want := range series {
+				if after[i] < before[i] {
+					t.Fatalf("%s%v dropped across the promotion: %d -> %d", want.name, want.labels, before[i], after[i])
+				}
+			}
+			if after[0] <= before[0] {
+				t.Fatalf("no writes counted after the promotion (%d -> %d)", before[0], after[0])
+			}
+
+			families[shards] = make(map[string]bool)
+			for _, sm := range c.Obs().Snapshot().Samples {
+				if routing(sm.Name) {
+					families[shards][sm.Name] = true
+				}
+			}
+		})
+	}
+	for name := range families[4] {
+		if !families[1][name] {
+			t.Errorf("metric family %s registered at 4 shards but not at 1", name)
 		}
 	}
-	snap := c.Obs().Snapshot()
-	m := g.Metrics()
-	if m.RemasterTxns == 0 {
-		t.Fatal("workload never remastered")
-	}
-	for _, want := range []struct {
-		name   string
-		labels []obs.Label
-		value  uint64
-	}{
-		{"dynamast_route_total", []obs.Label{obs.L("type", "write")}, m.WriteTxns},
-		{"dynamast_route_total", []obs.Label{obs.L("type", "read")}, m.ReadTxns},
-		{"dynamast_remaster_total", nil, m.RemasterTxns},
-		{"dynamast_remaster_partitions_total", nil, m.PartsMoved},
-	} {
-		got, ok := snap.Value(want.name, want.labels...)
-		if !ok {
-			t.Fatalf("%s%v not registered at 4 shards", want.name, want.labels)
-		}
-		if got != float64(want.value) {
-			t.Fatalf("%s%v = %v, Group.Metrics says %d", want.name, want.labels, got, want.value)
+	for name := range families[1] {
+		if !families[4][name] {
+			t.Errorf("metric family %s registered at 1 shard but not at 4", name)
 		}
 	}
 }
@@ -639,10 +703,9 @@ func TestChaosShardLeaderKill(t *testing.T) {
 		stopAll()
 		t.Fatal("killed shard leader not deposed")
 	}
-	a0, _ := pairRefs(0)
-	if _, err := oldLeader.RouteWrite(999, []storage.RowRef{a0}, nil); !errors.Is(err, selector.ErrNoLeader) {
+	if _, err := oldLeader.AllocEpoch(); !errors.Is(err, selector.ErrNoLeader) {
 		stopAll()
-		t.Fatalf("deposed shard leader routed a write: %v", err)
+		t.Fatalf("deposed shard leader allocated a remaster epoch: %v", err)
 	}
 	if g.Shard(victimShard) == oldLeader {
 		stopAll()

@@ -119,20 +119,14 @@ func (c *PlacementCache) hosts(parts []uint64) ([]int, bool) {
 	var hosts []int
 	for i, p := range parts {
 		set, ok := c.sets[p]
-		if !ok {
+		switch {
+		case !ok:
 			return nil, false
-		}
-		if i == 0 {
+		case i == 0:
 			hosts = append(hosts, set...)
-			continue
+		default:
+			hosts = intersectSites(hosts, set)
 		}
-		kept := hosts[:0]
-		for _, m := range hosts {
-			if containsSite(set, m) {
-				kept = append(kept, m)
-			}
-		}
-		hosts = kept
 	}
 	return hosts, true
 }
@@ -268,8 +262,7 @@ func (c *PlacementCache) instrument(reg *obs.Registry) {
 	})
 }
 
-// Router is the routing interface the harness pins: *Front implements it
-// for sessions, and a bare *Selector satisfies it too.
+// Router is the routing interface the harness pins; *Front implements it.
 type Router interface {
 	RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error)
 	RouteRead(client int, cvv vclock.Vector) Route
@@ -278,45 +271,44 @@ type Router interface {
 // Front is the one session-facing router (the distributed site selector of
 // Appendix I), the same for every control-plane topology. With a placement
 // cache it routes reads and single-sited writes from the cache with zero
-// router RPCs and sends everything else to the owning router shards; a
-// write the cache routed to a stale master bounces at the data site, and
-// the session resubmits through Resubmit, which learns the authoritative
-// answer. The cache exists whenever the control plane has more than one
-// node (standbys, or several shards). On a one-node control plane c is nil
-// and every call goes straight to the shard's selector.
+// router RPCs and sends everything else to the group's routing; a write the
+// cache routed to a stale master bounces at the data site, and the session
+// resubmits through Resubmit, which learns the authoritative answer. The
+// cache exists whenever the control plane has more than one node (standbys,
+// or several shards); on a one-node control plane c is nil and every call
+// routes through the group.
 type Front struct {
 	g *Group
 	c *PlacementCache
 }
 
 // CachedWrite serves a write purely from the cache when every partition of
-// its write set is cached as mastered at one live site; the decision is fed
-// back into the owning shards' statistics like any routed write. ok=false
-// (a miss, or no cache) means the caller must route through Write.
+// its write set is cached as mastered at one live site; the decision is
+// recorded like any routed write. ok=false (a miss, or no cache) means the
+// caller must route through Write.
 func (f *Front) CachedWrite(client int, writeSet []storage.RowRef) (Route, bool) {
 	c := f.c
 	if c == nil {
 		return Route{}, false
 	}
-	s0 := f.g.Shard(0)
-	parts := s0.writeParts(writeSet)
+	start := time.Now()
+	parts := writeParts(f.g.partitioner, writeSet)
 	if len(parts) == 0 {
 		return Route{Site: 0}, true
 	}
 	site, ok := c.single(parts)
-	if !ok || s0.SiteDown(site) {
+	if !ok || f.g.SiteDown(site) {
 		c.misses.Add(1)
 		return Route{}, false
 	}
 	c.writeRoutes.Add(1)
-	f.g.ShardFor(parts[0]).finishWrite(client, parts, site, time.Now())
+	f.g.finishWrite(client, parts, site, start)
 	return Route{Site: site}, true
 }
 
-// Write routes a write authoritatively through the owning router shards,
-// remastering if its partitions are mastered at different sites. A sampled
-// sc makes every remaster chain record its release and grant spans as
-// children of sc.Span.
+// Write routes a write authoritatively through the group, remastering if
+// its partitions are mastered at different sites. A sampled sc makes every
+// remaster chain record its release and grant spans as children of sc.Span.
 func (f *Front) Write(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
 	return f.g.routeWrite(client, writeSet, cvv, sc)
 }
@@ -332,7 +324,7 @@ func (f *Front) Resubmit(client int, writeSet []storage.RowRef, cvv vclock.Vecto
 	f.c.staleWrites.Add(1)
 	route, err := f.g.routeWrite(client, writeSet, cvv, sc)
 	if err == nil {
-		f.c.learn(f.g.Shard(0).writeParts(writeSet), route.Site)
+		f.c.learn(writeParts(f.g.partitioner, writeSet), route.Site)
 	}
 	return route, err
 }
@@ -352,41 +344,29 @@ func (f *Front) CachedRead(client int, cvv vclock.Vector, parts []uint64) (Route
 	if c == nil {
 		return Route{}, false
 	}
-	s0 := f.g.Shard(0)
-	if len(parts) == 0 {
-		c.readRoutes.Add(1)
-		return s0.RouteRead(client, cvv), true
-	}
-	var hosts []int
-	if s0.placement == nil {
-		hosts = make([]int, len(s0.sites))
-		for i := range hosts {
-			hosts[i] = i
+	hosts := f.g.allSites
+	if len(parts) > 0 && f.g.PartialPlacement() {
+		h, ok := c.hosts(parts)
+		if !ok || len(h) == 0 {
+			c.misses.Add(1)
+			return Route{}, false
 		}
-	} else if h, ok := c.hosts(parts); ok && len(h) > 0 {
+		// Feed read statistics to the owning shards (the paper's replicas
+		// report samples back asynchronously; the cache does the same).
+		f.g.shardRuns(parts, func(si int, run []uint64) { f.g.Shard(si).stats.RecordRead(client, run) })
 		hosts = h
-	} else {
-		c.misses.Add(1)
-		return Route{}, false
-	}
-	// Feed read statistics to the owning shards (the paper's replicas
-	// report samples back asynchronously; the cache does the same).
-	for si, sub := range f.g.partsByShard(parts) {
-		f.g.Shard(si).stats.RecordRead(client, sub)
 	}
 	c.readRoutes.Add(1)
-	s0.readTxns.Add(1)
-	return pickFreshHost(s0, hosts, cvv, f.g.ShardFor(parts[0]), parts[0]), true
+	return f.g.pickRead(hosts, cvv, parts), true
 }
 
 // Read routes a read authoritatively: to a fresh site hosting every hinted
 // partition (partial replication), or to any fresh site.
 func (f *Front) Read(client int, cvv vclock.Vector, parts []uint64) Route {
-	return f.g.routeReadParts(client, cvv, parts)
+	return f.g.routeRead(client, cvv, parts)
 }
 
-// RouteRead implements Router: reads consult only site version vectors,
-// which every shard sees identically, so shard 0 decides.
+// RouteRead implements Router: Read without partition hints.
 func (f *Front) RouteRead(client int, cvv vclock.Vector) Route {
-	return f.g.Shard(0).RouteRead(client, cvv)
+	return f.g.routeRead(client, cvv, nil)
 }

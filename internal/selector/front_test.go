@@ -43,7 +43,7 @@ func TestReplicatedRouterAssignment(t *testing.T) {
 
 func TestReplicaFastPathAvoidsMaster(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 1, 1, StatsConfig{HistorySize: 128})
-	front, sel := g.RouterFor(1), g.Shard(0)
+	front := g.RouterFor(1)
 
 	// The first write materializes partition 0 through the selector, whose
 	// delta feed caches it; the second is served from the cache.
@@ -51,7 +51,7 @@ func TestReplicaFastPathAvoidsMaster(t *testing.T) {
 	if _, cached := routeLikeSession(t, front, 1, ws); cached {
 		t.Fatal("cache served a partition no router had seen")
 	}
-	writes := sel.Metrics().WriteTxns
+	writes := g.Metrics().WriteTxns
 	route, cached := routeLikeSession(t, front, 1, ws)
 	if !cached || route.Site != 0 || route.Remastered {
 		t.Fatalf("route = %+v cached=%v, want a cached route to site 0", route, cached)
@@ -59,11 +59,11 @@ func TestReplicaFastPathAvoidsMaster(t *testing.T) {
 	if g.Cache().Size() == 0 {
 		t.Fatal("cache holds nothing")
 	}
-	if sel.Metrics().RemasterTxns != 0 {
+	if g.Metrics().RemasterTxns != 0 {
 		t.Fatal("fast path reached the selector's remastering")
 	}
-	// Statistics still flow to the selector.
-	if sel.Metrics().WriteTxns != writes+1 {
+	// The cached route is still counted.
+	if g.Metrics().WriteTxns != writes+1 {
 		t.Fatal("cache-routed write not counted")
 	}
 }
@@ -82,9 +82,9 @@ func TestReplicaForwardsSplitWriteSets(t *testing.T) {
 	}
 	// The remaster's delta reached the cache: the same write set now takes
 	// the fast path.
-	before := sel.Metrics().RemasterTxns
+	before := g.Metrics().RemasterTxns
 	route2, cached := routeLikeSession(t, front, 1, ws)
-	if !cached || route2.Site != route.Site || sel.Metrics().RemasterTxns != before {
+	if !cached || route2.Site != route.Site || g.Metrics().RemasterTxns != before {
 		t.Fatalf("second route = %+v cached=%v, want a cached route to site %d", route2, cached, route.Site)
 	}
 }
@@ -151,21 +151,47 @@ func TestReplicaRouteRead(t *testing.T) {
 	}
 }
 
-// TestFrontOneNodeRouteWriteAllocs pins the one-node front's cost: with one
-// shard and no standbys, routing through Group.RouterFor allocates exactly
-// what calling the shard's Selector.RouteWrite does.
-func TestFrontOneNodeRouteWriteAllocs(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 1, 0, StatsConfig{HistorySize: 128})
-	front, sel := g.RouterFor(1), g.Shard(0)
-	ws := []storage.RowRef{ref(1), ref(50), ref(120)}
-	for i := 0; i < 500; i++ { // past first-sight creation and any remaster
-		if _, err := front.RouteWrite(1, ws, nil); err != nil {
-			t.Fatal(err)
-		}
+// TestFrontRouteAllocs pins the warm front's cost for every control-plane
+// size: a write of up to eight partitions allocates only its partition list,
+// whether its partitions sit on one shard or several, and a read allocates
+// only the version vectors its two sites hand out.
+func TestFrontRouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	viaFront := testing.AllocsPerRun(500, func() { _, _ = front.RouteWrite(1, ws, nil) })
-	direct := testing.AllocsPerRun(500, func() { _, _ = sel.RouteWrite(1, ws, nil) })
-	if viaFront != direct {
-		t.Fatalf("front RouteWrite allocates %.2f per call, Selector.RouteWrite %.2f", viaFront, direct)
+	measure := func(front *Front, ws []storage.RowRef) float64 {
+		for i := 0; i < 500; i++ { // past first-sight creation and any remaster
+			if _, err := front.RouteWrite(1, ws, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(500, func() { _, _ = front.RouteWrite(1, ws, nil) })
+	}
+	for _, shards := range []int{1, 2, 4} {
+		g, _ := newShardedGroup(t, 2, shards, 0, StatsConfig{HistorySize: 128})
+		front := g.RouterFor(1)
+		buckets := shardBuckets(50, shards)
+		// A single-shard write set, then (with several shards) one spanning
+		// two shards.
+		home := buckets[0]
+		single := []storage.RowRef{ref(home[0] * 100), ref(home[0]*100 + 50), ref(home[1] * 100)}
+		got := measure(front, single)
+		t.Logf("shards=%d: single-shard RouteWrite %.2f allocs", shards, got)
+		if got > 1 {
+			t.Fatalf("shards=%d: single-shard RouteWrite allocates %.2f per call, want <= 1", shards, got)
+		}
+		if shards > 1 {
+			cross := []storage.RowRef{ref(buckets[0][0] * 100), ref(buckets[1][0] * 100)}
+			got := measure(front, cross)
+			t.Logf("shards=%d: cross-shard RouteWrite %.2f allocs", shards, got)
+			if got > 1 {
+				t.Fatalf("shards=%d: cross-shard RouteWrite allocates %.2f per call, want <= 1", shards, got)
+			}
+		}
+		got = testing.AllocsPerRun(500, func() { front.RouteRead(1, nil) })
+		t.Logf("shards=%d: RouteRead %.2f allocs", shards, got)
+		if got > 2 {
+			t.Fatalf("shards=%d: RouteRead allocates %.2f per call, want <= 2", shards, got)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package selector
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,39 +15,36 @@ import (
 	"dynamast/internal/vclock"
 )
 
-// Sharded selector routers. The single selector leader is DynaMast's last
-// serialization point: every update route, remaster chain, and placement
-// decision flows through one process. A Group splits that control plane into
-// N independent router shards, each owning a contiguous range of the
-// partition-id hash space (RouterShardOf — the same Fibonacci multiply-shift
-// the selector's own lock striping uses, so shard assignment is a pure
-// function of the partition id). Each shard is a full Replicated tier: its
-// own Selector (routing loop + stats stripes + placement state), its own
-// standbys, and — under HA — its own lease, which doubles as that
-// shard's remaster-epoch allocator (one key of a KeyedLeaseStore).
+// The selector control plane. A Group splits it into n router shards, each
+// owning a contiguous range of the partition-id hash space (RouterShardOf, a
+// pure function of the partition id). Each shard is a Replicated tier: a
+// leader Selector holding the shard's partition map, stats stripes, epoch
+// allocator and placement state, its standbys, and — under HA — its own
+// lease (one key of a KeyedLeaseStore). One shard is the same code with
+// n = 1.
 //
-// Cross-shard concerns are handled at the edges:
+// The Group routes; the shard selectors hold state and run chains:
 //
-//   - Remaster chains stay single-shard by construction: a write set
-//     spanning shards is decomposed into per-shard chains, each stamped
-//     from its own shard's epoch allocator, so no epoch ever needs to be
-//     compared across shards.
+//   - A write (routeWrite) looks up its partitions on their owning shards,
+//     locks them in global id order, and, when they are mastered apart,
+//     decides one destination over a read-only view of the whole group
+//     (decide) before executing one release/grant chain per (shard, source
+//     site). Each chain is stamped from its own shard's epoch allocator, so
+//     no epoch is ever compared across shards.
+//   - A read (routeRead) picks a fresh-enough site among the common hosts of
+//     its hinted partitions.
 //   - Co-access statistics crossing a shard boundary travel over a small
 //     inter-shard channel (dispatchRecord): each decided write's full
 //     partition set is delivered to every shard owning a partition of the
 //     write OR of the client's previous write, so both sides of every
-//     cross-shard pair record it and neither placement controller sees a
-//     one-sided affinity signal.
+//     cross-shard pair record it.
+//   - Routing counters and instruments live on the Group, so they survive
+//     a shard leader's promotion.
 //   - Sessions route through the Front (cache.go), which serves reads and
-//     single-sited writes off a gossiped read-only placement cache without
-//     touching any router.
-//
-// With one shard no hooks are installed and routing goes straight to the
-// shard's selector; with one shard and no standbys there is no cache
-// either, and the wire behavior is byte-for-byte the single-leader selector.
+//     single-sited writes off a gossiped read-only placement cache whenever
+//     the control plane has more than one node.
 
-// MaxRouterShards bounds the shard count (recent-owner sets are uint64
-// bitmasks).
+// MaxRouterShards bounds the shard count (owner sets are uint64 bitmasks).
 const MaxRouterShards = 64
 
 // RouterShardOf maps a partition id to its router shard in [0, n): a pure
@@ -53,57 +52,66 @@ const MaxRouterShards = 64
 // with the sites' range-scoped fences and the dynactl tooling.
 func RouterShardOf(part uint64, n int) int { return sitemgr.RouterShard(part, n) }
 
-// recentStripes stripes the Group's per-client recent-owner map (the
-// inter-shard co-access hint channel).
-const recentStripes = 16
-
-// recentOwners remembers which shards own partitions of a client's last
-// write set, and when it was routed.
-type recentOwners struct {
-	at   time.Time
-	mask uint64 // bit i = shard i owned a partition of the write set
-}
-
-type recentStripe struct {
-	mu sync.Mutex
-	m  map[int]recentOwners
-	_  [24]byte // pad stripes apart
-}
-
-// GroupConfig configures a sharded router group.
+// GroupConfig configures a router group.
 type GroupConfig struct {
-	// Shards are the per-shard Replicated tiers, indexed by shard.
+	// Shards are the per-shard Replicated tiers, indexed by shard; shard i's
+	// selectors must be built with Config.Shard = i, Config.Shards = n.
 	Shards []*Replicated
 	// GossipInterval is the placement cache's anti-entropy pull period
 	// (bounds cache staleness; 0 = DefaultGossipInterval).
 	GossipInterval time.Duration
-	// Obs receives the dynamast_selector_shard_* and cache metrics.
+	// Obs receives the routing, per-shard and cache metrics.
 	Obs *obs.Registry
 }
 
-// Group is the sharded selector control plane. All control-plane entry
-// points dispatch by RouterShardOf; routing entry points additionally
-// decompose cross-shard write sets at partition granularity.
-type Group struct {
-	repls []*Replicated
-	n     int
-	cache *PlacementCache
-	front *Front
+// routeCounters are one shard's routing counters: writes count on the shard
+// owning the write set's lowest partition, reads on the shard of the first
+// hinted partition (shard 0 when unhinted).
+type routeCounters struct {
+	writeTxns   atomic.Uint64
+	readTxns    atomic.Uint64
+	remasterOps atomic.Uint64 // write txns that required remastering
+	partsMoved  atomic.Uint64
+	routeNanos  atomic.Int64 // cumulative routing decision time
+	remastNanos atomic.Int64 // cumulative remastering wait time
+	_           [16]byte     // pad shards apart
+}
 
-	// recent is the inter-shard co-access hint channel: per client, the
-	// owner-shard set of the last routed write.
-	recent [recentStripes]recentStripe
+// Group is the selector control plane: every entry point dispatches by
+// RouterShardOf.
+type Group struct {
+	repls       []*Replicated
+	n, m        int
+	partitioner sitemgr.Partitioner
+	allSites    []int // 0..m-1: the read host set under full replication
+	cache       *PlacementCache
+	front       *Front
+
+	ctr    []routeCounters // per shard
+	routed []atomic.Uint64 // per destination site
+
+	// recent is the inter-shard co-access hint channel: per client, a
+	// *atomic.Uint64 holding the owner-shard mask of its last routed write.
+	recent sync.Map
+
+	// Read-routing RNG: pooled so concurrent reads never share (or lock)
+	// one generator. Pool misses seed a fresh generator from seed ⊕ a
+	// split counter, keeping runs with the same seed statistically
+	// reproducible.
+	rngPool  sync.Pool
+	rngSplit atomic.Uint64
 
 	crossWrites atomic.Uint64 // write routes spanning >1 shard
 	crossHints  atomic.Uint64 // stat samples delivered beyond their own shards
+
+	routeDur, remastDur *obs.Histogram
+	// Last winning remaster decision's Equation 8 feature scores.
+	feat [4]*obs.Gauge
 }
 
-// NewGroup builds the sharded control plane over per-shard Replicated
-// tiers. The shard selectors must have been built with GroupHooks(i, n,
-// get) so their scoring and stats flow through the group; get's late-bound
-// reference must resolve to the returned group before any traffic routes.
-// The front gets a placement cache whenever the control plane has more than
-// one node: several shards, or standbys behind each leader.
+// NewGroup builds the control plane over per-shard Replicated tiers. The
+// front gets a placement cache whenever the control plane has more than one
+// node: several shards, or standbys behind each leader.
 func NewGroup(cfg GroupConfig) (*Group, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("selector: group requires at least one shard")
@@ -111,9 +119,24 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	if len(cfg.Shards) > MaxRouterShards {
 		return nil, fmt.Errorf("selector: %d shards exceeds the maximum %d", len(cfg.Shards), MaxRouterShards)
 	}
-	g := &Group{repls: cfg.Shards, n: len(cfg.Shards)}
-	for i := range g.recent {
-		g.recent[i].m = make(map[int]recentOwners)
+	s0 := cfg.Shards[0].Master
+	g := &Group{
+		repls:       cfg.Shards,
+		n:           len(cfg.Shards),
+		m:           s0.m,
+		partitioner: s0.partitioner,
+		ctr:         make([]routeCounters, len(cfg.Shards)),
+		routed:      make([]atomic.Uint64, s0.m),
+	}
+	for i := 0; i < g.m; i++ {
+		g.allSites = append(g.allSites, i)
+	}
+	g.rngPool.New = func() any {
+		// splitmix64 over a per-generator counter, xored with the seed.
+		z := g.rngSplit.Add(1) * 0x9E3779B97F4A7C15
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		return rand.New(rand.NewSource(s0.seed ^ int64(z^(z>>31))))
 	}
 	if g.n > 1 || cfg.Shards[0].standbys > 0 {
 		g.cache = newPlacementCache(g, cfg.GossipInterval, cfg.Obs)
@@ -125,29 +148,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	g.front = &Front{g: g, c: g.cache}
 	g.instrument(cfg.Obs)
 	return g, nil
-}
-
-// GroupHooks builds the ShardHooks wiring shard i of an n-shard group. The
-// group usually does not exist yet when the shard's Config is built, so the
-// group reference is late-bound through get (which must be non-nil by the
-// time the shard routes traffic). n <= 1 returns zero hooks: the
-// single-shard deployment keeps the stand-alone selector paths.
-func GroupHooks(i, n int, get func() *Group) ShardHooks {
-	if n <= 1 {
-		return ShardHooks{}
-	}
-	return ShardHooks{
-		Owns:          func(p uint64) bool { return RouterShardOf(p, n) == i },
-		ForeignMaster: func(p uint64) int { return get().hintOf(p) },
-		Record: func(client int, parts []uint64, now time.Time) {
-			get().dispatchRecord(client, parts, now)
-		},
-		AccessWeight: func(p uint64) float64 { return get().ShardFor(p).stats.AccessWeight(p) },
-		CoAccess: func(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
-			return get().ShardFor(d1).stats.CoAccess(d1, intra, buf)
-		},
-		SiteLoads: func() []float64 { return get().siteLoads() },
-	}
 }
 
 // Shards returns the shard count.
@@ -187,11 +187,11 @@ func (g *Group) Stop() {
 // every client (each call carries its client id).
 func (g *Group) RouterFor(client int) *Front { return g.front }
 
-// hintOf resolves a partition's master hint read-only across the group:
-// the owning shard's lock-free hint if the partition exists, its initial
-// placement otherwise. Never creates partition state (a foreign part()
-// would grant first-sight ownership from the wrong shard).
-func (g *Group) hintOf(p uint64) int {
+// --- The scoring view ---
+
+// hint resolves a partition's master hint read-only: the owning shard's
+// lock-free hint if the partition exists, its initial placement otherwise.
+func (g *Group) hint(p uint64) int {
 	sel := g.ShardFor(p)
 	if m, ok := sel.peekMaster(p); ok {
 		return m
@@ -199,18 +199,27 @@ func (g *Group) hintOf(p uint64) int {
 	return sel.initial(p)
 }
 
-// siteLoads sums materialized per-site load across all shards (the balance
-// feature scores global load).
-func (g *Group) siteLoads() []float64 {
-	out := g.Shard(0).siteLoadSnapshot(nil)
-	for i := 1; i < g.n; i++ {
+// accessWeight reads a partition's access weight from its owning shard.
+func (g *Group) accessWeight(p uint64) float64 { return g.ShardFor(p).stats.AccessWeight(p) }
+
+// coAccess reads partition d1's co-access row from its owning shard.
+func (g *Group) coAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
+	return g.ShardFor(d1).stats.CoAccess(d1, intra, buf)
+}
+
+// siteLoads appends the materialized per-site load summed over every shard.
+func (g *Group) siteLoads(buf []float64) []float64 {
+	buf = append(buf, make([]float64, g.m)...)
+	for i := 0; i < g.n; i++ {
 		sel := g.Shard(i)
-		for s := range out {
-			out[s] += loadFloat(&sel.siteLoad[s])
+		for s := range buf {
+			buf[s] += loadFloat(&sel.siteLoad[s])
 		}
 	}
-	return out
+	return buf
 }
+
+// --- Statistics ---
 
 // ownerMask returns the set of shards owning partitions of parts as a
 // bitmask.
@@ -222,6 +231,19 @@ func (g *Group) ownerMask(parts []uint64) uint64 {
 	return mask
 }
 
+// shardRuns calls f once per maximal run of consecutive partitions owned by
+// one shard.
+func (g *Group) shardRuns(parts []uint64, f func(si int, run []uint64)) {
+	for i := 0; i < len(parts); {
+		si, j := g.ShardOf(parts[i]), i+1
+		for j < len(parts) && g.ShardOf(parts[j]) == si {
+			j++
+		}
+		f(si, parts[i:j])
+		i = j
+	}
+}
+
 // dispatchRecord is the inter-shard co-access channel: one decided write's
 // full partition set, delivered to every shard owning a partition of this
 // write or of the client's previous write. Both endpoints of every
@@ -231,294 +253,282 @@ func (g *Group) ownerMask(parts []uint64) uint64 {
 // controller sees a one-sided affinity signal. Delivery of the previous
 // owners is unconditional (not windowed): even when the pair window has
 // lapsed, it keeps those shards' per-client recency fresh, so their next
-// in-window pair matches the unsharded tracker's.
+// in-window pair matches an unsharded tracker's. The per-client owner mask
+// is read lock-free and rewritten only when it changes.
 func (g *Group) dispatchRecord(client int, parts []uint64, now time.Time) {
 	cur := g.ownerMask(parts)
-	st := &g.recent[uint64(uint(client))*0x9E3779B97F4A7C15>>32&(recentStripes-1)]
-	st.mu.Lock()
-	mask := cur | st.m[client].mask
-	st.m[client] = recentOwners{at: now, mask: cur}
-	st.mu.Unlock()
+	v, ok := g.recent.Load(client)
+	if !ok {
+		v, _ = g.recent.LoadOrStore(client, new(atomic.Uint64))
+	}
+	last := v.(*atomic.Uint64)
+	prev := last.Load()
+	if prev != cur {
+		last.Store(cur)
+	}
+	mask := cur | prev
 	if mask != cur {
 		g.crossHints.Add(1)
 	}
-	for si := 0; si < g.n; si++ {
-		if mask&(1<<uint(si)) != 0 {
-			g.Shard(si).stats.RecordWrite(client, parts, now)
-		}
+	for ; mask != 0; mask &= mask - 1 {
+		g.Shard(bits.TrailingZeros64(mask)).stats.RecordWrite(client, parts, now)
 	}
 }
 
-// --- Routing ---
+// --- Write routing ---
 
-// routeWrite routes a write authoritatively: a one-shard group hands it
-// straight to the shard's selector, single-shard write sets delegate
-// wholesale to the owning shard's routing loop, and cross-shard sets run the
-// group decision (global lock order, one destination, per-shard remaster
-// chains).
+// partRef is one write-set partition's entry on its owning shard's leader.
+type partRef struct {
+	sel *Selector
+	in  *partInfo
+}
+
+// routeWrite routes a write (§V-B, Algorithm 1): look up every partition on
+// its owning shard's leader, shared-lock them in global id order and return
+// their master if they share one; otherwise lock them exclusively, recheck,
+// decide one destination over the group view, and run one remaster chain
+// per (shard, source site). A sampled sc makes every chain record its
+// release and grant spans as children of sc.Span.
 func (g *Group) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	s0 := g.Shard(0)
-	if g.n == 1 {
-		return s0.routeWrite(client, writeSet, cvv, sc)
-	}
-	parts := s0.writeParts(writeSet)
-	if len(parts) == 0 {
-		return s0.routeWrite(client, writeSet, cvv, sc)
-	}
-	first := g.ShardOf(parts[0])
-	single := true
-	for _, p := range parts[1:] {
-		if g.ShardOf(p) != first {
-			single = false
-			break
-		}
-	}
-	if single {
-		// The common case: remaster chains stay single-shard by
-		// construction, and the shard's own loop handles everything.
-		return g.Shard(first).routeWrite(client, writeSet, cvv, sc)
-	}
-	return g.routeWriteCross(client, parts, cvv, sc)
-}
-
-// routeWriteCross routes a write set spanning shards: partition locks are
-// taken in global sorted-id order (consistent with every shard's internal
-// order, so no lock cycles), the destination is chosen once over the full
-// set, and each involved shard remasters its own partitions under its own
-// epoch allocator.
-func (g *Group) routeWriteCross(client int, parts []uint64, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	g.crossWrites.Add(1)
 	start := time.Now()
-	sels := make([]*Selector, len(parts))
-	infos := make([]*partInfo, len(parts))
-	for i, p := range parts {
-		sel := g.ShardFor(p)
-		if sel.deposed.Load() {
-			return Route{}, ErrNoLeader
-		}
-		sels[i] = sel
-		infos[i] = sel.part(p)
+	parts := writeParts(g.partitioner, writeSet)
+	if len(parts) == 0 {
+		g.ctr[0].writeTxns.Add(1)
+		return Route{Site: 0}, nil
 	}
-
-	// Fast path: shared-lock all partitions (global sorted id order) and
-	// check for a single master.
-	for _, in := range infos {
-		in.mu.RLock()
-	}
-	master := infos[0].master
-	single := true
-	for _, in := range infos[1:] {
-		if in.master != master {
-			single = false
-			break
-		}
-	}
-	if single {
-		for _, in := range infos {
-			in.mu.RUnlock()
-		}
-		if err := g.ensureHostedCross(parts, sels, master); err != nil {
-			return Route{}, err
-		}
-		g.finishCross(client, parts, sels, master, start)
-		return Route{Site: master}, nil
-	}
-
-	// Slow path: upgrade to exclusive locks (drop shared, reacquire in
-	// order — the recheck below covers intervening changes).
-	for _, in := range infos {
-		in.mu.RUnlock()
-	}
-	for _, in := range infos {
-		in.mu.Lock()
-	}
-	defer func() {
-		for _, in := range infos {
-			in.mu.Unlock()
-		}
-	}()
-	master = infos[0].master
-	single = true
-	for _, in := range infos[1:] {
-		if in.master != master {
-			single = false
-			break
-		}
-	}
-	if single {
-		if err := g.ensureHostedCross(parts, sels, master); err != nil {
-			return Route{}, err
-		}
-		g.finishCross(client, parts, sels, master, start)
-		return Route{Site: master}, nil
-	}
-
-	// One destination for the whole set, scored by the home shard (lowest
-	// partition id — deterministic) over group-wide stats and load via the
-	// shard hooks.
-	home := sels[0]
-	dest, err := home.chooseDestination(parts, infos, cvv)
+	var buf [8]partRef // small write sets look up without an allocation
+	refs, err := g.lookup(parts, buf[:0])
 	if err != nil {
 		return Route{}, err
 	}
 
-	// Per-shard remaster chains: each shard moves its own partitions under
-	// epochs from its own allocator, so chains never compare epochs across
-	// shards and a single shard's ErrNoLeader (mid-promotion) fails only
-	// its slice — the session retry re-routes the whole set.
-	type sub struct {
-		sel   *Selector
-		parts []uint64
-		infos []*partInfo
+	// Fast path: shared locks, then the single-master check. Global sorted
+	// id order is consistent with every shard's, so no lock cycles.
+	for _, r := range refs {
+		r.in.mu.RLock()
 	}
-	subs := make(map[int]*sub, 2)
-	var order []int
-	for i, p := range parts {
-		si := g.ShardOf(p)
-		sb := subs[si]
-		if sb == nil {
-			sb = &sub{sel: sels[i]}
-			subs[si] = sb
-			order = append(order, si)
+	master, single := singleMaster(refs)
+	for _, r := range refs {
+		r.in.mu.RUnlock()
+	}
+	if single {
+		return g.finishSingle(client, parts, master, start)
+	}
+
+	// Slow path: exclusive locks in the same order; the recheck covers
+	// changes made between dropping the shared locks and taking these.
+	for _, r := range refs {
+		r.in.mu.Lock()
+	}
+	defer func() {
+		for _, r := range refs {
+			r.in.mu.Unlock()
 		}
-		sb.parts = append(sb.parts, p)
-		sb.infos = append(sb.infos, infos[i])
+	}()
+	if master, single = singleMaster(refs); single {
+		// A concurrent client with a common write set already remastered.
+		return g.finishSingle(client, parts, master, start)
+	}
+	masters := make([]int, len(refs))
+	for i, r := range refs {
+		masters[i] = r.in.master
+	}
+	dest, feat, err := refs[0].sel.decide(g, parts, masters, cvv)
+	if err != nil {
+		return Route{}, err
+	}
+	for i, f := range feat {
+		g.feat[i].Set(f)
 	}
 	remStart := time.Now()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		minVV    vclock.Vector
-		moved    int
-		firstErr error
-	)
-	for _, si := range order {
-		sb := subs[si]
-		wg.Add(1)
-		go func(sb *sub) {
-			defer wg.Done()
-			vv, mvd, err := sb.sel.remaster(sb.parts, sb.infos, dest, sc)
-			mu.Lock()
-			defer mu.Unlock()
-			moved += mvd
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			minVV = minVV.MaxInto(vv)
-		}(sb)
-	}
-	wg.Wait()
+	minVV, moved, err := remaster(parts, refs, dest, sc)
 	wait := time.Since(remStart)
-	if firstErr != nil {
-		return Route{}, firstErr
+	if err != nil {
+		return Route{}, err
 	}
-	home.remasterOps.Add(1)
-	home.partsMoved.Add(uint64(moved))
-	home.remastNanos.Add(int64(wait))
-	g.finishCross(client, parts, sels, dest, start)
+	c := &g.ctr[g.ShardOf(parts[0])]
+	c.remasterOps.Add(1)
+	c.partsMoved.Add(uint64(moved))
+	c.remastNanos.Add(int64(wait))
+	g.remastDur.ObserveDuration(wait)
+	g.finishWrite(client, parts, dest, start)
 	return Route{Site: dest, MinVV: minVV, Remastered: true, PartsMoved: moved, RemasterWait: wait}, nil
 }
 
-// ensureHostedCross materializes the destination's replicas per owning
-// shard (partial replication; no-op under full replication).
-func (g *Group) ensureHostedCross(parts []uint64, sels []*Selector, site int) error {
-	if sels[0].placement == nil {
-		return nil
+// lookup appends each partition's entry on its owning shard's leader to
+// refs, loading each leader once; a deposed leader fails the route with the
+// retryable ErrNoLeader.
+func (g *Group) lookup(parts []uint64, refs []partRef) ([]partRef, error) {
+	type leader struct {
+		si  int
+		sel *Selector
 	}
-	for i := range parts {
-		if err := sels[i].ensureHostedAt(parts[i:i+1], site); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// finishCross records a decided cross-shard write: transaction counters on
-// the home shard (counted once), per-partition load on each owning shard,
-// and the stats sample through the inter-shard dispatch.
-func (g *Group) finishCross(client int, parts []uint64, sels []*Selector, site int, start time.Time) {
-	now := time.Now()
-	home := sels[0]
-	home.writeTxns.Add(1)
-	home.routed[site].Add(1)
-	home.routeNanos.Add(int64(now.Sub(start)))
-	g.dispatchRecord(client, parts, now)
-	for i := range parts {
-		sels[i].bumpLoad(parts[i:i+1], site)
-	}
-}
-
-// routeReadParts routes a read, partition-hinted under partial replication:
-// single-shard hints delegate; cross-shard hints intersect the owning
-// shards' replica sets and apply the same freshness pick.
-func (g *Group) routeReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
-	s0 := g.Shard(0)
-	if g.n == 1 || len(parts) == 0 || s0.placement == nil {
-		return s0.RouteReadParts(client, cvv, parts)
-	}
-	first := g.ShardOf(parts[0])
-	single := true
-	for _, p := range parts[1:] {
-		if g.ShardOf(p) != first {
-			single = false
-			break
-		}
-	}
-	if single {
-		return g.Shard(first).RouteReadParts(client, cvv, parts)
-	}
-	// Cross-shard hint: feed read stats to each owning shard and intersect
-	// their common hosts.
-	var hosts []int
-	for si, sub := range g.partsByShard(parts) {
-		sel := g.Shard(si)
-		sel.stats.RecordRead(client, sub)
-		h := sel.commonHosts(sub)
-		if hosts == nil {
-			hosts = h
-			continue
-		}
-		kept := hosts[:0]
-		for _, m := range hosts {
-			if containsSite(h, m) {
-				kept = append(kept, m)
-			}
-		}
-		hosts = kept
-	}
-	if len(hosts) == 0 {
-		// No common host across shards; fall back to the first partition's
-		// replica set — the session retries the remainder on ErrNotHosted.
-		return g.ShardFor(parts[0]).RouteReadParts(client, cvv, parts[:1])
-	}
-	s0.readTxns.Add(1)
-	return pickFreshHost(s0, hosts, cvv, g.ShardFor(parts[0]), parts[0])
-}
-
-// partsByShard splits a sorted partition list by owning shard.
-func (g *Group) partsByShard(parts []uint64) map[int][]uint64 {
-	out := make(map[int][]uint64, 2)
+	leaders := make([]leader, 0, 4) // on the stack up to four shards
 	for _, p := range parts {
 		si := g.ShardOf(p)
-		out[si] = append(out[si], p)
+		j := slices.IndexFunc(leaders, func(l leader) bool { return l.si == si })
+		if j < 0 {
+			sel := g.Shard(si)
+			if sel.Deposed() {
+				return nil, ErrNoLeader
+			}
+			j = len(leaders)
+			leaders = append(leaders, leader{si, sel})
+		}
+		sel := leaders[j].sel
+		refs = append(refs, partRef{sel: sel, in: sel.part(p)})
 	}
-	return out
+	if len(leaders) > 1 {
+		g.crossWrites.Add(1)
+	}
+	return refs, nil
 }
 
-// pickFreshHost applies the selector read policy to an explicit host list:
-// a random host already satisfying the client's freshness, else the
-// least-lagged live host, else the first partition's master.
-func pickFreshHost(s *Selector, hosts []int, cvv vclock.Vector, owner *Selector, part uint64) Route {
-	fresh := make([]int, 0, len(hosts))
-	bestLag, bestSite := uint64(1)<<63, -1
-	for _, i := range hosts {
-		if s.downSites[i].Load() {
+// singleMaster returns the write set's master if every partition has the
+// same one. The caller holds the partitions' locks.
+func singleMaster(refs []partRef) (int, bool) {
+	m := refs[0].in.master
+	for _, r := range refs[1:] {
+		if r.in.master != m {
+			return m, false
+		}
+	}
+	return m, true
+}
+
+// finishSingle completes a write whose partitions share master: its replicas
+// are materialized there (partial replication) and the route is recorded.
+func (g *Group) finishSingle(client int, parts []uint64, master int, start time.Time) (Route, error) {
+	var err error
+	g.shardRuns(parts, func(si int, run []uint64) {
+		if err == nil {
+			err = g.Shard(si).ensureHostedAt(run, master)
+		}
+	})
+	if err != nil {
+		return Route{}, err
+	}
+	g.finishWrite(client, parts, master, start)
+	return Route{Site: master}, nil
+}
+
+// finishWrite records a decided write: routing counters, the statistics
+// sample through dispatchRecord, and each owning shard's site load. The
+// front's cached routes record through it too.
+func (g *Group) finishWrite(client int, parts []uint64, site int, start time.Time) {
+	now := time.Now()
+	elapsed := now.Sub(start)
+	c := &g.ctr[g.ShardOf(parts[0])]
+	c.writeTxns.Add(1)
+	c.routeNanos.Add(int64(elapsed))
+	g.routed[site].Add(1)
+	g.routeDur.Observe(elapsed.Seconds())
+	g.dispatchRecord(client, parts, now)
+	g.shardRuns(parts, func(si int, run []uint64) {
+		g.Shard(si).bumpLoad(float64(len(run)), site)
+	})
+}
+
+// remaster moves every partition of the write set not already at dest, in
+// one chain per (owning shard, source site), and returns the element-wise
+// max of the grant vectors plus the number of partitions moved. A shard's
+// chain uses epochs from its own allocator, so a single shard's ErrNoLeader
+// (mid-promotion) fails only its chain — the session retry re-routes the
+// whole set. The caller holds the partitions' exclusive locks. A single
+// chain — nearly every decision — runs inline; several overlap on their own
+// goroutines.
+func remaster(parts []uint64, refs []partRef, dest int, sc obs.SpanContext) (vclock.Vector, int, error) {
+	var chains []remasterChain // in write-set order
+	for i, r := range refs {
+		if r.in.master == dest {
 			continue
 		}
-		svv := s.sites[i].SVV()
+		ci := slices.IndexFunc(chains, func(c remasterChain) bool { return c.sel == r.sel && c.src == r.in.master })
+		if ci < 0 {
+			ci = len(chains)
+			chains = append(chains, remasterChain{sel: r.sel, src: r.in.master})
+		}
+		chains[ci].ids = append(chains[ci].ids, parts[i])
+		chains[ci].infos = append(chains[ci].infos, r.in)
+	}
+	if len(chains) == 1 {
+		return chains[0].sel.runChain(&chains[0], dest, sc)
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		out   vclock.Vector
+		first error
+		moved int
+	)
+	for i := range chains {
+		wg.Add(1)
+		go func(c *remasterChain) {
+			defer wg.Done()
+			vv, n, err := c.sel.runChain(c, dest, sc)
+			mu.Lock()
+			defer mu.Unlock()
+			out = out.MaxInto(vv)
+			moved += n
+			if err != nil && first == nil {
+				first = err
+			}
+		}(&chains[i])
+	}
+	wg.Wait()
+	if first != nil {
+		return nil, moved, first
+	}
+	return out, moved, nil
+}
+
+// --- Read routing ---
+
+// routeRead routes a read-only transaction over one host set: every site
+// when there are no hints or replication is full, otherwise the common hosts
+// of the hinted partitions, falling back to the first partition's replica
+// set (the session retries the remainder on ErrNotHosted). Hinted reads
+// under partial replication feed the owning shards' read statistics.
+func (g *Group) routeRead(client int, cvv vclock.Vector, parts []uint64) Route {
+	hosts := g.allSites
+	if len(parts) > 0 && g.PartialPlacement() {
+		hosts = nil
+		g.shardRuns(parts, func(si int, run []uint64) {
+			sel := g.Shard(si)
+			sel.stats.RecordRead(client, run)
+			if h := sel.commonHosts(run); run[0] == parts[0] {
+				hosts = h
+			} else {
+				hosts = intersectSites(hosts, h)
+			}
+		})
+		if len(hosts) == 0 {
+			hosts = g.ShardFor(parts[0]).commonHosts(parts[:1])
+		}
+	}
+	return g.pickRead(hosts, cvv, parts)
+}
+
+// pickRead is the read policy (§IV-B): a random host whose version vector
+// already satisfies the session's freshness, spreading load while
+// minimizing blocking; else the least-lagged live host (the transaction
+// blocks there the shortest time); else, every host being down, the first
+// partition's master (site 0 when unhinted), so the error surfaced is the
+// site's own.
+func (g *Group) pickRead(hosts []int, cvv vclock.Vector, parts []uint64) Route {
+	home := 0
+	if len(parts) > 0 {
+		home = g.ShardOf(parts[0])
+	}
+	g.ctr[home].readTxns.Add(1)
+	s0 := g.Shard(0)
+	fresh := make([]int, 0, 16)
+	bestLag, bestSite := uint64(1)<<63, -1
+	for _, i := range hosts {
+		if s0.downSites[i].Load() {
+			continue // reads never route to a failed site
+		}
+		svv := s0.sites[i].SVV()
 		if svv.DominatesEq(cvv) {
 			fresh = append(fresh, i)
 			continue
@@ -527,16 +537,18 @@ func pickFreshHost(s *Selector, hosts []int, cvv vclock.Vector, owner *Selector,
 			bestLag, bestSite = lag, i
 		}
 	}
-	if len(fresh) == 0 {
-		if bestSite < 0 {
-			return Route{Site: owner.MasterOf(part)}
-		}
+	switch {
+	case len(fresh) > 0:
+		rng := g.rngPool.Get().(*rand.Rand)
+		pick := fresh[rng.Intn(len(fresh))]
+		g.rngPool.Put(rng)
+		return Route{Site: pick}
+	case bestSite >= 0:
 		return Route{Site: bestSite}
+	case len(parts) > 0:
+		return Route{Site: g.MasterOf(parts[0])}
 	}
-	rng := s.rngPool.Get().(*rand.Rand)
-	pick := fresh[rng.Intn(len(fresh))]
-	s.rngPool.Put(rng)
-	return Route{Site: pick}
+	return Route{Site: 0}
 }
 
 // --- Control-plane dispatch ---
@@ -547,9 +559,6 @@ func (g *Group) MasterOf(p uint64) int { return g.ShardFor(p).MasterOf(p) }
 // MasteredBy unions every shard's partitions mastered at site. Shard maps
 // are disjoint by construction (a shard only creates partitions it owns).
 func (g *Group) MasteredBy(site int) []uint64 {
-	if g.n == 1 {
-		return g.Shard(0).MasteredBy(site)
-	}
 	var out []uint64
 	for i := 0; i < g.n; i++ {
 		out = append(out, g.Shard(i).MasteredBy(site)...)
@@ -607,9 +616,6 @@ func (g *Group) CurrentEpoch() uint64 {
 
 // PlacementSnapshot merges every shard's partition map.
 func (g *Group) PlacementSnapshot() (map[uint64]int, map[uint64]uint64) {
-	if g.n == 1 {
-		return g.Shard(0).PlacementSnapshot()
-	}
 	placement := make(map[uint64]int)
 	epochs := make(map[uint64]uint64)
 	for i := 0; i < g.n; i++ {
@@ -628,9 +634,6 @@ func (g *Group) PlacementSnapshot() (map[uint64]int, map[uint64]uint64) {
 // PlacementTable merges every shard's replica sets (nil under full
 // replication).
 func (g *Group) PlacementTable() map[uint64][]int {
-	if g.n == 1 {
-		return g.Shard(0).PlacementTable()
-	}
 	var out map[uint64][]int
 	for i := 0; i < g.n; i++ {
 		t := g.Shard(i).PlacementTable()
@@ -651,25 +654,17 @@ func (g *Group) PlacementTable() map[uint64][]int {
 
 // AdoptReplicaSets installs recovered replica sets on their owning shards.
 func (g *Group) AdoptReplicaSets(sets map[uint64][]int) {
-	if g.n == 1 {
-		g.Shard(0).AdoptReplicaSets(sets)
-		return
-	}
-	for si, sub := range g.setsByShard(sets) {
-		g.Shard(si).AdoptReplicaSets(sub)
-	}
-}
-
-func (g *Group) setsByShard(sets map[uint64][]int) map[int]map[uint64][]int {
-	out := make(map[int]map[uint64][]int, g.n)
+	sub := make([]map[uint64][]int, g.n)
 	for p, set := range sets {
 		si := g.ShardOf(p)
-		if out[si] == nil {
-			out[si] = make(map[uint64][]int)
+		if sub[si] == nil {
+			sub[si] = make(map[uint64][]int)
 		}
-		out[si][p] = set
+		sub[si][p] = set
 	}
-	return out
+	for si, s := range sub {
+		g.Shard(si).AdoptReplicaSets(s)
+	}
 }
 
 // DropSiteReplicas removes site from every shard's replica sets, returning
@@ -738,29 +733,33 @@ func (g *Group) SetWeights(w Weights) {
 	}
 }
 
-// Metrics aggregates routing counters across shards. Latency means weight
-// by each shard's transaction counts.
+// Metrics is a snapshot of the routing counters.
+type Metrics struct {
+	WriteTxns     uint64
+	ReadTxns      uint64
+	RemasterTxns  uint64 // write txns that required remastering
+	PartsMoved    uint64
+	RoutedPerSite []uint64
+	AvgRouteTime  time.Duration // mean routing decision latency
+	AvgRemaster   time.Duration // mean release/grant wait of remastering decisions
+}
+
+// Metrics sums the routing counters over shards. They live on the group, so
+// a shard leader's promotion never resets them.
 func (g *Group) Metrics() Metrics {
-	if g.n == 1 {
-		return g.Shard(0).Metrics()
-	}
-	var out Metrics
+	out := Metrics{RoutedPerSite: make([]uint64, g.m)}
 	var routeNanos, remastNanos int64
-	for i := 0; i < g.n; i++ {
-		s := g.Shard(i)
-		m := s.Metrics()
-		out.WriteTxns += m.WriteTxns
-		out.ReadTxns += m.ReadTxns
-		out.RemasterTxns += m.RemasterTxns
-		out.PartsMoved += m.PartsMoved
-		if out.RoutedPerSite == nil {
-			out.RoutedPerSite = make([]uint64, len(m.RoutedPerSite))
-		}
-		for j, v := range m.RoutedPerSite {
-			out.RoutedPerSite[j] += v
-		}
-		routeNanos += s.routeNanos.Load()
-		remastNanos += s.remastNanos.Load()
+	for i := range g.ctr {
+		c := &g.ctr[i]
+		out.WriteTxns += c.writeTxns.Load()
+		out.ReadTxns += c.readTxns.Load()
+		out.RemasterTxns += c.remasterOps.Load()
+		out.PartsMoved += c.partsMoved.Load()
+		routeNanos += c.routeNanos.Load()
+		remastNanos += c.remastNanos.Load()
+	}
+	for i := range g.routed {
+		out.RoutedPerSite[i] = g.routed[i].Load()
 	}
 	if out.WriteTxns > 0 {
 		out.AvgRouteTime = time.Duration(routeNanos / int64(out.WriteTxns))
@@ -771,29 +770,80 @@ func (g *Group) Metrics() Metrics {
 	return out
 }
 
-// instrument registers the per-shard and group metrics. Shard selectors are
-// built without a registry (their unlabeled series would collide), so the
-// group publishes shard-labeled collectors over their counters instead, plus
-// the unlabeled routing and remaster series as sums over shards.
+// instrument registers the routing metrics (collectors over the group's
+// counters), the strategy-feature and placement gauges, and the
+// shard-labeled per-shard collectors.
 func (g *Group) instrument(reg *obs.Registry) {
-	if reg == nil || g.n == 1 {
+	if reg == nil {
 		return
 	}
 	reg.Help("dynamast_route_total", "Routing decisions by transaction type.")
+	reg.Help("dynamast_routed_total", "Write transactions routed per destination site.")
 	reg.Help("dynamast_remaster_total", "Write transactions that required mastership transfer.")
 	reg.Help("dynamast_remaster_partitions_total", "Partitions whose mastership was transferred.")
-	reg.Func("dynamast_remaster_total", obs.KindCounter, func() float64 {
-		return float64(g.Metrics().RemasterTxns)
+	reg.Help("dynamast_route_seconds", "Routing decision latency (including any remaster wait).")
+	reg.Help("dynamast_remaster_seconds", "Release/grant RPC-chain wait per remastering decision.")
+	reg.Help("dynamast_strategy_feature", "Equation 8 feature scores of the last remaster decision.")
+	reg.Help("dynamast_selector_partitions", "Partitions tracked in the selector's sharded partition map.")
+	reg.Help("dynamast_selector_shard_max_entries", "Largest partition-map shard (residency skew indicator).")
+	counter := func(name string, v func() uint64, labels ...obs.Label) {
+		reg.Func(name, obs.KindCounter, func() float64 { return float64(v()) }, labels...)
+	}
+	counter("dynamast_route_total", func() uint64 { return g.Metrics().WriteTxns }, obs.L("type", "write"))
+	counter("dynamast_route_total", func() uint64 { return g.Metrics().ReadTxns }, obs.L("type", "read"))
+	counter("dynamast_remaster_total", func() uint64 { return g.Metrics().RemasterTxns })
+	counter("dynamast_remaster_partitions_total", func() uint64 { return g.Metrics().PartsMoved })
+	for s := range g.routed {
+		counter("dynamast_routed_total", g.routed[s].Load, obs.Site(s))
+	}
+	g.routeDur = reg.Histogram("dynamast_route_seconds")
+	g.remastDur = reg.Histogram("dynamast_remaster_seconds")
+	for i, f := range []string{"balance", "delay", "intra", "inter"} {
+		g.feat[i] = reg.Gauge("dynamast_strategy_feature", obs.L("feature", f))
+	}
+	residency := func() (total, most int) {
+		for i := 0; i < g.n; i++ {
+			n, m := g.Shard(i).shardResidency()
+			total, most = total+n, max(most, m)
+		}
+		return total, most
+	}
+	reg.Func("dynamast_selector_partitions", obs.KindGauge, func() float64 {
+		total, _ := residency()
+		return float64(total)
 	})
-	reg.Func("dynamast_remaster_partitions_total", obs.KindCounter, func() float64 {
-		return float64(g.Metrics().PartsMoved)
+	reg.Func("dynamast_selector_shard_max_entries", obs.KindGauge, func() float64 {
+		_, most := residency()
+		return float64(most)
 	})
-	reg.Func("dynamast_route_total", obs.KindCounter, func() float64 {
-		return float64(g.Metrics().WriteTxns)
-	}, obs.L("type", "write"))
-	reg.Func("dynamast_route_total", obs.KindCounter, func() float64 {
-		return float64(g.Metrics().ReadTxns)
-	}, obs.L("type", "read"))
+	if g.PartialPlacement() {
+		reg.Help("dynamast_placement_replicas_total", "Replica-set memberships across all tracked partitions.")
+		reg.Help("dynamast_placement_adds_total", "Replica additions performed by the placement layer.")
+		reg.Help("dynamast_placement_drops_total", "Replica drops performed by the placement layer.")
+		placement := func(f func(ps *placementState) uint64) func() uint64 {
+			return func() uint64 {
+				var n uint64
+				for i := 0; i < g.n; i++ {
+					n += f(g.Shard(i).placement)
+				}
+				return n
+			}
+		}
+		reg.Func("dynamast_placement_replicas_total", obs.KindGauge, func() float64 {
+			return float64(placement(func(ps *placementState) uint64 {
+				ps.mu.RLock()
+				defer ps.mu.RUnlock()
+				var n uint64
+				for _, set := range ps.sets {
+					n += uint64(len(set))
+				}
+				return n
+			})())
+		})
+		counter("dynamast_placement_adds_total", placement(func(ps *placementState) uint64 { return ps.adds.Load() }))
+		counter("dynamast_placement_drops_total", placement(func(ps *placementState) uint64 { return ps.drops.Load() }))
+	}
+
 	reg.Help("dynamast_selector_shards", "Router shards in the selector control plane.")
 	reg.Help("dynamast_selector_shard_routes_total", "Routing decisions handled per router shard (writes + reads).")
 	reg.Help("dynamast_selector_shard_write_routes_total", "Write routing decisions handled per router shard.")
@@ -802,28 +852,18 @@ func (g *Group) instrument(reg *obs.Registry) {
 	reg.Help("dynamast_selector_shard_cross_writes_total", "Write routes whose partition set spanned multiple shards.")
 	reg.Help("dynamast_selector_shard_cross_hints_total", "Co-access stat samples exchanged over the inter-shard channel.")
 	reg.Gauge("dynamast_selector_shards").Set(float64(g.n))
-	for i := 0; i < g.n; i++ {
-		i := i
-		label := obs.L("shard", fmt.Sprint(i))
-		reg.Func("dynamast_selector_shard_routes_total", obs.KindCounter, func() float64 {
-			m := g.Shard(i).Metrics()
-			return float64(m.WriteTxns + m.ReadTxns)
+	for i := range g.ctr {
+		c, label := &g.ctr[i], obs.L("shard", fmt.Sprint(i))
+		counter("dynamast_selector_shard_routes_total", func() uint64 {
+			return c.writeTxns.Load() + c.readTxns.Load()
 		}, label)
-		reg.Func("dynamast_selector_shard_write_routes_total", obs.KindCounter, func() float64 {
-			return float64(g.Shard(i).Metrics().WriteTxns)
-		}, label)
-		reg.Func("dynamast_selector_shard_remasters_total", obs.KindCounter, func() float64 {
-			return float64(g.Shard(i).Metrics().RemasterTxns)
-		}, label)
+		counter("dynamast_selector_shard_write_routes_total", c.writeTxns.Load, label)
+		counter("dynamast_selector_shard_remasters_total", c.remasterOps.Load, label)
 		reg.Func("dynamast_selector_shard_partitions", obs.KindGauge, func() float64 {
 			total, _ := g.Shard(i).shardResidency()
 			return float64(total)
 		}, label)
 	}
-	reg.Func("dynamast_selector_shard_cross_writes_total", obs.KindCounter, func() float64 {
-		return float64(g.crossWrites.Load())
-	})
-	reg.Func("dynamast_selector_shard_cross_hints_total", obs.KindCounter, func() float64 {
-		return float64(g.crossHints.Load())
-	})
+	counter("dynamast_selector_shard_cross_writes_total", g.crossWrites.Load)
+	counter("dynamast_selector_shard_cross_hints_total", g.crossHints.Load)
 }

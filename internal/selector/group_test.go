@@ -42,7 +42,6 @@ func newShardedGroup(t *testing.T, m, shards, standbys int, stats StatsConfig) (
 	for _, s := range sites {
 		s.Start()
 	}
-	var g *Group
 	repls := make([]*Replicated, shards)
 	for i := 0; i < shards; i++ {
 		sel, err := New(Config{
@@ -51,15 +50,15 @@ func newShardedGroup(t *testing.T, m, shards, standbys int, stats StatsConfig) (
 			Weights:     YCSBWeights(),
 			Stats:       stats,
 			Seed:        int64(i),
-			Hooks:       GroupHooks(i, shards, func() *Group { return g }),
+			Shard:       i,
+			Shards:      shards,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		repls[i] = NewReplicated(sel, standbys, nil)
 	}
-	var err error
-	g, err = NewGroup(GroupConfig{Shards: repls, GossipInterval: 2 * time.Millisecond})
+	g, err := NewGroup(GroupConfig{Shards: repls, GossipInterval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +117,8 @@ func TestGroupSingleShardPassThrough(t *testing.T) {
 	if g.Cache() != nil {
 		t.Fatal("single-shard group built a placement cache")
 	}
-	// The router is the group's front with no cache: every call goes
-	// straight to the shard's selector.
+	// The router is the group's front with no cache: every call takes the
+	// group's routing.
 	front := g.RouterFor(1)
 	if front.c != nil {
 		t.Fatal("one-node front carries a placement cache")
@@ -396,27 +395,7 @@ func TestShardedRoutingThroughputScales(t *testing.T) {
 		for i := range sites {
 			sites[i] = &benchSite{id: i}
 		}
-		var g *Group
-		repls := make([]*Replicated, shards)
-		for i := 0; i < shards; i++ {
-			sel, err := New(Config{
-				Sites:       sites,
-				Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
-				Weights:     YCSBWeights(),
-				Seed:        int64(i),
-				Hooks:       GroupHooks(i, shards, func() *Group { return g }),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			repls[i] = NewReplicated(sel, 0, nil)
-		}
-		var err error
-		g, err = NewGroup(GroupConfig{Shards: repls})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.Stop()
+		g := newFakeGroup(t, sites, shards, YCSBWeights(), StatsConfig{})
 		front := g.RouterFor(0)
 		for p := uint64(0); p < parts; p++ {
 			if _, err := front.RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
@@ -480,27 +459,7 @@ func newBenchGroup(b *testing.B, m, shards int, parts uint64) *Group {
 	for i := range sites {
 		sites[i] = &benchSite{id: i}
 	}
-	var g *Group
-	repls := make([]*Replicated, shards)
-	for i := 0; i < shards; i++ {
-		sel, err := New(Config{
-			Sites:       sites,
-			Partitioner: func(ref storage.RowRef) uint64 { return ref.Key / 100 },
-			Weights:     YCSBWeights(),
-			Seed:        int64(i),
-			Hooks:       GroupHooks(i, shards, func() *Group { return g }),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		repls[i] = NewReplicated(sel, 0, nil)
-	}
-	var err error
-	g, err = NewGroup(GroupConfig{Shards: repls})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(g.Stop)
+	g := newFakeGroup(b, sites, shards, YCSBWeights(), StatsConfig{})
 	for p := uint64(0); p < parts; p++ {
 		if _, err := g.RouterFor(0).RouteWrite(0, []storage.RowRef{{Table: "t", Key: p * 100}}, nil); err != nil {
 			b.Fatal(err)

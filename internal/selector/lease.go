@@ -266,20 +266,8 @@ type HAConfig struct {
 	Obs *obs.Registry
 	// Store, when non-nil, is the lease (+ epoch allocator) this tier uses —
 	// typically one key's view of a KeyedLeaseStore shared by all router
-	// shards. Nil builds a private single-lease store (the classic
-	// deployment).
+	// shards. Nil builds a private single-lease store.
 	Store *LeaseStore
-	// Shard/Shards scope this tier to one router shard of a sharded
-	// selector: promotion folds, fences, and repairs only the partitions
-	// RouterShardOf assigns to Shard, and the site fence is installed with
-	// FenceEpochsBelowRange so it dominates only this shard's range.
-	// Shards <= 1 (the default) is the unsharded, whole-map tier.
-	Shard, Shards int
-}
-
-// ownsPart reports whether this HA tier's shard range covers partition p.
-func (cfg *HAConfig) ownsPart(p uint64) bool {
-	return cfg.Shards <= 1 || sitemgr.RouterShard(p, cfg.Shards) == cfg.Shard
 }
 
 // HA is the selector tier's leadership state machine: lease renewal on the
@@ -317,7 +305,9 @@ type HA struct {
 // EnableHA puts the selector tier under lease-based leadership: the master
 // becomes the initial leader (its epoch allocator moves into the lease
 // store), and a background watcher renews the lease and promotes a standby
-// when it expires. Requires at least one standby.
+// when it expires. Requires at least one standby. The tier's shard range is
+// selCfg's Shard of Shards: promotion fences, folds and repairs only the
+// partitions in it.
 func (r *Replicated) EnableHA(selCfg Config, cfg HAConfig) (*HA, error) {
 	if r.standbys == 0 {
 		return nil, fmt.Errorf("selector: HA requires at least one replica standby")
@@ -372,8 +362,8 @@ func (ha *HA) instrument(reg *obs.Registry) {
 	reg.Help("dynamast_selector_promotion_seconds", "Standby promotion latency (fence, rebuild, repair, swap).")
 	reg.Help("dynamast_selector_promotion_failures_total", "Promotion attempts that fenced the sites but could not rebuild the map; each is retried on the next tick.")
 	var labels []obs.Label
-	if ha.cfg.Shards > 1 {
-		labels = append(labels, obs.L("shard", fmt.Sprint(ha.cfg.Shard)))
+	if ha.selCfg.Shards > 1 {
+		labels = append(labels, obs.L("shard", fmt.Sprint(ha.selCfg.Shard)))
 	}
 	ha.obLeader = reg.Gauge("dynamast_selector_leader", labels...)
 	ha.obLeader.Set(0)
@@ -514,29 +504,17 @@ func (ha *HA) promote() {
 	// (3) Rebuild from the last checkpoint's base and the log suffix past
 	// it. Two checkpoints committing between the base read and the fold
 	// can truncate past the base; the next tick retries on the newer one,
-	// and the counted failure makes a retry loop visible. A sharded tier
-	// keeps only its own range: the other shards' partitions are their
+	// and the counted failure makes a retry loop visible. The tier keeps
+	// only its own shard range: the other shards' partitions are their
 	// leaders' business, and their epochs come from different allocators.
 	fold, err := sitemgr.FoldMastership(ha.cfg.Broker, base)
 	if err != nil {
 		ha.obPromoteFails.Inc()
 		return
 	}
-	owner, epochs := fold.Owner, fold.Epoch
-	if ha.cfg.Shards > 1 {
-		for p := range owner {
-			if !ha.cfg.ownsPart(p) {
-				delete(owner, p)
-				delete(epochs, p)
-			}
-		}
-	}
 
-	// Build the new selector on the rebuilt map. The metrics registry
-	// tolerates re-registration (instruments are shared, collector funcs
-	// replaced), so the promoted selector takes over the
-	// dynamast_selector_* series. Strategy weights carry over from the
-	// deposed leader (sweeps may have changed them mid-run); access
+	// Build the new selector on the rebuilt map. Strategy weights carry over
+	// from the deposed leader (sweeps may have changed them mid-run); access
 	// statistics restart and warm back up.
 	selCfg := ha.selCfg
 	selCfg.Weights = old.Weights()
@@ -549,7 +527,7 @@ func (ha *HA) promote() {
 			newSel.MarkDown(i)
 		}
 	}
-	newSel.adoptPlacement(owner, epochs)
+	adopted := newSel.adoptPlacement(fold.Owner, fold.Epoch)
 	newSel.setEpochSource(&leaseEpochs{store: ha.store, node: cand, token: token})
 
 	// (4) Repair dangling releases: the old leader died between a release
@@ -558,7 +536,7 @@ func (ha *HA) promote() {
 	// fresh epoch (nil release vector: nothing moved, no catch-up).
 	byOrigin := make(map[int][]uint64)
 	for p, origin := range fold.Dangling {
-		if !ha.cfg.ownsPart(p) {
+		if !newSel.owns(p) {
 			continue // another shard's range; its own promotion repairs it
 		}
 		if newSel.SiteDown(origin) {
@@ -597,34 +575,24 @@ func (ha *HA) promote() {
 	ha.obPromoteDur.ObserveDuration(dur)
 	obs.RecordEvent(obs.FlightLeaderChange, obs.SelectorSite,
 		"selector node %d promoted (fence epoch %d, %d partition(s), %d dangling repaired) in %v",
-		cand, fence, len(owner), len(fold.Dangling), dur)
+		cand, fence, adopted, len(fold.Dangling), dur)
 }
 
 // fenceSites installs the fence epoch at every data site, returning which
 // sites could not be reached (request leg lost through every retry).
 // Response loss is ignored: the fence installed, which is all that
-// matters, and re-fencing is idempotent. A sharded tier installs a
-// range-scoped fence covering only its own partitions, so a zombie leader
-// of THIS shard dies with ErrStaleEpoch while the other shards' in-flight
-// chains — stamped from different allocators — pass untouched.
+// matters, and re-fencing is idempotent. The fence is range-scoped to this
+// tier's shard (site-wide for one shard), so a zombie leader of THIS shard
+// dies with ErrStaleEpoch while the other shards' in-flight chains —
+// stamped from different allocators — pass untouched.
 func (ha *HA) fenceSites(fence uint64) []bool {
 	unfenced := make([]bool, len(ha.selCfg.Sites))
 	for i, site := range ha.selCfg.Sites {
-		install := func() {}
-		if ha.cfg.Shards > 1 {
-			f, ok := site.(interface {
-				FenceEpochsBelowRange(floor uint64, shard, shards int) uint64
-			})
-			if !ok {
-				continue // test double without fencing; nothing to install
-			}
-			install = func() { f.FenceEpochsBelowRange(fence, ha.cfg.Shard, ha.cfg.Shards) }
-		} else {
-			f, ok := site.(interface{ FenceEpochsBelow(floor uint64) uint64 })
-			if !ok {
-				continue // test double without fencing; nothing to install
-			}
-			install = func() { f.FenceEpochsBelow(fence) }
+		f, ok := site.(interface {
+			FenceEpochsBelowRange(floor uint64, shard, shards int) uint64
+		})
+		if !ok {
+			continue // test double without fencing; nothing to install
 		}
 		sent := false
 		for attempt := 0; attempt <= remasterSendRetries && !sent; attempt++ {
@@ -634,7 +602,7 @@ func (ha *HA) fenceSites(fence uint64) []bool {
 			if ha.repl.net.SendTo(transport.CatLease, transport.SelectorNode, i, transport.MsgOverhead) != nil {
 				continue
 			}
-			install()
+			f.FenceEpochsBelowRange(fence, ha.selCfg.Shard, ha.selCfg.Shards)
 			_ = ha.repl.net.SendTo(transport.CatLease, i, transport.SelectorNode, transport.MsgOverhead)
 			sent = true
 		}

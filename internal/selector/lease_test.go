@@ -13,8 +13,9 @@ import (
 )
 
 // newHATier builds m data sites over one broker, a master selector with
-// `standbys` standbys, and enables lease-based HA with the given TTL.
-func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...func(*HAConfig)) (*Replicated, *HA, []*sitemgr.Site, *wal.Broker) {
+// `standbys` standbys under a one-shard group, and enables lease-based HA
+// with the given TTL. It returns the group's front with the tier.
+func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...func(*HAConfig)) (*Front, *Replicated, *HA, []*sitemgr.Site, *wal.Broker) {
 	t.Helper()
 	b := wal.NewBroker(m)
 	sites := make([]*sitemgr.Site, m)
@@ -47,6 +48,10 @@ func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...fun
 		t.Fatal(err)
 	}
 	repl := NewReplicated(sel, standbys, nil)
+	g, err := NewGroup(GroupConfig{Shards: []*Replicated{repl}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	haCfg := HAConfig{Lease: lease, Broker: b}
 	for _, f := range mutate {
 		f(&haCfg)
@@ -57,12 +62,13 @@ func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...fun
 	}
 	t.Cleanup(func() {
 		ha.Stop()
+		g.Stop()
 		b.Close()
 		for _, s := range sites {
 			s.Stop()
 		}
 	})
-	return repl, ha, sites, b
+	return g.RouterFor(0), repl, ha, sites, b
 }
 
 // waitPromotions blocks until ha has completed at least n promotions.
@@ -123,12 +129,12 @@ func TestLeaseStoreMutualExclusion(t *testing.T) {
 }
 
 func TestHAPromotionOnLeaderKill(t *testing.T) {
-	repl, ha, sites, _ := newHATier(t, 2, 2, 20*time.Millisecond)
+	front, repl, ha, sites, _ := newHATier(t, 2, 2, 20*time.Millisecond)
 	old := repl.Leader()
 
 	// Route some writes through the leader so the placement is warm and a
 	// remaster has happened (partitions 0 and 1 end up co-located).
-	if _, err := old.RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil); err != nil {
+	if _, err := front.RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,8 +155,8 @@ func TestHAPromotionOnLeaderKill(t *testing.T) {
 	if !old.Deposed() {
 		t.Fatal("old leader not deposed")
 	}
-	if _, err := old.RouteWrite(2, []storage.RowRef{ref(1)}, nil); !errors.Is(err, ErrNoLeader) {
-		t.Fatalf("deposed leader routed a write: %v", err)
+	if _, err := old.AllocEpoch(); !errors.Is(err, ErrNoLeader) {
+		t.Fatalf("deposed leader allocated a remaster epoch: %v", err)
 	}
 
 	// The promoted leader's map must agree with the sites: every partition
@@ -173,7 +179,7 @@ func TestHAPromotionOnLeaderKill(t *testing.T) {
 	}
 
 	// Routing resumes on the promoted leader.
-	if _, err := neu.RouteWrite(3, []storage.RowRef{ref(1), ref(101)}, nil); err != nil {
+	if _, err := front.RouteWrite(3, []storage.RowRef{ref(1), ref(101)}, nil); err != nil {
 		t.Fatalf("post-promotion route: %v", err)
 	}
 }
@@ -184,7 +190,7 @@ func TestHAPromotionOnLeaderKill(t *testing.T) {
 // standby promotes, so the zombie chain can never flip ownership — no
 // interleaving yields two masters for one partition.
 func TestHAFencingPreventsDualOwnership(t *testing.T) {
-	repl, ha, sites, _ := newHATier(t, 2, 1, 20*time.Millisecond)
+	_, repl, ha, sites, _ := newHATier(t, 2, 1, 20*time.Millisecond)
 	old := repl.Leader()
 
 	// The deposed leader allocated this epoch for a chain moving partition
@@ -229,7 +235,7 @@ func TestHAFencingPreventsDualOwnership(t *testing.T) {
 // re-grant the partition to the releaser under a fresh epoch, and the
 // zombie grant must still be fenced out.
 func TestHADanglingReleaseRepair(t *testing.T) {
-	repl, ha, sites, _ := newHATier(t, 2, 1, 20*time.Millisecond)
+	front, repl, ha, sites, _ := newHATier(t, 2, 1, 20*time.Millisecond)
 	old := repl.Leader()
 
 	epoch, err := old.AllocEpoch()
@@ -263,7 +269,7 @@ func TestHADanglingReleaseRepair(t *testing.T) {
 		t.Fatalf("promoted leader maps partition 2 to %d, want 0", got)
 	}
 	// The repaired partition is writable through the promoted leader.
-	if _, err := repl.Leader().RouteWrite(5, []storage.RowRef{ref(200)}, nil); err != nil {
+	if _, err := front.RouteWrite(5, []storage.RowRef{ref(200)}, nil); err != nil {
 		t.Fatalf("route to repaired partition: %v", err)
 	}
 }
@@ -278,7 +284,7 @@ func TestHAStaleBaseRetriesNextTick(t *testing.T) {
 	var calls atomic.Int32
 	var fresh sitemgr.FoldBase
 	reg := obs.NewRegistry()
-	repl, ha, sites, b := newHATier(t, 2, 1, 20*time.Millisecond, func(cfg *HAConfig) {
+	_, repl, ha, sites, b := newHATier(t, 2, 1, 20*time.Millisecond, func(cfg *HAConfig) {
 		cfg.Obs = reg
 		cfg.Base = func() sitemgr.FoldBase {
 			if calls.Add(1) == 1 {
@@ -343,8 +349,8 @@ func TestHAStaleBaseRetriesNextTick(t *testing.T) {
 // TestHASurvivesSecondFailover kills the promoted leader too: leadership
 // must move again, and the tier keeps routing.
 func TestHASurvivesSecondFailover(t *testing.T) {
-	repl, ha, _, _ := newHATier(t, 2, 2, 20*time.Millisecond)
-	if _, err := repl.Leader().RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil); err != nil {
+	front, _, ha, _, _ := newHATier(t, 2, 2, 20*time.Millisecond)
+	if _, err := front.RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ha.KillLeader()
@@ -356,7 +362,7 @@ func TestHASurvivesSecondFailover(t *testing.T) {
 	if second == 0 || second == first {
 		t.Fatalf("second promotion landed on %d (first %d, dead 0)", second, first)
 	}
-	if _, err := repl.Leader().RouteWrite(9, []storage.RowRef{ref(1)}, nil); err != nil {
+	if _, err := front.RouteWrite(9, []storage.RowRef{ref(1)}, nil); err != nil {
 		t.Fatalf("routing after two failovers: %v", err)
 	}
 }

@@ -1,13 +1,10 @@
 package selector
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dynamast/internal/vclock"
 )
 
 // Adaptive partial replication: each partition carries an explicit replica
@@ -22,7 +19,7 @@ import (
 // moves per tick.
 //
 // Invariant: a partition's master is always a member of its replica set.
-// Remaster chains add the destination before granting (see routeWrite),
+// Remaster chains add the destination before granting (see runChain),
 // failover re-grants only after the heir hosts, and every mastership
 // metadata flip folds the master into the set.
 
@@ -510,72 +507,22 @@ func (s *Selector) commonHosts(parts []uint64) []int {
 	ps := s.placement
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
-	var out []int
-	for i, part := range parts {
-		set := ps.memberViewLocked(part)
-		if i == 0 {
-			out = append(out, set...)
-			continue
-		}
-		kept := out[:0]
-		for _, m := range out {
-			if containsSite(set, m) {
-				kept = append(kept, m)
-			}
-		}
-		out = kept
-		if len(out) == 0 {
-			return nil
-		}
+	out := append([]int(nil), ps.memberViewLocked(parts[0])...)
+	for _, part := range parts[1:] {
+		out = intersectSites(out, ps.memberViewLocked(part))
 	}
 	return out
 }
 
-// RouteReadParts routes a read-only transaction whose read set touches the
-// given partitions: among the sites hosting every partition, a random one
-// already satisfying the client's session freshness, else the least-lagged
-// host (RouteRead's policy restricted to the replica sets). Reads with no
-// common host fall back to the first partition's replica set — the session
-// retries the remainder elsewhere on ErrNotHosted. The access feeds the
-// read-weight statistics driving the adaptive placement policy.
-func (s *Selector) RouteReadParts(client int, cvv vclock.Vector, parts []uint64) Route {
-	if s.placement == nil || len(parts) == 0 {
-		return s.RouteRead(client, cvv)
-	}
-	s.stats.RecordRead(client, parts)
-	hosts := s.commonHosts(parts)
-	if len(hosts) == 0 {
-		hosts = s.commonHosts(parts[:1])
-	}
-	s.readTxns.Add(1)
-	s.ob.readTxns.Inc()
-	fresh := make([]int, 0, len(hosts))
-	bestLag, bestSite := uint64(1)<<63, -1
-	for _, i := range hosts {
-		if s.downSites[i].Load() {
-			continue
-		}
-		svv := s.sites[i].SVV()
-		if svv.DominatesEq(cvv) {
-			fresh = append(fresh, i)
-			continue
-		}
-		if lag := svv.LagBehind(cvv); lag < bestLag {
-			bestLag, bestSite = lag, i
+// intersectSites keeps, in place and in order, the sites of a also in b.
+func intersectSites(a, b []int) []int {
+	kept := a[:0]
+	for _, m := range a {
+		if containsSite(b, m) {
+			kept = append(kept, m)
 		}
 	}
-	if len(fresh) == 0 {
-		if bestSite < 0 {
-			// Every host is down; route to the master (failover will have
-			// re-homed it) so the error surfaced is the site's own.
-			return Route{Site: s.MasterOf(parts[0])}
-		}
-		return Route{Site: bestSite}
-	}
-	rng := s.rngPool.Get().(*rand.Rand)
-	pick := fresh[rng.Intn(len(fresh))]
-	s.rngPool.Put(rng)
-	return Route{Site: pick}
+	return kept
 }
 
 // ReplicaMover materializes placement decisions at the data sites: AddReplica

@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 )
 
@@ -16,52 +16,42 @@ import (
 // items at random, so allocation counts are not meaningful.
 var raceEnabled bool
 
-// foreignBase splits the scoring tests' partition universe: ids below it are
-// the scoring selector's own, ids at or above it resolve through
-// ShardHooks.ForeignMaster — which is how the tests count hint lookups.
-const foreignBase = uint64(1) << 40
-
 // referenceScores is the executable statement of Equations 2-8 that the
 // one-pass scoring is checked against: for every live candidate it merges the
-// co-access rows into probabilities and evaluates SingleSited per (d1, d2)
-// pair, one candidate at a time. It returns each live candidate's
-// [balance, delay, intra, inter] and Equation 8 score.
-func referenceScores(s *Selector, parts []uint64, infos []*partInfo, cvv vclock.Vector) (feat map[int][4]float64, score map[int]float64) {
+// co-access rows read through v into probabilities and evaluates SingleSited
+// per (d1, d2) pair, one candidate at a time. It returns each live
+// candidate's [balance, delay, intra, inter] and Equation 8 score.
+func referenceScores(s *Selector, v view, parts []uint64, masters []int, cvv vclock.Vector) (feat map[int][4]float64, score map[int]float64) {
 	inSet := make(map[uint64]int, len(parts))
 	for i, id := range parts {
 		inSet[id] = i
 	}
 	masterOf := func(id uint64) int {
 		if i, ok := inSet[id]; ok {
-			return infos[i].master
+			return masters[i]
 		}
-		return s.hintFor(id)
+		return v.hint(id)
 	}
 	inWriteSet := func(id uint64) bool { _, ok := inSet[id]; return ok }
 	probs := func(d1 uint64, intra bool) map[uint64]float64 {
 		out := make(map[uint64]float64)
-		pairs, n := s.coAccess(d1, intra, nil)
+		pairs, n := v.coAccess(d1, intra, nil)
 		for _, pr := range pairs {
 			out[pr.D2] += pr.Count / n
 		}
 		return out
 	}
 
-	var before []float64
-	if s.hooks.SiteLoads != nil {
-		before = s.hooks.SiteLoads()
-	} else {
-		before = s.siteLoadSnapshot(nil)
-	}
+	before := v.siteLoads(nil)
 	weights := make([]float64, len(parts))
 	for i, id := range parts {
-		if weights[i] = s.accessWeight(id); weights[i] == 0 {
+		if weights[i] = v.accessWeight(id); weights[i] == 0 {
 			weights[i] = 1
 		}
 	}
 	need := cvv.Clone()
-	for _, in := range infos {
-		need = need.MaxInto(s.sites[in.master].SVV())
+	for _, m := range masters {
+		need = need.MaxInto(s.sites[m].SVV())
 	}
 
 	model := s.Weights()
@@ -72,9 +62,9 @@ func referenceScores(s *Selector, parts []uint64, infos []*partInfo, cvv vclock.
 			continue
 		}
 		after := append([]float64(nil), before...)
-		for i, in := range infos {
-			if in.master != cand {
-				after[in.master] = math.Max(0, after[in.master]-weights[i])
+		for i, m := range masters {
+			if m != cand {
+				after[m] = math.Max(0, after[m]-weights[i])
 				after[cand] += weights[i]
 			}
 		}
@@ -95,45 +85,44 @@ func referenceScores(s *Selector, parts []uint64, infos []*partInfo, cvv vclock.
 	return feat, score
 }
 
-// hookCounts tallies what one scoring decision asked of the hooks.
-type hookCounts struct {
-	parts          []uint64 // the write set being scored
-	coAccessCalls  int
-	foreignEntries int // row entries outside the write set with a foreign d2
-	foreignLookups int // ForeignMaster calls
+// countingView wraps a view and tallies what one scoring decision asks of it.
+type countingView struct {
+	view
+	parts         []uint64 // the write set being scored
+	coAccessCalls int
+	outside       int // row entries outside the write set
+	hintLookups   int
 }
 
-func (c *hookCounts) reset(parts []uint64) { *c = hookCounts{parts: parts} }
+func (c *countingView) reset(parts []uint64) {
+	c.parts, c.coAccessCalls, c.outside, c.hintLookups = parts, 0, 0, 0
+}
 
-// counted wraps h's CoAccess and ForeignMaster so calls land in c.
-func counted(h ShardHooks, c *hookCounts) ShardHooks {
-	coAccess, foreign := h.CoAccess, h.ForeignMaster
-	h.CoAccess = func(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
-		c.coAccessCalls++
-		out, n := coAccess(d1, intra, buf)
-		for _, pr := range out[len(buf):] {
-			if !h.Owns(pr.D2) && !slices.Contains(c.parts, pr.D2) {
-				c.foreignEntries++
-			}
+func (c *countingView) coAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
+	c.coAccessCalls++
+	out, n := c.view.coAccess(d1, intra, buf)
+	for _, pr := range out[len(buf):] {
+		if !slices.Contains(c.parts, pr.D2) {
+			c.outside++
 		}
-		return out, n
 	}
-	h.ForeignMaster = func(p uint64) int {
-		c.foreignLookups++
-		return foreign(p)
-	}
-	return h
+	return out, n
 }
 
-// scoringCase is one randomized decision: a scoring selector (stand-alone
-// with counting hooks, or the home shard of a 2-shard group), a write set
-// with its infos, and a session vector.
+func (c *countingView) hint(p uint64) int {
+	c.hintLookups++
+	return c.view.hint(p)
+}
+
+// scoringCase is one randomized decision: the scoring selector (the home
+// shard of its group), the counting view over the group, a write set with
+// its masters, and a session vector.
 type scoringCase struct {
-	sel    *Selector
-	parts  []uint64
-	infos  []*partInfo
-	cvv    vclock.Vector
-	counts *hookCounts
+	sel     *Selector
+	view    *countingView
+	parts   []uint64
+	masters []int
+	cvv     vclock.Vector
 }
 
 // randomSites builds m fake sites with random version vectors.
@@ -200,87 +189,15 @@ func learnRows(rng *rand.Rand, parts, others []uint64, record func(client int, p
 	}
 }
 
-// newStandaloneCase builds a stand-alone selector whose foreign half of the
-// universe resolves through a counting ForeignMaster hook.
-func newStandaloneCase(t *testing.T, rng *rand.Rand, learn bool) scoringCase {
+// newGroupCase builds a group of the given shard count over fake sites and
+// a write set that may span shards, scored by its home shard over the
+// group view.
+func newGroupCase(t *testing.T, rng *rand.Rand, shards int, learn bool) scoringCase {
 	t.Helper()
 	m := 2 + rng.Intn(7)
-	c := scoringCase{counts: &hookCounts{}, cvv: randomVector(rng, m)}
-	foreignMaster := make(map[uint64]int)
-	var sel *Selector
-	hooks := counted(ShardHooks{
-		Owns:          func(p uint64) bool { return p < foreignBase },
-		ForeignMaster: func(p uint64) int { return foreignMaster[p] },
-		CoAccess: func(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
-			return sel.stats.CoAccess(d1, intra, buf)
-		},
-	}, c.counts)
-	var err error
-	sel, err = New(Config{
-		Sites:       randomSites(rng, m),
-		Partitioner: func(ref storage.RowRef) uint64 { return ref.Key },
-		Weights:     randomWeights(rng),
-		Stats:       StatsConfig{Stripes: []int{1, 16}[rng.Intn(2)]},
-		Hooks:       hooks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.sel = sel
-
-	var own, all []uint64
-	for p := uint64(0); p < 120; p++ {
-		own = append(own, p)
-		sel.RegisterPartition(p, rng.Intn(m))
-		foreignMaster[foreignBase+p] = rng.Intn(m)
-		all = append(all, p, foreignBase+p)
-	}
-	c.parts = pickWriteSet(rng, own)
-	for _, p := range c.parts {
-		c.infos = append(c.infos, sel.part(p))
-	}
-	if learn {
-		learnRows(rng, c.parts, all, sel.stats.RecordWrite)
-	}
-	for i := range sel.siteLoad {
-		addFloat(&sel.siteLoad[i], float64(rng.Intn(1000)))
-	}
-	if rng.Intn(2) == 0 {
-		sel.MarkDown(rng.Intn(m))
-	}
-	return c
-}
-
-// newGroupCase builds a 2-shard group over fake sites and a write set that
-// may span both shards, scored by its home shard over group-wide statistics.
-func newGroupCase(t *testing.T, rng *rand.Rand, learn bool) scoringCase {
-	t.Helper()
-	m := 2 + rng.Intn(7)
-	c := scoringCase{counts: &hookCounts{}, cvv: randomVector(rng, m)}
-	sites := randomSites(rng, m)
-	var g *Group
-	repls := make([]*Replicated, 2)
-	weights := randomWeights(rng)
 	stats := StatsConfig{Stripes: []int{1, 16}[rng.Intn(2)]}
-	for i := range repls {
-		// Every shard counts into the same tally; only the home shard scores.
-		sel, err := New(Config{
-			Sites:       sites,
-			Partitioner: func(ref storage.RowRef) uint64 { return ref.Key },
-			Weights:     weights,
-			Stats:       stats,
-			Hooks:       counted(GroupHooks(i, 2, func() *Group { return g }), c.counts),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		repls[i] = NewReplicated(sel, 0, nil)
-	}
-	var err error
-	if g, err = NewGroup(GroupConfig{Shards: repls}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Stop)
+	g := newFakeGroup(t, randomSites(rng, m), shards, randomWeights(rng), stats)
+	c := scoringCase{view: &countingView{view: g}, cvv: randomVector(rng, m)}
 
 	var universe []uint64
 	for p := uint64(0); p < 240; p++ {
@@ -290,33 +207,32 @@ func newGroupCase(t *testing.T, rng *rand.Rand, learn bool) scoringCase {
 	c.parts = pickWriteSet(rng, universe)
 	c.sel = g.ShardFor(c.parts[0])
 	for _, p := range c.parts {
-		c.infos = append(c.infos, g.ShardFor(p).part(p))
+		c.masters = append(c.masters, g.MasterOf(p))
 	}
 	if learn {
 		learnRows(rng, c.parts, universe, g.dispatchRecord)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < shards; i++ {
 		for s := range g.Shard(i).siteLoad {
 			addFloat(&g.Shard(i).siteLoad[s], float64(rng.Intn(1000)))
 		}
 	}
 	if rng.Intn(2) == 0 {
-		down := rng.Intn(m)
-		g.Shard(0).MarkDown(down)
-		g.Shard(1).MarkDown(down)
+		g.MarkDown(rng.Intn(m))
 	}
 	return c
 }
 
 // checkAgainstReference asserts that the one-pass features of every live
 // candidate equal the per-candidate SingleSited reference, that the chosen
-// destination is the reference's, and that the decision read each row once.
+// destination is the reference's, and that the decision read each row once
+// and looked up one hint per row entry outside the write set.
 func checkAgainstReference(t *testing.T, c scoringCase) {
 	t.Helper()
-	feat, score := referenceScores(c.sel, c.parts, c.infos, c.cvv)
+	feat, score := referenceScores(c.sel, c.view, c.parts, c.masters, c.cvv)
 
 	var sc scoreScratch
-	c.sel.localize(&sc, c.parts, c.infos)
+	sc.localize(c.view, c.parts, c.masters, c.sel.m)
 	for cand, f := range feat {
 		if got := sc.intra.score(cand); math.Abs(got-f[2]) > 1e-9 {
 			t.Fatalf("parts %v cand %d: intra = %.12g, reference %.12g", c.parts, cand, got, f[2])
@@ -326,18 +242,23 @@ func checkAgainstReference(t *testing.T, c scoringCase) {
 		}
 	}
 
-	c.counts.reset(c.parts)
-	dest, err := c.sel.chooseDestination(c.parts, c.infos, c.cvv)
+	c.view.reset(c.parts)
+	dest, got, err := c.sel.decide(c.view, c.parts, c.masters, c.cvv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(c.parts); c.counts.coAccessCalls != want {
-		t.Fatalf("parts %v: %d CoAccess reads in one decision, want %d (one per partition and kind)",
-			c.parts, c.counts.coAccessCalls, want)
+	if want := 2 * len(c.parts); c.view.coAccessCalls != want {
+		t.Fatalf("parts %v: %d coAccess reads in one decision, want %d (one per partition and kind)",
+			c.parts, c.view.coAccessCalls, want)
 	}
-	if c.counts.foreignLookups != c.counts.foreignEntries {
-		t.Fatalf("parts %v: %d hint lookups for %d foreign row entries, want one each",
-			c.parts, c.counts.foreignLookups, c.counts.foreignEntries)
+	if c.view.hintLookups != c.view.outside {
+		t.Fatalf("parts %v: %d hint lookups for %d row entries outside the write set, want one each",
+			c.parts, c.view.hintLookups, c.view.outside)
+	}
+	for k, f := range feat[dest] {
+		if math.Abs(got[k]-f) > 1e-9*math.Max(1, math.Abs(f)) {
+			t.Fatalf("parts %v: decide's features %v for site %d, reference %v", c.parts, got, dest, feat[dest])
+		}
 	}
 
 	// First candidate wins on equal scores. The reference sums each row in
@@ -370,20 +291,16 @@ func checkAgainstReference(t *testing.T, c scoringCase) {
 }
 
 // TestOnePassScoringMatchesReference drives randomized placements, write
-// sets, learned rows and down sites through the stand-alone selector and
-// through a 2-shard group.
+// sets, learned rows and down sites through a one-shard group
+// ("standalone") and a 2-shard group whose write sets may span shards.
 func TestOnePassScoringMatchesReference(t *testing.T) {
-	builders := map[string]func(*testing.T, *rand.Rand, bool) scoringCase{
-		"standalone": newStandaloneCase,
-		"group":      newGroupCase,
-	}
-	for name, build := range builders {
+	for name, shards := range map[string]int{"standalone": 1, "group": 2} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			for trial := 0; trial < 60; trial++ {
 				// Every fifth trial has no statistics at all: every
 				// localization score is exactly zero and ties everywhere.
-				checkAgainstReference(t, build(t, rng, trial%5 != 0))
+				checkAgainstReference(t, newGroupCase(t, rng, shards, trial%5 != 0))
 			}
 		})
 	}
@@ -393,38 +310,32 @@ func TestOnePassScoringMatchesReference(t *testing.T) {
 // with only the localization features weighted, candidates that no learned
 // pair distinguishes score identically and the lowest live site id wins.
 func TestScoringTiesGoToFirstCandidate(t *testing.T) {
-	build := func(stripes int) (*Selector, []uint64, []*partInfo) {
+	build := func(stripes int) (*Group, []uint64, []int) {
 		sites := make([]DataSite, 5)
 		for i := range sites {
 			sites[i] = &sharedVVSite{benchSite{id: i, svv: vclock.New(5)}}
 		}
-		sel, err := New(Config{
-			Sites:       sites,
-			Partitioner: func(ref storage.RowRef) uint64 { return ref.Key },
-			Weights:     Weights{IntraTxn: 1, InterTxn: 1},
-			Stats:       StatsConfig{Stripes: stripes},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := newFakeGroup(t, sites, 1, Weights{IntraTxn: 1, InterTxn: 1}, StatsConfig{Stripes: stripes})
 		// Write set {10 @ site 3, 20 @ site 2}; 11 lives with 10, 21 with 20.
+		sel := g.Shard(0)
 		sel.RegisterPartition(10, 3)
 		sel.RegisterPartition(11, 3)
 		sel.RegisterPartition(20, 2)
 		sel.RegisterPartition(21, 2)
-		return sel, []uint64{10, 20}, []*partInfo{sel.part(10), sel.part(20)}
+		return g, []uint64{10, 20}, []int{3, 2}
 	}
 	for _, stripes := range []int{1, 16} {
-		sel, parts, infos := build(stripes)
+		g, parts, masters := build(stripes)
+		sel := g.Shard(0)
 		// No statistics: all five candidates score 0.
-		if dest, _ := sel.chooseDestination(parts, infos, nil); dest != 0 {
+		if dest, _, _ := sel.decide(g, parts, masters, nil); dest != 0 {
 			t.Fatalf("stripes=%d, no statistics: chose %d, want 0", stripes, dest)
 		}
-		sel.MarkDown(0)
-		if dest, _ := sel.chooseDestination(parts, infos, nil); dest != 1 {
+		g.MarkDown(0)
+		if dest, _, _ := sel.decide(g, parts, masters, nil); dest != 1 {
 			t.Fatalf("stripes=%d, no statistics, site 0 down: chose %d, want 1", stripes, dest)
 		}
-		sel.MarkUp(0)
+		g.MarkUp(0)
 
 		// Each written partition always travels with its neighbour, from
 		// clients on different stripes. Moving the set to site 2 or 3 splits
@@ -434,11 +345,11 @@ func TestScoringTiesGoToFirstCandidate(t *testing.T) {
 			sel.stats.RecordWrite(client, []uint64{10, 11}, now)
 			sel.stats.RecordWrite(client+8, []uint64{20, 21}, now)
 		}
-		_, score := referenceScores(sel, parts, infos, nil)
+		_, score := referenceScores(sel, g, parts, masters, nil)
 		if score[2] != score[3] || score[2] <= score[0] {
 			t.Fatalf("stripes=%d: reference scores %v do not tie sites 2 and 3 on top", stripes, score)
 		}
-		if dest, _ := sel.chooseDestination(parts, infos, nil); dest != 2 {
+		if dest, _, _ := sel.decide(g, parts, masters, nil); dest != 2 {
 			t.Fatalf("stripes=%d: chose %d, want 2 (first of the tied sites 2 and 3)", stripes, dest)
 		}
 	}
@@ -448,7 +359,8 @@ func TestScoringTiesGoToFirstCandidate(t *testing.T) {
 // tracker (run under -race): the reader copies rows out under the stripe
 // locks and scores outside them.
 func TestScoringConcurrentWithRecordWrite(t *testing.T) {
-	sel, parts, infos := scoringFixture(t, 64, 4, 16)
+	g, parts, masters := scoringFixture(t, 64, 4, 16)
+	sel := g.Shard(0)
 	cvv := vclock.New(4)
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -468,9 +380,9 @@ func TestScoringConcurrentWithRecordWrite(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				dest, err := sel.chooseDestination(parts, infos, cvv)
+				dest, _, err := sel.decide(g, parts, masters, cvv)
 				if err != nil || dest < 0 || dest >= 4 {
-					t.Errorf("chooseDestination = %d, %v", dest, err)
+					t.Errorf("decide = %d, %v", dest, err)
 					return
 				}
 			}
@@ -479,22 +391,73 @@ func TestScoringConcurrentWithRecordWrite(t *testing.T) {
 	wg.Wait()
 }
 
-// TestChooseDestinationAllocations holds a warm decision over 256-pair rows
-// to the session-vector clone plus slack: rows, per-site arrays and load
-// snapshots all come from the pooled scratch.
-func TestChooseDestinationAllocations(t *testing.T) {
+// TestDecideAllocations holds a warm decision over 256-pair rows to the
+// session-vector clone plus slack: rows, per-site arrays and load snapshots
+// all come from the pooled scratch.
+func TestDecideAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	sel, parts, infos := scoringFixture(t, 256, 4, 16)
+	g, parts, masters := scoringFixture(t, 256, 4, 16)
 	cvv := vclock.New(4)
 	decide := func() {
-		if _, err := sel.chooseDestination(parts, infos, cvv); err != nil {
+		if _, _, err := g.Shard(0).decide(g, parts, masters, cvv); err != nil {
 			t.Fatal(err)
 		}
 	}
 	decide() // grow the scratch
 	if allocs := testing.AllocsPerRun(100, decide); allocs > 4 {
-		t.Fatalf("warm chooseDestination allocates %.0f times, want <= 4", allocs)
+		t.Fatalf("warm decide allocates %.0f times, want <= 4", allocs)
+	}
+}
+
+// grantCountingSite is a fake data site that counts the grants reaching it.
+type grantCountingSite struct {
+	sharedVVSite
+	grants atomic.Int64
+}
+
+func (s *grantCountingSite) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64) (vclock.Vector, error) {
+	s.grants.Add(1)
+	return s.sharedVVSite.Grant(parts, relVV, from, epoch)
+}
+
+// TestDecideSideEffectFree scores a write set whose co-access rows name a
+// partition no shard has seen: the decision must read its initial placement
+// as the hint without creating the partition or granting it anywhere.
+func TestDecideSideEffectFree(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		const m = 3
+		sites := make([]*grantCountingSite, m)
+		dsites := make([]DataSite, m)
+		for i := range sites {
+			sites[i] = &grantCountingSite{sharedVVSite: sharedVVSite{benchSite{id: i, svv: vclock.New(m)}}}
+			dsites[i] = sites[i]
+		}
+		g := newFakeGroup(t, dsites, shards, YCSBWeights(), StatsConfig{})
+		parts := []uint64{1, 2}
+		g.RegisterPartitionEpoch(1, 0, 0)
+		g.RegisterPartitionEpoch(2, 1, 0)
+		const unseen = 777
+		for client := 0; client < 8; client++ {
+			g.dispatchRecord(client, []uint64{1, 2, unseen}, time.Now())
+		}
+		before := make([]int, shards)
+		for i := range before {
+			before[i], _ = g.Shard(i).shardResidency()
+		}
+		if _, _, err := g.ShardFor(1).decide(g, parts, []int{0, 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := range before {
+			if after, _ := g.Shard(i).shardResidency(); after != before[i] {
+				t.Fatalf("shards=%d: scoring created partition entries on shard %d (%d -> %d)", shards, i, before[i], after)
+			}
+		}
+		for i, s := range sites {
+			if n := s.grants.Load(); n != 0 {
+				t.Fatalf("shards=%d: scoring sent %d grant(s) to site %d", shards, n, i)
+			}
+		}
 	}
 }

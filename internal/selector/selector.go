@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,7 +29,7 @@ type DataSite interface {
 	Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64) (vclock.Vector, error)
 }
 
-// Config describes a site selector.
+// Config describes one router shard's selector.
 type Config struct {
 	// Sites are the data sites, indexed by site id.
 	Sites []DataSite
@@ -46,7 +45,7 @@ type Config struct {
 	Stats StatsConfig
 	// Net simulates selector <-> site traffic for release/grant.
 	Net *transport.Network
-	// Seed drives read-routing randomization.
+	// Seed drives read-routing randomization (the group reads shard 0's).
 	Seed int64
 	// MinReplicas, when positive, enables partial replication: each
 	// partition carries an explicit replica set of at least MinReplicas and
@@ -55,45 +54,15 @@ type Config struct {
 	MinReplicas int
 	// MaxReplicas bounds replica-set growth under partial replication.
 	MaxReplicas int
-	// Obs receives the selector's metrics (routing counters, remaster
-	// latency, strategy feature scores); nil disables instrumentation.
-	Obs *obs.Registry
 	// Spans receives the release/grant spans of sampled traced routing
 	// decisions (Front.Write); nil disables span recording.
 	Spans *obs.SpanRecorder
-	// Hooks wire this selector into a sharded Group (zero value = the
-	// stand-alone, whole-map selector). They live in the Config so an HA
-	// promotion's rebuilt selector keeps its shard identity.
-	Hooks ShardHooks
-}
-
-// ShardHooks connect one router shard's selector to its Group. Every hook is
-// optional; a nil hook falls back to the selector's own state, which is
-// exactly the single-shard behavior.
-type ShardHooks struct {
-	// Owns reports whether a partition belongs to this shard's range. A
-	// shard never creates (or grants) partitions outside its range: foreign
-	// ids reach it only through scoring, which resolves them read-only via
-	// ForeignMaster.
-	Owns func(part uint64) bool
-	// ForeignMaster resolves the (possibly stale) master hint of a
-	// partition outside this shard's range, for the co-access scoring
-	// features. Never creates state anywhere.
-	ForeignMaster func(part uint64) int
-	// Record replaces the local stats feed: the Group dispatches each
-	// decided write's full partition set to every shard whose stripes need
-	// the sample (cross-shard co-access accounting).
-	Record func(client int, parts []uint64, now time.Time)
-	// AccessWeight and CoAccess read access statistics across the Group
-	// (each shard's tracker only sees samples relevant to its own range).
-	AccessWeight func(part uint64) float64
-	// CoAccess reads partition d1's raw co-access row (intra or inter
-	// transaction) from the owning shard's tracker; same contract as
-	// Stats.CoAccess.
-	CoAccess func(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64)
-	// SiteLoads sums materialized per-site load across all shards (the
-	// balance feature must see global load, not one shard's slice).
-	SiteLoads func() []float64
+	// Shard and Shards place the selector in its router group: it owns the
+	// partitions RouterShardOf assigns to Shard of Shards, creates and
+	// grants only those, and under HA fences and rebuilds only that range.
+	// They live in the Config so an HA promotion's rebuilt selector keeps
+	// its shard identity. Shards <= 1 owns every partition.
+	Shard, Shards int
 }
 
 // Route is a routing decision returned to the client.
@@ -151,7 +120,10 @@ func shardOf(id uint64) uint64 {
 	return (id * 0x9E3779B97F4A7C15) >> 32 & (partShardCount - 1)
 }
 
-// Selector routes transactions and remasters data (§IV, §V-B).
+// Selector is one router shard's state: its partition map, access
+// statistics, epoch allocator, placement metadata and materialized site
+// load. It runs the remaster chains its Group decides (§V-B); the Group
+// routes.
 type Selector struct {
 	sites       []DataSite
 	m           int
@@ -160,16 +132,12 @@ type Selector struct {
 	weights     atomic.Pointer[Weights]
 	stats       *Stats
 	net         *transport.Network
+	seed        int64
+
+	// shard of nshards is the partition range this selector owns.
+	shard, nshards int
 
 	shards [partShardCount]partShard
-
-	// Read-routing RNG: pooled so concurrent RouteRead calls never share
-	// (or lock) one generator. Pool misses seed a fresh generator from
-	// seed ⊕ a split counter, keeping runs with the same Config.Seed
-	// statistically reproducible.
-	rngPool  sync.Pool
-	rngSplit atomic.Uint64
-	seed     int64
 
 	// Materialized per-site load (sum of mastered partitions' access
 	// weights), used by the balance feature. Float64 bits in atomics;
@@ -178,14 +146,6 @@ type Selector struct {
 	siteLoad  []atomic.Uint64
 	loadTotal atomic.Uint64
 	decaying  atomic.Bool
-
-	routed      []atomic.Uint64 // per-site routed write transactions
-	writeTxns   atomic.Uint64
-	readTxns    atomic.Uint64
-	remasterOps atomic.Uint64 // transactions that required remastering
-	partsMoved  atomic.Uint64 // partitions transferred
-	routeNanos  atomic.Int64  // cumulative routing decision time
-	remastNanos atomic.Int64  // cumulative remastering wait time
 
 	// epochs allocates remaster-chain epochs (monotonic; 0 is reserved for
 	// unfenced operations). The default source is a process-local counter;
@@ -217,86 +177,6 @@ type Selector struct {
 	ensureReplica func(parts []uint64, site int) error
 
 	spans *obs.SpanRecorder
-
-	// hooks wire this selector into a sharded Group (see ShardHooks); all
-	// zero on the stand-alone selector.
-	hooks ShardHooks
-
-	ob selectorInstruments
-}
-
-// selectorInstruments are the selector's registered metrics (nil-safe
-// no-ops when built without a registry).
-type selectorInstruments struct {
-	writeTxns  *obs.Counter
-	readTxns   *obs.Counter
-	remasters  *obs.Counter
-	partsMoved *obs.Counter
-	routed     []*obs.Counter
-	routeDur   *obs.Histogram
-	remastDur  *obs.Histogram
-	// Last winning remaster decision's Equation 8 feature scores.
-	featBalance, featDelay, featIntra, featInter *obs.Gauge
-}
-
-// instrument registers the selector's metrics.
-func (s *Selector) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Help("dynamast_route_total", "Routing decisions by transaction type.")
-	reg.Help("dynamast_routed_total", "Write transactions routed per destination site.")
-	reg.Help("dynamast_remaster_total", "Write transactions that required mastership transfer.")
-	reg.Help("dynamast_remaster_partitions_total", "Partitions whose mastership was transferred.")
-	reg.Help("dynamast_route_seconds", "Routing decision latency (including any remaster wait).")
-	reg.Help("dynamast_remaster_seconds", "Release/grant RPC-chain wait per remastering decision.")
-	reg.Help("dynamast_strategy_feature", "Equation 8 feature scores of the last remaster decision.")
-	reg.Help("dynamast_selector_partitions", "Partitions tracked in the selector's sharded partition map.")
-	reg.Help("dynamast_selector_shard_max_entries", "Largest partition-map shard (residency skew indicator).")
-	s.ob = selectorInstruments{
-		writeTxns:   reg.Counter("dynamast_route_total", obs.L("type", "write")),
-		readTxns:    reg.Counter("dynamast_route_total", obs.L("type", "read")),
-		remasters:   reg.Counter("dynamast_remaster_total"),
-		partsMoved:  reg.Counter("dynamast_remaster_partitions_total"),
-		routed:      make([]*obs.Counter, s.m),
-		routeDur:    reg.Histogram("dynamast_route_seconds"),
-		remastDur:   reg.Histogram("dynamast_remaster_seconds"),
-		featBalance: reg.Gauge("dynamast_strategy_feature", obs.L("feature", "balance")),
-		featDelay:   reg.Gauge("dynamast_strategy_feature", obs.L("feature", "delay")),
-		featIntra:   reg.Gauge("dynamast_strategy_feature", obs.L("feature", "intra")),
-		featInter:   reg.Gauge("dynamast_strategy_feature", obs.L("feature", "inter")),
-	}
-	for i := range s.ob.routed {
-		s.ob.routed[i] = reg.Counter("dynamast_routed_total", obs.Site(i))
-	}
-	reg.Func("dynamast_selector_partitions", obs.KindGauge, func() float64 {
-		total, _ := s.shardResidency()
-		return float64(total)
-	})
-	reg.Func("dynamast_selector_shard_max_entries", obs.KindGauge, func() float64 {
-		_, max := s.shardResidency()
-		return float64(max)
-	})
-	if ps := s.placement; ps != nil {
-		reg.Help("dynamast_placement_replicas_total", "Replica-set memberships across all tracked partitions.")
-		reg.Help("dynamast_placement_adds_total", "Replica additions performed by the placement layer.")
-		reg.Help("dynamast_placement_drops_total", "Replica drops performed by the placement layer.")
-		reg.Func("dynamast_placement_replicas_total", obs.KindGauge, func() float64 {
-			ps.mu.RLock()
-			defer ps.mu.RUnlock()
-			n := 0
-			for _, set := range ps.sets {
-				n += len(set)
-			}
-			return float64(n)
-		})
-		reg.Func("dynamast_placement_adds_total", obs.KindCounter, func() float64 {
-			return float64(ps.adds.Load())
-		})
-		reg.Func("dynamast_placement_drops_total", obs.KindCounter, func() float64 {
-			return float64(ps.drops.Load())
-		})
-	}
 }
 
 // shardResidency reports the total partition count and the largest shard.
@@ -333,11 +213,11 @@ func New(cfg Config) (*Selector, error) {
 		stats:       NewStats(cfg.Stats),
 		net:         cfg.Net,
 		seed:        cfg.Seed,
+		shard:       cfg.Shard,
+		nshards:     cfg.Shards,
 		siteLoad:    make([]atomic.Uint64, len(cfg.Sites)),
-		routed:      make([]atomic.Uint64, len(cfg.Sites)),
 		downSites:   make([]atomic.Bool, len(cfg.Sites)),
 		spans:       cfg.Spans,
-		hooks:       cfg.Hooks,
 		epochs:      &localEpochs{},
 	}
 	w := cfg.Weights
@@ -349,16 +229,11 @@ func New(cfg Config) (*Selector, error) {
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]*partInfo)
 	}
-	s.rngPool.New = func() any {
-		// splitmix64 over a per-generator counter, xored with the seed.
-		z := s.rngSplit.Add(1) * 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return rand.New(rand.NewSource(s.seed ^ int64(z^(z>>31))))
-	}
-	s.instrument(cfg.Obs)
 	return s, nil
 }
+
+// owns reports whether partition id lies in this selector's shard range.
+func (s *Selector) owns(id uint64) bool { return RouterShardOf(id, s.nshards) == s.shard }
 
 // Weights returns the selector's strategy hyperparameters.
 func (s *Selector) Weights() Weights { return *s.weights.Load() }
@@ -408,9 +283,9 @@ func (s *Selector) part(id uint64) *partInfo {
 	// (idempotent; a nil release vector means no catch-up wait; epoch 0 —
 	// initial placement has no remaster chain to fence). A deposed leader
 	// must not act on the sites: the promoted leader's own first sight of
-	// the partition issues the grant instead. A sharded selector never
-	// grants outside its range — the owning shard's first sight does.
-	if !s.deposed.Load() && (s.hooks.Owns == nil || s.hooks.Owns(id)) {
+	// the partition issues the grant instead. A selector never grants
+	// outside its shard range — the owning shard's first sight does.
+	if !s.deposed.Load() && s.owns(id) {
 		if _, err := s.sites[master].Grant([]uint64{id}, nil, master, 0); err != nil {
 			// Grant only fails at shutdown; routing will surface the error.
 			_ = err
@@ -574,14 +449,20 @@ func (s *Selector) CurrentEpoch() uint64 { return s.epochs.Current() }
 // freshly allocated epochs keep out-fencing pre-crash ones.
 func (s *Selector) BumpEpoch(n uint64) { s.epochs.Bump(n) }
 
-// adoptPlacement installs a rebuilt placement map (partition -> master,
-// with the epoch that installed each entry) without issuing any site-level
-// grants: promotion already verified — and where needed repaired — the
-// sites' own ownership state, so this is a pure metadata install.
-func (s *Selector) adoptPlacement(owner map[uint64]int, epochs map[uint64]uint64) {
+// adoptPlacement installs the entries of a rebuilt placement map (partition
+// -> master, with the epoch that installed each entry) that fall in this
+// selector's shard range, and returns how many it installed. It issues no
+// site-level grants: promotion already verified — and where needed repaired
+// — the sites' own ownership state, so this is a pure metadata install.
+func (s *Selector) adoptPlacement(owner map[uint64]int, epochs map[uint64]uint64) int {
+	n := 0
 	for p, site := range owner {
-		s.install(p, site, epochs[p])
+		if s.owns(p) {
+			s.install(p, site, epochs[p])
+			n++
+		}
 	}
+	return n
 }
 
 // install sets one partition's master and install epoch, creating its
@@ -623,49 +504,18 @@ func (s *Selector) peekMaster(id uint64) (int, bool) {
 	return int(p.hint.Load()), true
 }
 
-// hintFor resolves a partition's lock-free master hint for scoring: own
-// partitions through the local map, foreign partitions (sharded Group only)
-// through the Group's read-only resolver.
-func (s *Selector) hintFor(id uint64) int {
-	if s.hooks.Owns != nil && !s.hooks.Owns(id) {
-		if s.hooks.ForeignMaster != nil {
-			return s.hooks.ForeignMaster(id)
-		}
-		return s.initial(id)
-	}
-	return int(s.part(id).hint.Load())
-}
-
-// accessWeight reads a partition's access weight from the Group-wide
-// tracker when sharded, the local tracker otherwise.
-func (s *Selector) accessWeight(id uint64) float64 {
-	if s.hooks.AccessWeight != nil {
-		return s.hooks.AccessWeight(id)
-	}
-	return s.stats.AccessWeight(id)
-}
-
-// coAccess reads a partition's raw co-access row from the owning shard's
-// tracker when sharded, the local tracker otherwise.
-func (s *Selector) coAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64) {
-	if s.hooks.CoAccess != nil {
-		return s.hooks.CoAccess(d1, intra, buf)
-	}
-	return s.stats.CoAccess(d1, intra, buf)
-}
-
 // writeParts maps a write set to its sorted, deduplicated partition ids.
 // Write sets are small (a handful of partitions), so the common path
 // dedups by linear scan and sorts by insertion — no map, no sort.Slice
 // closure — falling back to the general path for large sets.
-func (s *Selector) writeParts(writeSet []storage.RowRef) []uint64 {
+func writeParts(partitioner sitemgr.Partitioner, writeSet []storage.RowRef) []uint64 {
 	if len(writeSet) > 32 {
-		return s.writePartsLarge(writeSet)
+		return writePartsLarge(partitioner, writeSet)
 	}
 	parts := make([]uint64, 0, len(writeSet))
 outer:
 	for _, ref := range writeSet {
-		id := s.partitioner(ref)
+		id := partitioner(ref)
 		for _, seen := range parts {
 			if seen == id {
 				continue outer
@@ -681,11 +531,11 @@ outer:
 	return parts
 }
 
-func (s *Selector) writePartsLarge(writeSet []storage.RowRef) []uint64 {
+func writePartsLarge(partitioner sitemgr.Partitioner, writeSet []storage.RowRef) []uint64 {
 	seen := make(map[uint64]struct{}, len(writeSet))
 	parts := make([]uint64, 0, len(writeSet))
 	for _, ref := range writeSet {
-		id := s.partitioner(ref)
+		id := partitioner(ref)
 		if _, ok := seen[id]; !ok {
 			seen[id] = struct{}{}
 			parts = append(parts, id)
@@ -693,131 +543,6 @@ func (s *Selector) writePartsLarge(writeSet []storage.RowRef) []uint64 {
 	}
 	slices.Sort(parts)
 	return parts
-}
-
-// RouteWrite decides the execution site for a write transaction with the
-// given write set, remastering the written partitions to one site if their
-// masters are currently distributed (§V-B). cvv is the client's session
-// vector, used by the refresh-delay feature.
-func (s *Selector) RouteWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector) (Route, error) {
-	return s.routeWrite(client, writeSet, cvv, obs.SpanContext{})
-}
-
-// routeWrite is RouteWrite under a distributed trace: with a sampled sc (the
-// route span's context), each remaster chain records one release span (at
-// the source site) and one grant span (at the destination) as children of
-// sc.Span.
-func (s *Selector) routeWrite(client int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (Route, error) {
-	if s.deposed.Load() {
-		return Route{}, ErrNoLeader
-	}
-	start := time.Now()
-	parts := s.writeParts(writeSet)
-	if len(parts) == 0 {
-		s.writeTxns.Add(1)
-		return Route{Site: 0}, nil
-	}
-	infos := make([]*partInfo, len(parts))
-	for i, id := range parts {
-		infos[i] = s.part(id)
-	}
-
-	// Fast path: shared-lock all partitions (in sorted id order) and check
-	// for a single master.
-	for _, in := range infos {
-		in.mu.RLock()
-	}
-	master := infos[0].master
-	single := true
-	for _, in := range infos[1:] {
-		if in.master != master {
-			single = false
-			break
-		}
-	}
-	if single {
-		for _, in := range infos {
-			in.mu.RUnlock()
-		}
-		if err := s.ensureHostedAt(parts, master); err != nil {
-			return Route{}, err
-		}
-		s.finishWrite(client, parts, master, start)
-		return Route{Site: master}, nil
-	}
-
-	// Slow path: upgrade to exclusive locks (drop shared, reacquire
-	// exclusive in order — the recheck below covers intervening changes).
-	for _, in := range infos {
-		in.mu.RUnlock()
-	}
-	for _, in := range infos {
-		in.mu.Lock()
-	}
-	defer func() {
-		for _, in := range infos {
-			in.mu.Unlock()
-		}
-	}()
-	master = infos[0].master
-	single = true
-	for _, in := range infos[1:] {
-		if in.master != master {
-			single = false
-			break
-		}
-	}
-	if single {
-		// A concurrent client with a common write set already remastered.
-		if err := s.ensureHostedAt(parts, master); err != nil {
-			return Route{}, err
-		}
-		s.finishWrite(client, parts, master, start)
-		return Route{Site: master}, nil
-	}
-
-	dest, err := s.chooseDestination(parts, infos, cvv)
-	if err != nil {
-		return Route{}, err
-	}
-	remStart := time.Now()
-	minVV, moved, err := s.remaster(parts, infos, dest, sc)
-	wait := time.Since(remStart)
-	if err != nil {
-		return Route{}, err
-	}
-	s.remasterOps.Add(1)
-	s.partsMoved.Add(uint64(moved))
-	s.remastNanos.Add(int64(wait))
-	s.ob.remasters.Inc()
-	s.ob.partsMoved.Add(uint64(moved))
-	s.ob.remastDur.ObserveDuration(wait)
-	s.finishWrite(client, parts, dest, start)
-	return Route{Site: dest, MinVV: minVV, Remastered: true, PartsMoved: moved, RemasterWait: wait}, nil
-}
-
-// finishWrite records statistics and routing counters for a decided write
-// (called by the selector's own routing paths and by the front's cached
-// routes).
-func (s *Selector) finishWrite(client int, parts []uint64, site int, start time.Time) {
-	now := time.Now()
-	elapsed := now.Sub(start)
-	s.writeTxns.Add(1)
-	s.routed[site].Add(1)
-	if s.hooks.Record != nil {
-		// Sharded: the Group dispatches the sample to every shard whose
-		// stripes need it (cross-shard co-access pairs land on both sides).
-		s.hooks.Record(client, parts, now)
-	} else {
-		s.stats.RecordWrite(client, parts, now)
-	}
-	s.bumpLoad(parts, site)
-	s.routeNanos.Add(int64(elapsed))
-	s.ob.writeTxns.Inc()
-	if s.ob.routed != nil {
-		s.ob.routed[site].Inc()
-	}
-	s.ob.routeDur.Observe(elapsed.Seconds())
 }
 
 // addFloat CAS-adds d to the float64 bit-cast in a, returning the new value.
@@ -834,15 +559,13 @@ func addFloat(a *atomic.Uint64, d float64) float64 {
 // loadFloat reads the float64 bit-cast in a.
 func loadFloat(a *atomic.Uint64) float64 { return math.Float64frombits(a.Load()) }
 
-// bumpLoad maintains the materialized per-site load: every access adds the
-// partitions' unit weight to their (possibly new) master site, lock-free.
-// The load decays with the stats tracker's halving implicitly through
-// re-derivation: we approximate by adding 1 per partition access to the
-// master site and halving all site loads when the running total exceeds
+// bumpLoad maintains the materialized per-site load: every access adds w,
+// the number of partitions the write touched in this shard, to their
+// (possibly new) master site, lock-free. The load approximates the stats
+// tracker's decay by halving all site loads when the running total exceeds
 // the stats decay threshold (a single decayer runs at a time; racing adds
 // skew a score at most transiently — the load is a scoring heuristic).
-func (s *Selector) bumpLoad(parts []uint64, site int) {
-	w := float64(len(parts))
+func (s *Selector) bumpLoad(w float64, site int) {
 	addFloat(&s.siteLoad[site], w)
 	if addFloat(&s.loadTotal, w) > s.stats.decayThreshold {
 		s.decayLoad()
@@ -875,14 +598,6 @@ func (s *Selector) decayLoad() {
 	}
 }
 
-// siteLoadSnapshot appends the current per-site load to buf.
-func (s *Selector) siteLoadSnapshot(buf []float64) []float64 {
-	for i := range s.siteLoad {
-		buf = append(buf, loadFloat(&s.siteLoad[i]))
-	}
-	return buf
-}
-
 // localization accumulates one localization feature (Equation 6 or 7) for
 // every candidate at once. SingleSited depends on the candidate only through
 // "is the candidate the master of d2", so a pair (d1, d2) of probability p
@@ -907,7 +622,7 @@ func (l *localization) reset(m int) {
 // score is the feature's value for candidate cand. The loss is summed over
 // the other sites rather than taken as total-lossAt[cand]: candidates that no
 // pair distinguishes then add identical terms in identical order and tie
-// exactly, which the first-candidate-wins rule in chooseDestination needs.
+// exactly, which the first-candidate-wins rule in decide needs.
 func (l *localization) score(cand int) float64 {
 	var loss float64
 	for s, x := range l.lossAt {
@@ -918,8 +633,25 @@ func (l *localization) score(cand int) float64 {
 	return l.common + l.gain[cand] - loss
 }
 
-// scoreScratch is the working memory of one chooseDestination call, pooled so
-// a warm decision allocates nothing for its rows and per-site arrays.
+// view is the read-only group state destination scoring gathers: master
+// hints, access weights, co-access rows and per-site load, each read from
+// the shard that owns it. Group implements it; none of its methods takes a
+// partition lock, sends an RPC or creates partition state.
+type view interface {
+	// hint is a partition's lock-free master hint (its initial placement
+	// if no shard has seen it).
+	hint(p uint64) int
+	// accessWeight is a partition's recent write access weight.
+	accessWeight(p uint64) float64
+	// coAccess appends partition d1's raw intra- or inter-transaction
+	// co-access row to buf; same contract as Stats.CoAccess.
+	coAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float64)
+	// siteLoads appends the materialized per-site load to buf.
+	siteLoads(buf []float64) []float64
+}
+
+// scoreScratch is the working memory of one decide call, pooled so a warm
+// decision allocates nothing for its rows and per-site arrays.
 type scoreScratch struct {
 	pairs                  []CoPair
 	before, after, weights []float64
@@ -928,102 +660,93 @@ type scoreScratch struct {
 
 var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
-// localize walks the co-access rows of the write set once — one CoAccess read
-// per (d1, kind) — and fills sc.intra and sc.inter for all candidates.
-func (s *Selector) localize(sc *scoreScratch, parts []uint64, infos []*partInfo) {
-	sc.intra.reset(s.m)
-	sc.inter.reset(s.m)
+// localize walks the co-access rows of the write set once — one coAccess read
+// per (d1, kind) — and fills sc.intra and sc.inter for all m candidates.
+func (sc *scoreScratch) localize(v view, parts []uint64, masters []int, m int) {
+	sc.intra.reset(m)
+	sc.inter.reset(m)
 	for i := range parts {
-		s.addRow(sc, true, i, parts, infos)
-		s.addRow(sc, false, i, parts, infos)
+		sc.addRow(v, true, i, parts, masters)
+		sc.addRow(v, false, i, parts, masters)
 	}
 }
 
 // addRow folds partition parts[i]'s intra or inter row into sc, with one hint
 // lookup per row entry outside the write set. Masters inside the write set
-// come from infos (the caller holds those locks); everything else is the
-// lock-free hint: scoring must not acquire locks on partitions outside the
-// write set (and, sharded, must not create foreign partitions — hintFor
-// resolves those read-only via the Group).
-func (s *Selector) addRow(sc *scoreScratch, intra bool, i int, parts []uint64, infos []*partInfo) {
+// come from masters (read under the caller's locks); everything else is the
+// view's lock-free hint.
+func (sc *scoreScratch) addRow(v view, intra bool, i int, parts []uint64, masters []int) {
 	l := &sc.inter
 	if intra {
 		l = &sc.intra
 	}
-	m1 := infos[i].master
+	m1 := masters[i]
 	var n float64
-	sc.pairs, n = s.coAccess(parts[i], intra, sc.pairs[:0])
+	sc.pairs, n = v.coAccess(parts[i], intra, sc.pairs[:0])
 	for _, pr := range sc.pairs {
 		p := pr.Count / n
 		if j, ok := slices.BinarySearch(parts, pr.D2); ok {
-			if infos[j].master != m1 {
+			if masters[j] != m1 {
 				l.common += p
 			}
 			continue
 		}
-		m2 := s.hintFor(pr.D2)
+		m2 := v.hint(pr.D2)
 		switch {
 		case m2 == m1:
 			l.lossAt[m2] += p
-		case m2 >= 0 && m2 < s.m:
+		case m2 >= 0 && m2 < len(l.gain):
 			l.gain[m2] += p
 		}
 	}
 }
 
-// chooseDestination scores every live site as a remastering destination
-// with the Equation 8 model and returns the best; when every site is
-// flagged down it returns a retryable error rather than targeting a dead
-// site. Caller holds the partitions' exclusive locks; infos parallels
-// parts, which is sorted.
-func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclock.Vector) (int, error) {
+// decide scores every live site as the remastering destination of parts
+// with the Equation 8 model and returns the best with its [balance, delay,
+// intra, inter] features. It gathers through v, then runs a pure candidate
+// loop over this shard's sites, down flags and weights (uniform across a
+// group); masters parallels parts, which is sorted. When every site is
+// flagged down it returns a retryable error rather than a dead site.
+func (s *Selector) decide(v view, parts []uint64, masters []int, cvv vclock.Vector) (int, [4]float64, error) {
 	sc := scorePool.Get().(*scoreScratch)
 	defer scorePool.Put(sc)
 
-	// Current load and the write set's per-partition weights.
-	var before []float64
-	if s.hooks.SiteLoads != nil {
-		before = s.hooks.SiteLoads()
-	} else {
-		sc.before = s.siteLoadSnapshot(sc.before[:0])
-		before = sc.before
-	}
+	// Gather: current load, the write set's weights, the version vector a
+	// destination must catch up to (the client session vector and every
+	// releasing site's vector), and the localization features.
+	sc.before = v.siteLoads(sc.before[:0])
+	before := sc.before
 	sc.weights = sc.weights[:0]
 	for _, id := range parts {
-		w := s.accessWeight(id)
+		w := v.accessWeight(id)
 		if w == 0 {
 			w = 1
 		}
 		sc.weights = append(sc.weights, w)
 	}
 	weights := sc.weights
-
-	// Source sites' version vectors (for the refresh-delay feature): the
-	// element-wise max of the client session vector and every releasing
-	// site's vector is what the destination must catch up to.
 	need := cvv.Clone()
-	for i, in := range infos {
-		if !slices.ContainsFunc(infos[:i], func(o *partInfo) bool { return o.master == in.master }) {
-			need = need.MaxInto(s.sites[in.master].SVV())
+	for i, m := range masters {
+		if !slices.Contains(masters[:i], m) {
+			need = need.MaxInto(s.sites[m].SVV())
 		}
 	}
-
-	s.localize(sc, parts, infos)
+	sc.localize(v, parts, masters, s.m)
 
 	model := s.Weights()
 	best, bestScore := -1, 0.0
-	var bestFeat [4]float64 // balance, delay, intra, inter of the winner
+	var feat [4]float64 // balance, delay, intra, inter of the winner
 	for cand := 0; cand < s.m; cand++ {
 		if s.downSites[cand].Load() {
 			continue // never remaster into a failed site
 		}
 		sc.after = append(sc.after[:0], before...)
 		after := sc.after
-		for i, in := range infos {
-			if in.master != cand {
-				after[in.master] -= weights[i]
-				if after[in.master] < 0 {
-					after[in.master] = 0
+		for i, m := range masters {
+			if m != cand {
+				after[m] -= weights[i]
+				if after[m] < 0 {
+					after[m] = 0
 				}
 				after[cand] += weights[i]
 			}
@@ -1035,17 +758,13 @@ func (s *Selector) chooseDestination(parts []uint64, infos []*partInfo, cvv vclo
 		score := model.Benefit(balance, delay, intra, inter)
 		if best < 0 || score > bestScore {
 			best, bestScore = cand, score
-			bestFeat = [4]float64{balance, delay, intra, inter}
+			feat = [4]float64{balance, delay, intra, inter}
 		}
 	}
 	if best < 0 {
-		return -1, fmt.Errorf("selector: no live remaster destination: %w", sitemgr.ErrSiteDown)
+		return -1, feat, fmt.Errorf("selector: no live remaster destination: %w", sitemgr.ErrSiteDown)
 	}
-	s.ob.featBalance.Set(bestFeat[0])
-	s.ob.featDelay.Set(bestFeat[1])
-	s.ob.featIntra.Set(bestFeat[2])
-	s.ob.featInter.Set(bestFeat[3])
-	return best, nil
+	return best, feat, nil
 }
 
 // remasterSendRetries bounds how many times a lost remaster RPC is retried
@@ -1084,88 +803,35 @@ func (s *Selector) remasterCall(peer, reqSize int, op func() (vclock.Vector, err
 		peer, remasterSendRetries+1, lastErr)
 }
 
-// remaster transfers mastership of every partition in parts not already at
-// dest, using parallel release+grant chains per source site (Algorithm 1),
-// and returns the element-wise max of the grant vectors plus the number of
-// partitions moved. Caller holds the partitions' exclusive locks.
-//
-// Each chain is fenced by a fresh epoch and is failure-hardened: lost RPCs
-// retry against the idempotent release/grant; a grant that fails after its
-// release succeeded rolls ownership back to the releaser rather than
-// stranding the partitions masterless. The rollback runs under a FRESH
-// epoch as a Release(dest)+Grant(src) chain: the grant leg can fail with
-// the destination having executed the grant (request delivered, every
-// response and retry lost — e.g. a one-way partition back to the
-// selector), and re-granting the source under the chain's own epoch would
-// then leave both sites' logs ending in a grant at the same epoch, which
-// recovery tie-breaks arbitrarily. The fresh-epoch release fences out (and
-// revokes) any such phantom ownership at the destination, and the grant
-// back to the source strictly out-epochs whatever the destination logged,
-// so recovery arbitration stays unambiguous. Selector metadata updates per
-// chain, so a failed chain never undoes — or blocks — a succeeded one.
-//
-// Chains to different sources overlap on their own goroutines; a single
-// chain — nearly every decision — runs inline.
-func (s *Selector) remaster(parts []uint64, infos []*partInfo, dest int, sc obs.SpanContext) (vclock.Vector, int, error) {
-	var chains []remasterChain // one per source site, in write-set order
-	for i, in := range infos {
-		if in.master == dest {
-			continue
-		}
-		ci := slices.IndexFunc(chains, func(c remasterChain) bool { return c.src == in.master })
-		if ci < 0 {
-			ci = len(chains)
-			chains = append(chains, remasterChain{src: in.master})
-		}
-		chains[ci].ids = append(chains[ci].ids, parts[i])
-		chains[ci].idxs = append(chains[ci].idxs, i)
-	}
-	if len(chains) == 1 {
-		// The usual decision moves partitions off one site: nothing to
-		// overlap, so the chain runs on the caller's goroutine.
-		return s.runChain(&chains[0], infos, dest, sc)
-	}
-
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		out   vclock.Vector
-		first error
-		moved int
-	)
-	for i := range chains {
-		wg.Add(1)
-		go func(c *remasterChain) {
-			defer wg.Done()
-			vv, n, err := s.runChain(c, infos, dest, sc)
-			mu.Lock()
-			defer mu.Unlock()
-			out = out.MaxInto(vv)
-			moved += n
-			if err != nil && first == nil {
-				first = err
-			}
-		}(&chains[i])
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, moved, first
-	}
-	return out, moved, nil
-}
-
-// remasterChain is one release+grant chain: the partitions of a write set
-// that move off one source site.
+// remasterChain is one release+grant chain (Algorithm 1): the partitions of
+// a write set that move off one source site within one router shard.
 type remasterChain struct {
-	src  int
-	ids  []uint64
-	idxs []int // indexes into the write set's infos, for the metadata flip
+	sel   *Selector // the owning shard's leader, which runs the chain
+	src   int
+	ids   []uint64
+	infos []*partInfo // the partitions' entries, for the metadata flip
 }
 
-// runChain executes one chain under a fresh epoch and, on success, flips the
-// chain's selector metadata; it returns the grant vector and the number of
-// partitions moved (see remaster for the failure handling).
-func (s *Selector) runChain(c *remasterChain, infos []*partInfo, dest int, sc obs.SpanContext) (vclock.Vector, int, error) {
+// runChain executes one chain under a fresh epoch from this selector's
+// allocator and, on success, flips the chain's metadata (the caller holds
+// the partitions' exclusive locks); it returns the grant vector and the
+// number of partitions moved.
+//
+// The chain is failure-hardened: lost RPCs retry against the idempotent
+// release/grant; a grant that fails after its release succeeded rolls
+// ownership back to the releaser rather than stranding the partitions
+// masterless. The rollback runs under a FRESH epoch as a
+// Release(dest)+Grant(src) chain: the grant leg can fail with the
+// destination having executed the grant (request delivered, every response
+// and retry lost — e.g. a one-way partition back to the selector), and
+// re-granting the source under the chain's own epoch would then leave both
+// sites' logs ending in a grant at the same epoch, which recovery
+// tie-breaks arbitrarily. The fresh-epoch release fences out (and revokes)
+// any such phantom ownership at the destination, and the grant back to the
+// source strictly out-epochs whatever the destination logged, so recovery
+// arbitration stays unambiguous. Metadata updates per chain, so a failed
+// chain never undoes — or blocks — a succeeded one.
+func (s *Selector) runChain(c *remasterChain, dest int, sc obs.SpanContext) (vclock.Vector, int, error) {
 	epoch, err := s.epochs.Alloc()
 	if err != nil {
 		// Deposed mid-route: no epoch, no chain. The session retries
@@ -1208,8 +874,8 @@ func (s *Selector) runChain(c *remasterChain, infos []*partInfo, dest int, sc ob
 			"epoch %d: %d partition(s) remastered %d -> %d", epoch, len(c.ids), c.src, dest)
 		// Chain complete: flip this chain's metadata now (the caller holds
 		// the partitions' exclusive locks).
-		for _, ix := range c.idxs {
-			infos[ix].setMaster(dest, epoch)
+		for _, in := range c.infos {
+			in.setMaster(dest, epoch)
 		}
 		s.noteMaster(c.ids, dest)
 		s.publish(c.ids, dest, epoch)
@@ -1246,68 +912,4 @@ func (s *Selector) runChain(c *remasterChain, infos []*partInfo, dest int, sc ob
 		err = fmt.Errorf("%w (rollback to site %d also failed: %v)", err, c.src, rbErr)
 	}
 	return nil, 0, err
-}
-
-// RouteRead picks an execution site for a read-only transaction: a random
-// site whose version vector already satisfies the client's session
-// freshness, spreading load while minimizing blocking (§IV-B). If no site
-// satisfies it, the least-lagged site is returned (the transaction blocks
-// there the shortest time).
-func (s *Selector) RouteRead(client int, cvv vclock.Vector) Route {
-	s.readTxns.Add(1)
-	s.ob.readTxns.Inc()
-	fresh := make([]int, 0, s.m)
-	bestLag, bestSite := uint64(1)<<63, 0
-	for i, site := range s.sites {
-		if s.downSites[i].Load() {
-			continue // reads never route to a failed site
-		}
-		svv := site.SVV()
-		if svv.DominatesEq(cvv) {
-			fresh = append(fresh, i)
-			continue
-		}
-		if lag := svv.LagBehind(cvv); lag < bestLag {
-			bestLag, bestSite = lag, i
-		}
-	}
-	if len(fresh) == 0 {
-		return Route{Site: bestSite}
-	}
-	rng := s.rngPool.Get().(*rand.Rand)
-	pick := fresh[rng.Intn(len(fresh))]
-	s.rngPool.Put(rng)
-	return Route{Site: pick}
-}
-
-// Metrics is a snapshot of the selector's counters.
-type Metrics struct {
-	WriteTxns     uint64
-	ReadTxns      uint64
-	RemasterTxns  uint64 // write txns that required remastering
-	PartsMoved    uint64
-	RoutedPerSite []uint64
-	AvgRouteTime  time.Duration // mean routing decision latency
-	AvgRemaster   time.Duration // mean release/grant wait of remastering decisions
-}
-
-// Metrics returns a snapshot of routing counters.
-func (s *Selector) Metrics() Metrics {
-	m := Metrics{
-		WriteTxns:     s.writeTxns.Load(),
-		ReadTxns:      s.readTxns.Load(),
-		RemasterTxns:  s.remasterOps.Load(),
-		PartsMoved:    s.partsMoved.Load(),
-		RoutedPerSite: make([]uint64, s.m),
-	}
-	for i := range s.routed {
-		m.RoutedPerSite[i] = s.routed[i].Load()
-	}
-	if m.WriteTxns > 0 {
-		m.AvgRouteTime = time.Duration(s.routeNanos.Load() / int64(m.WriteTxns))
-	}
-	if m.RemasterTxns > 0 {
-		m.AvgRemaster = time.Duration(s.remastNanos.Load() / int64(m.RemasterTxns))
-	}
-	return m
 }

@@ -17,46 +17,13 @@ func partitionBy100(ref storage.RowRef) uint64 { return ref.Key / 100 }
 
 func ref(key uint64) storage.RowRef { return storage.RowRef{Table: "t", Key: key} }
 
-// newCluster builds m replicating data sites plus a selector whose initial
-// placement puts every partition at site 0.
-func newCluster(t *testing.T, m int, w Weights) (*Selector, []*sitemgr.Site) {
+// newCluster builds m replicating data sites under a one-shard group whose
+// initial placement puts every partition at site 0.
+func newCluster(t *testing.T, m int, w Weights) (*Group, []*sitemgr.Site) {
 	t.Helper()
-	b := wal.NewBroker(m)
-	sites := make([]*sitemgr.Site, m)
-	dsites := make([]DataSite, m)
-	for i := 0; i < m; i++ {
-		s, err := sitemgr.New(sitemgr.Config{
-			SiteID: i, Sites: m, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Store().CreateTable("t")
-		for p := uint64(0); p < 50; p++ {
-			s.SetMaster(p, i == 0)
-		}
-		sites[i], dsites[i] = s, s
-	}
-	for _, s := range sites {
-		s.Start()
-	}
-	sel, err := New(Config{
-		Sites:       dsites,
-		Partitioner: partitionBy100,
-		Weights:     w,
-		Stats:       StatsConfig{HistorySize: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		b.Close()
-		for _, s := range sites {
-			s.Stop()
-		}
-	})
-	return sel, sites
+	g, sites := newShardedGroup(t, m, 1, 0, StatsConfig{HistorySize: 128})
+	g.SetWeights(w)
+	return g, sites
 }
 
 func TestNewValidation(t *testing.T) {
@@ -69,22 +36,22 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRouteWriteSingleMasterFastPath(t *testing.T) {
-	sel, _ := newCluster(t, 2, YCSBWeights())
-	r, err := sel.RouteWrite(1, []storage.RowRef{ref(1), ref(50)}, nil)
+	g, _ := newCluster(t, 2, YCSBWeights())
+	r, err := g.front.RouteWrite(1, []storage.RowRef{ref(1), ref(50)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Site != 0 || r.Remastered {
 		t.Fatalf("route = %+v, want site 0 without remastering", r)
 	}
-	m := sel.Metrics()
+	m := g.Metrics()
 	if m.WriteTxns != 1 || m.RemasterTxns != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
 
 func TestRouteWriteRemasters(t *testing.T) {
-	sel, sites := newCluster(t, 2, YCSBWeights())
+	g, sites := newCluster(t, 2, YCSBWeights())
 	// Split partition 1's mastership to site 1 so that a write covering
 	// partitions 0 and 1 requires remastering.
 	rel, err := sites[0].Release([]uint64{1}, 1, 0)
@@ -94,18 +61,18 @@ func TestRouteWriteRemasters(t *testing.T) {
 	if _, err := sites[1].Grant([]uint64{1}, rel, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	sel.RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartition(1, 1)
 
-	r, err := sel.RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil)
+	r, err := g.front.RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Remastered {
 		t.Fatal("no remastering despite split masters")
 	}
-	if sel.MasterOf(0) != r.Site || sel.MasterOf(1) != r.Site {
+	if g.MasterOf(0) != r.Site || g.MasterOf(1) != r.Site {
 		t.Fatalf("masters not co-located: %d %d route %d",
-			sel.MasterOf(0), sel.MasterOf(1), r.Site)
+			g.MasterOf(0), g.MasterOf(1), r.Site)
 	}
 	// The chosen site must actually master both partitions now.
 	if !sites[r.Site].Masters(0) || !sites[r.Site].Masters(1) {
@@ -117,31 +84,31 @@ func TestRouteWriteRemasters(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	m := sel.Metrics()
+	m := g.Metrics()
 	if m.RemasterTxns != 1 || m.PartsMoved == 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
 
 func TestSubsequentWritesAmortizeRemastering(t *testing.T) {
-	sel, sites := newCluster(t, 2, YCSBWeights())
+	g, sites := newCluster(t, 2, YCSBWeights())
 	rel, _ := sites[0].Release([]uint64{1}, 1, 0)
 	sites[1].Grant([]uint64{1}, rel, 0, 0)
-	sel.RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartition(1, 1)
 
 	ws := []storage.RowRef{ref(1), ref(101)}
-	if r, err := sel.RouteWrite(1, ws, nil); err != nil || !r.Remastered {
+	if r, err := g.front.RouteWrite(1, ws, nil); err != nil || !r.Remastered {
 		t.Fatalf("first route: %+v %v", r, err)
 	}
 	// The same write set routes without remastering now (the paper's T2).
-	r, err := sel.RouteWrite(1, ws, nil)
+	r, err := g.front.RouteWrite(1, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Remastered {
 		t.Fatal("second identical write set remastered again")
 	}
-	if got := sel.Metrics().RemasterTxns; got != 1 {
+	if got := g.Metrics().RemasterTxns; got != 1 {
 		t.Fatalf("remaster count = %d", got)
 	}
 }
@@ -152,11 +119,11 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 	// rather than leaving everything at site 0. Routing alone cannot move
 	// singleton write sets (they never require remastering), so drive the
 	// split with two-partition write sets from distinct ranges.
-	sel, sites := newCluster(t, 4, YCSBWeights())
+	g, sites := newCluster(t, 4, YCSBWeights())
 	// Pre-split: move half the partitions' mastership via the selector by
 	// issuing writes pairing a "home" partition with a fresh one.
 	for p := uint64(1); p < 32; p++ {
-		rel, err := sites[sel.MasterOf(p)].Release([]uint64{p}, 0, 0)
+		rel, err := sites[g.MasterOf(p)].Release([]uint64{p}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +131,7 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 		sites[0].Grant([]uint64{p}, rel, 0, 0)
 	}
 	for p := uint64(1); p < 32; p++ {
-		sel.RegisterPartition(p, 0)
+		g.Shard(0).RegisterPartition(p, 0)
 	}
 	// Now run paired writes (p, p+32): p+32 is fresh (also at site 0), so
 	// the pair is single-sited... instead pair partitions currently at
@@ -173,11 +140,11 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 	for p := uint64(1); p < 32; p += 2 {
 		rel, _ := sites[0].Release([]uint64{p}, 1, 0)
 		sites[1].Grant([]uint64{p}, rel, 0, 0)
-		sel.RegisterPartition(p, 1)
+		g.Shard(0).RegisterPartition(p, 1)
 	}
 	for p := uint64(0); p+1 < 32; p += 2 {
 		ws := []storage.RowRef{ref(p * 100), ref((p + 1) * 100)}
-		if _, err := sel.RouteWrite(int(p), ws, nil); err != nil {
+		if _, err := g.front.RouteWrite(int(p), ws, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +152,7 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 	// least some mastership off site 0.
 	counts := make(map[int]int)
 	for p := uint64(0); p < 32; p++ {
-		counts[sel.MasterOf(p)]++
+		counts[g.MasterOf(p)]++
 	}
 	if counts[0] == 32 {
 		t.Fatalf("all partitions stayed at site 0: %v", counts)
@@ -195,28 +162,28 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 func TestIntraTxnCoLocationLearning(t *testing.T) {
 	// With balance off and intra-txn weight on, repeated co-access of
 	// partitions should pull them to one site and keep them there.
-	sel, sites := newCluster(t, 2, Weights{IntraTxn: 1})
+	g, sites := newCluster(t, 2, Weights{IntraTxn: 1})
 	// Split partitions 0 and 1 across sites.
 	rel, _ := sites[0].Release([]uint64{1}, 1, 0)
 	sites[1].Grant([]uint64{1}, rel, 0, 0)
-	sel.RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartition(1, 1)
 
 	ws := []storage.RowRef{ref(10), ref(110)}
 	for i := 0; i < 5; i++ {
-		if _, err := sel.RouteWrite(7, ws, nil); err != nil {
+		if _, err := g.front.RouteWrite(7, ws, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sel.MasterOf(0) != sel.MasterOf(1) {
+	if g.MasterOf(0) != g.MasterOf(1) {
 		t.Fatal("co-accessed partitions not co-located")
 	}
-	if got := sel.Metrics().RemasterTxns; got != 1 {
+	if got := g.Metrics().RemasterTxns; got != 1 {
 		t.Fatalf("remastered %d times; co-location should stick", got)
 	}
 }
 
 func TestRouteReadFreshSitesOnly(t *testing.T) {
-	sel, sites := newCluster(t, 3, YCSBWeights())
+	g, sites := newCluster(t, 3, YCSBWeights())
 	// Commit one txn at site 0; a session that saw it must not be routed
 	// to a site that has not applied it yet. Stop replication first so
 	// sites 1,2 stay stale.
@@ -233,7 +200,7 @@ func TestRouteReadFreshSitesOnly(t *testing.T) {
 	// may catch up concurrently, which is also acceptable — assert the
 	// chosen site satisfies the session.
 	for i := 0; i < 20; i++ {
-		r := sel.RouteRead(1, cvv)
+		r := g.front.RouteRead(1, cvv)
 		if !sites[r.Site].SVV().DominatesEq(cvv) {
 			// Permitted only if no site was fresh at decision time; then
 			// the transaction blocks at the least-lagged site. Verify it
@@ -247,16 +214,16 @@ func TestRouteReadFreshSitesOnly(t *testing.T) {
 			}
 		}
 	}
-	if got := sel.Metrics().ReadTxns; got != 20 {
+	if got := g.Metrics().ReadTxns; got != 20 {
 		t.Fatalf("read txns = %d", got)
 	}
 }
 
 func TestRouteReadSpreadsLoad(t *testing.T) {
-	sel, _ := newCluster(t, 4, YCSBWeights())
+	g, _ := newCluster(t, 4, YCSBWeights())
 	counts := make(map[int]int)
 	for i := 0; i < 400; i++ {
-		r := sel.RouteRead(1, nil)
+		r := g.front.RouteRead(1, nil)
 		counts[r.Site]++
 	}
 	for site := 0; site < 4; site++ {
@@ -267,7 +234,7 @@ func TestRouteReadSpreadsLoad(t *testing.T) {
 }
 
 func TestConcurrentRoutingNoDeadlock(t *testing.T) {
-	sel, _ := newCluster(t, 4, YCSBWeights())
+	g, _ := newCluster(t, 4, YCSBWeights())
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -277,10 +244,10 @@ func TestConcurrentRoutingNoDeadlock(t *testing.T) {
 				a := uint64((c*7 + i) % 30)
 				b := uint64((c*13 + i*3) % 30)
 				ws := []storage.RowRef{ref(a * 100), ref(b * 100)}
-				if _, err := sel.RouteWrite(c, ws, nil); err != nil {
+				if _, err := g.front.RouteWrite(c, ws, nil); err != nil {
 					panic(err)
 				}
-				sel.RouteRead(c, nil)
+				g.front.RouteRead(c, nil)
 			}
 		}(c)
 	}
@@ -292,14 +259,14 @@ func TestConcurrentRoutingNoDeadlock(t *testing.T) {
 		t.Fatal("routing deadlocked")
 	}
 	// Selector metadata and site ownership agree for every partition.
-	m := sel.Metrics()
+	m := g.Metrics()
 	if m.WriteTxns != 8*40 {
 		t.Fatalf("write txns = %d", m.WriteTxns)
 	}
 }
 
 func TestMetadataMatchesSiteOwnership(t *testing.T) {
-	sel, sites := newCluster(t, 3, YCSBWeights())
+	g, sites := newCluster(t, 3, YCSBWeights())
 	// Drive remastering, then audit agreement.
 	for i := 0; i < 30; i++ {
 		a := uint64(i % 10)
@@ -308,12 +275,12 @@ func TestMetadataMatchesSiteOwnership(t *testing.T) {
 			continue
 		}
 		ws := []storage.RowRef{ref(a * 100), ref(b * 100)}
-		if _, err := sel.RouteWrite(i, ws, nil); err != nil {
+		if _, err := g.front.RouteWrite(i, ws, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for p := uint64(0); p < 10; p++ {
-		owner := sel.MasterOf(p)
+		owner := g.MasterOf(p)
 		if !sites[owner].Masters(p) {
 			t.Fatalf("partition %d: selector says %d, site disagrees", p, owner)
 		}
@@ -326,21 +293,21 @@ func TestMetadataMatchesSiteOwnership(t *testing.T) {
 }
 
 func TestEmptyWriteSetRoute(t *testing.T) {
-	sel, _ := newCluster(t, 2, YCSBWeights())
-	r, err := sel.RouteWrite(1, nil, nil)
+	g, _ := newCluster(t, 2, YCSBWeights())
+	r, err := g.front.RouteWrite(1, nil, nil)
 	if err != nil || r.Site != 0 || r.Remastered {
 		t.Fatalf("empty write set route = %+v, %v", r, err)
 	}
 }
 
 func TestMinVVDominatesGrantPoints(t *testing.T) {
-	sel, sites := newCluster(t, 3, YCSBWeights())
+	g, sites := newCluster(t, 3, YCSBWeights())
 	// Put partitions 0,1,2 at sites 0,1,2 and commit at each so release
 	// vectors are non-trivial.
 	for p := uint64(1); p <= 2; p++ {
 		rel, _ := sites[0].Release([]uint64{p}, int(p), 0)
 		sites[p].Grant([]uint64{p}, rel, 0, 0)
-		sel.RegisterPartition(p, int(p))
+		g.Shard(0).RegisterPartition(p, int(p))
 	}
 	for site := 0; site < 3; site++ {
 		tx, err := sites[site].Begin(nil, []storage.RowRef{ref(uint64(site)*100 + 5)})
@@ -352,7 +319,7 @@ func TestMinVVDominatesGrantPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := sel.RouteWrite(1, []storage.RowRef{ref(0), ref(100), ref(200)}, nil)
+	r, err := g.front.RouteWrite(1, []storage.RowRef{ref(0), ref(100), ref(200)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,10 +441,10 @@ func TestStatsSampling(t *testing.T) {
 }
 
 func TestSetWeights(t *testing.T) {
-	sel, _ := newCluster(t, 2, YCSBWeights())
+	g, _ := newCluster(t, 2, YCSBWeights())
 	w := Weights{Balance: 42}
-	sel.SetWeights(w)
-	if sel.Weights() != w {
+	g.SetWeights(w)
+	if g.Weights() != w {
 		t.Fatal("SetWeights did not take effect")
 	}
 }
@@ -542,7 +509,7 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 	inj.PartitionOneWay(1, transport.SelectorNode)
 
 	info.mu.Lock()
-	_, _, err = sel.remaster([]uint64{0}, []*partInfo{info}, 1, obs.SpanContext{})
+	_, _, err = sel.runChain(&remasterChain{src: 0, ids: []uint64{0}, infos: []*partInfo{info}}, 1, obs.SpanContext{})
 	info.mu.Unlock()
 	if err == nil {
 		t.Fatal("remaster with every destination response lost should fail")
@@ -570,14 +537,14 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 // must fail fast with a retryable error rather than remastering into a
 // known-dead destination.
 func TestRouteWriteAllSitesDownFailsFast(t *testing.T) {
-	sel, sites := newCluster(t, 2, YCSBWeights())
+	g, sites := newCluster(t, 2, YCSBWeights())
 	// Split the write set's masters so routing needs a remaster destination.
-	sel.RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartition(1, 1)
 	sites[0].SetMaster(1, false)
 	sites[1].SetMaster(1, true)
-	sel.MarkDown(0)
-	sel.MarkDown(1)
-	_, err := sel.RouteWrite(0, []storage.RowRef{ref(50), ref(150)}, nil)
+	g.MarkDown(0)
+	g.MarkDown(1)
+	_, err := g.front.RouteWrite(0, []storage.RowRef{ref(50), ref(150)}, nil)
 	if err == nil {
 		t.Fatal("routing with every site down should fail")
 	}

@@ -135,7 +135,7 @@ func TestStripedStatsSingleClientIdentical(t *testing.T) {
 // TestSetWeightsConcurrent exercises the atomic weights swap against
 // concurrent routing decisions; meaningful under -race (CI runs it so).
 func TestSetWeightsConcurrent(t *testing.T) {
-	sel, _ := newCluster(t, 3, YCSBWeights())
+	g, _ := newCluster(t, 3, YCSBWeights())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -147,8 +147,8 @@ func TestSetWeightsConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			sel.SetWeights(Weights{Balance: float64(i)})
-			_ = sel.Weights()
+			g.SetWeights(Weights{Balance: float64(i)})
+			_ = g.Weights()
 		}
 	}()
 	for c := 0; c < 4; c++ {
@@ -158,7 +158,7 @@ func TestSetWeightsConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := uint64((c*200 + i)) * 200
 				ws := []storage.RowRef{{Table: "t", Key: k}, {Table: "t", Key: k + 100}}
-				if _, err := sel.RouteWrite(c, ws, nil); err != nil {
+				if _, err := g.front.RouteWrite(c, ws, nil); err != nil {
 					t.Error(err)
 					return
 				}

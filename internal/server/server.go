@@ -212,7 +212,7 @@ type StatsReply struct {
 
 func (s *Server) handleStats(*StatsRequest) (*StatsReply, error) {
 	st := s.cluster.Stats()
-	m := s.cluster.Selector().Metrics()
+	m := s.cluster.Group().Metrics()
 	reply := &StatsReply{
 		Commits:        st.Commits,
 		PerSiteCommits: st.PerSiteCommits,

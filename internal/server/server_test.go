@@ -183,6 +183,50 @@ func TestStatsRPC(t *testing.T) {
 	}
 }
 
+// TestStatsRPCShardedCountsEveryShard checks that the stats reply sums the
+// routing counters over every router shard, not only shard 0.
+func TestStatsRPCShardedCountsEveryShard(t *testing.T) {
+	cluster, err := core.NewCluster(core.Config{
+		Sites:          2,
+		Partitioner:    func(ref storage.RowRef) uint64 { return ref.Key / 100 },
+		SelectorShards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, err := Serve(cluster, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		cluster.Close()
+	})
+	cluster.CreateTable("kv")
+	cl, err := Dial(addr.String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	g := cluster.Group()
+	written := make(map[int]int) // shard -> writes
+	for p := uint64(0); len(written) < g.Shards(); p++ {
+		if err := cl.Put("kv", p*100, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		written[g.ShardOf(p)]++
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := g.Metrics()
+	if st.WriteTxns != m.WriteTxns || m.WriteTxns == 0 {
+		t.Fatalf("stats reply counts %d writes, Group().Metrics() %d (writes per shard %v)",
+			st.WriteTxns, m.WriteTxns, written)
+	}
+}
+
 func TestCheckpointRPC(t *testing.T) {
 	cluster, err := core.NewCluster(core.Config{
 		Sites:       2,
