@@ -301,6 +301,22 @@ func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	if got := g.MasterOf(0); got != other {
 		t.Fatalf("selector did not follow the seed: master %d, want %d", got, other)
 	}
+	// A gossip pull that snapshotted the placement before the move-back
+	// would, if it landed after the resubmit's learn below, restore dest at
+	// the same epoch. Pulls run one at a time on the cache loop, so once the
+	// pull counter has advanced past its value here, every such pull has
+	// been applied.
+	pulls := func() float64 {
+		v, _ := c.Obs().Snapshot().Value("dynamast_selector_cache_gossip_total")
+		return v
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for start := pulls(); pulls() <= start; {
+		if time.Now().After(deadline) {
+			t.Fatal("placement cache gossip stopped pulling")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if r, ok := probeCachedWrite(c, 3, ref(2)); !ok || r.Site != dest {
 		t.Fatalf("cache route = %+v/%v, want the stale site %d", r, ok, dest)
 	}

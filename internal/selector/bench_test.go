@@ -211,13 +211,14 @@ func BenchmarkRouteRead(b *testing.B) {
 	}
 }
 
+// BenchmarkStatsRecordWrite records a ycsb_rmw-shaped stream
+// (harnessRecorder) from two clients whose inter window stays live, so rows
+// span 1 000 partitions and every sample adds inter pairs.
 func BenchmarkStatsRecordWrite(b *testing.B) {
-	st := NewStats(StatsConfig{})
-	now := time.Now()
-	parts := []uint64{1, 2, 3}
+	record := harnessRecorder(NewStats(StatsConfig{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st.RecordWrite(i%16, parts, now)
+		record()
 	}
 }
 

@@ -4,6 +4,8 @@
 package selector
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -31,71 +33,81 @@ type Stats struct {
 	decayThreshold float64
 }
 
-// statsStripe is one client-hash stripe: the original single-mutex tracker.
+// statsStripe is one client-hash stripe: a complete single-mutex tracker.
+// Every partition the stripe has seen owns one slot in parts, found through
+// index; slots are never freed, so a slot number stays valid for as long as
+// a history sample or a client's recent write set holds it.
 type statsStripe struct {
 	mu sync.Mutex
 
-	// Write access frequency, for f_balance. Counted for every routed
-	// write (not sampled): access[p] is partition p's recent write count.
-	access      map[uint64]float64
-	totalAccess float64
-	// decayThreshold triggers halving of all access counts so frequencies
+	index map[uint64]int32
+	parts []partStats
+
+	// totalAccess and totalReads sum the slots' access and read counts;
+	// crossing decayThreshold halves every slot's counts so frequencies
 	// follow the recent workload.
+	totalAccess    float64
+	totalReads     float64
 	decayThreshold float64
-
-	// Read access frequency, for the placement policy's replica-demand
-	// signal. Decays on the same threshold as write access.
-	reads      map[uint64]float64
-	totalReads float64
-
-	// Co-access statistics from sampled write sets.
-	intra       map[uint64]map[uint64]float64 // intra[d1][d2]: times d1,d2 written in one txn
-	inter       map[uint64]map[uint64]float64 // inter[d1][d2]: d2 written within Δt after d1 by same client
-	occurrences map[uint64]float64            // samples containing d1 (P(d2|d1) denominator)
 
 	history  []sample // ring buffer of samples
 	histNext int
 	histLen  int
 
-	// Per-client recent write sets for inter-transaction correlation.
+	// Per-client recent write sets for inter-transaction correlation. Once
+	// per history wrap, clients idle longer than interWindow are swept out.
 	recent      map[int]recentTxn
 	interWindow time.Duration
 
 	sampleEvery int // record 1 of every sampleEvery write sets
 	sampleTick  int
 
+	slots []int32 // RecordWrite's scratch: the write set's slots
+
 	_ [40]byte // pad stripes apart (mutex + hot fields per cache line)
 }
 
-type sample struct {
-	parts      []uint64
-	interPairs [][2]uint64 // inter-txn pairs this sample contributed
+// partStats is one partition's slot. The co-access rows are sorted by D2
+// and hold only positive counts.
+type partStats struct {
+	id     uint64
+	access float64  // recent write count, for f_balance (every routed write)
+	reads  float64  // recent read count, the placement policy's demand signal
+	occ    float64  // live samples containing id (the P(d2|id) denominator)
+	intra  []CoPair // D2 written in one transaction with id
+	inter  []CoPair // D2 written within Δt after id by the same client
 }
 
-// recentTxn is a client's last write set, held by value (small sets inline)
-// so it never aliases a history sample's arrays — which lets RecordWrite
-// recycle an expired sample's backing arrays for the sample replacing it,
-// keeping the hot path allocation-free once the ring has filled.
+type sample struct {
+	slots      []int32
+	interPairs [][2]int32 // inter-txn (d1, d2) slot pairs this sample contributed
+}
+
+// recentTxn is a client's last sampled write set as slots, held by value
+// (small sets inline) so it never aliases a history sample's arrays — which
+// lets RecordWrite recycle an expired sample's backing arrays for the sample
+// replacing it, keeping the hot path allocation-free once the ring has
+// filled.
 type recentTxn struct {
 	at     time.Time
 	n      int
-	inline [8]uint64
-	spill  []uint64 // write sets larger than inline
+	inline [8]int32
+	spill  []int32 // write sets larger than inline
 }
 
-func (r *recentTxn) view() []uint64 {
+func (r *recentTxn) view() []int32 {
 	if r.spill != nil {
 		return r.spill
 	}
 	return r.inline[:r.n]
 }
 
-func setRecent(m map[int]recentTxn, client int, parts []uint64, at time.Time) {
-	r := recentTxn{at: at, n: len(parts)}
-	if len(parts) <= len(r.inline) {
-		copy(r.inline[:], parts)
+func setRecent(m map[int]recentTxn, client int, slots []int32, at time.Time) {
+	r := recentTxn{at: at, n: len(slots)}
+	if len(slots) <= len(r.inline) {
+		copy(r.inline[:], slots)
 	} else {
-		r.spill = append([]uint64(nil), parts...)
+		r.spill = append([]int32(nil), slots...)
 	}
 	m[client] = r
 }
@@ -150,12 +162,8 @@ func NewStats(cfg StatsConfig) *Stats {
 	}
 	for i := range st.stripes {
 		sp := &st.stripes[i]
-		sp.access = make(map[uint64]float64)
-		sp.reads = make(map[uint64]float64)
+		sp.index = make(map[uint64]int32)
 		sp.decayThreshold = cfg.DecayThreshold
-		sp.intra = make(map[uint64]map[uint64]float64)
-		sp.inter = make(map[uint64]map[uint64]float64)
-		sp.occurrences = make(map[uint64]float64)
 		sp.history = make([]sample, cfg.HistorySize)
 		sp.recent = make(map[int]recentTxn)
 		sp.interWindow = cfg.InterWindow
@@ -178,21 +186,37 @@ func (st *Stats) stripeIndex(client int) int {
 	return int((uint64(client) * 0x9E3779B97F4A7C15) >> 32 & uint64(len(st.stripes)-1))
 }
 
+// slot returns p's slot, adding one on first sight.
+func (sp *statsStripe) slot(p uint64) int32 {
+	if s, ok := sp.index[p]; ok {
+		return s
+	}
+	s := int32(len(sp.parts))
+	sp.index[p] = s
+	sp.parts = append(sp.parts, partStats{id: p})
+	return s
+}
+
 // RecordWrite ingests one routed write transaction's partition set for
 // client. Access counts are always updated; co-access statistics are
-// updated for sampled transactions. Only the client's stripe is locked.
+// updated for sampled transactions. Only the client's stripe is locked, and
+// each partition is looked up once.
 func (st *Stats) RecordWrite(client int, parts []uint64, now time.Time) {
 	sp := st.stripe(client)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 
+	slots := sp.slots[:0]
 	for _, p := range parts {
-		sp.access[p]++
+		s := sp.slot(p)
+		sp.parts[s].access++
+		slots = append(slots, s)
 	}
+	sp.slots = slots
 	sp.totalAccess += float64(len(parts))
 	if sp.totalAccess > sp.decayThreshold {
-		for p := range sp.access {
-			sp.access[p] /= 2
+		for i := range sp.parts {
+			sp.parts[i].access /= 2
 		}
 		sp.totalAccess /= 2
 	}
@@ -211,36 +235,43 @@ func (st *Stats) RecordWrite(client int, parts []uint64, now time.Time) {
 	} else {
 		sp.histLen++
 	}
-	sm := sample{parts: append(old.parts[:0], parts...), interPairs: old.interPairs[:0]}
+	sm := sample{slots: append(old.slots[:0], slots...), interPairs: old.interPairs[:0]}
 
 	// Intra-transaction pairs.
-	for i, d1 := range parts {
-		sp.occurrences[d1]++
+	for i, s1 := range slots {
+		ps := &sp.parts[s1]
+		ps.occ++
 		for j, d2 := range parts {
-			if i == j {
-				continue
+			if i != j {
+				ps.intra = addPair(ps.intra, d2, 1)
 			}
-			addPair(sp.intra, d1, d2, 1)
 		}
 	}
 
 	// Inter-transaction pairs: partitions of this client's previous write
 	// set within Δt correlate with this write set.
 	if prev, ok := sp.recent[client]; ok && now.Sub(prev.at) <= sp.interWindow {
-		for _, d1 := range prev.view() {
-			for _, d2 := range parts {
-				if d1 == d2 {
+		for _, s1 := range prev.view() {
+			ps := &sp.parts[s1]
+			for j, s2 := range slots {
+				if s1 == s2 {
 					continue
 				}
-				addPair(sp.inter, d1, d2, 1)
-				sm.interPairs = append(sm.interPairs, [2]uint64{d1, d2})
+				ps.inter = addPair(ps.inter, parts[j], 1)
+				sm.interPairs = append(sm.interPairs, [2]int32{s1, s2})
 			}
 		}
 	}
-	setRecent(sp.recent, client, parts, now)
+	setRecent(sp.recent, client, slots, now)
 
 	sp.history[sp.histNext] = sm
 	sp.histNext = (sp.histNext + 1) % len(sp.history)
+	if sp.histNext == 0 {
+		// A client idle for longer than Δt adds no inter pairs on its next
+		// write, so dropping it changes no count and bounds the map by the
+		// clients active in the window.
+		maps.DeleteFunc(sp.recent, func(_ int, r recentTxn) bool { return now.Sub(r.at) > sp.interWindow })
+	}
 }
 
 // RecordRead ingests one routed read transaction's partition set for client
@@ -252,92 +283,93 @@ func (st *Stats) RecordRead(client int, parts []uint64) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	for _, p := range parts {
-		sp.reads[p]++
+		sp.parts[sp.slot(p)].reads++
 	}
 	sp.totalReads += float64(len(parts))
 	if sp.totalReads > sp.decayThreshold {
-		for p := range sp.reads {
-			sp.reads[p] /= 2
+		for i := range sp.parts {
+			sp.parts[i].reads /= 2
 		}
 		sp.totalReads /= 2
 	}
 }
 
-// ReadWeight returns partition p's recent read access count, aggregated
-// across stripes.
-func (st *Stats) ReadWeight(p uint64) float64 {
+// expireLocked reverses an old sample's contributions.
+func (sp *statsStripe) expireLocked(old sample) {
+	for i, s1 := range old.slots {
+		ps := &sp.parts[s1]
+		if ps.occ > 0 {
+			ps.occ--
+		}
+		for j, s2 := range old.slots {
+			if i != j {
+				ps.intra = addPair(ps.intra, sp.parts[s2].id, -1)
+			}
+		}
+	}
+	for _, pr := range old.interPairs {
+		ps := &sp.parts[pr[0]]
+		ps.inter = addPair(ps.inter, sp.parts[pr[1]].id, -1)
+	}
+}
+
+// addPair adds delta to d2's count in row (sorted by D2, positive counts
+// only) with one binary search, inserting or removing the entry in place.
+// The search is written out: slices.BinarySearchFunc's comparator calls make
+// RecordWrite about a quarter slower.
+func addPair(row []CoPair, d2 uint64, delta float64) []CoPair {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].D2 < d2 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	switch {
+	case lo == len(row) || row[lo].D2 != d2:
+		if delta > 0 {
+			row = slices.Insert(row, lo, CoPair{D2: d2, Count: delta})
+		}
+	case row[lo].Count+delta > 0:
+		row[lo].Count += delta
+	default:
+		row = slices.Delete(row, lo, lo+1)
+	}
+	return row
+}
+
+// sum adds f of partition p's slot over every stripe that has seen p.
+func (st *Stats) sum(p uint64, f func(*partStats) float64) float64 {
 	var w float64
 	for i := range st.stripes {
 		sp := &st.stripes[i]
 		sp.mu.Lock()
-		w += sp.reads[p]
+		if s, ok := sp.index[p]; ok {
+			w += f(&sp.parts[s])
+		}
 		sp.mu.Unlock()
 	}
 	return w
-}
-
-// expireLocked reverses an old sample's contributions.
-func (sp *statsStripe) expireLocked(old sample) {
-	for i, d1 := range old.parts {
-		if sp.occurrences[d1] > 0 {
-			sp.occurrences[d1]--
-		}
-		for j, d2 := range old.parts {
-			if i == j {
-				continue
-			}
-			addPair(sp.intra, d1, d2, -1)
-		}
-	}
-	for _, pr := range old.interPairs {
-		addPair(sp.inter, pr[0], pr[1], -1)
-	}
-}
-
-func addPair(m map[uint64]map[uint64]float64, d1, d2 uint64, delta float64) {
-	row := m[d1]
-	if row == nil {
-		if delta <= 0 {
-			return
-		}
-		row = make(map[uint64]float64)
-		m[d1] = row
-	}
-	v := row[d2] + delta
-	if v <= 0 {
-		delete(row, d2)
-		if len(row) == 0 {
-			delete(m, d1)
-		}
-		return
-	}
-	row[d2] = v
 }
 
 // AccessWeight returns partition p's recent write access count, aggregated
 // across stripes.
 func (st *Stats) AccessWeight(p uint64) float64 {
-	var w float64
-	for i := range st.stripes {
-		sp := &st.stripes[i]
-		sp.mu.Lock()
-		w += sp.access[p]
-		sp.mu.Unlock()
-	}
-	return w
+	return st.sum(p, func(ps *partStats) float64 { return ps.access })
+}
+
+// ReadWeight returns partition p's recent read access count, aggregated
+// across stripes.
+func (st *Stats) ReadWeight(p uint64) float64 {
+	return st.sum(p, func(ps *partStats) float64 { return ps.reads })
 }
 
 // occurrencesOf returns the aggregate sample count containing partition p
 // (the P(d2|p) denominator); test hook.
 func (st *Stats) occurrencesOf(p uint64) float64 {
-	var n float64
-	for i := range st.stripes {
-		sp := &st.stripes[i]
-		sp.mu.Lock()
-		n += sp.occurrences[p]
-		sp.mu.Unlock()
-	}
-	return n
+	return st.sum(p, func(ps *partStats) float64 { return ps.occ })
 }
 
 // CoPair is one raw co-access row entry from one stripe: partition D2 was
@@ -349,14 +381,15 @@ type CoPair struct {
 }
 
 // CoAccess is the tracker's one co-access reader. For source partition d1 it
-// appends every non-empty stripe's raw (d2, count) row entries to buf and
-// returns the extended slice together with n, the number of samples
-// containing d1 summed over all stripes. P(d2|d1) (intra) or
-// P(d2|d1; T<=Δt) (inter) is the sum of d2's counts divided by n — the
-// unstriped tracker's probability over the same samples — and because every
-// consumer is linear in the counts, callers weight each entry by Count/n
-// without merging stripes first. When n is 0 (d1 in no live sample) nothing
-// is appended.
+// appends every non-empty stripe's raw (d2, count) row entries to buf, stripe
+// by stripe and in ascending D2 within a stripe, and returns the extended
+// slice together with n, the number of samples containing d1 summed over all
+// stripes. P(d2|d1) (intra) or P(d2|d1; T<=Δt) (inter) is the sum of d2's
+// counts divided by n — the unstriped tracker's probability over the same
+// samples — and because every consumer is linear in the counts, callers
+// weight each entry by Count/n without merging stripes first. When n is 0
+// (d1 in no live sample) nothing is appended. The order is a function of the
+// recorded stream alone, so sums over the entries are reproducible.
 //
 // Entries are copied out under each stripe's lock and consumed by the caller
 // with no stripe lock held, so the caller may call back into Stats. Passing a
@@ -368,13 +401,14 @@ func (st *Stats) CoAccess(d1 uint64, intra bool, buf []CoPair) ([]CoPair, float6
 	for i := range st.stripes {
 		sp := &st.stripes[i]
 		sp.mu.Lock()
-		n += sp.occurrences[d1]
-		src := sp.intra
-		if !intra {
-			src = sp.inter
-		}
-		for d2, c := range src[d1] {
-			buf = append(buf, CoPair{D2: d2, Count: c})
+		if s, ok := sp.index[d1]; ok {
+			ps := &sp.parts[s]
+			n += ps.occ
+			if intra {
+				buf = append(buf, ps.intra...)
+			} else {
+				buf = append(buf, ps.inter...)
+			}
 		}
 		sp.mu.Unlock()
 	}
