@@ -556,13 +556,16 @@ func (g *Group) pickRead(hosts []int, cvv vclock.Vector, parts []uint64) Route {
 // MasterOf returns the current master of a partition (owning shard's map).
 func (g *Group) MasterOf(p uint64) int { return g.ShardFor(p).MasterOf(p) }
 
-// MasteredBy unions every shard's partitions mastered at site. Shard maps
-// are disjoint by construction (a shard only creates partitions it owns).
+// MasteredBy unions every shard's partitions mastered at site, in ascending
+// order, so failover re-grants them in the same order on every run. Shard
+// maps are disjoint by construction (a shard only creates partitions it
+// owns).
 func (g *Group) MasteredBy(site int) []uint64 {
 	var out []uint64
 	for i := 0; i < g.n; i++ {
 		out = append(out, g.Shard(i).MasteredBy(site)...)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -784,8 +787,7 @@ func (g *Group) instrument(reg *obs.Registry) {
 	reg.Help("dynamast_route_seconds", "Routing decision latency (including any remaster wait).")
 	reg.Help("dynamast_remaster_seconds", "Release/grant RPC-chain wait per remastering decision.")
 	reg.Help("dynamast_strategy_feature", "Equation 8 feature scores of the last remaster decision.")
-	reg.Help("dynamast_selector_partitions", "Partitions tracked in the selector's sharded partition map.")
-	reg.Help("dynamast_selector_shard_max_entries", "Largest partition-map shard (residency skew indicator).")
+	reg.Help("dynamast_selector_partitions", "Partitions tracked in the selector's partition maps.")
 	counter := func(name string, v func() uint64, labels ...obs.Label) {
 		reg.Func(name, obs.KindCounter, func() float64 { return float64(v()) }, labels...)
 	}
@@ -801,20 +803,12 @@ func (g *Group) instrument(reg *obs.Registry) {
 	for i, f := range []string{"balance", "delay", "intra", "inter"} {
 		g.feat[i] = reg.Gauge("dynamast_strategy_feature", obs.L("feature", f))
 	}
-	residency := func() (total, most int) {
-		for i := 0; i < g.n; i++ {
-			n, m := g.Shard(i).shardResidency()
-			total, most = total+n, max(most, m)
-		}
-		return total, most
-	}
 	reg.Func("dynamast_selector_partitions", obs.KindGauge, func() float64 {
-		total, _ := residency()
+		total := 0
+		for i := 0; i < g.n; i++ {
+			total += g.Shard(i).parts.Len()
+		}
 		return float64(total)
-	})
-	reg.Func("dynamast_selector_shard_max_entries", obs.KindGauge, func() float64 {
-		_, most := residency()
-		return float64(most)
 	})
 	if g.PartialPlacement() {
 		reg.Help("dynamast_placement_replicas_total", "Replica-set memberships across all tracked partitions.")
@@ -860,8 +854,7 @@ func (g *Group) instrument(reg *obs.Registry) {
 		counter("dynamast_selector_shard_write_routes_total", c.writeTxns.Load, label)
 		counter("dynamast_selector_shard_remasters_total", c.remasterOps.Load, label)
 		reg.Func("dynamast_selector_shard_partitions", obs.KindGauge, func() float64 {
-			total, _ := g.Shard(i).shardResidency()
-			return float64(total)
+			return float64(g.Shard(i).parts.Len())
 		}, label)
 	}
 	counter("dynamast_selector_shard_cross_writes_total", g.crossWrites.Load)

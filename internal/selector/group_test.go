@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"dynamast/internal/obs"
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
+	"dynamast/internal/vclock"
 	"dynamast/internal/wal"
 )
 
@@ -499,5 +501,61 @@ func BenchmarkRouteWriteParallelSharded(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// TestMasteredByDeterministic pins failover's re-grant order: two groups
+// holding the same placement, entered in different orders, list a site's
+// partitions identically and in ascending order.
+func TestMasteredByDeterministic(t *testing.T) {
+	const m, shards, parts = 3, 2, 500
+	sites := make([]DataSite, m)
+	for i := range sites {
+		sites[i] = &benchSite{id: i, svv: vclock.New(m)}
+	}
+	groups := [2]*Group{
+		newFakeGroup(t, sites, shards, YCSBWeights(), StatsConfig{}),
+		newFakeGroup(t, sites, shards, YCSBWeights(), StatsConfig{}),
+	}
+	for gi, g := range groups {
+		order := rand.New(rand.NewSource(int64(gi))).Perm(parts)
+		for _, p := range order {
+			g.RegisterPartitionEpoch(uint64(p)*7919, p%m, 0)
+		}
+	}
+	for site := 0; site < m; site++ {
+		a, b := groups[0].MasteredBy(site), groups[1].MasteredBy(site)
+		if len(a) == 0 || !slices.Equal(a, b) {
+			t.Fatalf("site %d: MasteredBy = %v and %v, want equal and non-empty", site, a, b)
+		}
+		if !slices.IsSorted(a) {
+			t.Fatalf("site %d: MasteredBy = %v, want ascending", site, a)
+		}
+	}
+}
+
+// TestPeekMasterTakesNoLock pins the lock-free partition lookup: while the
+// partition map's writer mutex is held, the master of an existing partition
+// is still readable.
+func TestPeekMasterTakesNoLock(t *testing.T) {
+	sites := []DataSite{&benchSite{id: 0, svv: vclock.New(2)}, &benchSite{id: 1, svv: vclock.New(2)}}
+	sel := newFakeGroup(t, sites, 1, YCSBWeights(), StatsConfig{}).Shard(0)
+	sel.RegisterPartitionEpoch(5, 1, 0)
+	sel.partMu.Lock()
+	defer sel.partMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if m, ok := sel.peekMaster(5); !ok || m != 1 {
+			t.Errorf("peekMaster(5) = %d, %v, want 1, true", m, ok)
+		}
+		if m := sel.MasterOf(5); m != 1 {
+			t.Errorf("MasterOf(5) = %d, want 1", m)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a partition lookup blocked on the partition map's writer mutex")
 	}
 }

@@ -482,7 +482,7 @@ func (s *Selector) SetReplicaEnsurer(ensure func(parts []uint64, site int) error
 // via the installed ensurer. Fast no-op when the metadata already shows
 // membership (the common case: masters are members by invariant). Safe to
 // call while holding partition routing locks — the ensurer takes only
-// placement, hosting, and apply locks, never partition-map locks.
+// placement, hosting, and apply locks, never the partition map's writer mutex.
 func (s *Selector) ensureHostedAt(parts []uint64, site int) error {
 	ps := s.placement
 	if ps == nil {

@@ -444,13 +444,13 @@ func TestDecideSideEffectFree(t *testing.T) {
 		}
 		before := make([]int, shards)
 		for i := range before {
-			before[i], _ = g.Shard(i).shardResidency()
+			before[i] = g.Shard(i).parts.Len()
 		}
 		if _, _, err := g.ShardFor(1).decide(g, parts, []int{0, 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := range before {
-			if after, _ := g.Shard(i).shardResidency(); after != before[i] {
+			if after := g.Shard(i).parts.Len(); after != before[i] {
 				t.Fatalf("shards=%d: scoring created partition entries on shard %d (%d -> %d)", shards, i, before[i], after)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dynamast/internal/obs"
+	"dynamast/internal/pindex"
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/transport"
@@ -102,24 +103,6 @@ func (p *partInfo) setMaster(m int, epoch uint64) {
 	p.hint.Store(int32(m))
 }
 
-// partShardCount shards the partition map so concurrent routing decisions
-// looking up disjoint partitions do not serialize on one map lock. Must be
-// a power of two.
-const partShardCount = 64
-
-// partShard is one slice of the partition map.
-type partShard struct {
-	mu sync.RWMutex
-	m  map[uint64]*partInfo
-	_  [24]byte // pad shards apart
-}
-
-// shardOf spreads partition ids (often small and dense) across shards with
-// a Fibonacci multiply-shift.
-func shardOf(id uint64) uint64 {
-	return (id * 0x9E3779B97F4A7C15) >> 32 & (partShardCount - 1)
-}
-
 // Selector is one router shard's state: its partition map, access
 // statistics, epoch allocator, placement metadata and materialized site
 // load. It runs the remaster chains its Group decides (§V-B); the Group
@@ -137,7 +120,10 @@ type Selector struct {
 	// shard of nshards is the partition range this selector owns.
 	shard, nshards int
 
-	shards [partShardCount]partShard
+	// parts is the partition map. Lookups take no lock; partMu serialises
+	// the writers that add entries.
+	parts  pindex.Map[partInfo]
+	partMu sync.Mutex
 
 	// Materialized per-site load (sum of mastered partitions' access
 	// weights), used by the balance feature. Float64 bits in atomics;
@@ -179,21 +165,6 @@ type Selector struct {
 	spans *obs.SpanRecorder
 }
 
-// shardResidency reports the total partition count and the largest shard.
-func (s *Selector) shardResidency() (total, max int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n := len(sh.m)
-		sh.mu.RUnlock()
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	return total, max
-}
-
 // New constructs a selector.
 func New(cfg Config) (*Selector, error) {
 	if len(cfg.Sites) == 0 {
@@ -226,9 +197,6 @@ func New(cfg Config) (*Selector, error) {
 		s.placement = newPlacementState(cfg.MinReplicas, cfg.MaxReplicas, s.m,
 			DefaultReplicaSet(s.initial, s.m, cfg.MinReplicas))
 	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]*partInfo)
-	}
 	return s, nil
 }
 
@@ -251,19 +219,15 @@ func (s *Selector) Stats() *Stats { return s.stats }
 // so transactions can create rows in partitions that did not exist at load
 // time (e.g. freshly allocated key ranges).
 func (s *Selector) part(id uint64) *partInfo {
-	sh := &s.shards[shardOf(id)]
-	sh.mu.RLock()
-	p := sh.m[id]
-	sh.mu.RUnlock()
-	if p != nil {
+	if p := s.parts.Get(id); p != nil {
 		return p
 	}
-	sh.mu.Lock()
-	if p = sh.m[id]; p != nil {
-		sh.mu.Unlock()
+	s.partMu.Lock()
+	if p := s.parts.Get(id); p != nil {
+		s.partMu.Unlock()
 		return p
 	}
-	p = &partInfo{}
+	p := &partInfo{}
 	master := s.initial(id)
 	if s.downSites[master].Load() {
 		// The configured initial master is dead: place at the first
@@ -276,10 +240,10 @@ func (s *Selector) part(id uint64) *partInfo {
 		}
 	}
 	p.setMaster(master, 0)
-	sh.m[id] = p
-	sh.mu.Unlock()
+	s.parts.Put(id, p)
+	s.partMu.Unlock()
 	s.noteMaster([]uint64{id}, master)
-	// Outside the shard lock: materialize ownership at the data site
+	// Outside the map lock: materialize ownership at the data site
 	// (idempotent; a nil release vector means no catch-up wait; epoch 0 —
 	// initial placement has no remaster chain to fence). A deposed leader
 	// must not act on the sites: the promoted leader's own first sight of
@@ -376,23 +340,20 @@ func (s *Selector) publish(parts []uint64, site int, epoch uint64) {
 }
 
 // MasteredBy returns every partition currently assigned to site in the
-// selector's map. Failover uses it as the authoritative set to re-grant
-// (the selector's map is what routing consults, so reassigning exactly this
-// set leaves no partition routed at a dead site).
+// selector's map, in ascending order. Failover uses it as the authoritative
+// set to re-grant (the selector's map is what routing consults, so
+// reassigning exactly this set leaves no partition routed at a dead site),
+// and the order makes its re-grants the same on every run.
 func (s *Selector) MasteredBy(site int) []uint64 {
 	var out []uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id, p := range sh.m {
-			p.mu.RLock()
-			if p.master == site {
-				out = append(out, id)
-			}
-			p.mu.RUnlock()
+	s.parts.Range(func(id uint64, p *partInfo) {
+		p.mu.RLock()
+		if p.master == site {
+			out = append(out, id)
 		}
-		sh.mu.RUnlock()
-	}
+		p.mu.RUnlock()
+	})
+	slices.Sort(out)
 	return out
 }
 
@@ -419,25 +380,14 @@ func (s *Selector) RegisterPartitionEpoch(id uint64, master int, epoch uint64) {
 // their metadata flip), so every entry is a (master, epoch) pair some chain
 // actually committed — never a torn mix.
 func (s *Selector) PlacementSnapshot() (map[uint64]int, map[uint64]uint64) {
-	placement := make(map[uint64]int)
-	epochs := make(map[uint64]uint64)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		ids := make([]uint64, 0, len(sh.m))
-		infos := make([]*partInfo, 0, len(sh.m))
-		for id, p := range sh.m {
-			ids = append(ids, id)
-			infos = append(infos, p)
-		}
-		sh.mu.RUnlock()
-		for j, p := range infos {
-			p.mu.RLock()
-			placement[ids[j]] = p.master
-			epochs[ids[j]] = p.epoch
-			p.mu.RUnlock()
-		}
-	}
+	placement := make(map[uint64]int, s.parts.Len())
+	epochs := make(map[uint64]uint64, s.parts.Len())
+	s.parts.Range(func(id uint64, p *partInfo) {
+		p.mu.RLock()
+		placement[id] = p.master
+		epochs[id] = p.epoch
+		p.mu.RUnlock()
+	})
 	return placement, epochs
 }
 
@@ -468,14 +418,13 @@ func (s *Selector) adoptPlacement(owner map[uint64]int, epochs map[uint64]uint64
 // install sets one partition's master and install epoch, creating its
 // entry without a first-sight grant.
 func (s *Selector) install(id uint64, master int, epoch uint64) {
-	sh := &s.shards[shardOf(id)]
-	sh.mu.Lock()
-	in := sh.m[id]
+	s.partMu.Lock()
+	in := s.parts.Get(id)
 	if in == nil {
 		in = &partInfo{}
-		sh.m[id] = in
+		s.parts.Put(id, in)
 	}
-	sh.mu.Unlock()
+	s.partMu.Unlock()
 	in.mu.Lock()
 	in.setMaster(master, epoch)
 	in.mu.Unlock()
@@ -494,10 +443,7 @@ func (s *Selector) MasterOf(id uint64) int {
 // creating it (part() would grant first-sight ownership — only the owning
 // shard may do that). ok is false when the partition has never been seen.
 func (s *Selector) peekMaster(id uint64) (int, bool) {
-	sh := &s.shards[shardOf(id)]
-	sh.mu.RLock()
-	p := sh.m[id]
-	sh.mu.RUnlock()
+	p := s.parts.Get(id)
 	if p == nil {
 		return 0, false
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"dynamast/internal/vclock"
@@ -89,36 +90,57 @@ func BenchmarkTableScan1000(b *testing.B) {
 	}
 }
 
-// BenchmarkTableScan runs scans from GOMAXPROCS goroutines at once, over
-// dense keys, which rotate through every point-lookup shard, and stride-16
-// keys, which all sit in one.
+// BenchmarkTableScan runs scans from GOMAXPROCS goroutines at once over
+// 100k dense keys.
 func BenchmarkTableScan(b *testing.B) {
-	for _, stride := range []uint64{1, tableShards} {
-		t := NewTable("t")
-		for k := uint64(0); k < 100_000; k++ {
-			install(t.Record(k*stride, true), Stamp{0, 1}, make([]byte, 100), false, 4)
-		}
-		shape := "dense"
-		if stride > 1 {
-			shape = "stride16"
-		}
-		for _, rows := range []uint64{200, 1000} {
-			b.Run(fmt.Sprintf("rows=%d/%s", rows, shape), func(b *testing.B) {
-				snap := vclock.Vector{1}
-				b.ReportAllocs()
-				b.RunParallel(func(pb *testing.PB) {
-					lo := uint64(0)
-					for pb.Next() {
-						lo = (lo + 7919) % (100_000 - rows)
-						if got := t.Scan(lo*stride, (lo+rows)*stride, snap); uint64(len(got)) != rows {
-							b.Errorf("rows=%d", len(got))
-							return
-						}
+	t := NewTable("t")
+	for k := uint64(0); k < 100_000; k++ {
+		install(t.Record(k, true), Stamp{0, 1}, make([]byte, 100), false, 4)
+	}
+	for _, rows := range []uint64{200, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			snap := vclock.Vector{1}
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				lo := uint64(0)
+				for pb.Next() {
+					lo = (lo + 7919) % (100_000 - rows)
+					if got := t.Scan(lo, lo+rows, snap); uint64(len(got)) != rows {
+						b.Errorf("rows=%d", len(got))
+						return
 					}
-				})
+				}
 			})
+		})
+	}
+}
+
+// BenchmarkTableRecordParallel measures the point lookup every read, commit
+// and refresh apply makes: Record(k, false) on random existing keys of four
+// 100k-key tables, from GOMAXPROCS goroutines at once.
+func BenchmarkTableRecordParallel(b *testing.B) {
+	const keys = 100_000
+	tables := make([]*Table, 4)
+	for i := range tables {
+		tables[i] = NewTable(fmt.Sprint("t", i))
+		for k := uint64(0); k < keys; k++ {
+			tables[i].Record(k, true)
 		}
 	}
+	var seed atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		x := seed.Add(1)
+		for pb.Next() {
+			x = x*6364136223846793005 + 1442695040888963407 // an LCG step
+			k := (x >> 32) % keys
+			if tables[k%4].Record(k, false) == nil {
+				b.Error("miss")
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkTableInsert loads 100k new keys into an empty table per

@@ -115,14 +115,10 @@ func checkScans(t *testing.T, rnd *rand.Rand, tb *Table, m scanModel, keys []uin
 
 // checkIndex checks the table index's invariants while no writer runs: runs
 // are non-empty, within runCap and at capacity runCap+1; keys ascend strictly
-// within and across runs; and the index, Keys() and the shard maps hold the
-// same records.
+// within and across runs; and the ordered index, Keys() and the point index
+// hold the same records.
 func checkIndex(t *testing.T, tb *Table) {
 	t.Helper()
-	inMaps := 0
-	for i := range tb.shards {
-		inMaps += len(tb.shards[i].recs)
-	}
 	keys := tb.Keys()
 	n, prev := 0, uint64(0)
 	for ri, run := range tb.idx.runs {
@@ -133,14 +129,14 @@ func checkIndex(t *testing.T, tb *Table) {
 			if n > 0 && e.key <= prev {
 				t.Fatalf("run %d entry %d: key %d after %d", ri, i, e.key, prev)
 			}
-			if tb.shard(e.key).recs[e.key] != e.rec {
-				t.Fatalf("run %d entry %d: key %d is not its shard map's record", ri, i, e.key)
+			if tb.recs.Get(e.key) != e.rec {
+				t.Fatalf("run %d entry %d: key %d is not the point index's record", ri, i, e.key)
 			}
 			n, prev = n+1, e.key
 		}
 	}
-	if n != keys || n != inMaps {
-		t.Fatalf("index holds %d entries, Keys() = %d, shard maps %d", n, keys, inMaps)
+	if n != keys || n != tb.recs.Len() {
+		t.Fatalf("ordered index holds %d entries, Keys() = %d, point index %d", n, keys, tb.recs.Len())
 	}
 }
 
@@ -238,9 +234,8 @@ func TestScanRandomizedAgainstModel(t *testing.T) {
 		rnd := rand.New(rand.NewSource(1))
 		tb := NewTable("t")
 		m := scanModel{}
-		// Key shapes: a dense run, stride-16 keys that all land in one shard,
-		// sparse composite keys with high bits set, and the top of the key
-		// space.
+		// Key shapes: a dense run, stride-16 keys, sparse composite keys with
+		// high bits set, and the top of the key space.
 		draw := func() uint64 {
 			switch rnd.Intn(4) {
 			case 0:
@@ -330,7 +325,7 @@ func TestScanKeysReentrantCallback(t *testing.T) {
 		n := 0
 		tb.ScanKeys(0, 1<<20, vclock.Vector{1}, func(k uint64, _ []byte) bool {
 			n++
-			install(tb.Record(k+tableShards*1000, true), Stamp{0, 1}, nil, false, 4)
+			install(tb.Record(k+16_000, true), Stamp{0, 1}, nil, false, 4)
 			return true
 		})
 		done <- n
@@ -341,24 +336,25 @@ func TestScanKeysReentrantCallback(t *testing.T) {
 			t.Fatalf("visited %d rows, want the 64 present when the scan began", n)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("ScanKeys deadlocked on a callback that inserts into the scanned shard")
+		t.Fatal("ScanKeys deadlocked on a callback that inserts into the scanned table")
 	}
 	if tb.Keys() != 128 {
 		t.Fatalf("Keys() = %d, want 128", tb.Keys())
 	}
 }
 
-// Scans race inserts of new keys and RemoveMatching: every result is
-// strictly ascending (so duplicate-free) and holds every key that was present
-// throughout. Readers run a fixed number of scans, not until the writers
+// Scans and point lookups race inserts of new keys and RemoveMatching: every
+// scan is strictly ascending (so duplicate-free) and holds every key that was
+// present throughout; a lookup of such a key finds its record, and a lookup
+// of a transient key finds nothing or a transient record. Readers run a fixed number of scans, not until the writers
 // stop: scans are cheap, and readers looping until then take the index lock
 // so often that they slow the writers, and the test, tenfold. Run with
 // -race -count=10.
 func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 	tb := NewTable("t")
 	snap := vclock.Vector{1}
-	// Stable keys are even and never removed: a dense run plus one shard's
-	// stride. Transient keys are odd.
+	// Stable keys are even and never removed: a dense run plus a stride-16
+	// run. Transient keys are odd.
 	var stable []uint64
 	for k := uint64(0); k < 600; k += 2 {
 		stable = append(stable, k)
@@ -366,11 +362,36 @@ func TestScanConcurrentWithInsertAndRemove(t *testing.T) {
 	for k := uint64(10_000); k < 10_000+16*100; k += 16 {
 		stable = append(stable, k)
 	}
+	recs := make(map[uint64]*Record, len(stable))
 	for _, k := range stable {
-		install(tb.Record(k, true), Stamp{0, 1}, []byte{1}, false, 4)
+		recs[k] = tb.Record(k, true)
+		install(recs[k], Stamp{0, 1}, []byte{1}, false, 4)
 	}
 
 	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(200 + r)))
+			for i := 0; i < 20_000; i++ {
+				k := stable[rnd.Intn(len(stable))]
+				if got := tb.Record(k, false); got != recs[k] {
+					t.Errorf("Record(%d) = %p, want %p", k, got, recs[k])
+					return
+				}
+				if d, ok := tb.Get(k, snap); !ok || d[0] != 1 {
+					t.Errorf("Get(%d) = %v, %v", k, d, ok)
+					return
+				}
+				k = uint64(rnd.Intn(6000))*2 + 1
+				if d, _, ok := tb.GetLatest(k); ok && d[0] != 2 {
+					t.Errorf("transient key %d read a stable row's data %v", k, d)
+					return
+				}
+			}
+		}(r)
+	}
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {

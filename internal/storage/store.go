@@ -2,9 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynamast/internal/vclock"
@@ -19,8 +21,10 @@ const DefaultMaxVersions = 4
 type Store struct {
 	maxVersions int
 
-	mu     sync.RWMutex
-	tables map[string]*Table
+	// tables is the table directory, copied on write: lookups load it and
+	// take no lock. mu serialises table creators.
+	tables atomic.Pointer[map[string]*Table]
+	mu     sync.Mutex
 
 	cellMu sync.Mutex
 	cells  []Write // the unused rest of the current import cell slab
@@ -35,42 +39,39 @@ func NewStore(maxVersions int) *Store {
 	if maxVersions < 0 || maxVersions > MaxVersionCap {
 		panic(fmt.Sprintf("storage: version cap %d outside [1, %d]", maxVersions, MaxVersionCap))
 	}
-	return &Store{
-		maxVersions: maxVersions,
-		tables:      make(map[string]*Table),
-	}
+	s := &Store{maxVersions: maxVersions}
+	s.tables.Store(&map[string]*Table{})
+	return s
 }
 
 // CreateTable creates (or returns the existing) table with the given name.
+// Apply and LoadRow call it per row, and the table exists for all but the
+// first of them, so that path takes no lock.
 func (s *Store) CreateTable(name string) *Table {
-	// Shared-lock lookup first: Apply and LoadRow call this per row, and the
-	// table exists for all but the first of them.
 	if t := s.Table(name); t != nil {
 		return t
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables[name]; ok {
+	old := *s.tables.Load()
+	if t, ok := old[name]; ok {
 		return t
 	}
 	t := NewTable(name)
-	s.tables[name] = t
+	tables := maps.Clone(old)
+	tables[name] = t
+	s.tables.Store(&tables)
 	return t
 }
 
 // Table returns the named table, or nil if it does not exist.
-func (s *Store) Table(name string) *Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[name]
-}
+func (s *Store) Table(name string) *Table { return (*s.tables.Load())[name] }
 
 // TableNames returns the names of all tables in sorted order.
 func (s *Store) TableNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
+	tables := *s.tables.Load()
+	names := make([]string, 0, len(tables))
+	for n := range tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -209,10 +210,8 @@ func (s *Store) GetChecked(ref RowRef, snap vclock.Vector) (data []byte, ok, evi
 // caller is responsible for excluding concurrent readers of the purged rows
 // (the site manager holds its hosting lock across check-and-read).
 func (s *Store) PurgeMatching(match func(RowRef) bool) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n := 0
-	for name, t := range s.tables {
+	for name, t := range *s.tables.Load() {
 		n += t.RemoveMatching(func(key uint64) bool {
 			return match(RowRef{Table: name, Key: key})
 		})
@@ -222,10 +221,8 @@ func (s *Store) PurgeMatching(match func(RowRef) bool) int {
 
 // RowCount returns the total number of records across all tables.
 func (s *Store) RowCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n := 0
-	for _, t := range s.tables {
+	for _, t := range *s.tables.Load() {
 		n += t.Keys()
 	}
 	return n

@@ -6,10 +6,9 @@ import (
 	"slices"
 	"sync"
 
+	"dynamast/internal/pindex"
 	"dynamast/internal/vclock"
 )
-
-const tableShards = 16
 
 // runCap bounds a run of the table index: an insert shifts at most this many
 // entries, and a run that reaches runCap+1 splits in two.
@@ -24,20 +23,16 @@ const runCap = 512
 const slabLen = 128
 
 // Table is a row-oriented in-memory table keyed by uint64 primary keys.
-// Point lookups go through 16 shards by key, each a map under its own lock.
-// Range walks, which all go through walk, read one ordered index over the
-// whole table: a directory of sorted runs of at most runCap entries, under
-// one RWMutex. A new key enters its shard's map and the index in one
-// critical section, shard lock first.
+// Point lookups read a lock-free hash index (pindex.Map): Record(k, false),
+// the Get methods and the hit path of Record(k, true) take no lock. Range
+// walks, which all go through walk, read one ordered index over the whole
+// table: a directory of sorted runs of at most runCap entries, under one
+// RWMutex. Both indexes are written under that lock's write side only, so a
+// new key enters both in one critical section.
 type Table struct {
-	name   string
-	shards [tableShards]tableShard
-	idx    index
-}
-
-type tableShard struct {
-	mu   sync.RWMutex
-	recs map[uint64]*Record
+	name string
+	recs pindex.Map[Record]
+	idx  index
 }
 
 // index is the table's ordered index. runs are non-empty and ascending: every
@@ -57,37 +52,25 @@ type recRef struct {
 }
 
 // NewTable returns an empty table with the given name.
-func NewTable(name string) *Table {
-	t := &Table{name: name}
-	for i := range t.shards {
-		t.shards[i].recs = make(map[uint64]*Record)
-	}
-	return t
-}
+func NewTable(name string) *Table { return &Table{name: name} }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
-func (t *Table) shard(key uint64) *tableShard {
-	return &t.shards[key%tableShards]
-}
-
-// Record returns the record for key, creating it if create is set.
+// Record returns the record for key, creating it if create is set. Only the
+// creation of a new key takes a lock.
 func (t *Table) Record(key uint64, create bool) *Record {
-	s := t.shard(key)
-	s.mu.RLock()
-	r := s.recs[key]
-	s.mu.RUnlock()
-	if r != nil || !create {
+	if r := t.recs.Get(key); r != nil || !create {
 		return r
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r = s.recs[key]; r != nil {
+	x := &t.idx
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if r := t.recs.Get(key); r != nil {
 		return r
 	}
-	r = t.idx.insert(key)
-	s.recs[key] = r
+	r := x.insert(key)
+	t.recs.Put(key, r)
 	return r
 }
 
@@ -109,10 +92,8 @@ func (x *index) seek(k uint64) (ri, i int) {
 // insert adds a new record for key, which the index does not hold, and
 // returns it. A run that overflows splits at its middle, except that an
 // insert at either end of a run (the shape of ascending and descending loads)
-// leaves the full side whole.
+// leaves the full side whole. The caller holds x.mu.
 func (x *index) insert(key uint64) *Record {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	if len(x.slab) == 0 {
 		x.slab = make([]Record, slabLen)
 	}
@@ -322,16 +303,12 @@ func (t *Table) Keys() int {
 }
 
 // RemoveMatching deletes every record whose key matches and returns how
-// many were removed. It holds every shard lock, then the index lock, so the
-// maps and the index change in one critical section; match runs under them
-// and must not use the table. Callers must exclude concurrent readers of the
-// removed keys; lookups racing the removal see either the record or a clean
-// miss.
+// many were removed. It holds the index lock, so the point index and the
+// ordered index change in one critical section; match runs under it and must
+// not use the table. Callers must exclude concurrent readers of the removed
+// keys: a lookup racing the removal, or still reading a point-index array
+// that a later insert replaced, sees either the record or a clean miss.
 func (t *Table) RemoveMatching(match func(key uint64) bool) int {
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		defer t.shards[i].mu.Unlock()
-	}
 	x := &t.idx
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -341,7 +318,7 @@ func (t *Table) RemoveMatching(match func(key uint64) bool) int {
 		kept := 0
 		for _, e := range run {
 			if match(e.key) {
-				delete(t.shard(e.key).recs, e.key)
+				t.recs.Delete(e.key)
 				removed++
 				continue
 			}
