@@ -9,13 +9,11 @@
 // Snapshot files reuse the WAL's framing — every row is
 // [u32 length][u32 CRC-32C][payload], little-endian — so bit rot and torn
 // writes are detectable. Row payloads are written in the binary codec
-// format (internal/codec); files written by pre-codec builds carry gob
-// payloads in the same frames, which ReadSnapshot accepts per frame via the
-// magic-byte fallback. Unlike the WAL, a snapshot tolerates no torn
-// tail: the manifest records each file's exact row and byte counts, and a
-// file that fails CRC or count verification invalidates the whole
-// checkpoint (recovery falls back to the previous one, then to full
-// replay).
+// format (internal/codec), and a row that does not decode fails the read.
+// Unlike the WAL, a snapshot tolerates no torn tail: the manifest records
+// each file's exact row and byte counts, and a file that fails CRC or count
+// verification invalidates the whole checkpoint (recovery falls back to the
+// previous one, then to full replay).
 //
 // The manifest is the commit point. Until manifest.json exists, the
 // directory is garbage a future checkpoint run deletes; the rename that

@@ -1,22 +1,14 @@
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"hash/crc32"
-	"os"
 	"time"
 
 	"dynamast/internal/codec"
 )
 
-// Wire schema (format v1) for one snapshot row. Rows ride inside the same
-// CRC-32C frames as before; only the payload format changed from gob to the
-// binary codec. The first payload byte discriminates (gob never starts with
-// 0x00), so ReadSnapshot installs checkpoints written by pre-codec builds
-// through the legacy fallback without any configuration.
+// Wire schema (format v1) for one snapshot row. Rows ride inside the WAL's
+// CRC-32C frames; each payload begins with the codec magic+version header
+// and the fields follow in declaration order.
 
 // appendRowPayload appends r's binary payload (header included) to buf.
 func appendRowPayload(buf []byte, r *Row) []byte {
@@ -28,17 +20,11 @@ func appendRowPayload(buf []byte, r *Row) []byte {
 	return buf
 }
 
-// decodeRowPayload decodes one frame payload into r, accepting both the
-// binary format and legacy gob. intern, when non-nil, deduplicates table
-// names across a snapshot's rows. Decoded Data is freshly allocated — rows
+// decodeRowPayload decodes one frame payload into r. intern, when non-nil,
+// deduplicates table names across a snapshot's rows. Decoded Data is freshly allocated — rows
 // are installed directly into MVCC version chains, so nothing here may
 // alias the snapshot file's read buffer.
 func decodeRowPayload(payload []byte, r *Row, intern map[string]string) error {
-	if !codec.IsBinary(payload) {
-		codec.RecordLegacy(codec.SurfaceCheckpoint)
-		*r = Row{}
-		return gob.NewDecoder(bytes.NewReader(payload)).Decode(r)
-	}
 	rd := codec.NewReader(payload)
 	if intern != nil {
 		rd.SetIntern(intern)
@@ -57,39 +43,4 @@ func encodeRowTimed(buf []byte, r *Row) []byte {
 	buf = appendRowPayload(buf, r)
 	codec.RecordEncode(codec.SurfaceCheckpoint, len(buf), time.Since(start))
 	return buf
-}
-
-// WriteLegacySnapshot writes rows to path in the pre-codec format — CRC-32C
-// frames around self-contained gob payloads — exactly as builds before the
-// binary codec did, returning the integrity record for the manifest. It
-// exists for compatibility tests and downgrade tooling; new snapshots are
-// always written in the binary format.
-func WriteLegacySnapshot(path string, rows []Row) (SnapshotInfo, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return SnapshotInfo{}, err
-	}
-	var info SnapshotInfo
-	var out []byte
-	var encBuf bytes.Buffer
-	for i := range rows {
-		encBuf.Reset()
-		if err := gob.NewEncoder(&encBuf).Encode(&rows[i]); err != nil {
-			f.Close()
-			return info, fmt.Errorf("checkpoint: legacy encode: %w", err)
-		}
-		payload := encBuf.Bytes()
-		var hdr [frameHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		out = append(out, hdr[:]...)
-		out = append(out, payload...)
-		info.Rows++
-		info.Bytes += uint64(frameHeaderSize + len(payload))
-	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		return info, err
-	}
-	return info, f.Close()
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dynamast/internal/codec"
 	"dynamast/internal/storage"
 )
 
@@ -58,31 +57,6 @@ func TestRowRoundTrip(t *testing.T) {
 	}
 	if got := readAll(t, path); !reflect.DeepEqual(got, rows) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, rows)
-	}
-}
-
-// TestLegacySnapshotInstalls proves a snapshot written by a pre-codec
-// (gob) build still reads: every row decodes through the legacy fallback
-// and the legacy-frame counter records it.
-func TestLegacySnapshotInstalls(t *testing.T) {
-	codec.Reset()
-	path := filepath.Join(t.TempDir(), "site-0.snap")
-	rows := testRows()
-	info, err := WriteLegacySnapshot(path, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Rows != uint64(len(rows)) {
-		t.Fatalf("legacy info rows = %d, want %d", info.Rows, len(rows))
-	}
-	if err := VerifySnapshot(path, info); err != nil {
-		t.Fatalf("VerifySnapshot on legacy file: %v", err)
-	}
-	if got := readAll(t, path); !reflect.DeepEqual(got, rows) {
-		t.Fatalf("legacy read mismatch:\n got %+v\nwant %+v", got, rows)
-	}
-	if n := codec.LegacyFrames(codec.SurfaceCheckpoint); n != uint64(len(rows)) {
-		t.Fatalf("legacy frame counter = %d, want %d", n, len(rows))
 	}
 }
 

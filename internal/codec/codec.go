@@ -1,25 +1,21 @@
-// Package codec is DynaMast's hand-rolled binary wire format: the
-// zero-allocation replacement for encoding/gob on every surface where a
-// record crosses a boundary — WAL entries, RPC frames and their bodies,
-// and checkpoint snapshot rows.
+// Package codec is DynaMast's hand-rolled binary wire format, the one
+// encoding on every surface where a record crosses a boundary — WAL
+// entries, RPC frames and their bodies, and checkpoint snapshot rows.
 //
 // The paper's substrates are Apache Thrift's compact binary protocol (RPC)
-// and Kafka's framed binary log (replication); gob stood in for both but
-// reflects and allocates on every message. This package provides what those
-// substrates provide: explicit per-type wire schemas built from a small set
-// of primitives, with append-style encoding into caller-owned buffers and a
-// sticky-error Reader for decoding.
+// and Kafka's framed binary log (replication). This package provides what
+// those substrates provide: explicit per-type wire schemas built from a
+// small set of primitives, with append-style encoding into caller-owned
+// buffers and a sticky-error Reader for decoding.
 //
 // # Wire discipline
 //
 // Every payload produced by this package begins with a two-byte header:
-// Magic (0x00) then a format-version byte. A self-contained gob stream can
-// never begin with byte 0x00 (gob prefixes each message with its byte
-// count, encoded as a uvarint that is never zero), so one payload byte
-// distinguishes the binary format from legacy gob frames. Readers of
-// durable data (WAL, checkpoints) use this to fall back to a gob decode
-// per frame, which is what lets a log written partly by an old build and
-// partly by this one replay seamlessly.
+// Magic (0x00) then a format-version byte. It is the only encoding on every
+// surface: a payload whose header is missing, carries another first byte or
+// names an unknown version is refused (CheckHeader), never guessed at, so a
+// durable file written in any other format fails to open instead of
+// replaying as something else.
 //
 // Integers travel as unsigned LEB128 varints (signed values zig-zag), like
 // Thrift's compact protocol; byte strings are length-prefixed.
@@ -44,9 +40,8 @@ import (
 )
 
 const (
-	// Magic is the first byte of every binary payload. Chosen because a
-	// self-contained gob stream never starts with 0x00 (see package doc),
-	// making one byte sufficient to discriminate the two formats.
+	// Magic is the first byte of every payload; CheckHeader refuses any
+	// other.
 	Magic = 0x00
 	// Version1 is the first (current) binary format version.
 	Version1 = 0x01
@@ -78,12 +73,6 @@ type Message interface {
 // AppendHeader appends the magic+version prefix for format version v.
 func AppendHeader(buf []byte, v byte) []byte {
 	return append(buf, Magic, v)
-}
-
-// IsBinary reports whether payload begins with this package's magic byte
-// (i.e. is NOT a legacy gob payload).
-func IsBinary(payload []byte) bool {
-	return len(payload) >= HeaderSize && payload[0] == Magic
 }
 
 // CheckHeader validates the magic+version prefix and returns the body after
@@ -208,14 +197,6 @@ func (r *Reader) Done() error {
 	return nil
 }
 
-// Remaining returns how many bytes are left undecoded.
-func (r *Reader) Remaining() int {
-	if r.err != nil {
-		return 0
-	}
-	return len(r.data) - r.off
-}
-
 // Uvarint decodes one unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
@@ -232,6 +213,21 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// Count decodes a sequence's element count. Every element takes at least
+// one byte, so a count larger than the undecoded bytes is corrupt: it fails
+// the reader and returns 0 instead of sizing an allocation.
+func (r *Reader) Count() int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.data)-r.off) {
+		r.fail(fmt.Errorf("%w: count %d exceeds the payload", ErrCorrupt, n))
+		return 0
+	}
+	return int(n)
 }
 
 // Int decodes one zig-zag varint.
@@ -285,7 +281,7 @@ func (r *Reader) take() []byte {
 }
 
 // Bytes decodes a length-prefixed byte string into a fresh allocation
-// (empty decodes as nil, matching gob's round-trip of nil slices).
+// (empty decodes as nil).
 func (r *Reader) Bytes() []byte {
 	p := r.take()
 	if len(p) == 0 {
@@ -294,13 +290,6 @@ func (r *Reader) Bytes() []byte {
 	out := make([]byte, len(p))
 	copy(out, p)
 	return out
-}
-
-// BytesInto decodes a length-prefixed byte string by appending to dst
-// (reusing its capacity); the result never aliases the wire buffer.
-func (r *Reader) BytesInto(dst []byte) []byte {
-	p := r.take()
-	return append(dst, p...)
 }
 
 // Tail consumes and returns every remaining byte of the payload. It is the

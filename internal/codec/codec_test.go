@@ -2,13 +2,15 @@ package codec
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 )
@@ -200,22 +202,6 @@ func TestStringInterning(t *testing.T) {
 	}
 }
 
-func TestGobNeverStartsWithMagic(t *testing.T) {
-	// The format discriminator relies on self-contained gob streams never
-	// beginning with byte 0x00; prove it for a representative payload.
-	var sink bytes.Buffer
-	type entry struct {
-		A uint64
-		B string
-	}
-	if err := gob.NewEncoder(&sink).Encode(&entry{A: 1, B: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Bytes()[0] == Magic {
-		t.Fatal("gob payload starts with the binary magic byte")
-	}
-}
-
 func TestBufPool(t *testing.T) {
 	b := GetBuf()
 	*b = append(*b, 1, 2, 3)
@@ -228,20 +214,63 @@ func TestBufPool(t *testing.T) {
 	PutBuf(nil) // must not panic
 }
 
+// TestStatsAccumulate checks that recorded encodes and decodes reach the
+// registry series, each under its own surface label.
 func TestStatsAccumulate(t *testing.T) {
-	Reset()
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	series := func(name string, s Surface) float64 {
+		v, ok := reg.Snapshot().Value(name, obs.L("surface", s.String()))
+		if !ok {
+			t.Fatalf("%s{surface=%q} not registered", name, s)
+		}
+		return v
+	}
+	encBytes := series("dynamast_codec_encode_bytes_total", SurfaceWAL)
+	encNanos := series("dynamast_codec_encode_nanos_total", SurfaceWAL)
+	decBytes := series("dynamast_codec_decode_bytes_total", SurfaceRPC)
+	ckptBytes := series("dynamast_codec_decode_bytes_total", SurfaceCheckpoint)
 	RecordEncode(SurfaceWAL, 100, 5*time.Nanosecond)
 	RecordEncode(SurfaceWAL, 50, 5*time.Nanosecond)
 	RecordDecode(SurfaceRPC, 7, time.Nanosecond)
-	RecordLegacy(SurfaceCheckpoint)
-	if b, d := EncodeStats(SurfaceWAL); b != 150 || d != 10*time.Nanosecond {
-		t.Fatalf("encode stats: %d %v", b, d)
+	if d := series("dynamast_codec_encode_bytes_total", SurfaceWAL) - encBytes; d != 150 {
+		t.Fatalf("wal encode bytes grew by %v, want 150", d)
 	}
-	if b, _ := DecodeStats(SurfaceRPC); b != 7 {
-		t.Fatalf("decode stats: %d", b)
+	if d := series("dynamast_codec_encode_nanos_total", SurfaceWAL) - encNanos; d != 10 {
+		t.Fatalf("wal encode nanos grew by %v, want 10", d)
 	}
-	if LegacyFrames(SurfaceCheckpoint) != 1 {
-		t.Fatal("legacy counter")
+	if d := series("dynamast_codec_decode_bytes_total", SurfaceRPC) - decBytes; d != 7 {
+		t.Fatalf("rpc decode bytes grew by %v, want 7", d)
 	}
-	Reset()
+	if d := series("dynamast_codec_decode_bytes_total", SurfaceCheckpoint) - ckptBytes; d != 0 {
+		t.Fatalf("checkpoint decode bytes grew by %v, want 0", d)
+	}
+}
+
+// TestCountBoundedByPayload: a count no larger than the undecoded bytes
+// decodes; a larger one fails the reader instead of sizing an allocation.
+func TestCountBoundedByPayload(t *testing.T) {
+	ok := NewBodyReader([]byte{2, 0xaa, 0xbb})
+	if n := ok.Count(); n != 2 || ok.Err() != nil {
+		t.Fatalf("Count = %d, %v; want 2, nil", n, ok.Err())
+	}
+	bad := NewBodyReader(AppendUvarint(nil, 1<<40))
+	if n := bad.Count(); n != 0 || !errors.Is(bad.Err(), ErrCorrupt) {
+		t.Fatalf("Count = %d, %v; want 0, ErrCorrupt", n, bad.Err())
+	}
+
+	// The sub-schemas size their allocations by Count: a few bytes claiming
+	// 2^20 row refs fail before 24 MB of them are allocated.
+	payload := AppendUvarint(AppendHeader(nil, Version1), 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(payload)
+	refs := r.Refs()
+	runtime.ReadMemStats(&after)
+	if refs != nil || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("Refs = %d refs, %v; want nil, ErrCorrupt", len(refs), r.Err())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), grew)
+	}
 }

@@ -36,16 +36,13 @@ func (s Surface) String() string {
 	return "unknown"
 }
 
-// surfaceStats is one surface's process-wide counters. Encode bytes/nanos
-// quantify the serialization cost the codec removed from the hot paths;
-// legacy counts how many gob-format frames the fallback reader decoded
-// (non-zero exactly when recovering data a pre-codec build wrote).
+// surfaceStats is one surface's process-wide counters: the bytes and time
+// spent encoding and decoding.
 type surfaceStats struct {
 	encBytes atomic.Uint64
 	encNanos atomic.Uint64
 	decBytes atomic.Uint64
 	decNanos atomic.Uint64
-	legacy   atomic.Uint64
 }
 
 var stats [numSurfaces]surfaceStats
@@ -62,32 +59,9 @@ func RecordDecode(s Surface, n int, d time.Duration) {
 	stats[s].decNanos.Add(uint64(d))
 }
 
-// RecordLegacy counts one legacy gob frame decoded on surface s.
-func RecordLegacy(s Surface) { stats[s].legacy.Add(1) }
-
-// LegacyFrames returns how many legacy gob frames surface s has decoded.
-func LegacyFrames(s Surface) uint64 { return stats[s].legacy.Load() }
-
-// EncodeStats returns surface s's cumulative encode bytes and time.
-func EncodeStats(s Surface) (bytes uint64, d time.Duration) {
-	return stats[s].encBytes.Load(), time.Duration(stats[s].encNanos.Load())
-}
-
-// DecodeStats returns surface s's cumulative decode bytes and time.
-func DecodeStats(s Surface) (bytes uint64, d time.Duration) {
-	return stats[s].decBytes.Load(), time.Duration(stats[s].decNanos.Load())
-}
-
-// Reset zeroes all codec counters (tests).
-func Reset() {
-	for i := range stats {
-		stats[i] = surfaceStats{}
-	}
-}
-
 // Instrument registers the codec's process-wide counters in reg:
-// dynamast_codec_{encode,decode}_{bytes,nanos}_total and
-// dynamast_codec_legacy_frames_total, each labelled by surface.
+// dynamast_codec_{encode,decode}_{bytes,nanos}_total, each labelled by
+// surface.
 func Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -96,7 +70,6 @@ func Instrument(reg *obs.Registry) {
 	reg.Help("dynamast_codec_encode_nanos_total", "Nanoseconds spent serializing, by wire surface.")
 	reg.Help("dynamast_codec_decode_bytes_total", "Bytes deserialized by the binary codec, by wire surface.")
 	reg.Help("dynamast_codec_decode_nanos_total", "Nanoseconds spent deserializing, by wire surface.")
-	reg.Help("dynamast_codec_legacy_frames_total", "Legacy gob frames decoded by the fallback reader, by wire surface.")
 	for i := Surface(0); i < numSurfaces; i++ {
 		s := &stats[i]
 		lbl := obs.L("surface", i.String())
@@ -108,7 +81,5 @@ func Instrument(reg *obs.Registry) {
 			func() float64 { return float64(s.decBytes.Load()) }, lbl)
 		reg.Func("dynamast_codec_decode_nanos_total", obs.KindCounter,
 			func() float64 { return float64(s.decNanos.Load()) }, lbl)
-		reg.Func("dynamast_codec_legacy_frames_total", obs.KindCounter,
-			func() float64 { return float64(s.legacy.Load()) }, lbl)
 	}
 }

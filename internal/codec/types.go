@@ -11,8 +11,7 @@ import (
 // Shared sub-schemas for the record fragments that appear on more than one
 // wire surface (version vectors and write sets ride in WAL entries, RPC
 // bodies, and checkpoint rows). Each is a count-prefixed sequence of its
-// element schema; empty sequences decode as nil so round-trips preserve
-// gob's nil/empty convention.
+// element schema; empty sequences decode as nil.
 
 // AppendVector appends a version vector (delegates to the vector's own
 // encoding so vclock owns its wire shape).
@@ -22,15 +21,11 @@ func AppendVector(buf []byte, v vclock.Vector) []byte {
 
 // Vector decodes a version vector, reusing dst's capacity when possible.
 func (r *Reader) Vector(dst vclock.Vector) vclock.Vector {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
-	if n > maxLen/8 {
-		r.fail(ErrCorrupt)
-		return nil
-	}
-	if uint64(cap(dst)) >= n {
+	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make(vclock.Vector, n)
@@ -55,15 +50,11 @@ func AppendVectorDelta(buf []byte, prev, v vclock.Vector) []byte {
 // capacity when possible. Diffs add to prev with two's-complement wrap, the
 // exact inverse of AppendVectorDelta for every uint64 value.
 func (r *Reader) VectorDelta(prev, dst vclock.Vector) vclock.Vector {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
-	if n > maxLen/8 {
-		r.fail(ErrCorrupt)
-		return nil
-	}
-	if uint64(cap(dst)) >= n {
+	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make(vclock.Vector, n)
@@ -149,12 +140,8 @@ func AppendRefs(buf []byte, refs []storage.RowRef) []byte {
 
 // Refs decodes a row-reference list.
 func (r *Reader) Refs() []storage.RowRef {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxLen/2 {
-		r.fail(ErrCorrupt)
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]storage.RowRef, n)
@@ -191,12 +178,8 @@ func AppendWrites(buf []byte, ws []storage.Write) []byte {
 
 // Writes decodes a write set.
 func (r *Reader) Writes() []storage.Write {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxLen/4 {
-		r.fail(ErrCorrupt)
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]storage.Write, n)
@@ -221,12 +204,8 @@ func AppendKVs(buf []byte, rows []storage.KV) []byte {
 
 // KVs decodes key/value rows.
 func (r *Reader) KVs() []storage.KV {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxLen/2 {
-		r.fail(ErrCorrupt)
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]storage.KV, n)
@@ -263,12 +242,8 @@ func AppendUint64s(buf []byte, vs []uint64) []byte {
 
 // Uint64s decodes a count-prefixed uint64 list.
 func (r *Reader) Uint64s() []uint64 {
-	n := r.Uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxLen/2 {
-		r.fail(ErrCorrupt)
+	n := r.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)
@@ -284,7 +259,7 @@ func (r *Reader) Uint64s() []uint64 {
 // AppendTime appends a timestamp as UnixNano. The zero time travels as 0,
 // which conflates it with the Unix epoch instant itself — no DynaMast
 // timestamp is ever the epoch, and zero-ness (At unset) is what matters.
-// Monotonic-clock readings and location are dropped, exactly as gob did.
+// Monotonic-clock readings and location are dropped.
 func AppendTime(buf []byte, t time.Time) []byte {
 	if t.IsZero() {
 		return append(buf, 0)

@@ -291,8 +291,8 @@ func (s Sample) ID() string {
 }
 
 // Snapshot is a point-in-time copy of every instrument, sorted by name then
-// label identity. It is plain data (gob/json friendly) so it can travel
-// over the RPC layer to dynactl.
+// label identity. It is plain data (JSON friendly, with a binary schema in
+// internal/server) so it can travel over the RPC layer to dynactl.
 type Snapshot struct {
 	At      time.Time
 	Samples []Sample

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"dynamast/internal/core"
 	"dynamast/internal/storage"
+	"dynamast/internal/systems"
 )
 
 func startServer(t *testing.T) (*core.Cluster, string) {
@@ -336,4 +340,67 @@ func TestScanReplyOutlivesTransaction(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestPlacementOverRPC: on a factor-2 cluster with a recorded replica add,
+// the placement snapshot fetched over RPC equals Cluster.Placement().
+func TestPlacementOverRPC(t *testing.T) {
+	cluster, err := core.NewCluster(core.Config{
+		Sites:             3,
+		Partitioner:       func(ref storage.RowRef) uint64 { return ref.Key / 100 },
+		MinReplicas:       2,
+		MaxReplicas:       3,
+		PlacementInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr, err := Serve(cluster, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		cluster.Close()
+	})
+	cluster.CreateTable("kv")
+	var rows []systems.LoadRow
+	for k := uint64(0); k < 500; k++ {
+		rows = append(rows, systems.LoadRow{Ref: storage.RowRef{Table: "kv", Key: k}, Data: []byte{byte(k)}})
+	}
+	cluster.Load(rows)
+	before := cluster.Placement()
+	if before.FullReplication || len(before.Partitions) == 0 {
+		t.Fatalf("not a partial-replication placement: %+v", before)
+	}
+	// Host partition 0 on a site outside its replica set, so the snapshot
+	// carries a decision.
+	for site := 0; site < 3; site++ {
+		if !slices.Contains(before.Partitions[0], site) {
+			if err := cluster.AddReplica(0, site); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+
+	cl, err := Dial(addr.String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	got, err := cl.Placement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cluster.Placement()
+	if len(want.Decisions) == 0 {
+		t.Fatal("no placement decision recorded")
+	}
+	for i := range want.Decisions {
+		want.Decisions[i].At = want.Decisions[i].At.Round(0) // the wire carries no monotonic reading
+	}
+	if !reflect.DeepEqual(*got, want) {
+		t.Fatalf("placement over RPC:\n got %+v\nwant %+v", *got, want)
+	}
 }

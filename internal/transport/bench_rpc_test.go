@@ -7,18 +7,9 @@ import (
 	"dynamast/internal/codec"
 )
 
-// benchBody mimics a transaction submission: a session id, a write-set-like
-// ref list, and a value payload. benchBodyBin implements codec.Message so
-// the binary path is used; benchBodyGob is field-identical but rides the
-// gob fallback, giving the before/after comparison one build can measure.
+// benchBodyBin mimics a transaction submission: a session id, a
+// write-set-like ref list, and a value payload.
 type benchBodyBin struct {
-	Client int64
-	Tables []string
-	Keys   []uint64
-	Value  []byte
-}
-
-type benchBodyGob struct {
 	Client int64
 	Tables []string
 	Keys   []uint64
@@ -63,86 +54,54 @@ func benchBodyFields() (int64, []string, []uint64, []byte) {
 }
 
 // BenchmarkRPCBodyEncodeDecode isolates body serialization round-trip
-// (encode + decode, no network) in both formats.
+// (encode + decode, no network).
 func BenchmarkRPCBodyEncodeDecode(b *testing.B) {
 	cl, tbl, keys, val := benchBodyFields()
-	b.Run("binary", func(b *testing.B) {
-		src := &benchBodyBin{Client: cl, Tables: tbl, Keys: keys, Value: val}
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf, _ = encodeBody(src, buf[:0])
-			var dst benchBodyBin
-			if err := decodeBody(buf, &dst); err != nil {
-				b.Fatal(err)
-			}
+	src := &benchBodyBin{Client: cl, Tables: tbl, Keys: keys, Value: val}
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = src.MarshalTo(buf[:0])
+		var dst benchBodyBin
+		if err := dst.Unmarshal(buf); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		src := &benchBodyGob{Client: cl, Tables: tbl, Keys: keys, Value: val}
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = encodeBody(src, buf[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			var dst benchBodyGob
-			if err := decodeBody(buf, &dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkRPCRoundTrip measures a full echo call over TCP loopback — frame
-// encode, kernel round trip, frame decode, body decode — in both body
-// formats. Network time dominates; the interesting columns are allocs/op
-// and the binary-vs-gob delta.
+// encode, kernel round trip, frame decode, body decode. Network time
+// dominates; the interesting column is allocs/op.
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	cl, tbl, keys, val := benchBodyFields()
-	run := func(b *testing.B, method string, arg, reply any) {
-		s := NewServer()
-		Handle(s, "echo_bin", func(req *benchBodyBin) (*benchBodyBin, error) { return req, nil })
-		Handle(s, "echo_gob", func(req *benchBodyGob) (*benchBodyGob, error) { return req, nil })
-		addr, err := s.ListenAndServe("127.0.0.1:0")
-		if err != nil {
+	s := NewServer()
+	Handle(s, "echo", func(req *benchBodyBin) (*benchBodyBin, error) { return req, nil })
+	addr, err := s.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	arg := &benchBodyBin{Client: cl, Tables: tbl, Keys: keys, Value: val}
+	reply := &benchBodyBin{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Call("echo", arg, reply); err != nil {
 			b.Fatal(err)
-		}
-		defer s.Close()
-		c, err := Dial(addr.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.Call(method, arg, reply); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
-	b.Run("binary", func(b *testing.B) {
-		arg := &benchBodyBin{Client: cl, Tables: tbl, Keys: keys, Value: val}
-		run(b, "echo_bin", arg, &benchBodyBin{})
-	})
-	b.Run("gob", func(b *testing.B) {
-		arg := &benchBodyGob{Client: cl, Tables: tbl, Keys: keys, Value: val}
-		run(b, "echo_gob", arg, &benchBodyGob{})
-	})
 }
 
 func TestBenchBodyRoundTrip(t *testing.T) {
 	cl, tbl, keys, val := benchBodyFields()
 	src := &benchBodyBin{Client: cl, Tables: tbl, Keys: keys, Value: val}
-	buf, err := encodeBody(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dst benchBodyBin
-	if err := decodeBody(buf, &dst); err != nil {
+	if err := dst.Unmarshal(src.MarshalTo(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Client != src.Client || len(dst.Tables) != 2 || len(dst.Keys) != 3 || !bytes.Equal(dst.Value, src.Value) {

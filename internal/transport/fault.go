@@ -354,8 +354,8 @@ func parseCategory(s string) (Category, error) {
 	return 0, fmt.Errorf("unknown category %q", s)
 }
 
-// rpcRetries counts retried RPCs across the process (both the in-process
-// remaster chains and the TCP client); Network.Instrument re-exports it as
+// rpcRetries counts retried RPCs across the process (the in-process
+// remaster chains); Network.Instrument re-exports it as
 // dynamast_rpc_retries_total.
 var rpcRetries atomic.Uint64
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -174,18 +173,19 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 }
 
+// TestRPCCallTimeoutAndRetry: a call whose deadline passes before the
+// reply, or whose context is already cancelled, wraps ErrTimeout — the
+// class after which a caller may retry an idempotent method — and leaves
+// the connection usable; an application error wraps neither transport
+// class.
 func TestRPCCallTimeoutAndRetry(t *testing.T) {
 	srv := NewServer()
 	block := make(chan struct{})
-	var calls atomic.Int32 // timed-out handler goroutines stay parked, overlapping retries
-	Handle(srv, "slow", func(req *int) (*int, error) {
-		if calls.Add(1) <= 2 {
-			<-block // first two calls hang past the per-call timeout
-		}
-		resp := *req * 2
-		return &resp, nil
+	Handle(srv, "slow", func(req *testMsg) (*testMsg, error) {
+		<-block // hangs past the caller's deadline
+		return &testMsg{N: req.N * 2}, nil
 	})
-	Handle(srv, "apperr", func(req *int) (*int, error) {
+	Handle(srv, "apperr", func(*testMsg) (*testMsg, error) {
 		return nil, errors.New("definitive failure")
 	})
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
@@ -201,71 +201,62 @@ func TestRPCCallTimeoutAndRetry(t *testing.T) {
 	}
 	defer cli.Close()
 
-	// Plain timeout surfaces ErrTimeout.
-	var out int
-	err = cli.CallTimeout("slow", 21, &out, 30*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
-	}
-
-	// Retries ride past the two hung calls and count each retry.
-	before := RPCRetries()
-	err = cli.CallRetry(context.Background(), "slow", 21, &out,
-		RetryPolicy{Attempts: 4, PerCallTimeout: 30 * time.Millisecond, Base: time.Millisecond, MaxBackoff: 4 * time.Millisecond, Seed: 9})
-	if err != nil {
-		t.Fatalf("CallRetry: %v", err)
-	}
-	if out != 42 {
-		t.Fatalf("reply = %d, want 42", out)
-	}
-	if got := RPCRetries() - before; got < 1 {
-		t.Fatalf("retries not counted: %d", got)
-	}
-
-	// Application errors are definitive — exactly one attempt.
-	before = RPCRetries()
-	err = cli.CallRetry(context.Background(), "apperr", 1, &out, DefaultRetryPolicy())
-	if err == nil || errors.Is(err, ErrTimeout) {
-		t.Fatalf("want application error, got %v", err)
-	}
-	if RPCRetries() != before {
-		t.Fatal("application error was retried")
-	}
-
-	// Cancelled context ends the loop promptly.
-	ctx, cancel := context.WithCancel(context.Background())
+	var out testMsg
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	err = cli.CallCtx(ctx, "slow", &testMsg{N: 21}, &out)
 	cancel()
-	err = cli.CallCtx(ctx, "slow", 1, &out)
-	if !errors.Is(err, ErrTimeout) {
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want ErrTimeout wrapping the deadline, got %v", err)
+	}
+
+	// The abandoned call's connection still serves; application errors are
+	// definitive answers, not transport failures.
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = cli.CallCtx(ctx, "apperr", &testMsg{N: 1}, &out)
+	if err == nil || errors.Is(err, ErrTimeout) || errors.Is(err, ErrConnLost) {
+		t.Fatalf("want the application error, got %v", err)
+	}
+
+	// An already cancelled context fails at once, without sending.
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	err = cli.CallCtx(done, "slow", &testMsg{N: 1}, &out)
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: %v", err)
 	}
 }
 
+// TestRPCRetryConnectionLost: a call whose connection dies before the reply
+// wraps ErrConnLost, not ErrTimeout, although it runs under a deadline.
 func TestRPCRetryConnectionLost(t *testing.T) {
-	// A client whose connection dies mid-call retries until attempts are
-	// exhausted and reports the terminal error.
 	srv := NewServer()
-	Handle(srv, "never", func(req *int) (*int, error) {
-		select {} // hold the call forever; we kill the conn instead
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	Handle(srv, "never", func(*testMsg) (*testMsg, error) {
+		close(entered)
+		<-release // hold the call; the test kills the connection instead
+		return &testMsg{}, nil
 	})
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer close(release)
 	cli, err := Dial(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-entered
 		cli.conn.(*net.TCPConn).Close()
 	}()
-	var out int
-	err = cli.CallRetry(context.Background(), "never", 1, &out,
-		RetryPolicy{Attempts: 2, PerCallTimeout: 50 * time.Millisecond, Base: time.Millisecond})
-	if err == nil {
-		t.Fatal("call against dead connection succeeded")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = cli.CallCtx(ctx, "never", &testMsg{N: 1}, &testMsg{})
+	if !errors.Is(err, ErrConnLost) || errors.Is(err, ErrTimeout) {
+		t.Fatalf("want ErrConnLost, got %v", err)
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,11 +25,9 @@ import (
 // Wire shape: every message is [u32 length][payload], little-endian, where
 // the payload is a codec frame — magic+version header, a flags byte
 // (response / has-error), the call id, the method name, an optional error
-// string, and the request/response body as the frame's tail. Bodies of
-// types that implement codec.Message travel in the binary format; other
-// types fall back to gob (the first body byte discriminates), which keeps
-// rarely-called operator RPCs with deep payloads (metrics snapshots) off
-// the hand-rolled schema list without a second protocol.
+// string, and the request/response body as the frame's tail. Every body is
+// a codec.Message: Handle and the Client.Call methods accept nothing else,
+// so a body type without a wire schema does not compile.
 //
 // Buffer discipline: encode scratch and read buffers come from the codec
 // pool. A read buffer is owned by the message decoded from it and is
@@ -170,21 +166,19 @@ func readFrame(br *bufio.Reader, f *frame) (*[]byte, error) {
 	return bp, nil
 }
 
-// Handler processes one request body and appends its response body to dst
-// (which arrives empty with pooled capacity), returning the extended
+// handler processes one request body, with the request's distributed trace
+// context (zero for unsampled requests), and appends its response body to
+// dst (which arrives empty with pooled capacity), returning the extended
 // slice. The request body is only valid for the duration of the call;
 // anything retained must be copied — which the codec's decode ownership
 // rule provides for free.
-type Handler func(req []byte, dst []byte) ([]byte, error)
+type handler func(tc obs.SpanContext, req []byte, dst []byte) ([]byte, error)
 
-// TracedHandler is a Handler that additionally receives the request's
-// distributed trace context (zero for unsampled requests).
-type TracedHandler func(tc obs.SpanContext, req []byte, dst []byte) ([]byte, error)
-
-// Server dispatches framed RPC requests to registered handlers.
+// Server dispatches framed RPC requests to handlers registered with Handle
+// and HandleTraced.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]TracedHandler
+	handlers map[string]handler
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
@@ -194,21 +188,14 @@ type Server struct {
 // NewServer returns a server with no handlers registered.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]TracedHandler),
+		handlers: make(map[string]handler),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
 
-// Register installs a handler for method. Registering after Serve starts is
+// register installs h for method. Registering after Serve starts is
 // allowed.
-func (s *Server) Register(method string, h Handler) {
-	s.RegisterTraced(method, func(_ obs.SpanContext, req, dst []byte) ([]byte, error) {
-		return h(req, dst)
-	})
-}
-
-// RegisterTraced installs a trace-context-aware handler for method.
-func (s *Server) RegisterTraced(method string, h TracedHandler) {
+func (s *Server) register(method string, h handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = h
@@ -442,33 +429,18 @@ var ErrTimeout = errors.New("rpc: call timed out")
 // are never classified as connection loss, whatever their text.
 var ErrConnLost = errors.New("rpc: connection lost")
 
-// isConnErr reports connection failures (the other retryable error class).
-func isConnErr(err error) bool {
-	return errors.Is(err, ErrConnLost)
-}
-
-// Call invokes method with the encoded arg and decodes the response into
-// reply (which may be nil for methods without results). Equivalent to
-// CallCtx with a background context (no deadline).
-func (c *Client) Call(method string, arg, reply any) error {
+// Call invokes method with the encoded arg (non-nil) and decodes the
+// response into reply (which may be nil for methods without results).
+// Equivalent to CallCtx with a background context (no deadline).
+func (c *Client) Call(method string, arg, reply codec.Message) error {
 	return c.CallCtx(context.Background(), method, arg, reply)
-}
-
-// CallTimeout is Call with a per-call timeout (0 = no deadline).
-func (c *Client) CallTimeout(method string, arg, reply any, timeout time.Duration) error {
-	if timeout <= 0 {
-		return c.Call(method, arg, reply)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return c.CallCtx(ctx, method, arg, reply)
 }
 
 // CallCtx invokes method, honouring the context's deadline/cancellation: an
 // expired context abandons the pending call (the late response frame is
 // discarded by the read loop) and returns an error wrapping ErrTimeout and
 // the context error.
-func (c *Client) CallCtx(ctx context.Context, method string, arg, reply any) error {
+func (c *Client) CallCtx(ctx context.Context, method string, arg, reply codec.Message) error {
 	return c.CallTraced(ctx, obs.SpanContext{}, method, arg, reply)
 }
 
@@ -476,17 +448,13 @@ func (c *Client) CallCtx(ctx context.Context, method string, arg, reply any) err
 // rides the request frame behind the trace flags bit, so the server-side
 // handler can join its spans to the caller's trace. A zero tc leaves the
 // frame byte-identical to an untraced call.
-func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method string, arg, reply any) error {
+func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method string, arg, reply codec.Message) error {
 	if err := ctx.Err(); err != nil {
 		// Already cancelled or expired: do not send a request nobody awaits.
 		return fmt.Errorf("rpc: %s: %w: %w", method, ErrTimeout, err)
 	}
 	bodyBuf := codec.GetBuf()
-	body, err := encodeBody(arg, (*bodyBuf)[:0])
-	if err != nil {
-		codec.PutBuf(bodyBuf)
-		return fmt.Errorf("rpc: encode %s: %w", method, err)
-	}
+	body := arg.MarshalTo((*bodyBuf)[:0])
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -501,11 +469,9 @@ func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method stri
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err = writeFrame(c.conn, &frame{ID: id, Method: method, Body: body, Trace: tc.Trace, Span: tc.Span})
+	err := writeFrame(c.conn, &frame{ID: id, Method: method, Body: body, Trace: tc.Trace, Span: tc.Span})
 	c.wmu.Unlock()
-	if body != nil {
-		*bodyBuf = body[:0]
-	}
+	*bodyBuf = body[:0]
 	codec.PutBuf(bodyBuf)
 	if err != nil {
 		c.mu.Lock()
@@ -531,86 +497,15 @@ func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method stri
 	if res.err != nil {
 		return res.err
 	}
-	err = nil
 	if res.resp.Err != "" {
 		err = errors.New(res.resp.Err)
 	} else if reply != nil {
-		err = decodeBody(res.resp.Body, reply)
+		err = reply.Unmarshal(res.resp.Body)
 	}
 	if res.buf != nil {
 		codec.PutBuf(res.buf) // reply decoded (and copied); buffer is dead
 	}
 	return err
-}
-
-// RetryPolicy bounds CallRetry: at most Attempts tries, each under
-// PerCallTimeout (0 = none), sleeping Base<<n plus up to 50% jitter between
-// tries, capped at MaxBackoff.
-type RetryPolicy struct {
-	Attempts       int
-	PerCallTimeout time.Duration
-	Base           time.Duration
-	MaxBackoff     time.Duration
-	// Seed fixes the jitter stream (0 = constant backoff, no jitter).
-	Seed int64
-}
-
-// DefaultRetryPolicy suits idempotent metadata RPCs: 4 attempts, 2s per
-// call, 25ms base backoff capped at 400ms.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 4, PerCallTimeout: 2 * time.Second, Base: 25 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
-}
-
-// CallRetry invokes an IDEMPOTENT method with bounded retries under p:
-// timeouts and lost connections are retried with exponential backoff plus
-// jitter; application errors returned by the handler are not (the server
-// answered; retrying would not change the outcome). The context bounds the
-// whole loop.
-func (c *Client) CallRetry(ctx context.Context, method string, arg, reply any, p RetryPolicy) error {
-	if p.Attempts <= 0 {
-		p.Attempts = 1
-	}
-	var rng *rand.Rand
-	if p.Seed != 0 {
-		rng = rand.New(rand.NewSource(p.Seed))
-	}
-	var err error
-	for attempt := 0; attempt < p.Attempts; attempt++ {
-		if attempt > 0 {
-			CountRetry()
-			backoff := p.Base << (attempt - 1)
-			if p.MaxBackoff > 0 && backoff > p.MaxBackoff {
-				backoff = p.MaxBackoff
-			}
-			if rng != nil && backoff > 0 {
-				backoff += time.Duration(rng.Int63n(int64(backoff)/2 + 1))
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("rpc: %s: %w", method, ctx.Err())
-			case <-time.After(backoff):
-			}
-		}
-		callCtx := ctx
-		var cancel context.CancelFunc
-		if p.PerCallTimeout > 0 {
-			callCtx, cancel = context.WithTimeout(ctx, p.PerCallTimeout)
-		}
-		err = c.CallCtx(callCtx, method, arg, reply)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, ErrTimeout) && !isConnErr(err) {
-			return err // definitive server answer; not retryable
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("rpc: %s failed after %d attempts: %w", method, p.Attempts, err)
 }
 
 // Close closes the connection; in-flight calls fail.
@@ -620,80 +515,33 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Handle registers a typed handler: the request body is decoded into Req,
-// and the returned Resp is encoded into the response. Types implementing
-// codec.Message use their binary wire schema; anything else rides the gob
-// fallback (see encodeBody).
-func Handle[Req, Resp any](s *Server, method string, fn func(*Req) (*Resp, error)) {
-	HandleTraced(s, method, func(_ obs.SpanContext, req *Req) (*Resp, error) {
+// Handle registers a typed handler: the request body is decoded into a
+// fresh Req and the returned Resp is encoded into the response, both
+// through their binary wire schemas.
+func Handle[Req any, PReq interface {
+	*Req
+	codec.Message
+}, Resp codec.Message](s *Server, method string, fn func(PReq) (Resp, error)) {
+	HandleTraced(s, method, func(_ obs.SpanContext, req PReq) (Resp, error) {
 		return fn(req)
 	})
 }
 
 // HandleTraced registers a typed handler that also receives the request's
 // distributed trace context (zero when the caller did not sample).
-func HandleTraced[Req, Resp any](s *Server, method string, fn func(obs.SpanContext, *Req) (*Resp, error)) {
-	s.RegisterTraced(method, func(tc obs.SpanContext, body, dst []byte) ([]byte, error) {
-		var req Req
-		if err := decodeBody(body, &req); err != nil {
+func HandleTraced[Req any, PReq interface {
+	*Req
+	codec.Message
+}, Resp codec.Message](s *Server, method string, fn func(obs.SpanContext, PReq) (Resp, error)) {
+	s.register(method, func(tc obs.SpanContext, body, dst []byte) ([]byte, error) {
+		req := PReq(new(Req))
+		if err := req.Unmarshal(body); err != nil {
 			return nil, fmt.Errorf("rpc: decode %s: %w", method, err)
 		}
-		resp, err := fn(tc, &req)
+		resp, err := fn(tc, req)
 		if err != nil {
 			return nil, err
 		}
-		return encodeBody(resp, dst)
+		return resp.MarshalTo(dst), nil
 	})
-}
-
-// encodeBody appends v's encoding to dst: the binary wire schema when v
-// implements codec.Message, a self-contained gob stream otherwise (whose
-// first byte is never the codec magic, so decodeBody can discriminate).
-// A nil v encodes as an empty body.
-func encodeBody(v any, dst []byte) ([]byte, error) {
-	if v == nil {
-		return nil, nil
-	}
-	if m, ok := v.(codec.Message); ok {
-		return m.MarshalTo(dst), nil
-	}
-	sw := sliceWriter(dst)
-	if err := gob.NewEncoder(&sw).Encode(v); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// decodeBody decodes a body produced by encodeBody into v. An empty body
-// leaves v at its zero value (nil request/reply convention).
-func decodeBody(body []byte, v any) error {
-	if len(body) == 0 {
-		return nil
-	}
-	if codec.IsBinary(body) {
-		m, ok := v.(codec.Message)
-		if !ok {
-			return fmt.Errorf("rpc: binary body for non-Message type %T", v)
-		}
-		return m.Unmarshal(body)
-	}
-	return gob.NewDecoder(byteReader{&body}).Decode(v)
-}
-
-type sliceWriter []byte
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
-type byteReader struct{ b *[]byte }
-
-func (r byteReader) Read(p []byte) (int, error) {
-	if len(*r.b) == 0 {
-		return 0, errors.New("EOF")
-	}
-	n := copy(p, *r.b)
-	*r.b = (*r.b)[n:]
-	return n, nil
 }

@@ -1,14 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,7 +17,7 @@ import (
 
 func TestRPCServerSurvivesGarbageBytes(t *testing.T) {
 	s := NewServer()
-	Handle(s, "echo", func(r *echoReq) (*echoResp, error) { return &echoResp{Msg: r.Msg}, nil })
+	Handle(s, "echo", func(r *testMsg) (*testMsg, error) { return &testMsg{Msg: r.Msg}, nil })
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +30,7 @@ func TestRPCServerSurvivesGarbageBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw.Write([]byte("this is not gob at all \x00\xff\x13\x37"))
+	raw.Write([]byte("this is not a codec frame \x00\xff\x13\x37"))
 	raw.Close()
 
 	c, err := Dial(addr.String())
@@ -39,8 +38,8 @@ func TestRPCServerSurvivesGarbageBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var resp echoResp
-	if err := c.Call("echo", &echoReq{Msg: "still alive"}, &resp); err != nil {
+	var resp testMsg
+	if err := c.Call("echo", &testMsg{Msg: "still alive"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Msg != "still alive" {
@@ -50,20 +49,24 @@ func TestRPCServerSurvivesGarbageBytes(t *testing.T) {
 
 func TestRPCServerSurvivesMidFrameDisconnect(t *testing.T) {
 	s := NewServer()
-	Handle(s, "echo", func(r *echoReq) (*echoResp, error) { return &echoResp{Msg: r.Msg}, nil })
+	Handle(s, "echo", func(r *testMsg) (*testMsg, error) { return &testMsg{Msg: r.Msg}, nil })
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Send a valid gob stream prefix then cut the connection.
+	// Send the first half of a valid request frame then cut the connection.
+	var whole bytes.Buffer
+	body := (&testMsg{Msg: "partial"}).MarshalTo(nil)
+	if err := writeFrame(&whole, &frame{ID: 1, Method: "echo", Body: body}); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(raw)
-	_ = enc.Encode(&frame{ID: 1, Method: "echo", Body: []byte("partial")})
+	raw.Write(whole.Bytes()[:whole.Len()/2])
 	raw.Close()
 
 	// Server keeps serving.
@@ -72,16 +75,14 @@ func TestRPCServerSurvivesMidFrameDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("echo", &echoReq{Msg: "ok"}, &echoResp{}); err != nil {
+	if err := c.Call("echo", &testMsg{Msg: "ok"}, &testMsg{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRPCLargePayloadRoundTrip(t *testing.T) {
 	s := NewServer()
-	type blobReq struct{ Data []byte }
-	type blobResp struct{ N int }
-	Handle(s, "blob", func(r *blobReq) (*blobResp, error) { return &blobResp{N: len(r.Data)}, nil })
+	Handle(s, "blob", func(r *testMsg) (*testMsg, error) { return &testMsg{N: int64(len(r.Data))}, nil })
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -97,11 +98,11 @@ func TestRPCLargePayloadRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	var resp blobResp
-	if err := c.Call("blob", &blobReq{Data: payload}, &resp); err != nil {
+	var resp testMsg
+	if err := c.Call("blob", &testMsg{Data: payload}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.N != len(payload) {
+	if resp.N != int64(len(payload)) {
 		t.Fatalf("server saw %d bytes", resp.N)
 	}
 }
@@ -114,8 +115,8 @@ func TestRPCManySequentialCalls(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 500; i++ {
-		var resp echoResp
-		if err := c.Call("echo", &echoReq{Msg: "m"}, &resp); err != nil {
+		var resp testMsg
+		if err := c.Call("echo", &testMsg{Msg: "m"}, &resp); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -125,7 +126,7 @@ func TestRPCHandlerPanicIsolation(t *testing.T) {
 	// A handler returning an error string containing newlines and weird
 	// characters must round-trip as an error.
 	s := NewServer()
-	Handle(s, "weird", func(r *echoReq) (*echoResp, error) {
+	Handle(s, "weird", func(r *testMsg) (*testMsg, error) {
 		return nil, &weirdError{}
 	})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
@@ -138,7 +139,7 @@ func TestRPCHandlerPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.Call("weird", &echoReq{}, &echoResp{})
+	err = c.Call("weird", &testMsg{}, &testMsg{})
 	if err == nil || !strings.Contains(err.Error(), "line2") {
 		t.Fatalf("err = %v", err)
 	}
@@ -163,8 +164,8 @@ func TestRPCConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < 50; j++ {
-				var resp echoResp
-				if err := c.Call("echo", &echoReq{Msg: "x"}, &resp); err != nil {
+				var resp testMsg
+				if err := c.Call("echo", &testMsg{Msg: "x"}, &resp); err != nil {
 					errs <- err
 					return
 				}
@@ -184,13 +185,12 @@ func TestRPCConcurrentClients(t *testing.T) {
 
 func TestServerErrorTextNotMistakenForConnLoss(t *testing.T) {
 	// An application error whose text resembles the client's connection
-	// failure messages must stay a definitive server answer: no retries, no
-	// ErrConnLost classification.
+	// failure messages must stay a definitive server answer: it wraps
+	// neither ErrConnLost nor ErrTimeout, the classes a caller may retry.
 	s := NewServer()
-	var calls atomic.Int32
-	Handle(s, "flaky", func(r *echoReq) (*echoResp, error) {
-		calls.Add(1)
-		return nil, errors.New("upstream connection lost; client closed")
+	const text = "upstream connection lost; client closed"
+	Handle(s, "flaky", func(r *testMsg) (*testMsg, error) {
+		return nil, errors.New(text)
 	})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -202,16 +202,14 @@ func TestServerErrorTextNotMistakenForConnLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.CallRetry(context.Background(), "flaky", &echoReq{}, &echoResp{},
-		RetryPolicy{Attempts: 4, Base: time.Millisecond})
-	if err == nil {
-		t.Fatal("expected the application error")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = c.CallCtx(ctx, "flaky", &testMsg{}, &testMsg{})
+	if err == nil || err.Error() != text {
+		t.Fatalf("err = %v, want the application error %q", err, text)
 	}
-	if errors.Is(err, ErrConnLost) {
-		t.Fatalf("server error classified as connection loss: %v", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("handler called %d times, want 1 (definitive errors are not retried)", got)
+	if errors.Is(err, ErrConnLost) || errors.Is(err, ErrTimeout) {
+		t.Fatalf("server error classified as a transport failure: %v", err)
 	}
 }
 
@@ -229,16 +227,16 @@ func goroutineID() string {
 func TestRPCConnectionWorkers(t *testing.T) {
 	const burst = 8
 	s := NewServer()
-	Handle(s, "gid", func(*echoReq) (*echoResp, error) {
-		return &echoResp{Msg: goroutineID()}, nil
+	Handle(s, "gid", func(*testMsg) (*testMsg, error) {
+		return &testMsg{Msg: goroutineID()}, nil
 	})
 	var arrived sync.WaitGroup
 	arrived.Add(burst)
-	Handle(s, "rendezvous", func(r *echoReq) (*echoResp, error) {
+	Handle(s, "rendezvous", func(r *testMsg) (*testMsg, error) {
 		// Returns only once all burst calls are inside their handlers.
 		arrived.Done()
 		arrived.Wait()
-		return &echoResp{Msg: r.Msg}, nil
+		return &testMsg{Msg: r.Msg}, nil
 	})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -255,8 +253,8 @@ func TestRPCConnectionWorkers(t *testing.T) {
 		t.Helper()
 		var first string
 		for i := 0; i < 50; i++ {
-			var resp echoResp
-			if err := c.Call("gid", &echoReq{}, &resp); err != nil {
+			var resp testMsg
+			if err := c.Call("gid", &testMsg{}, &resp); err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {
@@ -274,8 +272,10 @@ func TestRPCConnectionWorkers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			msg := strings.Repeat("x", i+1)
-			var resp echoResp
-			if err := c.CallTimeout("rendezvous", &echoReq{Msg: msg}, &resp, 10*time.Second); err != nil {
+			var resp testMsg
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := c.CallCtx(ctx, "rendezvous", &testMsg{Msg: msg}, &resp); err != nil {
 				t.Errorf("burst call %d: %v (calls on one connection did not overlap)", i, err)
 			} else if resp.Msg != msg {
 				t.Errorf("burst call %d got reply %q", i, resp.Msg)

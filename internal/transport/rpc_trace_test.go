@@ -90,11 +90,11 @@ func TestCallTracedDeliversContext(t *testing.T) {
 	srv := NewServer()
 	var mu sync.Mutex
 	var got []obs.SpanContext
-	HandleTraced(srv, "echo", func(tc obs.SpanContext, req *struct{ N int }) (*struct{ N int }, error) {
+	HandleTraced(srv, "echo", func(tc obs.SpanContext, req *testMsg) (*testMsg, error) {
 		mu.Lock()
 		got = append(got, tc)
 		mu.Unlock()
-		return &struct{ N int }{req.N + 1}, nil
+		return &testMsg{N: req.N + 1}, nil
 	})
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -109,14 +109,14 @@ func TestCallTracedDeliversContext(t *testing.T) {
 	defer cl.Close()
 
 	sc := obs.NewTraceContext()
-	var resp struct{ N int }
-	if err := cl.CallTraced(context.Background(), sc, "echo", &struct{ N int }{1}, &resp); err != nil {
+	var resp testMsg
+	if err := cl.CallTraced(context.Background(), sc, "echo", &testMsg{N: 1}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.N != 2 {
 		t.Fatalf("echo returned %d, want 2", resp.N)
 	}
-	if err := cl.Call("echo", &struct{ N int }{5}, &resp); err != nil {
+	if err := cl.Call("echo", &testMsg{N: 5}, &resp); err != nil {
 		t.Fatal(err)
 	}
 

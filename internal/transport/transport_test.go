@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/codec"
 	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 )
@@ -118,21 +119,41 @@ func TestSizeEstimators(t *testing.T) {
 	}
 }
 
-type echoReq struct{ Msg string }
-type echoResp struct{ Msg string }
+// testMsg is every RPC test's request and response body: a string, a
+// number and a byte payload under one binary schema.
+type testMsg struct {
+	Msg  string
+	N    int64
+	Data []byte
+}
+
+func (m *testMsg) MarshalTo(buf []byte) []byte {
+	buf = codec.AppendHeader(buf, codec.Version1)
+	buf = codec.AppendString(buf, m.Msg)
+	buf = codec.AppendInt(buf, m.N)
+	return codec.AppendBytes(buf, m.Data)
+}
+
+func (m *testMsg) Unmarshal(data []byte) error {
+	r := codec.NewReader(data)
+	m.Msg = r.String()
+	m.N = r.Int()
+	m.Data = r.Bytes()
+	return r.Done()
+}
 
 func startEchoServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	s := NewServer()
-	Handle(s, "echo", func(r *echoReq) (*echoResp, error) {
-		return &echoResp{Msg: r.Msg}, nil
+	Handle(s, "echo", func(r *testMsg) (*testMsg, error) {
+		return &testMsg{Msg: r.Msg}, nil
 	})
-	Handle(s, "fail", func(r *echoReq) (*echoResp, error) {
+	Handle(s, "fail", func(r *testMsg) (*testMsg, error) {
 		return nil, errors.New("boom: " + r.Msg)
 	})
-	Handle(s, "slow", func(r *echoReq) (*echoResp, error) {
+	Handle(s, "slow", func(r *testMsg) (*testMsg, error) {
 		time.Sleep(30 * time.Millisecond)
-		return &echoResp{Msg: "slow:" + r.Msg}, nil
+		return &testMsg{Msg: "slow:" + r.Msg}, nil
 	})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -149,8 +170,8 @@ func TestRPCEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var resp echoResp
-	if err := c.Call("echo", &echoReq{Msg: "hello"}, &resp); err != nil {
+	var resp testMsg
+	if err := c.Call("echo", &testMsg{Msg: "hello"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Msg != "hello" {
@@ -165,12 +186,12 @@ func TestRPCErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var resp echoResp
-	err = c.Call("fail", &echoReq{Msg: "x"}, &resp)
+	var resp testMsg
+	err = c.Call("fail", &testMsg{Msg: "x"}, &resp)
 	if err == nil || err.Error() != "boom: x" {
 		t.Fatalf("err = %v", err)
 	}
-	err = c.Call("nosuch", &echoReq{}, &resp)
+	err = c.Call("nosuch", &testMsg{}, &resp)
 	if err == nil {
 		t.Fatal("unknown method succeeded")
 	}
@@ -190,15 +211,15 @@ func TestRPCConcurrentMultiplexing(t *testing.T) {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			var resp echoResp
-			if err := c.Call("slow", &echoReq{Msg: "a"}, &resp); err != nil {
+			var resp testMsg
+			if err := c.Call("slow", &testMsg{Msg: "a"}, &resp); err != nil {
 				errs <- err
 			}
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			var resp echoResp
-			if err := c.Call("echo", &echoReq{Msg: "b"}, &resp); err != nil {
+			var resp testMsg
+			if err := c.Call("echo", &testMsg{Msg: "b"}, &resp); err != nil {
 				errs <- err
 			} else if resp.Msg != "b" {
 				errs <- errors.New("wrong reply")
@@ -223,7 +244,7 @@ func TestRPCNilReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call("echo", &echoReq{Msg: "x"}, nil); err != nil {
+	if err := c.Call("echo", &testMsg{Msg: "x"}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,8 +257,8 @@ func TestRPCClientCloseFailsInflight(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		var resp echoResp
-		done <- c.Call("slow", &echoReq{Msg: "x"}, &resp)
+		var resp testMsg
+		done <- c.Call("slow", &testMsg{Msg: "x"}, &resp)
 	}()
 	time.Sleep(5 * time.Millisecond)
 	c.Close()
@@ -249,7 +270,7 @@ func TestRPCClientCloseFailsInflight(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("in-flight call hung after Close")
 	}
-	if err := c.Call("echo", &echoReq{}, nil); err == nil {
+	if err := c.Call("echo", &testMsg{}, nil); err == nil {
 		t.Fatal("Call after Close succeeded")
 	}
 }
@@ -268,7 +289,7 @@ func TestRPCServerClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Call("echo", &echoReq{}, nil); err == nil {
+	if err := c.Call("echo", &testMsg{}, nil); err == nil {
 		t.Fatal("call succeeded against closed server")
 	}
 }

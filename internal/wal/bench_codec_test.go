@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/gob"
 	"path/filepath"
 	"testing"
 )
@@ -15,58 +13,29 @@ func benchEntry() Entry {
 }
 
 // BenchmarkWALEncodeEntry isolates entry serialization — the work Append
-// does under the log mutex — in both formats. The binary/gob ratio is the
-// codec's headline number.
+// does under the log mutex.
 func BenchmarkWALEncodeEntry(b *testing.B) {
 	e := benchEntry()
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendEntryPayload(buf[:0], &e)
-		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendEntryPayload(buf[:0], &e)
+	}
 }
 
 // BenchmarkWALDecodeEntry isolates entry deserialization — the per-frame
-// work of replay — in both formats.
+// work of replay.
 func BenchmarkWALDecodeEntry(b *testing.B) {
 	e := benchEntry()
-	b.Run("binary", func(b *testing.B) {
-		payload := appendEntryPayload(nil, &e)
-		intern := make(map[string]string)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out Entry
-			if err := decodeEntryPayload(payload, &out, intern); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
+	payload := appendEntryPayload(nil, &e)
+	intern := make(map[string]string)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var out Entry
+		if err := decodeEntryPayload(payload, &out, intern); err != nil {
 			b.Fatal(err)
 		}
-		payload := buf.Bytes()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out Entry
-			if err := decodeEntryPayload(payload, &out, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkWALAppend measures the full durable append path — encode, frame,
@@ -89,56 +58,33 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALReplay measures Open over a 10k-entry log in each format —
-// the restart-latency contribution of entry decoding.
+// BenchmarkWALReplay measures Open over a 10k-entry log — the
+// restart-latency contribution of entry decoding.
 func BenchmarkWALReplay(b *testing.B) {
 	const n = 10_000
-	entries := make([]Entry, n)
-	for i := range entries {
-		entries[i] = benchEntry()
-		entries[i].Offset = uint64(i)
+	path := filepath.Join(b.TempDir(), "bench.wal")
+	l, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("binary", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "bench.wal")
+	for i := 0; i < n; i++ {
+		e := benchEntry()
+		e.Offset = uint64(i)
+		if _, err := l.Append(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	l.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		l, err := Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := range entries {
-			if _, err := l.Append(entries[i]); err != nil {
-				b.Fatal(err)
-			}
+		if l.Len() != n {
+			b.Fatalf("replayed %d entries", l.Len())
 		}
 		l.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l, err := Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if l.Len() != n {
-				b.Fatalf("replayed %d entries", l.Len())
-			}
-			l.Close()
-		}
-	})
-	b.Run("legacy-gob", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "bench.wal")
-		if err := WriteLegacyLog(path, entries); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l, err := Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if l.Len() != n {
-				b.Fatalf("replayed %d entries", l.Len())
-			}
-			l.Close()
-		}
-	})
+	}
 }

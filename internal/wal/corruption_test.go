@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -121,5 +124,70 @@ func TestOpenCorruptLengthHeader(t *testing.T) {
 	}
 	if l.TornBytes() != frameHeaderSize {
 		t.Fatalf("torn bytes = %d, want %d", l.TornBytes(), frameHeaderSize)
+	}
+}
+
+// openRefuses appends one CRC-valid frame around payload to a three-frame
+// log and checks that Open refuses the log, naming the path and the frame's
+// byte offset, and leaves the file byte-identical.
+func openRefuses(t *testing.T, payload []byte) {
+	t.Helper()
+	path := writeTestLog(t, 3)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := appendFrame(append([]byte(nil), good...), payload)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path)
+	if err == nil {
+		l.Close()
+		t.Fatalf("Open accepted a checksummed frame that does not decode (payload %x)", payload)
+	}
+	if at := fmt.Sprintf("byte %d", len(good)); !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), at) {
+		t.Fatalf("error %q does not name %s and %s", err, path, at)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Fatalf("refused log was modified: %d bytes, want %d", len(after), len(data))
+	}
+}
+
+// TestOpenRefusesNonCodecFrame: a frame that passes its checksum but does
+// not start with the codec magic (say, a log written before the codec) is
+// an error, not a torn tail to truncate away with every entry after it.
+func TestOpenRefusesNonCodecFrame(t *testing.T) {
+	openRefuses(t, []byte{0x42, 0xff, 0x00, 0x01})
+}
+
+// TestOpenRefusesUnknownFormatVersion: a checksummed frame from a newer
+// format version is refused the same way.
+func TestOpenRefusesUnknownFormatVersion(t *testing.T) {
+	openRefuses(t, []byte{0x00, 0x02, 0x01, 0x00})
+}
+
+// TestOpenTruncatesZeroFilledTail: zeros after the last frame parse as
+// zero-length frames whose CRC (0) matches, and stay a torn tail.
+func TestOpenTruncatesZeroFilledTail(t *testing.T) {
+	path := writeTestLog(t, 3)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Len() != 3 || l.TornBytes() != 4096 {
+		t.Fatalf("len=%d torn=%d, want 3, 4096", l.Len(), l.TornBytes())
 	}
 }

@@ -124,48 +124,6 @@ func TestEntryPayloadByteIdentity(t *testing.T) {
 	}
 }
 
-// TestMixedLegacyAndEpochLogReplays proves the full upgrade scenario: a gob
-// prefix written by a pre-codec build, a binary middle of per-transaction
-// updates, and an epoch-frame suffix all replay as one sequence, and
-// survive a reopen.
-func TestMixedLegacyAndEpochLogReplays(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site-0.wal")
-	legacy := compatEntries(6)
-	if err := WriteLegacyLog(path, legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	l, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suffix := append(compatEntries(9)[6:], epochEntry(1, 5), epochEntry(2, 1))
-	want := append(append([]Entry(nil), legacy...), suffix...)
-	for i := range suffix {
-		suffix[i].Offset = uint64(6 + i)
-		want[6+i].Offset = uint64(6 + i)
-		if _, err := l.Append(suffix[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want = stamped(want)
-	if got := allEntries(t, l); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed epoch log mismatch after append:\n got %+v\nwant %+v", got, want)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if got := allEntries(t, l2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed epoch log mismatch after reopen:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestEpochEntrySeqHelpers checks the sequence bookkeeping replicas rely on:
 // FirstSeq/lastSeq over dense member ranges, and IsUpdate classification.
 func TestEpochEntrySeqHelpers(t *testing.T) {

@@ -8,9 +8,7 @@
 // assigned dense offsets; subscribers read entries in order via cursors;
 // and a Log may be file-backed, in which case entries are encoded with the
 // zero-allocation binary codec (internal/codec) to an append-only file and
-// can be replayed after a crash. Logs written by pre-codec builds carry gob
-// payloads in the same CRC frames; replay detects the format per frame, so
-// legacy and mixed-format logs recover unchanged.
+// can be replayed after a crash.
 package wal
 
 import (
@@ -66,12 +64,10 @@ func (k Kind) String() string {
 }
 
 // On-disk framing: every record is [u32 length][u32 CRC-32C][payload], all
-// little-endian, where each payload is a self-contained encoding of one
-// Entry — the binary codec format (first byte 0x00) for records this build
-// writes, legacy gob for records written by older builds. The checksum
-// turns silent corruption and torn tail writes into detectable conditions:
-// Open verifies each frame and truncates the file at the last intact record
-// instead of replaying garbage.
+// little-endian, where each payload is a self-contained binary codec
+// encoding of one Entry. The checksum turns silent corruption and torn tail
+// writes into detectable conditions: Open verifies each frame and truncates
+// the file at the last intact record instead of replaying garbage.
 const frameHeaderSize = 8
 
 // maxFrame bounds a frame's claimed length so a corrupt header cannot ask
@@ -243,9 +239,13 @@ func New() *Log {
 
 // Open returns a file-backed log at path, replaying any entries already
 // present (recovery). Every record's CRC-32C is verified; a torn tail write
-// (expected after a crash) or corrupt trailing record is detected, warned
-// about, and truncated away so the log ends at its last intact record.
-// Appends are written through to the file.
+// (expected after a crash) — a short frame, a checksum mismatch, or a
+// zero-length frame such as a zero-filled tail — is detected, warned about,
+// and truncated away so the log ends at its last intact record. A frame
+// that passes its checksum but does not decode was written whole in a
+// format this build does not read: Open returns an error naming its byte
+// offset and leaves the file unmodified. Appends are written through to the
+// file.
 func Open(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -257,11 +257,10 @@ func Open(path string) (*Log, error) {
 		return nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 
-	// Walk the frames, verifying each checksum and decoding the record
-	// (each frame is a self-contained message — binary codec or legacy
-	// gob, detected per frame); `good` is the byte offset after the last
-	// intact record. One intern dictionary spans the walk so repeated
-	// table names decode to shared strings.
+	// Walk the frames, verifying each checksum and decoding the record;
+	// `good` is the byte offset after the last intact record. One intern
+	// dictionary spans the walk so repeated table names decode to shared
+	// strings.
 	l := New()
 	good := 0
 	decStart := time.Now()
@@ -273,12 +272,16 @@ func Open(path string) (*Log, error) {
 			break // torn header or short payload
 		}
 		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // bit rot or torn write inside the record
+		if n == 0 || crc32.Checksum(payload, crcTable) != sum {
+			// Bit rot or a torn write inside the record. An empty payload's
+			// CRC-32C is 0, so a zero-filled tail "passes" its check; the
+			// writer never emits a payload shorter than the codec header.
+			break
 		}
 		var e Entry
 		if err := decodeEntryPayload(payload, &e, intern); err != nil {
-			break // checksummed but structurally invalid: treat as corrupt tail
+			f.Close()
+			return nil, fmt.Errorf("wal: %s: frame at byte %d passes its checksum but does not decode: %w", path, off, err)
 		}
 		e.stampWrites()
 		// The first record fixes the log's base: a truncated log legally
@@ -585,10 +588,7 @@ func (l *Log) rewriteFrom(keep uint64) (*os.File, error) {
 		return nil, err
 	}
 	// Re-encode the retained suffix through the same shared scratch the
-	// append path uses (caller holds mu, so the buffers are quiescent);
-	// entries replayed from a legacy gob log are rewritten in the binary
-	// format here, which is how a mixed-format log converges to pure
-	// binary over time.
+	// append path uses (caller holds mu, so the buffers are quiescent).
 	durable := l.visible - l.base // entries with bytes already in the file
 	var out []byte
 	for i := keep; i < durable; i++ {
