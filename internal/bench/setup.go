@@ -42,8 +42,6 @@ type Env struct {
 	// Weights overrides DynaMast's strategy hyperparameters; zero value
 	// selects the paper's per-workload defaults.
 	Weights selector.Weights
-	// PropagationDelay overrides replica propagation lag.
-	PropagationDelay time.Duration
 	// InitialMaster overrides DynaMast's initial partition placement
 	// (nil = the default pseudo-random scatter).
 	InitialMaster func(part uint64) int

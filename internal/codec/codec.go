@@ -158,12 +158,6 @@ func NewReader(payload []byte) *Reader {
 	return r
 }
 
-// NewBodyReader returns a Reader over a payload whose header was already
-// consumed (or that has none).
-func NewBodyReader(body []byte) *Reader {
-	return &Reader{data: body}
-}
-
 // SetIntern enables string interning with the given (possibly empty) map.
 // The map is retained and grown; pass the same map across many payloads to
 // share the dictionary.

@@ -132,7 +132,7 @@ func TestVectorDecodeReusesCapacity(t *testing.T) {
 	vec := vclock.Vector{1, 2, 3}
 	buf := AppendVector(nil, vec)
 	scratch := make(vclock.Vector, 0, 8)
-	r := NewBodyReader(buf)
+	r := &Reader{data: buf}
 	got := r.Vector(scratch)
 	if !got.Equal(vec) {
 		t.Fatalf("vector: %v", got)
@@ -159,7 +159,7 @@ func TestHeaderRejections(t *testing.T) {
 
 func TestReaderStickyErrors(t *testing.T) {
 	// Truncated varint.
-	r := NewBodyReader([]byte{0x80})
+	r := &Reader{data: []byte{0x80}}
 	if r.Uvarint() != 0 || r.Err() == nil {
 		t.Fatal("truncated varint not detected")
 	}
@@ -169,20 +169,20 @@ func TestReaderStickyErrors(t *testing.T) {
 	}
 
 	// Length prefix larger than the payload.
-	r = NewBodyReader(AppendUvarint(nil, 1<<30))
+	r = &Reader{data: AppendUvarint(nil, 1<<30)}
 	if r.Bytes() != nil || r.Err() == nil {
 		t.Fatal("oversized length not detected")
 	}
 
 	// Trailing garbage.
-	r = NewBodyReader([]byte{0x01, 0xff})
+	r = &Reader{data: []byte{0x01, 0xff}}
 	_ = r.Uvarint()
 	if err := r.Done(); err == nil {
 		t.Fatal("trailing bytes not detected")
 	}
 
 	// Bad bool byte.
-	r = NewBodyReader([]byte{0x02})
+	r = &Reader{data: []byte{0x02}}
 	if r.Bool() || r.Err() == nil {
 		t.Fatal("bool byte 2 accepted")
 	}
@@ -191,7 +191,7 @@ func TestReaderStickyErrors(t *testing.T) {
 func TestStringInterning(t *testing.T) {
 	buf := AppendString(nil, "accounts")
 	buf = AppendString(buf, "accounts")
-	r := NewBodyReader(buf)
+	r := &Reader{data: buf}
 	r.SetIntern(make(map[string]string))
 	a, b := r.String(), r.String()
 	if a != "accounts" || b != "accounts" {
@@ -250,11 +250,11 @@ func TestStatsAccumulate(t *testing.T) {
 // TestCountBoundedByPayload: a count no larger than the undecoded bytes
 // decodes; a larger one fails the reader instead of sizing an allocation.
 func TestCountBoundedByPayload(t *testing.T) {
-	ok := NewBodyReader([]byte{2, 0xaa, 0xbb})
+	ok := &Reader{data: []byte{2, 0xaa, 0xbb}}
 	if n := ok.Count(); n != 2 || ok.Err() != nil {
 		t.Fatalf("Count = %d, %v; want 2, nil", n, ok.Err())
 	}
-	bad := NewBodyReader(AppendUvarint(nil, 1<<40))
+	bad := &Reader{data: AppendUvarint(nil, 1<<40)}
 	if n := bad.Count(); n != 0 || !errors.Is(bad.Err(), ErrCorrupt) {
 		t.Fatalf("Count = %d, %v; want 0, ErrCorrupt", n, bad.Err())
 	}

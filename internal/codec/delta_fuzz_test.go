@@ -27,7 +27,7 @@ func FuzzVClockDeltaRoundTrip(f *testing.F) {
 			v[k] = base + step - uint64(k)*3
 		}
 
-		buf := AppendVectorDelta(AppendHeader(nil, Version1), prev, v)
+		buf := v.AppendDelta(AppendHeader(nil, Version1), prev)
 		r := NewReader(buf)
 		got := r.VectorDelta(prev, nil)
 		if err := r.Done(); err != nil {

@@ -86,7 +86,7 @@ func FuzzReaderGarbage(f *testing.F) {
 	f.Add([]byte{Magic, Version1, 0x05, 0x01})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewBodyReader(data)
+		r := &Reader{data: data}
 		_ = r.Uvarint()
 		_ = r.Int()
 		_ = r.Bool()

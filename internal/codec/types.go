@@ -39,16 +39,9 @@ func (r *Reader) Vector(dst vclock.Vector) vclock.Vector {
 	return dst
 }
 
-// AppendVectorDelta appends v delta-encoded against prev (see
-// vclock.Vector.AppendDelta): same count prefix as AppendVector, zig-zag
-// per-dimension diffs instead of absolute counters.
-func AppendVectorDelta(buf []byte, prev, v vclock.Vector) []byte {
-	return v.AppendDelta(buf, prev)
-}
-
 // VectorDelta decodes a delta-encoded vector against prev, reusing dst's
 // capacity when possible. Diffs add to prev with two's-complement wrap, the
-// exact inverse of AppendVectorDelta for every uint64 value.
+// exact inverse of vclock.Vector.AppendDelta for every uint64 value.
 func (r *Reader) VectorDelta(prev, dst vclock.Vector) vclock.Vector {
 	n := r.Count()
 	if n == 0 {

@@ -29,8 +29,7 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 	c, inj, _ := newChaosCluster(t, func(cfg *Config) {
 		cfg.SelectorLease = selectorChaosLease
 	})
-	ha := c.SelectorHA()
-	if ha == nil {
+	if c.SelectorHA() == nil {
 		t.Fatal("SelectorLease did not enable HA")
 	}
 	if got := c.SelectorReplicas(); got != 2 {
@@ -155,7 +154,7 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 	// expires at most TTL + TTL/4 after the last renewal, plus the
 	// fence+fold+swap work — about 2x the TTL, with generous scheduler
 	// slack for -race CI.
-	for ha.Promotions() == 0 {
+	for c.Group().Shard(0) == oldLeader { // a promotion swaps in a new leader
 		if time.Since(killedAt) > 10*time.Second {
 			stopAll()
 			t.Fatal("standby never promoted after the leader kill")
@@ -290,7 +289,7 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 	if inj.InjectedTotal() == 0 {
 		t.Fatal("no faults were injected")
 	}
-	if got := ha.Leader(); got == 0 {
+	if c.Group().Shard(0) == oldLeader {
 		t.Fatalf("leadership still at the killed node")
 	}
 	var leaseMsgs uint64
@@ -331,7 +330,6 @@ func TestReplicaResubmitAfterRemaster(t *testing.T) {
 // hanging on a site that can no longer answer at all).
 func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 	c := newShardedCluster(t, 3, 1, func(cfg *Config) { cfg.SelectorReplicas = 1 })
-	cache := c.Group().Cache()
 	sess := c.Session(0)
 
 	// Route every partition once so the cache holds its location.
@@ -344,10 +342,9 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 		}
 	}
 	victim := c.Group().MasterOf(0)
-	cached, _ := cache.Mirror()
 	victimParts := make([]uint64, 0, 4)
-	for p, site := range cached {
-		if site == victim {
+	for p := uint64(0); p < 10; p++ {
+		if r, ok := probeCachedWrite(c, 0, ref(p*100)); ok && r.Site == victim {
 			victimParts = append(victimParts, p)
 		}
 	}
@@ -362,19 +359,19 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 
 	// The cache must already point every orphaned partition at its heir —
 	// no stale entries at the dead site.
-	owner, _ := cache.Mirror()
 	for _, p := range victimParts {
-		if owner[p] == victim {
-			t.Fatalf("cache still routes partition %d at the dead site", p)
+		r, ok := probeCachedWrite(c, 0, ref(p*100))
+		if !ok {
+			t.Fatalf("cache has no live route for partition %d (still at the dead site?)", p)
 		}
-		if want := c.Group().MasterOf(p); owner[p] != want {
-			t.Fatalf("cache: partition %d at %d, selector says %d", p, owner[p], want)
+		if want := c.Group().MasterOf(p); r.Site != want {
+			t.Fatalf("cache: partition %d at %d, selector says %d", p, r.Site, want)
 		}
 	}
 
 	// First-attempt routing: the writes succeed from the cache without a
 	// single stale-metadata resubmit.
-	stale, hits := cache.StaleWrites(), cache.WriteRoutes()
+	stale, hits := cacheSeries(c, cacheStaleWrites), cacheSeries(c, cacheRoutes, cacheWrites)
 	for _, p := range victimParts {
 		key := ref(p * 100)
 		if err := sess.Update([]storage.RowRef{key}, func(tx systems.Tx) error {
@@ -383,10 +380,10 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 			t.Fatalf("post-failover write to partition %d: %v", p, err)
 		}
 	}
-	if got := cache.StaleWrites() - stale; got != 0 {
+	if got := cacheSeries(c, cacheStaleWrites) - stale; got != 0 {
 		t.Fatalf("%d stale-metadata resubmits after failover, want 0 (the cache should be pre-refreshed)", got)
 	}
-	if got := cache.WriteRoutes() - hits; got != uint64(len(victimParts)) {
+	if got := cacheSeries(c, cacheRoutes, cacheWrites) - hits; got != uint64(len(victimParts)) {
 		t.Fatalf("cache served %d of %d post-failover writes", got, len(victimParts))
 	}
 }

@@ -129,7 +129,7 @@ func TestCrossPartitionUpdateRemasters(t *testing.T) {
 	if _, err := s1.Grant([]uint64{5}, rel, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	c.Group().Shard(0).RegisterPartition(5, 1)
+	c.Group().Shard(0).RegisterPartitionEpoch(5, 1, 0)
 
 	sess := c.Session(1)
 	ws := []storage.RowRef{ref(10), ref(510)} // partitions 0 and 5

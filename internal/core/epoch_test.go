@@ -33,11 +33,9 @@ func TestEpochDefaultOnLogsEpochFrames(t *testing.T) {
 	var epochs int
 	for i := range c.Sites() {
 		l := c.Broker().Log(i)
-		for off := l.Base(); off < l.Len(); off++ {
-			e, ok := l.Get(off)
-			if !ok {
-				continue
-			}
+		cur := l.Subscribe(0)
+		defer cur.Close()
+		for e, ok := cur.TryNext(); ok; e, ok = cur.TryNext() {
 			if e.Kind == wal.KindUpdate {
 				t.Fatalf("site %d logged a per-txn update with epochs on", i)
 			}
@@ -84,11 +82,9 @@ func TestEpochOptOutLogsPerTxnFrames(t *testing.T) {
 	var updates int
 	for i := range c.Sites() {
 		l := c.Broker().Log(i)
-		for off := l.Base(); off < l.Len(); off++ {
-			e, ok := l.Get(off)
-			if !ok {
-				continue
-			}
+		cur := l.Subscribe(0)
+		defer cur.Close()
+		for e, ok := cur.TryNext(); ok; e, ok = cur.TryNext() {
 			if e.Kind == wal.KindEpoch {
 				t.Fatalf("site %d logged an epoch frame with epochs disabled", i)
 			}

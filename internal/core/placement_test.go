@@ -67,7 +67,7 @@ func TestDefaultIsFullReplication(t *testing.T) {
 				t.Fatalf("site %d does not host partition %d under full replication", s.ID(), p)
 			}
 		}
-		if set := c.Group().ReplicaSet(5); len(set) != 3 {
+		if set := c.Group().ShardFor(5).ReplicaSet(5); len(set) != 3 {
 			t.Fatalf("ReplicaSet under full replication = %v, want all 3 sites", set)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/selector"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
 	"dynamast/internal/wal"
@@ -100,12 +101,14 @@ func promotionAfterTruncation(t *testing.T, shards int, restart bool) {
 		t.Fatal("no partition left its initial master; the test needs moves only the checkpoint records")
 	}
 
-	for i := 0; i < shards; i++ {
+	leaders := make([]*selector.Selector, shards)
+	for i := range leaders {
+		leaders[i] = c.Group().Shard(i)
 		c.SelectorShardHA(i).KillLeader()
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < shards; i++ {
-		for c.SelectorShardHA(i).Promotions() == 0 {
+		for c.Group().Shard(i) == leaders[i] { // a promotion swaps in a new leader
 			if time.Now().After(deadline) {
 				t.Fatalf("shard %d did not promote within 10s", i)
 			}
@@ -202,12 +205,14 @@ func checkpointInsideFailoverWindow(t *testing.T, shards int) {
 			t.Fatalf("partition %d: still mastered by dead site %d after failover", p, dead)
 		}
 	}
-	for i := 0; i < shards; i++ {
+	leaders := make([]*selector.Selector, shards)
+	for i := range leaders {
+		leaders[i] = c.Group().Shard(i)
 		c.SelectorShardHA(i).KillLeader()
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < shards; i++ {
-		for c.SelectorShardHA(i).Promotions() == 0 {
+		for c.Group().Shard(i) == leaders[i] { // a promotion swaps in a new leader
 			if time.Now().After(deadline) {
 				t.Fatalf("shard %d did not promote within 10s", i)
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
 	"dynamast/internal/vclock"
@@ -123,47 +122,6 @@ func TestClusterCrashRecoveryEndToEnd(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A single crashed site rejoins by bootstrapping from a live replica and
-// resuming replication.
-func TestSingleSiteBootstrapRejoin(t *testing.T) {
-	c := newTestCluster(t, 3)
-	sess := c.Session(1)
-	for i := 0; i < 20; i++ {
-		k := uint64(i * 37 % 1000)
-		if err := sess.Update([]storage.RowRef{ref(k)}, func(tx systems.Tx) error {
-			return tx.Write(ref(k), []byte{byte(i)})
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.WaitQuiesced(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	// Build a replacement for site 2 from site 0's state.
-	fresh, err := sitemgr.New(sitemgr.Config{
-		SiteID:      2,
-		Sites:       3,
-		Broker:      c.Broker(),
-		Partitioner: partitionBy100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.BootstrapFrom(c.Sites()[0])
-	if !fresh.SVV().DominatesEq(c.Sites()[0].SVV()) {
-		t.Fatalf("bootstrap vector %v behind donor %v", fresh.SVV(), c.Sites()[0].SVV())
-	}
-	// Spot-check data equality at the latest snapshot.
-	for _, k := range []uint64{0, 37, 74} {
-		want, okW := c.Sites()[0].ReadLocal(ref(k))
-		got, okG := fresh.ReadLocal(ref(k))
-		if okW != okG || (okW && string(want) != string(got)) {
-			t.Fatalf("key %d differs after bootstrap: %v/%v vs %v/%v", k, want, okW, got, okG)
-		}
 	}
 }
 

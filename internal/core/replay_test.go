@@ -85,7 +85,7 @@ func pingPongRestart(t *testing.T, epochs, ckpt, partial bool) {
 	}
 	move := func(from, to int) {
 		t.Helper()
-		epoch, err := c.Group().AllocEpochFor(0)
+		epoch, err := c.Group().ShardFor(0).AllocEpoch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func pingPongRestart(t *testing.T, epochs, ckpt, partial bool) {
 		}
 	}
 
-	epoch, err := c2.Group().AllocEpochFor(0)
+	epoch, err := c2.Group().ShardFor(0).AllocEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}

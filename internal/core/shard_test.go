@@ -70,7 +70,7 @@ func TestSelectorShardsValidation(t *testing.T) {
 	if got := c.SelectorShardCount(); got != 1 {
 		t.Fatalf("default shard count = %d, want 1", got)
 	}
-	if c.Group().Cache() != nil {
+	if _, ok := c.Obs().Snapshot().Value(cacheEntries); ok {
 		t.Fatal("single-shard cluster built a placement cache")
 	}
 }
@@ -80,7 +80,7 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 	if got := c.SelectorShardCount(); got != 4 {
 		t.Fatalf("shard count = %d, want 4", got)
 	}
-	if c.Group().Cache() == nil {
+	if _, ok := c.Obs().Snapshot().Value(cacheEntries); !ok {
 		t.Fatal("sharded cluster did not enable the placement cache")
 	}
 
@@ -170,14 +170,13 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 // single-partition writes — route with zero CatRoute messages.
 func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 	c := newShardedCluster(t, 3, 4, nil)
-	cache := c.Group().Cache()
 
 	// Warm: loading registered partitions 0..9; wait for a gossip pull to
 	// copy them into the cache.
 	deadline := time.Now().Add(5 * time.Second)
-	for cache.Size() < 10 {
+	for cacheSeries(c, cacheEntries) < 10 {
 		if time.Now().After(deadline) {
-			t.Fatalf("cache never warmed: %d entries", cache.Size())
+			t.Fatalf("cache never warmed: %d entries", cacheSeries(c, cacheEntries))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -194,7 +193,7 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 	}
 
 	// Steady-state reads: zero router RPCs, every one served by the cache.
-	readsBefore, msgsBefore := cache.ReadRoutes(), routeMessages(c)
+	readsBefore, msgsBefore := cacheSeries(c, cacheRoutes, cacheReads), routeMessages(c)
 	for i := 0; i < 50; i++ {
 		if err := sess.Read(func(tx systems.Tx) error {
 			_, _ = tx.Read(ref(uint64(i) % 1000))
@@ -206,12 +205,12 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 	if d := routeMessages(c) - msgsBefore; d != 0 {
 		t.Fatalf("%d CatRoute messages during cached reads, want 0", d)
 	}
-	if d := cache.ReadRoutes() - readsBefore; d < 50 {
+	if d := cacheSeries(c, cacheRoutes, cacheReads) - readsBefore; d < 50 {
 		t.Fatalf("cache served %d of 50 reads", d)
 	}
 
 	// Steady-state single-partition writes: also zero router RPCs.
-	writesBefore, msgsBefore := cache.WriteRoutes(), routeMessages(c)
+	writesBefore, msgsBefore := cacheSeries(c, cacheRoutes, cacheWrites), routeMessages(c)
 	for i := 0; i < 10; i++ {
 		if err := sess.Update([]storage.RowRef{ref(7)}, func(tx systems.Tx) error {
 			return tx.Write(ref(7), []byte{byte(i)})
@@ -222,7 +221,7 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 	if d := routeMessages(c) - msgsBefore; d != 0 {
 		t.Fatalf("%d CatRoute messages during cached writes, want 0", d)
 	}
-	if d := cache.WriteRoutes() - writesBefore; d != 10 {
+	if d := cacheSeries(c, cacheRoutes, cacheWrites) - writesBefore; d != 10 {
 		t.Fatalf("cache served %d of 10 writes", d)
 	}
 }
@@ -253,14 +252,14 @@ func TestStaleCacheWriteRecovers(t *testing.T) {
 // learned: the cache points at the new master afterwards.
 func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	t.Helper()
-	g, cache := c.Group(), c.Group().Cache()
+	g := c.Group()
 	sess := c.Session(3)
 
 	// Remaster partition 0 under an allocated (nonzero) epoch so its cache
 	// entry carries that epoch: the shard's delta feed publishes the move.
 	cur := g.MasterOf(0)
 	dest := 1 - cur
-	epoch, err := g.AllocEpochFor(0)
+	epoch, err := g.ShardFor(0).AllocEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +321,7 @@ func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	}
 
 	before := c.Stats().Commits
-	staleBefore := cache.StaleWrites()
+	staleBefore := cacheSeries(c, cacheStaleWrites)
 	if err := sess.Update([]storage.RowRef{ref(2)}, func(tx systems.Tx) error {
 		v, _ := tx.Read(ref(2))
 		var n byte
@@ -336,7 +335,7 @@ func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	if got := c.Stats().Commits; got != before+1 {
 		t.Fatalf("commits went %d -> %d, want exactly one more", before, got)
 	}
-	if cache.StaleWrites() == staleBefore {
+	if cacheSeries(c, cacheStaleWrites) == staleBefore {
 		t.Fatal("recovery did not go through the stale-cache resubmit path")
 	}
 	// The resubmit's authoritative answer replaced the stale entry.
@@ -352,6 +351,24 @@ func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The front's placement-cache series, read back from the cluster registry.
+const (
+	cacheEntries     = "dynamast_selector_cache_entries"
+	cacheRoutes      = "dynamast_selector_cache_routes_total"
+	cacheStaleWrites = "dynamast_selector_cache_stale_writes_total"
+)
+
+var (
+	cacheReads  = obs.L("type", "read")
+	cacheWrites = obs.L("type", "write")
+)
+
+// cacheSeries reads one placement-cache series (0 without a cache).
+func cacheSeries(c *Cluster, name string, labels ...obs.Label) uint64 {
+	v, _ := c.Obs().Snapshot().Value(name, labels...)
+	return uint64(v)
 }
 
 // probeCachedWrite asks the session front what the cache would answer for a
@@ -490,9 +507,10 @@ func TestShardedClusterRegistersRouteMetrics(t *testing.T) {
 				t.Fatal("workload never remastered")
 			}
 			victim := g.ShardOf(parts[0])
+			old := g.Shard(victim)
 			c.KillSelectorShard(victim)
 			deadline := time.Now().Add(10 * time.Second)
-			for c.SelectorShardHA(victim).Promotions() == 0 {
+			for g.Shard(victim) == old { // a promotion swaps in a new leader
 				if time.Now().After(deadline) {
 					t.Fatal("shard leader was not promoted")
 				}
@@ -666,8 +684,11 @@ func TestChaosShardLeaderKill(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	oldLeader := g.Shard(victimShard)
-	ha := c.SelectorShardHA(victimShard)
+	leaders := make([]*selector.Selector, 4)
+	for i := range leaders {
+		leaders[i] = g.Shard(i)
+	}
+	oldLeader := leaders[victimShard]
 	killedAt := time.Now()
 	commitsAtKill := c.Stats().Commits
 	if killed := c.KillSelectorShard(victimShard); killed != 0 {
@@ -677,7 +698,7 @@ func TestChaosShardLeaderKill(t *testing.T) {
 
 	// The victim shard's standby must promote within the lease-bounded
 	// window.
-	for ha.Promotions() == 0 {
+	for g.Shard(victimShard) == oldLeader { // a promotion swaps in a new leader
 		if time.Since(killedAt) > 10*time.Second {
 			stopAll()
 			t.Fatal("victim shard never promoted after the leader kill")
@@ -708,9 +729,9 @@ func TestChaosShardLeaderKill(t *testing.T) {
 		if i == victimShard {
 			continue
 		}
-		if got := c.SelectorShardHA(i).Promotions(); got != 0 {
+		if g.Shard(i) != leaders[i] {
 			stopAll()
-			t.Fatalf("shard %d promoted %d times after shard %d's kill", i, got, victimShard)
+			t.Fatalf("shard %d promoted after shard %d's kill", i, victimShard)
 		}
 	}
 
@@ -840,7 +861,7 @@ func TestChaosShardLeaderKill(t *testing.T) {
 	if inj.InjectedTotal() == 0 {
 		t.Fatal("no faults were injected")
 	}
-	if got := ha.Leader(); got == 0 {
+	if g.Shard(victimShard) == oldLeader {
 		t.Fatal("victim shard leadership still at the killed node")
 	}
 	var leaseMsgs uint64

@@ -23,7 +23,10 @@ func TestChaosSLOGateSeed42(t *testing.T) {
 	}
 	flightDir := os.Getenv("DYNAMAST_FLIGHT_DIR")
 
-	seqBefore := obs.FlightEventCount()
+	var seqBefore uint64
+	for _, ev := range obs.FlightEvents() {
+		seqBefore = max(seqBefore, ev.Seq)
+	}
 	c, inj, _ := newChaosCluster(t, func(cfg *Config) {
 		cfg.TraceSampleEvery = 16 // tracing on: the gate measures the traced system
 		cfg.SLOTargets = []obs.SLOTarget{
@@ -38,7 +41,7 @@ func TestChaosSLOGateSeed42(t *testing.T) {
 
 	// Close the final window, then gate.
 	c.SLO().Evaluate()
-	if n := c.SLO().TotalBreaches(); n > 0 {
+	if n, _ := c.Obs().Snapshot().Value("dynamast_slo_breaches_total"); n > 0 {
 		if flightDir != "" {
 			if path, err := obs.SnapshotFlight("slo-gate"); err == nil {
 				t.Logf("flight snapshot: %s", path)
@@ -49,14 +52,17 @@ func TestChaosSLOGateSeed42(t *testing.T) {
 				t.Errorf("breach: %s", ev.Msg)
 			}
 		}
-		t.Fatalf("SLO gate: %d breach(es) during the seed-42 chaos run", n)
+		t.Fatalf("SLO gate: %.0f breach(es) during the seed-42 chaos run", n)
 	}
 
 	// The run must actually have exercised the observability tentpole: the
 	// sampler produced traces, and the flight recorder captured the failover
 	// and the injected faults.
-	if traces, spans, _ := c.Spans().Counts(); traces == 0 || spans == 0 {
-		t.Fatalf("1-in-16 sampling recorded (%d traces, %d spans) over the chaos run", traces, spans)
+	snap := c.Obs().Snapshot()
+	traces, _ := snap.Value("dynamast_trace_traces_total")
+	spans, _ := snap.Value("dynamast_trace_spans_total")
+	if traces == 0 || spans == 0 {
+		t.Fatalf("1-in-16 sampling recorded (%.0f traces, %.0f spans) over the chaos run", traces, spans)
 	}
 	var sawFailover, sawFault bool
 	for _, ev := range obs.FlightEvents() {

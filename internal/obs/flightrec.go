@@ -134,9 +134,6 @@ func FlightEvents() []FlightEvent {
 	return out
 }
 
-// FlightEventCount returns the lifetime event count.
-func FlightEventCount() uint64 { return flight.next.Load() }
-
 // SetFlightDir enables disk snapshots (SnapshotFlight) under dir, creating
 // it if needed. An empty dir disables snapshots.
 func SetFlightDir(dir string) error {

@@ -13,12 +13,12 @@ import (
 // and uniquely tagged messages rather than absolute ring contents.
 
 func TestFlightRecordAndCollect(t *testing.T) {
-	before := FlightEventCount()
+	before := flight.next.Load()
 	tag := fmt.Sprintf("flight-test-%d", before)
 	RecordEvent(FlightRemaster, 2, "moved %d partitions (%s)", 3, tag)
 	RecordEvent(FlightFailover, 1, "site 1 down (%s)", tag)
-	if got := FlightEventCount(); got != before+2 {
-		t.Fatalf("FlightEventCount = %d, want %d", got, before+2)
+	if got := flight.next.Load(); got != before+2 {
+		t.Fatalf("flight events = %d, want %d", got, before+2)
 	}
 
 	events := FlightEvents()
@@ -58,7 +58,7 @@ func TestFlightSnapshotToDisk(t *testing.T) {
 		t.Fatalf("FlightDir = %q, want %q", FlightDir(), dir)
 	}
 
-	tag := fmt.Sprintf("snapshot-test-%d", FlightEventCount())
+	tag := fmt.Sprintf("snapshot-test-%d", flight.next.Load())
 	RecordEvent(FlightRecovery, 0, "recovered (%s)", tag)
 	path, err := SnapshotFlight("unit")
 	if err != nil {

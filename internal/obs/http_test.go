@@ -175,7 +175,7 @@ func TestHandlerSpans(t *testing.T) {
 
 func TestHandlerFlightRecorder(t *testing.T) {
 	h, _ := testHandler(t)
-	tag := fmt.Sprintf("http-test-%d", FlightEventCount())
+	tag := fmt.Sprintf("http-test-%d", flight.next.Load())
 	RecordEvent(FlightRPCRetry, SelectorSite, "retrying (%s)", tag)
 
 	rec := get(t, h, "/debug/flightrecorder")

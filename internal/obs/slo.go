@@ -121,20 +121,6 @@ func (e *SLOEngine) Watch(t SLOTarget) error {
 	return nil
 }
 
-// Targets returns the watched targets.
-func (e *SLOEngine) Targets() []SLOTarget {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]SLOTarget, len(e.watches))
-	for i, w := range e.watches {
-		out[i] = w.target
-	}
-	return out
-}
-
 // Evaluate closes the current window for every target: it computes each
 // windowed quantile, publishes the gauges, and returns (and counts, and
 // flight-records) any breaches.
@@ -175,14 +161,6 @@ func (e *SLOEngine) Evaluate() []Breach {
 		}
 	}
 	return breaches
-}
-
-// TotalBreaches returns the lifetime breach count across all targets.
-func (e *SLOEngine) TotalBreaches() uint64 {
-	if e == nil {
-		return 0
-	}
-	return e.breaches.Value()
 }
 
 // Start evaluates every interval until Stop. Idempotent Stop; Start after

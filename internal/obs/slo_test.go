@@ -60,9 +60,8 @@ func TestSLOWatchValidation(t *testing.T) {
 	if err := e.Watch(SLOTarget{Metric: "m", Quantile: 0.99, Threshold: time.Millisecond}); err != nil {
 		t.Fatalf("Watch rejected valid target: %v", err)
 	}
-	got := e.Targets()
-	if len(got) != 1 || got[0].MinCount != DefaultSLOMinCount {
-		t.Fatalf("Targets() = %+v, want one target with default MinCount", got)
+	if len(e.watches) != 1 || e.watches[0].target.MinCount != DefaultSLOMinCount {
+		t.Fatalf("watches = %+v, want one target with default MinCount", e.watches)
 	}
 }
 
@@ -101,8 +100,8 @@ func TestSLOEvaluateWindowed(t *testing.T) {
 	if br[0].Observed < 100*time.Millisecond {
 		t.Fatalf("breach observed %v, want >= 100ms-ish for 500ms observations", br[0].Observed)
 	}
-	if e.TotalBreaches() != 1 {
-		t.Fatalf("TotalBreaches = %d, want 1", e.TotalBreaches())
+	if e.breaches.Value() != 1 {
+		t.Fatalf("TotalBreaches = %d, want 1", e.breaches.Value())
 	}
 	if !strings.Contains(br[0].String(), "SLO breach") {
 		t.Fatalf("Breach.String() = %q", br[0].String())
@@ -170,7 +169,7 @@ func TestSLOEngineNilSafe(t *testing.T) {
 	if err := e.Watch(SLOTarget{}); err != nil {
 		t.Fatal("nil engine Watch must no-op")
 	}
-	if e.Evaluate() != nil || e.Targets() != nil || e.TotalBreaches() != 0 {
+	if e.Evaluate() != nil {
 		t.Fatal("nil engine accessors must return zero values")
 	}
 	e.Start(time.Second)
@@ -193,12 +192,12 @@ func TestSLOStartStop(t *testing.T) {
 	e.Start(time.Millisecond)
 	e.Start(time.Millisecond) // idempotent second start
 	deadline := time.Now().Add(2 * time.Second)
-	for e.TotalBreaches() == 0 && time.Now().Before(deadline) {
+	for e.breaches.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	e.Stop()
 	e.Stop() // idempotent
-	if e.TotalBreaches() == 0 {
+	if e.breaches.Value() == 0 {
 		t.Fatal("periodic evaluation never detected the breach")
 	}
 }

@@ -321,14 +321,6 @@ func (r *SpanRecorder) Traces(n int, slow bool) []TraceJSON {
 	return out
 }
 
-// Counts returns the lifetime (traces, spans, dropped spans) counters.
-func (r *SpanRecorder) Counts() (traces, spans, dropped uint64) {
-	if r == nil {
-		return 0, 0, 0
-	}
-	return r.traces.Load(), r.spans.Load(), r.dropped.Load()
-}
-
 // Instrument registers the dynamast_trace_* counters in reg.
 func (r *SpanRecorder) Instrument(reg *Registry) {
 	if r == nil || reg == nil {

@@ -91,7 +91,7 @@ func TestSpanRecorderRecordAndSpans(t *testing.T) {
 	if r.Spans(0xdeadbeef) != nil {
 		t.Fatal("unknown trace must return nil")
 	}
-	traces, spans, dropped := r.Counts()
+	traces, spans, dropped := r.traces.Load(), r.spans.Load(), r.dropped.Load()
 	if traces != 1 || spans != 2 || dropped != 0 {
 		t.Fatalf("Counts = (%d, %d, %d), want (1, 2, 0)", traces, spans, dropped)
 	}
@@ -105,9 +105,6 @@ func TestSpanRecorderNilSafe(t *testing.T) {
 	if r.Spans(1) != nil || len(r.Traces(0, false)) != 0 {
 		t.Fatal("nil recorder must return empty lists")
 	}
-	if a, b, c := r.Counts(); a != 0 || b != 0 || c != 0 {
-		t.Fatal("nil recorder counts must be zero")
-	}
 	r.Instrument(nil)
 }
 
@@ -120,7 +117,7 @@ func TestSpanRecorderPerTraceCap(t *testing.T) {
 	if got := len(r.Spans(sc.Trace)); got != maxSpansPerTrace {
 		t.Fatalf("trace retained %d spans, want cap %d", got, maxSpansPerTrace)
 	}
-	_, _, dropped := r.Counts()
+	dropped := r.dropped.Load()
 	if dropped != 10 {
 		t.Fatalf("dropped = %d, want 10", dropped)
 	}

@@ -24,6 +24,7 @@ func (s *benchSite) Release(parts []uint64, to int, epoch uint64) (vclock.Vector
 func (s *benchSite) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64) (vclock.Vector, error) {
 	return s.svv.Clone(), nil
 }
+func (s *benchSite) FenceEpochsBelowRange(floor uint64, shard, shards int) uint64 { return floor }
 
 // newFakeGroup builds an n-shard group without standbys over the given
 // sites; partitions are keys / 100.
@@ -118,13 +119,13 @@ func scoringFixture(tb testing.TB, rows, m, stripes int) (*Group, []uint64, []in
 	g := newFakeGroup(tb, sites, 1, YCSBWeights(), StatsConfig{Stripes: stripes})
 	sel := g.Shard(0)
 	parts := []uint64{0, 1}
-	sel.RegisterPartition(0, 0)
-	sel.RegisterPartition(1, 1)
+	sel.RegisterPartitionEpoch(0, 0, 0)
+	sel.RegisterPartitionEpoch(1, 1, 0)
 	now := time.Now()
 	for r := 0; r < rows; r++ {
 		for _, d1 := range parts {
 			d2 := 1000 + uint64(r)*2 + d1
-			sel.RegisterPartition(d2, int(d2)%m)
+			sel.RegisterPartitionEpoch(d2, int(d2)%m, 0)
 			// Same client, same instant: consecutive samples also pair up
 			// inter-transaction, so both kinds of row reach `rows` entries.
 			sel.stats.RecordWrite(r, []uint64{d1, d2}, now)

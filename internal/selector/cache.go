@@ -195,40 +195,12 @@ func (c *PlacementCache) single(parts []uint64) (int, bool) {
 	return site, true
 }
 
-// Mirror copies the cached mastership: owner and install epoch per
-// partition.
-func (c *PlacementCache) Mirror() (map[uint64]int, map[uint64]uint64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	owner := make(map[uint64]int, len(c.owner))
-	epochs := make(map[uint64]uint64, len(c.owner))
-	for p, site := range c.owner {
-		owner[p] = site
-		epochs[p] = c.epoch[p]
-	}
-	return owner, epochs
-}
-
 // Size returns the number of cached mastership entries.
 func (c *PlacementCache) Size() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.owner)
 }
-
-// ReadRoutes returns how many reads the cache served without a router RPC.
-func (c *PlacementCache) ReadRoutes() uint64 { return c.readRoutes.Load() }
-
-// WriteRoutes returns how many writes the cache served without a router RPC.
-func (c *PlacementCache) WriteRoutes() uint64 { return c.writeRoutes.Load() }
-
-// StaleWrites returns how many writes were resubmitted through the routers
-// after a failed attempt (a cached route bounced by a data site, or a
-// transient routing fault).
-func (c *PlacementCache) StaleWrites() uint64 { return c.staleWrites.Load() }
-
-// Misses returns how many route attempts fell back to the routers.
-func (c *PlacementCache) Misses() uint64 { return c.misses.Load() }
 
 func (c *PlacementCache) instrument(reg *obs.Registry) {
 	if reg == nil {

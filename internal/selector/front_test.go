@@ -25,7 +25,7 @@ func TestReplicatedRouterAssignment(t *testing.T) {
 	stats := StatsConfig{HistorySize: 128}
 	// One shard, no standbys: a one-node control plane, no cache.
 	g0, _ := newShardedGroup(t, 2, 1, 0, stats)
-	if g0.Cache() != nil {
+	if g0.cache != nil {
 		t.Fatal("one-node control plane built a placement cache")
 	}
 	if g0.RouterFor(0) != g0.RouterFor(1) {
@@ -33,10 +33,10 @@ func TestReplicatedRouterAssignment(t *testing.T) {
 	}
 	// A standby tier makes the control plane multi-node: the front caches.
 	g1, _ := newShardedGroup(t, 2, 1, 2, stats)
-	if g1.Repl(0).Standbys() != 2 {
+	if g1.repls[0].Standbys() != 2 {
 		t.Fatal("standby count")
 	}
-	if g1.Cache() == nil || g1.RouterFor(3).c != g1.Cache() {
+	if g1.cache == nil || g1.RouterFor(3).c != g1.cache {
 		t.Fatal("standby tier did not give the front a placement cache")
 	}
 }
@@ -56,7 +56,7 @@ func TestReplicaFastPathAvoidsMaster(t *testing.T) {
 	if !cached || route.Site != 0 || route.Remastered {
 		t.Fatalf("route = %+v cached=%v, want a cached route to site 0", route, cached)
 	}
-	if g.Cache().Size() == 0 {
+	if g.cache.Size() == 0 {
 		t.Fatal("cache holds nothing")
 	}
 	if g.Metrics().RemasterTxns != 0 {
@@ -73,7 +73,7 @@ func TestReplicaForwardsSplitWriteSets(t *testing.T) {
 	front, sel := g.RouterFor(1), g.Shard(0)
 	rel, _ := sites[0].Release([]uint64{1}, 1, 0)
 	sites[1].Grant([]uint64{1}, rel, 0, 0)
-	sel.RegisterPartition(1, 1)
+	sel.RegisterPartitionEpoch(1, 1, 0)
 
 	ws := []storage.RowRef{ref(1), ref(101)}
 	route, cached := routeLikeSession(t, front, 1, ws)
@@ -91,7 +91,7 @@ func TestReplicaForwardsSplitWriteSets(t *testing.T) {
 
 func TestReplicaStaleCacheFallback(t *testing.T) {
 	g, sites := newShardedGroup(t, 2, 1, 1, StatsConfig{HistorySize: 128})
-	front, sel, c := g.RouterFor(1), g.Shard(0), g.Cache()
+	front, sel, c := g.RouterFor(1), g.Shard(0), g.cache
 	ws := []storage.RowRef{ref(1)}
 	if _, err := front.RouteWrite(1, ws, nil); err != nil {
 		t.Fatal(err)
@@ -123,8 +123,8 @@ func TestReplicaStaleCacheFallback(t *testing.T) {
 	if route.Site != 0 {
 		t.Fatalf("resubmit routed to %d, want 0", route.Site)
 	}
-	if c.StaleWrites() != 1 {
-		t.Fatalf("stale writes = %d, want 1", c.StaleWrites())
+	if c.staleWrites.Load() != 1 {
+		t.Fatalf("stale writes = %d, want 1", c.staleWrites.Load())
 	}
 	// And the cache learned the answer.
 	if route, ok := front.CachedWrite(1, ws); !ok || route.Site != 0 {
@@ -146,8 +146,8 @@ func TestReplicaRouteRead(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatal("cached read routing not spreading load")
 	}
-	if g.Cache().ReadRoutes() != 60 {
-		t.Fatalf("cache read routes = %d, want 60", g.Cache().ReadRoutes())
+	if g.cache.readRoutes.Load() != 60 {
+		t.Fatalf("cache read routes = %d, want 60", g.cache.readRoutes.Load())
 	}
 }
 

@@ -156,25 +156,11 @@ func (g *Group) Shards() int { return g.n }
 // Shard returns shard i's current leader selector.
 func (g *Group) Shard(i int) *Selector { return g.repls[i].Leader() }
 
-// Repl returns shard i's Replicated tier.
-func (g *Group) Repl(i int) *Replicated { return g.repls[i] }
-
 // ShardOf returns the shard owning a partition.
 func (g *Group) ShardOf(part uint64) int { return RouterShardOf(part, g.n) }
 
 // ShardFor returns the leader selector of the shard owning a partition.
 func (g *Group) ShardFor(part uint64) *Selector { return g.repls[g.ShardOf(part)].Leader() }
-
-// Cache returns the front's gossiped placement cache (nil on a one-node
-// control plane).
-func (g *Group) Cache() *PlacementCache { return g.cache }
-
-// CrossShardWrites returns how many write routes spanned multiple shards.
-func (g *Group) CrossShardWrites() uint64 { return g.crossWrites.Load() }
-
-// CrossShardHints returns how many stat samples were delivered to shards
-// beyond the write set's own owners (the inter-shard co-access channel).
-func (g *Group) CrossShardHints() uint64 { return g.crossHints.Load() }
 
 // Stop terminates the group's background work (the cache gossip loop).
 func (g *Group) Stop() {
@@ -574,22 +560,10 @@ func (g *Group) RegisterPartitionEpoch(p uint64, master int, epoch uint64) {
 	g.ShardFor(p).RegisterPartitionEpoch(p, master, epoch)
 }
 
-// AllocEpochFor allocates a remaster epoch from the owning shard's
-// allocator (failover re-grants group their partitions per shard so epochs
-// never mix allocators).
-func (g *Group) AllocEpochFor(p uint64) (uint64, error) { return g.ShardFor(p).AllocEpoch() }
-
 // MarkDown flags a site failed on every shard.
 func (g *Group) MarkDown(site int) {
 	for i := 0; i < g.n; i++ {
 		g.Shard(i).MarkDown(site)
-	}
-}
-
-// MarkUp clears a site's failed flag on every shard.
-func (g *Group) MarkUp(site int) {
-	for i := 0; i < g.n; i++ {
-		g.Shard(i).MarkUp(site)
 	}
 }
 
@@ -680,22 +654,6 @@ func (g *Group) DropSiteReplicas(site int) []uint64 {
 	return out
 }
 
-// ReplicaSet returns a partition's replica set from its owning shard.
-func (g *Group) ReplicaSet(p uint64) []int { return g.ShardFor(p).ReplicaSet(p) }
-
-// HostsAt reports whether site hosts a replica of the partition.
-func (g *Group) HostsAt(p uint64, site int) bool { return g.ShardFor(p).HostsAt(p, site) }
-
-// AddReplicaMeta records replica membership on the owning shard.
-func (g *Group) AddReplicaMeta(p uint64, site int, reason string) bool {
-	return g.ShardFor(p).AddReplicaMeta(p, site, reason)
-}
-
-// DropReplicaMeta removes replica membership on the owning shard.
-func (g *Group) DropReplicaMeta(p uint64, site int, reason string) bool {
-	return g.ShardFor(p).DropReplicaMeta(p, site, reason)
-}
-
 // PartialPlacement reports whether the group runs partial replication
 // (uniform across shards).
 func (g *Group) PartialPlacement() bool { return g.Shard(0).PartialPlacement() }
@@ -724,16 +682,6 @@ func (g *Group) PlacementInfo() PlacementInfo {
 		info.Decisions = append(info.Decisions, in.Decisions...)
 	}
 	return info
-}
-
-// Weights returns the strategy hyperparameters (uniform across shards).
-func (g *Group) Weights() Weights { return g.Shard(0).Weights() }
-
-// SetWeights replaces the strategy hyperparameters on every shard.
-func (g *Group) SetWeights(w Weights) {
-	for i := 0; i < g.n; i++ {
-		g.Shard(i).SetWeights(w)
-	}
 }
 
 // Metrics is a snapshot of the routing counters.

@@ -116,7 +116,7 @@ func TestRouterShardOfProperties(t *testing.T) {
 
 func TestGroupSingleShardPassThrough(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 1, 0, StatsConfig{HistorySize: 128})
-	if g.Cache() != nil {
+	if g.cache != nil {
 		t.Fatal("single-shard group built a placement cache")
 	}
 	// The router is the group's front with no cache: every call takes the
@@ -135,7 +135,7 @@ func TestGroupSingleShardPassThrough(t *testing.T) {
 	if r.Site != 0 || r.Remastered {
 		t.Fatalf("route = %+v, want site 0 without remastering", r)
 	}
-	if g.CrossShardWrites() != 0 {
+	if g.crossWrites.Load() != 0 {
 		t.Fatal("single-shard group counted a cross-shard write")
 	}
 }
@@ -154,7 +154,7 @@ func TestGroupCrossShardWriteRemasters(t *testing.T) {
 	if _, err := sites[1].Grant([]uint64{pb}, rel, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	g.ShardFor(pb).RegisterPartition(pb, 1)
+	g.ShardFor(pb).RegisterPartitionEpoch(pb, 1, 0)
 
 	ws := []storage.RowRef{ref(pa*100 + 1), ref(pb*100 + 1)}
 	r, err := g.RouterFor(7).RouteWrite(7, ws, nil)
@@ -164,8 +164,8 @@ func TestGroupCrossShardWriteRemasters(t *testing.T) {
 	if !r.Remastered || r.PartsMoved == 0 {
 		t.Fatalf("cross-shard split-master route did not remaster: %+v", r)
 	}
-	if g.CrossShardWrites() != 1 {
-		t.Fatalf("CrossShardWrites = %d, want 1", g.CrossShardWrites())
+	if g.crossWrites.Load() != 1 {
+		t.Fatalf("cross-shard writes = %d, want 1", g.crossWrites.Load())
 	}
 	// One destination for the whole set, agreed by both shards and the sites.
 	if got := g.MasterOf(pa); got != r.Site {
@@ -275,7 +275,7 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 		g.dispatchRecord(c, parts, now)
 		reference.RecordWrite(c, parts, now)
 	}
-	if g.CrossShardHints() == 0 {
+	if g.crossHints.Load() == 0 {
 		t.Fatal("workload crossed shards but no inter-shard hints were exchanged")
 	}
 
@@ -304,7 +304,7 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 
 func TestPlacementCacheIngestMonotonic(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
-	c := g.Cache()
+	c := g.cache
 	if c == nil {
 		t.Fatal("sharded group built no cache")
 	}
@@ -337,14 +337,14 @@ func TestPlacementCacheIngestMonotonic(t *testing.T) {
 
 func TestCachedRouterServesAndFallsBack(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
-	front, c := g.RouterFor(3), g.Cache()
+	front, c := g.RouterFor(3), g.cache
 
 	// Nothing routed yet: the partitions do not exist on any shard, so the
 	// cache misses and the caller must fall back to the routers.
 	if _, ok := front.CachedWrite(3, []storage.RowRef{ref(1)}); ok {
 		t.Fatal("cache served a write for a partition it never saw")
 	}
-	if c.Misses() == 0 {
+	if c.misses.Load() == 0 {
 		t.Fatal("cache miss not counted")
 	}
 
@@ -357,7 +357,7 @@ func TestCachedRouterServesAndFallsBack(t *testing.T) {
 	if !ok || route.Site != 0 {
 		t.Fatalf("cached write route = %+v/%v, want site 0 hit", route, ok)
 	}
-	if c.WriteRoutes() == 0 {
+	if c.writeRoutes.Load() == 0 {
 		t.Fatal("cache write hit not counted")
 	}
 
@@ -365,16 +365,16 @@ func TestCachedRouterServesAndFallsBack(t *testing.T) {
 	if _, ok := front.CachedRead(3, nil, []uint64{0}); !ok {
 		t.Fatal("full-replication read missed the cache")
 	}
-	if c.ReadRoutes() == 0 {
+	if c.readRoutes.Load() == 0 {
 		t.Fatal("cache read hit not counted")
 	}
 
 	// The resubmit path counts against the cache and routes authoritatively.
-	before := c.StaleWrites()
+	before := c.staleWrites.Load()
 	if _, err := front.Resubmit(3, []storage.RowRef{ref(1)}, nil, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if c.StaleWrites() != before+1 {
+	if c.staleWrites.Load() != before+1 {
 		t.Fatal("Resubmit did not count a stale cache write")
 	}
 }

@@ -109,9 +109,6 @@ func NewKeyedLeaseStore(ttl time.Duration, net *transport.Network, n int) *Keyed
 	return ks
 }
 
-// Keys returns the number of independent leases the store holds.
-func (ks *KeyedLeaseStore) Keys() int { return len(ks.cells) }
-
 // View returns the single-lease view of one key: the LeaseStore interface
 // the HA machinery (and a shard's epoch source) operates on.
 func (ks *KeyedLeaseStore) View(key int) *LeaseStore {
@@ -134,9 +131,6 @@ func NewLeaseStore(ttl time.Duration, net *transport.Network) *LeaseStore {
 func (ls *LeaseStore) charge() {
 	ls.ks.net.Account(transport.CatLease, leaseMsg)
 }
-
-// TTL returns the lease duration.
-func (ls *LeaseStore) TTL() time.Duration { return ls.ks.ttl }
 
 // Acquire grants the lease to node if it is vacant or expired (or already
 // held by node), returning a fresh fencing token. Exactly one concurrent
@@ -230,9 +224,6 @@ func (ls *LeaseStore) BumpEpoch(n uint64) {
 	}
 }
 
-// LeaderChanges returns how many distinct lease acquisitions have occurred.
-func (ls *LeaseStore) LeaderChanges() uint64 { return ls.cell.changes.Load() }
-
 // Renewals returns how many successful lease renewals have occurred.
 func (ls *LeaseStore) Renewals() uint64 { return ls.cell.renewals.Load() }
 
@@ -292,8 +283,7 @@ type HA struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	promotions    atomic.Uint64
-	lastPromotion atomic.Int64 // nanoseconds of the last promotion's duration
+	promotions atomic.Uint64
 
 	obLeader       *obs.Gauge
 	obChanges      *obs.Counter
@@ -378,21 +368,6 @@ func (ha *HA) instrument(reg *obs.Registry) {
 		return float64(ha.store.Renewals())
 	}, labels...)
 }
-
-// Leader returns the node id currently holding leadership.
-func (ha *HA) Leader() int { return int(ha.node.Load()) }
-
-// Promotions returns how many standby promotions have completed.
-func (ha *HA) Promotions() uint64 { return ha.promotions.Load() }
-
-// LastPromotionDuration returns the wall time of the most recent promotion
-// (zero if none ran).
-func (ha *HA) LastPromotionDuration() time.Duration {
-	return time.Duration(ha.lastPromotion.Load())
-}
-
-// Store exposes the lease store (status endpoints and tests).
-func (ha *HA) Store() *LeaseStore { return ha.store }
 
 // KillNode simulates a crash of selector node (0 = initial master, i+1 =
 // standby i): a killed leader stops renewing — its lease expires and a
@@ -569,7 +544,6 @@ func (ha *HA) promote() {
 
 	dur := time.Since(start)
 	ha.promotions.Add(1)
-	ha.lastPromotion.Store(int64(dur))
 	ha.obLeader.Set(float64(cand))
 	ha.obChanges.Inc()
 	ha.obPromoteDur.ObserveDuration(dur)
@@ -588,12 +562,6 @@ func (ha *HA) promote() {
 func (ha *HA) fenceSites(fence uint64) []bool {
 	unfenced := make([]bool, len(ha.selCfg.Sites))
 	for i, site := range ha.selCfg.Sites {
-		f, ok := site.(interface {
-			FenceEpochsBelowRange(floor uint64, shard, shards int) uint64
-		})
-		if !ok {
-			continue // test double without fencing; nothing to install
-		}
 		sent := false
 		for attempt := 0; attempt <= remasterSendRetries && !sent; attempt++ {
 			if attempt > 0 {
@@ -602,7 +570,7 @@ func (ha *HA) fenceSites(fence uint64) []bool {
 			if ha.repl.net.SendTo(transport.CatLease, transport.SelectorNode, i, transport.MsgOverhead) != nil {
 				continue
 			}
-			f.FenceEpochsBelowRange(fence, ha.selCfg.Shard, ha.selCfg.Shards)
+			site.FenceEpochsBelowRange(fence, ha.selCfg.Shard, ha.selCfg.Shards)
 			_ = ha.repl.net.SendTo(transport.CatLease, i, transport.SelectorNode, transport.MsgOverhead)
 			sent = true
 		}

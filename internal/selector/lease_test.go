@@ -76,9 +76,9 @@ func waitPromotions(t *testing.T, ha *HA, n uint64) time.Duration {
 	t.Helper()
 	start := time.Now()
 	deadline := start.Add(10 * time.Second)
-	for ha.Promotions() < n {
+	for ha.promotions.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("promotion %d did not complete within 10s (leader %d)", n, ha.Leader())
+			t.Fatalf("promotion %d did not complete within 10s (leader %d)", n, int(ha.node.Load()))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -123,8 +123,8 @@ func TestLeaseStoreMutualExclusion(t *testing.T) {
 	if _, err := ls.AllocEpoch(0, tok0); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("deposed holder allocated an epoch: %v", err)
 	}
-	if ls.LeaderChanges() != 2 {
-		t.Fatalf("leader changes = %d, want 2", ls.LeaderChanges())
+	if ls.cell.changes.Load() != 2 {
+		t.Fatalf("leader changes = %d, want 2", ls.cell.changes.Load())
 	}
 }
 
@@ -145,7 +145,7 @@ func TestHAPromotionOnLeaderKill(t *testing.T) {
 	window := waitPromotions(t, ha, 1)
 	t.Logf("promotion completed %v after the kill", window)
 
-	if ha.Leader() == 0 {
+	if int(ha.node.Load()) == 0 {
 		t.Fatal("leadership did not move off the killed node")
 	}
 	neu := repl.Leader()
@@ -355,10 +355,10 @@ func TestHASurvivesSecondFailover(t *testing.T) {
 	}
 	ha.KillLeader()
 	waitPromotions(t, ha, 1)
-	first := ha.Leader()
+	first := int(ha.node.Load())
 	ha.KillLeader()
 	waitPromotions(t, ha, 2)
-	second := ha.Leader()
+	second := int(ha.node.Load())
 	if second == 0 || second == first {
 		t.Fatalf("second promotion landed on %d (first %d, dead 0)", second, first)
 	}

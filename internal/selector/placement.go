@@ -250,16 +250,6 @@ func (ps *placementState) recordLocked(d PlacementDecision) {
 // replica sets (partial replication mode).
 func (s *Selector) PartialPlacement() bool { return s.placement != nil }
 
-// ReplicationBounds returns the configured (min, max) replication factor;
-// (0, 0) under full replication.
-func (s *Selector) ReplicationBounds() (int, int) {
-	ps := s.placement
-	if ps == nil {
-		return 0, 0
-	}
-	return ps.min, ps.max
-}
-
 // ReplicaSet returns part's current replica set (sorted). Under full
 // replication every site is a member.
 func (s *Selector) ReplicaSet(part uint64) []int {
@@ -277,18 +267,6 @@ func (s *Selector) ReplicaSet(part uint64) []int {
 		return append([]int(nil), set...)
 	}
 	return ps.defSet(part)
-}
-
-// HostsAt reports whether site is in part's replica set. Always true under
-// full replication.
-func (s *Selector) HostsAt(part uint64, site int) bool {
-	ps := s.placement
-	if ps == nil {
-		return true
-	}
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return containsSite(ps.memberViewLocked(part), site)
 }
 
 // memberViewLocked returns part's membership without copying (callers hold

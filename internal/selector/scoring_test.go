@@ -202,7 +202,7 @@ func newGroupCase(t *testing.T, rng *rand.Rand, shards int, learn bool) scoringC
 	var universe []uint64
 	for p := uint64(0); p < 240; p++ {
 		universe = append(universe, p)
-		g.ShardFor(p).RegisterPartition(p, rng.Intn(m))
+		g.ShardFor(p).RegisterPartitionEpoch(p, rng.Intn(m), 0)
 	}
 	c.parts = pickWriteSet(rng, universe)
 	c.sel = g.ShardFor(c.parts[0])
@@ -318,10 +318,10 @@ func TestScoringTiesGoToFirstCandidate(t *testing.T) {
 		g := newFakeGroup(t, sites, 1, Weights{IntraTxn: 1, InterTxn: 1}, StatsConfig{Stripes: stripes})
 		// Write set {10 @ site 3, 20 @ site 2}; 11 lives with 10, 21 with 20.
 		sel := g.Shard(0)
-		sel.RegisterPartition(10, 3)
-		sel.RegisterPartition(11, 3)
-		sel.RegisterPartition(20, 2)
-		sel.RegisterPartition(21, 2)
+		sel.RegisterPartitionEpoch(10, 3, 0)
+		sel.RegisterPartitionEpoch(11, 3, 0)
+		sel.RegisterPartitionEpoch(20, 2, 0)
+		sel.RegisterPartitionEpoch(21, 2, 0)
 		return g, []uint64{10, 20}, []int{3, 2}
 	}
 	for _, stripes := range []int{1, 16} {

@@ -18,16 +18,20 @@ import (
 )
 
 // DataSite is the selector's view of a data site: the mastership-transfer
-// RPCs plus the version vector used by the refresh-delay feature and read
-// routing. *sitemgr.Site implements it; multi-process deployments use an
-// RPC-backed implementation. The epoch parameter fences and memoizes the
-// transfer (see sitemgr): retried calls with the same epoch are idempotent,
-// stale epochs are rejected; epoch 0 disables fencing (initial placement).
+// RPCs, the epoch fence a promoted selector installs, and the version vector
+// used by the refresh-delay feature and read routing. *sitemgr.Site
+// implements it. The epoch parameter fences and memoizes the transfer (see
+// sitemgr): retried calls with the same epoch are idempotent, stale epochs
+// are rejected; epoch 0 disables fencing (initial placement).
 type DataSite interface {
 	ID() int
 	SVV() vclock.Vector
 	Release(parts []uint64, to int, epoch uint64) (vclock.Vector, error)
 	Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64) (vclock.Vector, error)
+	// FenceEpochsBelowRange rejects later transfers below floor over the
+	// partitions of router shard shard-of-shards and returns the floor in
+	// effect (sitemgr.Site.FenceEpochsBelowRange).
+	FenceEpochsBelowRange(floor uint64, shard, shards int) uint64
 }
 
 // Config describes one router shard's selector.
@@ -206,14 +210,6 @@ func (s *Selector) owns(id uint64) bool { return RouterShardOf(id, s.nshards) ==
 // Weights returns the selector's strategy hyperparameters.
 func (s *Selector) Weights() Weights { return *s.weights.Load() }
 
-// SetWeights replaces the strategy hyperparameters (sensitivity sweeps
-// swap them mid-run; the pointer swap is atomic against concurrent
-// routing decisions).
-func (s *Selector) SetWeights(w Weights) { s.weights.Store(&w) }
-
-// Stats exposes the statistics tracker.
-func (s *Selector) Stats() *Stats { return s.stats }
-
 // part returns the partition info, creating it at the initial master. On
 // first sight of a partition the initial master site is granted ownership,
 // so transactions can create rows in partitions that did not exist at load
@@ -265,13 +261,6 @@ func (s *Selector) part(id uint64) *partInfo {
 func (s *Selector) MarkDown(site int) {
 	if site >= 0 && site < s.m {
 		s.downSites[site].Store(true)
-	}
-}
-
-// MarkUp clears a site's failed flag (a recovered site rejoining).
-func (s *Selector) MarkUp(site int) {
-	if site >= 0 && site < s.m {
-		s.downSites[site].Store(false)
 	}
 }
 
@@ -355,12 +344,6 @@ func (s *Selector) MasteredBy(site int) []uint64 {
 	})
 	slices.Sort(out)
 	return out
-}
-
-// RegisterPartition seeds a partition's master location (load-time
-// placement for the baselines; DynaMast experiments use the default).
-func (s *Selector) RegisterPartition(id uint64, master int) {
-	s.RegisterPartitionEpoch(id, master, 0)
 }
 
 // RegisterPartitionEpoch seeds a partition's master together with the
@@ -545,9 +528,9 @@ func (s *Selector) decayLoad() {
 }
 
 // localization accumulates one localization feature (Equation 6 or 7) for
-// every candidate at once. SingleSited depends on the candidate only through
-// "is the candidate the master of d2", so a pair (d1, d2) of probability p
-// with m1 = master(d1) lands in exactly one of three places:
+// every candidate at once. The single_sited term depends on the candidate
+// only through "is the candidate the master of d2", so a pair (d1, d2) of
+// probability p with m1 = master(d1) lands in exactly one of three places:
 //
 //	d2 in the write set:  +p for every candidate when m1 != master(d2)
 //	                      (the set moves together), nothing otherwise;

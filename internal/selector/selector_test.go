@@ -61,7 +61,7 @@ func TestRouteWriteRemasters(t *testing.T) {
 	if _, err := sites[1].Grant([]uint64{1}, rel, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	g.Shard(0).RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartitionEpoch(1, 1, 0)
 
 	r, err := g.front.RouteWrite(1, []storage.RowRef{ref(1), ref(101)}, nil)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestSubsequentWritesAmortizeRemastering(t *testing.T) {
 	g, sites := newCluster(t, 2, YCSBWeights())
 	rel, _ := sites[0].Release([]uint64{1}, 1, 0)
 	sites[1].Grant([]uint64{1}, rel, 0, 0)
-	g.Shard(0).RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartitionEpoch(1, 1, 0)
 
 	ws := []storage.RowRef{ref(1), ref(101)}
 	if r, err := g.front.RouteWrite(1, ws, nil); err != nil || !r.Remastered {
@@ -131,7 +131,7 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 		sites[0].Grant([]uint64{p}, rel, 0, 0)
 	}
 	for p := uint64(1); p < 32; p++ {
-		g.Shard(0).RegisterPartition(p, 0)
+		g.Shard(0).RegisterPartitionEpoch(p, 0, 0)
 	}
 	// Now run paired writes (p, p+32): p+32 is fresh (also at site 0), so
 	// the pair is single-sited... instead pair partitions currently at
@@ -140,7 +140,7 @@ func TestBalanceSpreadsMastersAcrossSites(t *testing.T) {
 	for p := uint64(1); p < 32; p += 2 {
 		rel, _ := sites[0].Release([]uint64{p}, 1, 0)
 		sites[1].Grant([]uint64{p}, rel, 0, 0)
-		g.Shard(0).RegisterPartition(p, 1)
+		g.Shard(0).RegisterPartitionEpoch(p, 1, 0)
 	}
 	for p := uint64(0); p+1 < 32; p += 2 {
 		ws := []storage.RowRef{ref(p * 100), ref((p + 1) * 100)}
@@ -166,7 +166,7 @@ func TestIntraTxnCoLocationLearning(t *testing.T) {
 	// Split partitions 0 and 1 across sites.
 	rel, _ := sites[0].Release([]uint64{1}, 1, 0)
 	sites[1].Grant([]uint64{1}, rel, 0, 0)
-	g.Shard(0).RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartitionEpoch(1, 1, 0)
 
 	ws := []storage.RowRef{ref(10), ref(110)}
 	for i := 0; i < 5; i++ {
@@ -307,7 +307,7 @@ func TestMinVVDominatesGrantPoints(t *testing.T) {
 	for p := uint64(1); p <= 2; p++ {
 		rel, _ := sites[0].Release([]uint64{p}, int(p), 0)
 		sites[p].Grant([]uint64{p}, rel, 0, 0)
-		g.Shard(0).RegisterPartition(p, int(p))
+		g.Shard(0).RegisterPartitionEpoch(p, int(p), 0)
 	}
 	for site := 0; site < 3; site++ {
 		tx, err := sites[site].Begin(nil, []storage.RowRef{ref(uint64(site)*100 + 5)})
@@ -539,7 +539,7 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 func TestRouteWriteAllSitesDownFailsFast(t *testing.T) {
 	g, sites := newCluster(t, 2, YCSBWeights())
 	// Split the write set's masters so routing needs a remaster destination.
-	g.Shard(0).RegisterPartition(1, 1)
+	g.Shard(0).RegisterPartitionEpoch(1, 1, 0)
 	sites[0].SetMaster(1, false)
 	sites[1].SetMaster(1, true)
 	g.MarkDown(0)

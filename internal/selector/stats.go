@@ -172,9 +172,6 @@ func NewStats(cfg StatsConfig) *Stats {
 	return st
 }
 
-// Stripes returns the stripe count (a power of two).
-func (st *Stats) Stripes() int { return len(st.stripes) }
-
 // stripe returns the stripe client hashes to. Client ids are small dense
 // integers, so a Fibonacci multiply-shift spreads consecutive ids across
 // stripes.

@@ -36,7 +36,7 @@ func TestStripedStatsMatchesReference(t *testing.T) {
 		Stripes:        4,
 	}
 	st := NewStats(cfg)
-	refs := refTrackers(cfg, st.Stripes())
+	refs := refTrackers(cfg, len(st.stripes))
 
 	rng := rand.New(rand.NewSource(7))
 	now := time.Now()

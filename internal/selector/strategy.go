@@ -96,32 +96,6 @@ func RefreshDelay(need, svvS vclock.Vector) float64 {
 	return -float64(svvS.LagBehind(need))
 }
 
-// SingleSited implements the single_sited term of Equations 6-7 for a pair
-// (d1 in the write set, d2 correlated with d1) and candidate site S:
-//
-//	+1 if remastering the write set to S co-locates d1 and d2's masters,
-//	-1 if it splits masters that are currently co-located,
-//	 0 if co-location is unchanged.
-//
-// master gives the current master of a partition and inWriteSet reports
-// whether d2 is itself being remastered with the write set.
-func SingleSited(s int, d1, d2 uint64, master func(uint64) int, inWriteSet func(uint64) bool) float64 {
-	before := master(d1) == master(d2)
-	var after bool
-	if inWriteSet(d2) {
-		after = true // both move to S
-	} else {
-		after = master(d2) == s
-	}
-	switch {
-	case after && !before:
-		return 1
-	case before && !after:
-		return -1
-	}
-	return 0
-}
-
 // Benefit combines the four features with the model weights (Equation 8).
 func (w Weights) Benefit(balance, delay, intra, inter float64) float64 {
 	return w.Balance*balance + w.Delay*delay + w.IntraTxn*intra + w.InterTxn*inter

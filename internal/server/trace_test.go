@@ -182,7 +182,10 @@ func TestUntracedTxnRecordsNoSpans(t *testing.T) {
 	if err := cl.Put("kv", 3, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if traces, spans, _ := cluster.Spans().Counts(); traces != 0 || spans != 0 {
-		t.Fatalf("untraced workload recorded (%d traces, %d spans), want none", traces, spans)
+	snap := cluster.Obs().Snapshot()
+	traces, _ := snap.Value("dynamast_trace_traces_total")
+	spans, _ := snap.Value("dynamast_trace_spans_total")
+	if traces != 0 || spans != 0 {
+		t.Fatalf("untraced workload recorded (%.0f traces, %.0f spans), want none", traces, spans)
 	}
 }

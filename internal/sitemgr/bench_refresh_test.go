@@ -40,7 +40,7 @@ func BenchmarkRefreshApplyBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	site.Start()
-	for site.Refreshes() < uint64(b.N) {
+	for site.refreshes.Load() < uint64(b.N) {
 		runtime.Gosched()
 	}
 	b.StopTimer()

@@ -48,12 +48,11 @@ func testClusterEpoch(t *testing.T, m int, interval time.Duration) ([]*Site, *wa
 
 // logEntries snapshots every entry currently in site i's log.
 func logEntries(b *wal.Broker, i int) []wal.Entry {
-	l := b.Log(i)
+	cur := b.Log(i).Subscribe(0)
+	defer cur.Close()
 	var out []wal.Entry
-	for off := l.Base(); off < l.Len(); off++ {
-		if e, ok := l.Get(off); ok {
-			out = append(out, e)
-		}
+	for e, ok := cur.TryNext(); ok; e, ok = cur.TryNext() {
+		out = append(out, e)
 	}
 	return out
 }

@@ -56,12 +56,12 @@ func (c CostModel) Zero() bool { return c == CostModel{} }
 // DefaultExecSlots is the default per-site execution parallelism.
 const DefaultExecSlots = 4
 
-// DefaultApplySlots is the default parallelism of a site's replication
-// manager (refresh application runs on its own threads and does not queue
-// behind stored procedures, as in the paper's integrated-but-concurrent
-// design; its capacity still bounds how fast replicas absorb remote
-// updates, which is what limits site-count scaling).
-const DefaultApplySlots = 2
+// applySlots is the parallelism of a site's replication manager (refresh
+// application runs on its own threads and does not queue behind stored
+// procedures, as in the paper's integrated-but-concurrent design; its
+// capacity still bounds how fast replicas absorb remote updates, which is
+// what limits site-count scaling).
+const applySlots = 2
 
 // execQuantum is the debt threshold at which a slot actually sleeps; it
 // sits above the host's sleep granularity so batching error stays ~10%.

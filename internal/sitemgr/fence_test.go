@@ -42,26 +42,36 @@ func TestFenceEpochsBelow(t *testing.T) {
 	sites, _ := newFencePair(t)
 	s0, s1 := sites[0], sites[1]
 
-	if got := s0.EpochFloor(); got != 0 {
-		t.Fatalf("initial floor = %d, want 0", got)
+	// An unsharded selector fences the one shard {0, 1}, whose range is
+	// every partition.
+	if s0.rangeFences.Load() != nil {
+		t.Fatal("a fence is installed before any promotion")
 	}
-	if got := s0.FenceEpochsBelow(5); got != 5 {
+	if got := s0.FenceEpochsBelowRange(5, 0, 1); got != 5 {
 		t.Fatalf("fence install returned %d, want 5", got)
 	}
 	// The floor only rises: a lower fence is a no-op returning the one in
 	// effect, re-installing the same floor is idempotent.
-	if got := s0.FenceEpochsBelow(3); got != 5 {
+	if got := s0.FenceEpochsBelowRange(3, 0, 1); got != 5 {
 		t.Fatalf("lower fence returned %d, want 5", got)
 	}
-	if got := s0.FenceEpochsBelow(5); got != 5 {
+	if got := s0.FenceEpochsBelowRange(5, 0, 1); got != 5 {
 		t.Fatalf("idempotent fence returned %d, want 5", got)
+	}
+	// shards <= 1 names the same one-shard fence.
+	if got := s0.FenceEpochsBelowRange(4, 0, 0); got != 5 || len(*s0.rangeFences.Load()) != 1 {
+		t.Fatalf("shards=0 fence returned %d over %d fences, want 5 over 1", got, len(*s0.rangeFences.Load()))
 	}
 
 	// Operations below the floor die with ErrStaleEpoch.
 	if _, err := s0.Release([]uint64{1}, 1, 4); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("release below floor: err = %v, want ErrStaleEpoch", err)
 	}
-	s1.FenceEpochsBelow(5)
+	// The one-shard fence covers every partition set, the empty one too.
+	if _, err := s0.Release(nil, 1, 4); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("empty release below floor: err = %v, want ErrStaleEpoch", err)
+	}
+	s1.FenceEpochsBelowRange(5, 0, 1)
 	if _, err := s1.Grant([]uint64{1}, nil, 0, 4); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("grant below floor: err = %v, want ErrStaleEpoch", err)
 	}
@@ -92,7 +102,7 @@ func TestFenceEpochsBelow(t *testing.T) {
 	// A dead site still serves the fence (promotion treats fenced and
 	// crashed sites uniformly).
 	s1.Kill()
-	if got := s1.FenceEpochsBelow(9); got != 9 {
+	if got := s1.FenceEpochsBelowRange(9, 0, 1); got != 9 {
 		t.Fatalf("fence on dead site returned %d, want 9", got)
 	}
 }

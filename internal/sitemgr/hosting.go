@@ -24,7 +24,7 @@ import (
 // site outside its replica set (Txn.Read poisons with ErrNotHosted and the
 // session re-routes).
 //
-// Hosting flips synchronize with the appliers the same way BootstrapFrom
+// Hosting flips synchronize with the appliers the same way RestoreSnapshot
 // does: HostPartition/UnhostPartition acquire EVERY per-origin apply mutex,
 // while appliers evaluate the hosting filter inside their per-entry applyMu
 // critical section. Each entry's {filter check, install, clock advance} is
@@ -52,10 +52,6 @@ func (h *hostingState) hostsLocked(part uint64) bool {
 	return h.def != nil && h.def(part)
 }
 
-// PartialReplication reports whether this site hosts only a subset of the
-// partitions (Config.PartialReplication).
-func (s *Site) PartialReplication() bool { return s.hosting != nil }
-
 // Hosts reports whether this site is in part's replica set. Always true for
 // fully replicating sites.
 func (s *Site) Hosts(part uint64) bool {
@@ -69,7 +65,7 @@ func (s *Site) Hosts(part uint64) bool {
 }
 
 // lockAppliers acquires every per-origin apply mutex in index order; hosting
-// flips use it to fence all refresh application (the BootstrapFrom pattern).
+// flips and RestoreSnapshot use it to fence all refresh application.
 func (s *Site) lockAppliers() {
 	for o := range s.applyMu {
 		s.applyMu[o].Lock()

@@ -4,47 +4,16 @@ import (
 	"errors"
 	"fmt"
 
-	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 	"dynamast/internal/wal"
 )
 
 // Recovery (§V-C). DynaMast uses redo logging: on commit the write set is
 // appended to the site's durable log, which doubles as the replication
-// feed. A data site recovers by initializing state from an existing replica
-// and replaying redo logs from the positions indicated by the site version
-// vector; mastership state is reconstructed from the sequence of release
-// and grant operations in the logs.
-
-// BootstrapFrom copies a peer replica's newest committed versions and
-// version vector into this (empty) site. The refresh appliers started
-// afterwards skip entries already reflected in the adopted vector.
-func (s *Site) BootstrapFrom(peer *Site) {
-	// As in RestoreSnapshot, fence the background appliers for the whole
-	// copy + clock adoption: a refresh entry older than a copied row must
-	// not be installed over it after the copy lands.
-	s.lockAppliers()
-	defer s.unlockAppliers()
-	peerVV := peer.clock.Now()
-	// Same guard as RestoreSnapshot: our appliers may have outrun the
-	// peer's copy for some rows; a peer row at or below what they already
-	// installed would shadow the newer head.
-	applied := s.clock.Now()
-	for _, name := range peer.store.TableNames() {
-		src := peer.store.Table(name)
-		s.store.CreateTable(name)
-		src.ForEachLatest(func(key uint64, data []byte, stamp storage.Stamp) {
-			if s.hosting != nil && !s.Hosts(s.cfg.Partitioner(storage.RowRef{Table: name, Key: key})) {
-				return
-			}
-			s.store.ImportRowIfNewer(name, key, data, stamp, applied)
-		})
-	}
-	for k, v := range peerVV {
-		s.clock.Advance(k, v)
-	}
-	s.nextSeq.Store(peerVV[s.id])
-}
+// feed. A data site recovers by restoring its newest checkpoint and replaying
+// the redo logs from the positions that checkpoint records; mastership state
+// is reconstructed from the sequence of release and grant operations in the
+// logs.
 
 // Replay brings the site to the end of every origin's log, reading origin
 // o's log from offsets[o] (a checkpoint manifest's replay positions; nil =

@@ -125,7 +125,7 @@ func (s *Site) Release(parts []uint64, to int, epoch uint64) (vclock.Vector, err
 	s.pmu.Unlock()
 
 	// The {floor check, append, flip} section runs under the fence read
-	// lock: either it completes entirely before a FenceEpochsBelow returns
+	// lock: either it completes entirely before a FenceEpochsBelowRange returns
 	// (the promotion's WAL fold then sees the release), or it observes the
 	// new floor and rejects before touching the log.
 	s.fenceMu.RLock()
@@ -246,7 +246,7 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 
 	// As in Release, the {floor check, append, flip} section holds the
 	// fence read lock: a grant either lands in the log before a
-	// FenceEpochsBelow returns, or dies on the floor without logging.
+	// FenceEpochsBelowRange returns, or dies on the floor without logging.
 	s.fenceMu.RLock()
 	if epoch != 0 {
 		if floor, fenced := s.fencedEpoch(parts, epoch); fenced {
@@ -300,37 +300,3 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 	}
 	return now, nil
 }
-
-// RemastersReceived returns how many grant operations this site served.
-func (s *Site) RemastersReceived() uint64 { return s.remasterIn.Load() }
-
-// FenceEpochsBelow installs a site-wide remaster-epoch fence: every
-// subsequent Release or Grant carrying a nonzero epoch below floor is
-// rejected with ErrStaleEpoch. A promoted selector fences every site with a
-// freshly allocated epoch BEFORE folding the sites' logs, so a deposed
-// coordinator's in-flight chains can no longer change ownership once the
-// fold runs; taking the fence write lock additionally waits out any
-// release/grant already past its floor check, whose log append is therefore
-// visible to the fold. The floor only ever rises; the floor in effect is
-// returned. Epoch-0 (unfenced, coordinator-less) operations are unaffected.
-//
-// The fence is deliberately served even while the site is down: a dead site
-// refuses all operations anyway, and keeping the call infallible lets a
-// promotion treat "fenced" and "crashed" sites uniformly.
-func (s *Site) FenceEpochsBelow(floor uint64) uint64 {
-	s.fenceMu.Lock()
-	defer s.fenceMu.Unlock()
-	for {
-		cur := s.epochFloor.Load()
-		if cur >= floor {
-			return cur
-		}
-		if s.epochFloor.CompareAndSwap(cur, floor) {
-			return floor
-		}
-	}
-}
-
-// EpochFloor returns the site-wide remaster-epoch fence currently in effect
-// (0 = never fenced).
-func (s *Site) EpochFloor() uint64 { return s.epochFloor.Load() }

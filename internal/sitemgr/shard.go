@@ -27,27 +27,35 @@ func RouterShard(part uint64, n int) int {
 // partition range. Epoch allocators are per shard under the sharded
 // selector, so floors from different shards are incomparable and must never
 // be applied outside their own range: "one shard's fence dominates only its
-// range".
+// range". An unsharded selector is the one shard {0, 1}, whose range is every
+// partition.
 type rangeFence struct {
 	shard, shards int
 	floor         uint64
 }
 
-// FenceEpochsBelowRange installs a remaster-epoch fence covering only the
+// FenceEpochsBelowRange installs a remaster-epoch fence covering the
 // partitions RouterShard assigns to shard-of-shards: subsequent Release or
 // Grant operations whose partition set intersects that range and whose
-// nonzero epoch is below floor are rejected with ErrStaleEpoch. It is the
-// range-scoped analogue of FenceEpochsBelow, used by a promoted router shard
-// so its fence cannot kill in-flight chains of the other, still-healthy
-// shards (whose epochs come from different allocators and are incomparable).
-// Taking the fence write lock gives the same WAL-fold guarantee: operations
-// already past their floor check finish logging before this returns.
+// nonzero epoch is below floor are rejected with ErrStaleEpoch. A promoted
+// selector fences every site with a freshly allocated epoch BEFORE folding
+// the sites' logs, so a deposed coordinator's in-flight chains can no longer
+// change ownership once the fold runs. The fence is range-scoped so that a
+// promoted router shard cannot kill in-flight chains of the other,
+// still-healthy shards, whose epochs come from different allocators and are
+// incomparable. shards <= 1 is the one shard whose range is every partition.
 //
-// shards <= 1 degenerates to the site-wide FenceEpochsBelow. The floor in
-// effect for the range is returned and only ever rises.
+// Taking the fence write lock waits out any release/grant already past its
+// floor check, whose log append is therefore visible to the fold. The floor
+// in effect for the range is returned and only ever rises. Epoch-0
+// (unfenced, coordinator-less) operations are unaffected.
+//
+// The fence is deliberately served even while the site is down: a dead site
+// refuses all operations anyway, and keeping the call infallible lets a
+// promotion treat "fenced" and "crashed" sites uniformly.
 func (s *Site) FenceEpochsBelowRange(floor uint64, shard, shards int) uint64 {
 	if shards <= 1 {
-		return s.FenceEpochsBelow(floor)
+		shard, shards = 0, 1
 	}
 	s.fenceMu.Lock()
 	defer s.fenceMu.Unlock()
@@ -71,15 +79,11 @@ func (s *Site) FenceEpochsBelowRange(floor uint64, shard, shards int) uint64 {
 }
 
 // fencedEpoch reports whether a release/grant carrying epoch over parts is
-// below any fence that covers it: the site-wide floor, or a range fence
-// whose shard range contains at least one of parts. Returns the violated
-// floor. The range-fence scan is skipped entirely when no range fence was
-// ever installed (the single-shard deployment), keeping the hot path
-// identical to the pre-sharding code.
+// below a fence whose shard range contains at least one of parts; the
+// one-shard fence covers every partition set, the empty one included.
+// Returns the violated floor. Until a promotion installs a fence this is one
+// pointer load.
 func (s *Site) fencedEpoch(parts []uint64, epoch uint64) (uint64, bool) {
-	if floor := s.epochFloor.Load(); epoch < floor {
-		return floor, true
-	}
 	fences := s.rangeFences.Load()
 	if fences == nil {
 		return 0, false
@@ -88,6 +92,9 @@ func (s *Site) fencedEpoch(parts []uint64, epoch uint64) (uint64, bool) {
 		if epoch >= f.floor {
 			continue
 		}
+		if f.shards == 1 {
+			return f.floor, true
+		}
 		for _, id := range parts {
 			if RouterShard(id, f.shards) == f.shard {
 				return f.floor, true
@@ -95,19 +102,4 @@ func (s *Site) fencedEpoch(parts []uint64, epoch uint64) (uint64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// EpochFloorForRange returns the effective remaster-epoch floor for a
-// partition in shard-of-shards' range: the max of the site-wide floor and
-// the matching range fence (0 = never fenced).
-func (s *Site) EpochFloorForRange(shard, shards int) uint64 {
-	floor := s.epochFloor.Load()
-	if fences := s.rangeFences.Load(); fences != nil {
-		for _, f := range *fences {
-			if f.shard == shard && f.shards == shards && f.floor > floor {
-				floor = f.floor
-			}
-		}
-	}
-	return floor
 }

@@ -50,14 +50,8 @@ type Config struct {
 	// sites' logs (lazily maintained replicas). Partitioned systems
 	// without replication leave it false.
 	Replicate bool
-	// PropagationDelay is the minimum age of a log entry before a replica
-	// applies it, modelling the asynchronous propagation pipeline. If
-	// zero, the network's one-way latency is used.
-	PropagationDelay time.Duration
 	// ExecSlots is the site's execution parallelism (0 = default 4).
 	ExecSlots int
-	// ApplySlots is the replication manager's parallelism (0 = default 2).
-	ApplySlots int
 	// EpochInterval, when positive, batches commits into epochs sealed at
 	// this interval: one WAL append, one svv advance, and one coalesced
 	// replication record per epoch (see epoch.go). Zero disables epochs
@@ -152,6 +146,10 @@ type Site struct {
 	store *storage.Store
 	log   *wal.Log
 	net   *transport.Network
+	// propDelay is the minimum age of a log entry before a replica applies
+	// it, modelling the asynchronous propagation pipeline: the network's
+	// one-way latency (0 without a network).
+	propDelay time.Duration
 
 	commitMu sync.Mutex    // serializes seq allocation + install + log append
 	nextSeq  atomic.Uint64 // local commit sequence allocator
@@ -194,23 +192,19 @@ type Site struct {
 	// mastership operation fails fast with ErrSiteDown.
 	down atomic.Bool
 
-	// epochFloor is the site-wide remaster-epoch fence installed by a
-	// promoted selector (FenceEpochsBelow): release/grant operations
-	// carrying a nonzero epoch below the floor are rejected with
-	// ErrStaleEpoch, so a deposed coordinator's in-flight chains cannot
+	// rangeFences holds the remaster-epoch fences a promoted selector
+	// installs (FenceEpochsBelowRange), one per router shard range; nil
+	// until the first promotion. Release/grant operations carrying a
+	// nonzero epoch below a fence covering their partitions are rejected
+	// with ErrStaleEpoch, so a deposed coordinator's in-flight chains cannot
 	// change ownership after the new coordinator has taken over. fenceMu
-	// orders floor installation against in-flight release/grant
+	// orders fence installation against in-flight release/grant
 	// {floor-check, WAL-append, ownership-flip} sections: once
-	// FenceEpochsBelow returns, every operation the site will still
+	// FenceEpochsBelowRange returns, every operation the site will still
 	// complete is already in its log — a promotion's WAL fold misses
-	// nothing.
-	epochFloor atomic.Uint64
-	fenceMu    sync.RWMutex
-
-	// rangeFences holds per-router-shard epoch floors installed by
-	// FenceEpochsBelowRange (nil until a sharded selector promotes, so the
-	// single-shard hot path never scans it). Updated under fenceMu.
+	// nothing. Updated under fenceMu.
 	rangeFences atomic.Pointer[[]rangeFence]
+	fenceMu     sync.RWMutex
 
 	// remu guards the epoch memo maps (idempotent release/grant retries).
 	remu      sync.Mutex
@@ -219,7 +213,6 @@ type Site struct {
 
 	// Counters for experiment reporting.
 	commits    atomic.Uint64
-	aborts     atomic.Uint64
 	refreshes  atomic.Uint64
 	remasterIn atomic.Uint64
 
@@ -325,17 +318,15 @@ func New(cfg Config) (*Site, error) {
 	if cfg.MaxVersions < 0 || cfg.MaxVersions > storage.MaxVersionCap {
 		return nil, fmt.Errorf("sitemgr: MaxVersions %d outside [0,%d]", cfg.MaxVersions, storage.MaxVersionCap)
 	}
-	if cfg.PropagationDelay == 0 && cfg.Net != nil {
-		cfg.PropagationDelay = cfg.Net.Config().OneWay
-	}
 	s := &Site{
 		cfg:       cfg,
 		id:        cfg.SiteID,
 		m:         cfg.Sites,
-		clock:     vclock.NewSiteClock(cfg.SiteID, cfg.Sites),
+		clock:     vclock.NewSiteClock(cfg.Sites),
 		store:     storage.NewStore(cfg.MaxVersions),
 		log:       cfg.Broker.Log(cfg.SiteID),
 		net:       cfg.Net,
+		propDelay: cfg.Net.Config().OneWay,
 		parts:     make(map[uint64]*partState),
 		prepared:  make(map[uint64]*preparedTxn),
 		stopped:   make(chan struct{}),
@@ -350,11 +341,7 @@ func New(cfg Config) (*Site, error) {
 			overrides: make(map[uint64]bool),
 		}
 	}
-	if cfg.ApplySlots == 0 {
-		cfg.ApplySlots = DefaultApplySlots
-	}
-	s.applyPool = newExecPool(cfg.ApplySlots)
-	s.cfg.ApplySlots = cfg.ApplySlots
+	s.applyPool = newExecPool(applySlots)
 	s.pcond = sync.NewCond(&s.pmu)
 	s.ep.cond = sync.NewCond(&s.ep.mu)
 	s.spans = cfg.Spans
@@ -364,9 +351,6 @@ func New(cfg Config) (*Site, error) {
 
 // ID returns the site's index.
 func (s *Site) ID() int { return s.id }
-
-// Sites returns the system size m.
-func (s *Site) Sites() int { return s.m }
 
 // Store exposes the site's database for loading and direct inspection.
 func (s *Site) Store() *storage.Store { return s.store }
@@ -380,12 +364,6 @@ func (s *Site) Clock() *vclock.SiteClock { return s.clock }
 
 // Commits returns the number of locally committed update transactions.
 func (s *Site) Commits() uint64 { return s.commits.Load() }
-
-// Aborts returns the number of locally aborted update transactions.
-func (s *Site) Aborts() uint64 { return s.aborts.Load() }
-
-// Refreshes returns the number of refresh transactions applied.
-func (s *Site) Refreshes() uint64 { return s.refreshes.Load() }
 
 // Start launches the refresh appliers (one per remote site) if the site is
 // configured to replicate.
@@ -524,7 +502,7 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 		}
 		// Model asynchronous propagation: the update becomes available
 		// here only after the pipeline delay.
-		if d := s.cfg.PropagationDelay; d > 0 {
+		if d := s.propDelay; d > 0 {
 			if age := time.Since(e.At); age < d {
 				if !s.sleep(d - age) {
 					return false
@@ -558,7 +536,7 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 				if n.Kind != wal.KindUpdate || n.TVV[origin] != prevSeq+1 {
 					break
 				}
-				if d := s.cfg.PropagationDelay; d > 0 && time.Since(n.At) < d {
+				if d := s.propDelay; d > 0 && time.Since(n.At) < d {
 					break
 				}
 				for k, want := range n.TVV {
@@ -755,19 +733,6 @@ func (s *Site) Masters(part uint64) bool {
 	defer s.pmu.Unlock()
 	p := s.parts[part]
 	return p != nil && p.owned && !p.releasing
-}
-
-// MasteredPartitions returns the ids of all partitions this site masters.
-func (s *Site) MasteredPartitions() []uint64 {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	var out []uint64
-	for id, p := range s.parts {
-		if p.owned {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // bumpWatermarks folds a committed transaction's vector into the write

@@ -130,7 +130,7 @@ func TestRefreshPropagation(t *testing.T) {
 		if data, ok := s.ReadLocal(ref(1)); !ok || string(data) != "x" {
 			t.Fatalf("site %d read = %q %v", s.ID(), data, ok)
 		}
-		if s.Refreshes() == 0 {
+		if s.refreshes.Load() == 0 {
 			t.Fatalf("site %d applied no refreshes", s.ID())
 		}
 	}
@@ -192,7 +192,7 @@ func TestWriteOutsideDeclaredSet(t *testing.T) {
 func TestReadOnlyTxnRejectsWrites(t *testing.T) {
 	sites, _ := testCluster(t, 2)
 	tx, _ := sites[0].Begin(nil, nil)
-	if !tx.ReadOnly() {
+	if !tx.readOnly {
 		t.Fatal("empty write set not read-only")
 	}
 	if err := tx.Write(ref(1), []byte("x")); err == nil {
@@ -401,8 +401,8 @@ func TestGrantWaitsForReleasePoint(t *testing.T) {
 	if data, ok := s1.ReadLocal(ref(1)); !ok || string(data) != "pre-release" {
 		t.Fatalf("new master read = %q %v", data, ok)
 	}
-	if s1.RemastersReceived() != 1 {
-		t.Fatalf("RemastersReceived = %d", s1.RemastersReceived())
+	if s1.remasterIn.Load() != 1 {
+		t.Fatalf("remasters received = %d", s1.remasterIn.Load())
 	}
 }
 
@@ -419,11 +419,6 @@ func TestScanAtSnapshot(t *testing.T) {
 	if len(rows) != 3 || rows[0].Key != 1 || rows[2].Key != 3 {
 		t.Fatalf("scan = %+v", rows)
 	}
-	n := 0
-	rd.ScanEach("t", 0, 5, func(uint64, []byte) bool { n++; return true })
-	if n != 5 {
-		t.Fatalf("ScanEach visited %d", n)
-	}
 	if rd.Scan("missing", 0, 1) != nil {
 		t.Fatal("scan of missing table returned rows")
 	}
@@ -431,11 +426,16 @@ func TestScanAtSnapshot(t *testing.T) {
 
 func TestMasteredPartitions(t *testing.T) {
 	sites, _ := testCluster(t, 2)
-	if got := len(sites[0].MasteredPartitions()); got != 10 {
-		t.Fatalf("site 0 masters %d partitions", got)
-	}
-	if got := len(sites[1].MasteredPartitions()); got != 0 {
-		t.Fatalf("site 1 masters %d partitions", got)
+	for i, want := range []int{10, 0} {
+		got := 0
+		for p := uint64(0); p < 10; p++ {
+			if sites[i].Masters(p) {
+				got++
+			}
+		}
+		if got != want {
+			t.Fatalf("site %d masters %d partitions, want %d", i, got, want)
+		}
 	}
 }
 
@@ -688,27 +688,6 @@ func TestRecoveryBootstrapAndReplay(t *testing.T) {
 	tvv := mustCommit(t, tx)
 	if tvv[0] != 6 {
 		t.Fatalf("post-recovery commit seq = %d, want 6", tvv[0])
-	}
-}
-
-func TestRecoveryBootstrapFromPeer(t *testing.T) {
-	sites, broker := testCluster(t, 2)
-	s0, s1 := sites[0], sites[1]
-	tx, _ := s0.Begin(nil, []storage.RowRef{ref(1)})
-	tx.Write(ref(1), []byte("x"))
-	tvv := mustCommit(t, tx)
-	waitFor(t, func() bool { return s1.SVV().DominatesEq(tvv) })
-
-	fresh, err := New(Config{SiteID: 0, Sites: 2, Broker: broker, Partitioner: partitionBy100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.BootstrapFrom(s1)
-	if !fresh.SVV().DominatesEq(tvv) {
-		t.Fatalf("bootstrap svv = %v", fresh.SVV())
-	}
-	if data, ok := fresh.ReadLocal(ref(1)); !ok || string(data) != "x" {
-		t.Fatalf("bootstrap read = %q %v", data, ok)
 	}
 }
 

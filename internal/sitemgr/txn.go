@@ -155,9 +155,6 @@ func (s *Site) exitWriters(parts []uint64) {
 // Snapshot returns the transaction's begin version vector.
 func (t *Txn) Snapshot() vclock.Vector { return t.snap.Clone() }
 
-// ReadOnly reports whether the transaction declared an empty write set.
-func (t *Txn) ReadOnly() bool { return t.readOnly }
-
 // Read returns the row's value at the transaction's snapshot, observing the
 // transaction's own uncommitted writes first. Under partial replication the
 // hosting check and the store read share one hosting read-lock, so a
@@ -302,36 +299,9 @@ func (t *Txn) releaseScan() {
 	t.scan = nil
 }
 
-// ScanEach streams visible rows of table in [lo, hi) to fn in key order
-// without materializing their values; fn returning false stops early.
-func (t *Txn) ScanEach(table string, lo, hi uint64, fn func(key uint64, data []byte) bool) {
-	tb := t.site.store.Table(table)
-	if tb == nil {
-		return
-	}
-	if h := t.site.hosting; h != nil {
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		if !t.scanRangeHosted(table, lo, hi) {
-			return
-		}
-	}
-	if tb.ScanKeys(lo, hi, t.snap, func(key uint64, data []byte) bool {
-		t.nScanned++
-		return fn(key, data)
-	}) {
-		t.poisonStale(storage.RowRef{Table: table, Key: lo})
-	}
-}
-
 // Write buffers an update to ref, which must be in the declared write set.
 func (t *Txn) Write(ref storage.RowRef, data []byte) error {
 	return t.bufferWrite(storage.Write{Ref: ref, Data: data})
-}
-
-// Delete buffers a tombstone for ref.
-func (t *Txn) Delete(ref storage.RowRef) error {
-	return t.bufferWrite(storage.Write{Ref: ref, Deleted: true})
 }
 
 func (t *Txn) bufferWrite(w storage.Write) error {
@@ -414,7 +384,6 @@ func (t *Txn) Commit() (vclock.Vector, error) {
 		if !t.readOnly {
 			storage.UnlockAll(t.recs)
 			s.exitWriters(t.parts)
-			s.aborts.Add(1)
 			s.ob.aborts.Inc()
 		}
 		return nil, err
@@ -428,7 +397,6 @@ func (t *Txn) Commit() (vclock.Vector, error) {
 		// the transaction is invisible — safe to re-execute elsewhere.
 		storage.UnlockAll(t.recs)
 		s.exitWriters(t.parts)
-		s.aborts.Add(1)
 		s.ob.aborts.Inc()
 		return nil, ErrSiteDown
 	}
@@ -516,7 +484,6 @@ func (t *Txn) commitEpoch(writes []storage.Write, start time.Time) (vclock.Vecto
 		s.commitMu.Unlock()
 		storage.UnlockAll(t.recs)
 		s.exitWriters(t.parts)
-		s.aborts.Add(1)
 		s.ob.aborts.Inc()
 		return nil, ErrSiteDown
 	}
@@ -602,7 +569,6 @@ func (t *Txn) Abort() {
 	}
 	storage.UnlockAll(t.recs)
 	t.site.exitWriters(t.parts)
-	t.site.aborts.Add(1)
 	t.site.ob.aborts.Inc()
 }
 

@@ -59,9 +59,6 @@ type Record struct {
 // Lock acquires the record's write lock, blocking until available.
 func (r *Record) Lock() { r.lock.Lock() }
 
-// TryLock acquires the write lock if it is free and reports success.
-func (r *Record) TryLock() bool { return r.lock.TryLock() }
-
 // Unlock releases the write lock.
 func (r *Record) Unlock() { r.lock.Unlock() }
 

@@ -91,7 +91,7 @@ func TestRecordVersionCap(t *testing.T) {
 func TestRecordLockMutualExclusion(t *testing.T) {
 	r := new(Record)
 	r.Lock()
-	if r.TryLock() {
+	if r.lock.TryLock() {
 		t.Fatal("TryLock succeeded while held")
 	}
 	released := make(chan struct{})
@@ -111,7 +111,7 @@ func TestRecordLockMutualExclusion(t *testing.T) {
 		t.Fatal("blocked Lock never woke")
 	}
 	r.Unlock()
-	if !r.TryLock() {
+	if !r.lock.TryLock() {
 		t.Fatal("TryLock failed on free lock")
 	}
 	r.Unlock()
@@ -126,7 +126,7 @@ func TestRecordCrossGoroutineUnlock(t *testing.T) {
 		close(done)
 	}()
 	<-done
-	if !r.TryLock() {
+	if !r.lock.TryLock() {
 		t.Fatal("lock not released")
 	}
 	r.Unlock()
@@ -266,7 +266,7 @@ func TestLockSetUnknownTable(t *testing.T) {
 	}
 	// The lock taken on the known record must have been released.
 	r := s.Table("known").Record(1, false)
-	if r == nil || !r.TryLock() {
+	if r == nil || !r.lock.TryLock() {
 		t.Fatal("LockSet leaked a lock on failure")
 	}
 	r.Unlock()
@@ -318,8 +318,8 @@ func TestStoreApplyAndGet(t *testing.T) {
 	if _, ok := s.Get(RowRef{"missing", 1}, vclock.Vector{1}); ok {
 		t.Fatal("Get on missing table succeeded")
 	}
-	if s.RowCount() != 2 {
-		t.Fatalf("RowCount = %d", s.RowCount())
+	if n := s.Table("t").Keys(); n != 2 {
+		t.Fatalf("Keys = %d", n)
 	}
 }
 

@@ -218,12 +218,3 @@ func (s *Store) PurgeMatching(match func(RowRef) bool) int {
 	}
 	return n
 }
-
-// RowCount returns the total number of records across all tables.
-func (s *Store) RowCount() int {
-	n := 0
-	for _, t := range *s.tables.Load() {
-		n += t.Keys()
-	}
-	return n
-}

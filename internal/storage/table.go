@@ -54,9 +54,6 @@ type recRef struct {
 // NewTable returns an empty table with the given name.
 func NewTable(name string) *Table { return &Table{name: name} }
 
-// Name returns the table's name.
-func (t *Table) Name() string { return t.name }
-
 // Record returns the record for key, creating it if create is set. Only the
 // creation of a new key takes a lock.
 func (t *Table) Record(key uint64, create bool) *Record {
@@ -271,35 +268,6 @@ func (t *Table) ScanChecked(dst []KV, lo, hi uint64, snap vclock.Vector) (out []
 		return dst
 	})
 	return out, evicted
-}
-
-// ScanKeys calls fn for each visible row in [lo, hi) in key order; fn
-// returning false stops the scan early. fn runs outside every table lock, so
-// it may use the table. The returned evicted flag is ScanChecked's, over the
-// rows visited.
-func (t *Table) ScanKeys(lo, hi uint64, snap vclock.Vector, fn func(key uint64, data []byte) bool) (evicted bool) {
-	if lo >= hi {
-		return false
-	}
-	for _, e := range t.refs(lo, hi-1) {
-		data, ok, ev := e.rec.ReadChecked(snap)
-		evicted = evicted || ev
-		if ok && !fn(e.key, data) {
-			break
-		}
-	}
-	return evicted
-}
-
-// Keys returns the number of records (of any visibility) in the table.
-func (t *Table) Keys() int {
-	t.idx.mu.RLock()
-	defer t.idx.mu.RUnlock()
-	n := 0
-	for _, run := range t.idx.runs {
-		n += len(run)
-	}
-	return n
 }
 
 // RemoveMatching deletes every record whose key matches and returns how

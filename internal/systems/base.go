@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
@@ -174,9 +173,6 @@ func (b *base) close() {
 	}
 }
 
-// Network exposes the simulated network (experiments read traffic stats).
-func (b *base) Network() *transport.Network { return b.net }
-
 // randSite picks a uniformly random site.
 func (b *base) randSite() int {
 	b.rngMu.Lock()
@@ -280,9 +276,6 @@ func (a siteTx) Scan(table string, lo, hi uint64) []storage.KV {
 	return a.tx.Scan(table, lo, hi)
 }
 func (a siteTx) Write(ref storage.RowRef, data []byte) error { return a.tx.Write(ref, data) }
-
-// timeDuration aliases time.Duration for brevity in adapter closures.
-type timeDuration = time.Duration
 
 // sessionVV returns the session-freshness vector a site must dominate
 // before a client's transaction begins. In non-replicated systems

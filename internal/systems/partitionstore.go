@@ -2,6 +2,7 @@ package systems
 
 import (
 	"sort"
+	"time"
 
 	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
@@ -64,7 +65,7 @@ func (b *base) remoteRead(execSite int, ref storage.RowRef) ([]byte, bool, bool)
 	data, ok := b.sites[owner].ReadLocal(ref)
 	// The remote sub-request consumes the owner's execution capacity.
 	costs := b.sites[owner].Costs()
-	b.sites[owner].Exec(func() timeDuration { return costs.TxnBase/2 + costs.PerRead })
+	b.sites[owner].Exec(func() time.Duration { return costs.TxnBase/2 + costs.PerRead })
 	return data, ok, true
 }
 
@@ -110,8 +111,8 @@ func (b *base) fanoutScan(execSite int, table string, lo, hi uint64) ([]storage.
 			// Each sub-scan consumes its owner's execution capacity; the
 			// caller waits for the slowest site (straggler effect).
 			costs := site.Costs()
-			site.Exec(func() timeDuration {
-				return costs.TxnBase/2 + timeDuration(len(rows))*costs.PerScanKey
+			site.Exec(func() time.Duration {
+				return costs.TxnBase/2 + time.Duration(len(rows))*costs.PerScanKey
 			})
 			if id != execSite {
 				b.net.RoundTrip(transport.CatTxn,

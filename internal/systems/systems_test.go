@@ -28,7 +28,7 @@ func baseCfg(m int) BaseConfig {
 	}
 }
 
-// makeSystems builds one instance of every baseline over the same初 data.
+// loadRows returns n one-byte rows, keys 0..n-1, that every baseline loads.
 func loadRows(n uint64) []LoadRow {
 	rows := make([]LoadRow, 0, n)
 	for k := uint64(0); k < n; k++ {

@@ -260,14 +260,3 @@ func (n *Network) Instrument(reg *obs.Registry) {
 			func() float64 { return float64(c.bytes.Load()) }, lbl)
 	}
 }
-
-// Reset zeroes all counters.
-func (n *Network) Reset() {
-	if n == nil {
-		return
-	}
-	for i := range n.counters {
-		n.counters[i].msgs.Store(0)
-		n.counters[i].bytes.Store(0)
-	}
-}

@@ -52,7 +52,7 @@ func TestPrepareCommitTwoParticipants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Len() != 2 {
+	if len(snap) != 2 {
 		t.Fatalf("prepare snap = %v", snap)
 	}
 	tvv, err := c.Commit(42, work, parts)

@@ -25,21 +25,10 @@ func BenchmarkMaxInto(b *testing.B) {
 	}
 }
 
-func BenchmarkCanApply(b *testing.B) {
-	svv := Vector{10, 20, 30, 40}
-	tvv := Vector{5, 21, 30, 12}
+func BenchmarkSiteClockAdvance(b *testing.B) {
+	c := NewSiteClock(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !CanApply(svv, tvv, 1) {
-			b.Fatal("rule rejected")
-		}
-	}
-}
-
-func BenchmarkSiteClockTick(b *testing.B) {
-	c := NewSiteClock(0, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.TickLocal()
+		c.Advance(0, uint64(i+1))
 	}
 }

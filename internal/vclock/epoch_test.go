@@ -38,11 +38,6 @@ func TestCanApplyEpoch(t *testing.T) {
 	if !CanApplyEpoch(Vector{3, 0, 2}, Vector{6, 0, 0}, 0, 4) {
 		t.Error("longer svv rejected an applicable epoch")
 	}
-	// Single-member epoch degenerates to CanApply.
-	if got, want := CanApplyEpoch(Vector{3, 0, 2}, Vector{4, 0, 2}, 0, 4),
-		CanApply(Vector{3, 0, 2}, Vector{4, 0, 2}, 0); got != want {
-		t.Errorf("single-member epoch = %v, CanApply = %v", got, want)
-	}
 	// Invalid parameters.
 	if CanApplyEpoch(Vector{3, 0, 2}, closing, 5, 4) {
 		t.Error("out-of-range origin accepted")

@@ -20,7 +20,6 @@ type SiteClock struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	gen         atomic.Uint64 // odd while a store under mu is in progress
-	site        int
 	vv          Vector
 	interrupted bool
 }
@@ -29,15 +28,12 @@ type SiteClock struct {
 // mutex, so a reader never spins on a writer that was descheduled mid-store.
 const nowSpins = 64
 
-// NewSiteClock returns a clock for site index site in an m-site system.
-func NewSiteClock(site, m int) *SiteClock {
-	c := &SiteClock{site: site, vv: New(m)}
+// NewSiteClock returns a clock for an m-site system.
+func NewSiteClock(m int) *SiteClock {
+	c := &SiteClock{vv: New(m)}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
-
-// Site returns the owning site's index.
-func (c *SiteClock) Site() int { return c.site }
 
 // Now returns a snapshot copy of the current vector. Dimensions are loaded
 // one by one, so without the gen check a reader could pair an old dimension
@@ -70,18 +66,6 @@ func (c *SiteClock) store(k int, seq uint64) {
 	c.gen.Add(1)
 	atomic.StoreUint64(&c.vv[k], seq)
 	c.gen.Add(1)
-}
-
-// TickLocal atomically increments the site's own dimension and returns the
-// resulting vector; the returned vector is the committing transaction's
-// commit timestamp basis (tvv[i] = returned[i]).
-func (c *SiteClock) TickLocal() Vector {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store(c.site, c.vv[c.site]+1)
-	out := c.vv.Clone()
-	c.cond.Broadcast()
-	return out
 }
 
 // Advance sets dimension k to seq if seq is greater than the current value

@@ -47,9 +47,6 @@ func (v Vector) Clone() Vector {
 	return c
 }
 
-// Len returns the dimensionality of v.
-func (v Vector) Len() int { return len(v) }
-
 // DominatesEq reports whether v[k] >= o[k] for every dimension k.
 // Vectors of different lengths are compared over the shorter length, with
 // missing trailing dimensions of either side treated as zero.
@@ -88,24 +85,6 @@ func (v Vector) Equal(o Vector) bool {
 	return true
 }
 
-// Less reports whether v < o in every dimension (the strict ordering used by
-// the paper's proofs: v[k] < o[k] for all k).
-func (v Vector) Less(o Vector) bool {
-	if len(o) == 0 {
-		return false
-	}
-	for k := range o {
-		var vk uint64
-		if k < len(v) {
-			vk = v[k]
-		}
-		if vk >= o[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxInto sets v[k] = max(v[k], o[k]) for every dimension, growing v if o is
 // longer, and returns the (possibly reallocated) result. The elementwise max
 // of release/grant vectors gives the minimum version a remastered
@@ -122,11 +101,6 @@ func (v Vector) MaxInto(o Vector) Vector {
 		}
 	}
 	return v
-}
-
-// Max returns the elementwise maximum of a and b as a new vector.
-func Max(a, b Vector) Vector {
-	return a.Clone().MaxInto(b)
 }
 
 // LagBehind returns the L1 distance max(0, o[k]-v[k]) summed over k: the
@@ -146,51 +120,12 @@ func (v Vector) LagBehind(o Vector) uint64 {
 	return lag
 }
 
-// Sum returns the total number of transactions reflected in v.
-func (v Vector) Sum() uint64 {
-	var s uint64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// CanApply reports whether a site with state svv may apply a refresh
-// transaction with commit vector tvv originating at site origin, per the
-// paper's update application rule (Equation 1):
-//
-//	svv[k] >= tvv[k] for all k != origin, and svv[origin] == tvv[origin]-1.
-//
-// The rule guarantees a refresh transaction is applied only after every
-// transaction it depends on has been applied, and in per-origin commit
-// order.
-func CanApply(svv, tvv Vector, origin int) bool {
-	if origin < 0 || origin >= len(tvv) {
-		return false
-	}
-	for k := range tvv {
-		var sk uint64
-		if k < len(svv) {
-			sk = svv[k]
-		}
-		if k == origin {
-			if tvv[k] == 0 || sk != tvv[k]-1 {
-				return false
-			}
-			continue
-		}
-		if sk < tvv[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// CanApplyEpoch is the epoch-granular form of CanApply: it reports whether a
-// site with state svv may apply a sealed epoch from origin whose first member
-// carries local commit sequence firstSeq and whose closing commit vector
-// (the element-wise max of the members' tvvs, with the origin dimension at
-// the last member's sequence) is closing:
+// CanApplyEpoch reports whether a site with state svv may apply a sealed
+// epoch from origin whose first member carries local commit sequence
+// firstSeq and whose closing commit vector (the element-wise max of the
+// members' tvvs, with the origin dimension at the last member's sequence) is
+// closing. A single transaction is the one-member epoch (closing = its tvv,
+// firstSeq = tvv[origin]):
 //
 //	svv[k] >= closing[k] for all k != origin, and svv[origin] == firstSeq-1.
 //

@@ -11,8 +11,8 @@ import (
 
 func TestNewZeroed(t *testing.T) {
 	v := New(4)
-	if v.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", v.Len())
+	if len(v) != 4 {
+		t.Fatalf("len = %d, want 4", len(v))
 	}
 	for k, x := range v {
 		if x != 0 {
@@ -93,12 +93,12 @@ func TestMaxInto(t *testing.T) {
 func TestMaxDoesNotMutate(t *testing.T) {
 	a := Vector{1, 2}
 	b := Vector{2, 1}
-	m := Max(a, b)
+	m := a.Clone().MaxInto(b)
 	if !m.Equal(Vector{2, 2}) {
-		t.Fatalf("Max = %v", m)
+		t.Fatalf("MaxInto = %v", m)
 	}
 	if !a.Equal(Vector{1, 2}) || !b.Equal(Vector{2, 1}) {
-		t.Fatal("Max mutated its arguments")
+		t.Fatal("MaxInto on a clone mutated the clone's source or its argument")
 	}
 }
 
@@ -117,33 +117,42 @@ func TestSum(t *testing.T) {
 	}
 }
 
+// applies is the per-transaction apply rule: a one-member epoch whose
+// closing vector is the transaction's commit vector tvv.
+func applies(svv, tvv Vector, origin int) bool {
+	if origin < 0 || origin >= len(tvv) {
+		return false
+	}
+	return CanApplyEpoch(svv, tvv, origin, tvv[origin])
+}
+
 func TestCanApply(t *testing.T) {
 	// Replica has applied nothing; first transaction from site 0 applies.
-	if !CanApply(Vector{0, 0, 0}, Vector{1, 0, 0}, 0) {
+	if !applies(Vector{0, 0, 0}, Vector{1, 0, 0}, 0) {
 		t.Error("first txn from origin should apply")
 	}
 	// Gap in origin sequence: seq 2 cannot apply before seq 1.
-	if CanApply(Vector{0, 0, 0}, Vector{2, 0, 0}, 0) {
+	if applies(Vector{0, 0, 0}, Vector{2, 0, 0}, 0) {
 		t.Error("out-of-order origin txn applied")
 	}
 	// Dependency on another site not yet satisfied (the paper's Fig. 2
 	// example: R(T2) from site 3 blocks at site 2 until R(T1) applies).
-	if CanApply(Vector{0, 0, 0}, Vector{1, 0, 1}, 2) {
+	if applies(Vector{0, 0, 0}, Vector{1, 0, 1}, 2) {
 		t.Error("applied refresh before its dependency")
 	}
-	if !CanApply(Vector{1, 0, 0}, Vector{1, 0, 1}, 2) {
+	if !applies(Vector{1, 0, 0}, Vector{1, 0, 1}, 2) {
 		t.Error("refresh with satisfied dependency rejected")
 	}
 	// Already applied (svv[origin] == tvv[origin]) must not re-apply.
-	if CanApply(Vector{1, 0, 1}, Vector{1, 0, 1}, 2) {
+	if applies(Vector{1, 0, 1}, Vector{1, 0, 1}, 2) {
 		t.Error("refresh re-applied")
 	}
 	// Invalid origin index.
-	if CanApply(Vector{1}, Vector{1}, 5) {
+	if applies(Vector{1}, Vector{1}, 5) {
 		t.Error("out-of-range origin accepted")
 	}
 	// tvv[origin] == 0 is never applicable (commit seqs start at 1).
-	if CanApply(Vector{0}, Vector{0}, 0) {
+	if applies(Vector{0}, Vector{0}, 0) {
 		t.Error("zero commit seq accepted")
 	}
 }
@@ -157,7 +166,7 @@ func TestStringFormat(t *testing.T) {
 	}
 }
 
-// Property: Max(a,b) dominates both a and b, and is the least such vector
+// Property: a.Clone().MaxInto(b) dominates both a and b, and is the least such vector
 // (every dimension equals one of the inputs).
 func TestQuickMaxIsLeastUpperBound(t *testing.T) {
 	f := func(a, b []uint8) bool {
@@ -169,7 +178,7 @@ func TestQuickMaxIsLeastUpperBound(t *testing.T) {
 		for i, x := range b {
 			vb[i] = uint64(x)
 		}
-		m := Max(va, vb)
+		m := va.Clone().MaxInto(vb)
 		if !m.DominatesEq(va) || !m.DominatesEq(vb) {
 			return false
 		}
@@ -217,7 +226,7 @@ func TestQuickDominatesPartialOrder(t *testing.T) {
 	}
 }
 
-// Property: CanApply admits exactly one next transaction per origin given a
+// Property: the one-member apply rule admits exactly one next transaction per origin given a
 // state, and applying in rule order reaches the same final vector regardless
 // of interleaving.
 func TestQuickCanApplyConvergence(t *testing.T) {
@@ -254,7 +263,7 @@ func TestQuickCanApplyConvergence(t *testing.T) {
 			rnd.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
 			var next []txn
 			for _, tx := range pending {
-				if CanApply(svv, tx.tvv, tx.origin) {
+				if applies(svv, tx.tvv, tx.origin) {
 					svv[tx.origin] = tx.tvv[tx.origin]
 					progressed = true
 				} else {
@@ -272,23 +281,8 @@ func TestQuickCanApplyConvergence(t *testing.T) {
 	}
 }
 
-func TestSiteClockTickLocal(t *testing.T) {
-	c := NewSiteClock(1, 3)
-	v := c.TickLocal()
-	if !v.Equal(Vector{0, 1, 0}) {
-		t.Fatalf("TickLocal = %v", v)
-	}
-	v = c.TickLocal()
-	if !v.Equal(Vector{0, 2, 0}) {
-		t.Fatalf("second TickLocal = %v", v)
-	}
-	if c.Get(1) != 2 {
-		t.Fatalf("Get(1) = %d", c.Get(1))
-	}
-}
-
 func TestSiteClockAdvanceMonotone(t *testing.T) {
-	c := NewSiteClock(0, 2)
+	c := NewSiteClock(2)
 	c.Advance(1, 5)
 	c.Advance(1, 3) // must not regress
 	if got := c.Get(1); got != 5 {
@@ -301,7 +295,7 @@ func TestSiteClockAdvanceMonotone(t *testing.T) {
 }
 
 func TestSiteClockWaitDominatesEq(t *testing.T) {
-	c := NewSiteClock(0, 2)
+	c := NewSiteClock(2)
 	done := make(chan Vector, 1)
 	go func() { c.WaitDominatesEq(Vector{1, 2}); done <- c.Now() }()
 	select {
@@ -309,7 +303,7 @@ func TestSiteClockWaitDominatesEq(t *testing.T) {
 		t.Fatal("wait returned before clock advanced")
 	case <-time.After(10 * time.Millisecond):
 	}
-	c.TickLocal()
+	c.Advance(0, 1)
 	c.Advance(1, 2)
 	select {
 	case v := <-done:
@@ -322,7 +316,7 @@ func TestSiteClockWaitDominatesEq(t *testing.T) {
 }
 
 func TestSiteClockWaitDimAtLeast(t *testing.T) {
-	c := NewSiteClock(0, 2)
+	c := NewSiteClock(2)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -347,7 +341,7 @@ func TestSiteClockWaitDimAtLeast(t *testing.T) {
 // window between the two loads.
 func TestSiteClockNowConsistentCut(t *testing.T) {
 	const m, n = 64, 200_000
-	c := NewSiteClock(0, m)
+	c := NewSiteClock(m)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	bad := make(chan Vector, 1)
@@ -367,7 +361,7 @@ func TestSiteClockNowConsistentCut(t *testing.T) {
 		}()
 	}
 	for s := uint64(1); s <= n; s++ {
-		c.TickLocal()
+		c.Advance(0, s)
 		c.Advance(m-1, s)
 	}
 	stop.Store(true)
@@ -383,26 +377,20 @@ func TestSiteClockNowConsistentCut(t *testing.T) {
 }
 
 func TestSiteClockConcurrentTicks(t *testing.T) {
-	c := NewSiteClock(0, 1)
+	c := NewSiteClock(1)
 	const n = 50
 	var wg sync.WaitGroup
-	seen := make(chan uint64, n)
-	for i := 0; i < n; i++ {
+	for i := 1; i <= n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(seq uint64) {
 			defer wg.Done()
-			seen <- c.TickLocal()[0]
-		}()
+			c.Advance(0, seq)
+			if got := c.Get(0); got < seq {
+				t.Errorf("Get(0) = %d after Advance(0, %d)", got, seq)
+			}
+		}(uint64(i))
 	}
 	wg.Wait()
-	close(seen)
-	got := map[uint64]bool{}
-	for s := range seen {
-		if got[s] {
-			t.Fatalf("duplicate commit seq %d", s)
-		}
-		got[s] = true
-	}
 	if c.Get(0) != n {
 		t.Fatalf("final seq %d, want %d", c.Get(0), n)
 	}

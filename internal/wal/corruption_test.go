@@ -49,7 +49,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("replayed %d entries after torn tail, want 4", l.Len())
 	}
-	if l.TornBytes() == 0 {
+	if l.torn == 0 {
 		t.Fatal("torn tail not reported")
 	}
 	// The file was truncated at the last intact record: appends resume and
@@ -63,8 +63,8 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.Len() != 5 || l2.TornBytes() != 0 {
-		t.Fatalf("after repair+append: len=%d torn=%d, want 5, 0", l2.Len(), l2.TornBytes())
+	if l2.Len() != 5 || l2.torn != 0 {
+		t.Fatalf("after repair+append: len=%d torn=%d, want 5, 0", l2.Len(), l2.torn)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestOpenDetectsBitRot(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("replayed %d entries with corrupt final record, want 4", l.Len())
 	}
-	if l.TornBytes() == 0 {
+	if l.torn == 0 {
 		t.Fatal("corruption not reported")
 	}
 }
@@ -122,8 +122,8 @@ func TestOpenCorruptLengthHeader(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("replayed %d entries, want 3", l.Len())
 	}
-	if l.TornBytes() != frameHeaderSize {
-		t.Fatalf("torn bytes = %d, want %d", l.TornBytes(), frameHeaderSize)
+	if l.torn != frameHeaderSize {
+		t.Fatalf("torn bytes = %d, want %d", l.torn, frameHeaderSize)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestOpenTruncatesZeroFilledTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.Len() != 3 || l.TornBytes() != 4096 {
-		t.Fatalf("len=%d torn=%d, want 3, 4096", l.Len(), l.TornBytes())
+	if l.Len() != 3 || l.torn != 4096 {
+		t.Fatalf("len=%d torn=%d, want 3, 4096", l.Len(), l.torn)
 	}
 }

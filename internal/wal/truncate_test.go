@@ -149,8 +149,8 @@ func TestSetLowWaterNeverLowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 0 || l.Base() != 8 || l.LowWater() != 8 {
-		t.Fatalf("lowering: dropped=%d base=%d lw=%d, want 0/8/8", dropped, l.Base(), l.LowWater())
+	if dropped != 0 || l.Base() != 8 || l.lowWater != 8 {
+		t.Fatalf("lowering: dropped=%d base=%d lw=%d, want 0/8/8", dropped, l.Base(), l.lowWater)
 	}
 }
 

@@ -321,10 +321,6 @@ func Open(path string) (*Log, error) {
 	return l, nil
 }
 
-// TornBytes reports how many trailing bytes Open discarded as torn or
-// corrupt (0 for a clean log or an in-memory one).
-func (l *Log) TornBytes() uint64 { return l.torn }
-
 // Append assigns the next offset to e, appends it, persists it if the log
 // is file-backed (group commit: the append returns once a flush covering
 // it completes, typically batching many concurrent appends into one file
@@ -459,16 +455,6 @@ func (l *Log) Len() uint64 {
 	return l.visible
 }
 
-// Get returns the entry at offset, if published and still retained.
-func (l *Log) Get(offset uint64) (Entry, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if offset >= l.visible || offset < l.base {
-		return Entry{}, false
-	}
-	return l.entries[offset-l.base], true
-}
-
 // Base returns the absolute offset of the oldest retained entry (0 until
 // truncation has reclaimed a prefix).
 func (l *Log) Base() uint64 {
@@ -476,20 +462,6 @@ func (l *Log) Base() uint64 {
 	defer l.mu.Unlock()
 	return l.base
 }
-
-// LowWater returns the current truncation low-water mark.
-func (l *Log) LowWater() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lowWater
-}
-
-// Path returns the backing file path ("" for an in-memory log).
-func (l *Log) Path() string { return l.path }
-
-// FileBacked reports whether appends persist to a backing file (and thus
-// block for durability) or publish immediately in memory.
-func (l *Log) FileBacked() bool { return l.fileBacked }
 
 // FirstUpdateOffsetAfter returns the absolute offset of the first published
 // update entry whose origin-dimension commit sequence exceeds seq, or the
@@ -665,26 +637,6 @@ func (c *Cursor) Close() {
 	l.mu.Lock()
 	delete(l.cursors, c)
 	l.mu.Unlock()
-}
-
-// Next blocks until the next entry is available and returns it; ok is false
-// if the log was closed and fully drained.
-func (c *Cursor) Next() (Entry, bool) {
-	l := c.log
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if c.next < l.base {
-		c.next = l.base
-	}
-	for c.next >= l.visible {
-		if l.closed {
-			return Entry{}, false
-		}
-		l.cond.Wait()
-	}
-	e := l.entries[c.next-l.base]
-	c.next++
-	return e, true
 }
 
 // NextBatch blocks until at least one entry is available, then appends

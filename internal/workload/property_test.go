@@ -73,7 +73,7 @@ func TestQuickYCSBPlacementBlocks(t *testing.T) {
 		m := int(mRaw)%15 + 1
 		w := NewYCSB(YCSBConfig{Keys: keys})
 		place := w.Placement(m)
-		part := uint64(partRaw) % w.Partitions()
+		part := uint64(partRaw) % w.parts
 		site := place(part)
 		if site < 0 || site >= m {
 			return false

@@ -122,9 +122,6 @@ func (w *TPCC) Name() string {
 		100-w.cfg.NewOrderPercent-w.cfg.PaymentPercent)
 }
 
-// Config returns the effective configuration.
-func (w *TPCC) Config() TPCCConfig { return w.cfg }
-
 // Tables implements Workload.
 func (w *TPCC) Tables() []string {
 	return []string{TableWarehouse, TableDistrict, TableCustomer, TableItem,

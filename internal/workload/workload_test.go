@@ -111,8 +111,8 @@ func TestYCSBLoadAndPartitioning(t *testing.T) {
 	if p(storage.RowRef{Table: YCSBTable, Key: 250}) != 2 {
 		t.Fatal("partitioner wrong")
 	}
-	if w.Partitions() != 10 {
-		t.Fatalf("Partitions = %d", w.Partitions())
+	if w.parts != 10 {
+		t.Fatalf("parts = %d", w.parts)
 	}
 	place := w.Placement(2)
 	// Blocks of PlacementBlock partitions round-robin across sites.
@@ -170,7 +170,7 @@ func TestYCSBRMWNeighborLocality(t *testing.T) {
 			p := part(ref)
 			d := int64(p) - int64(base)
 			// Offsets wrap at the partition-space edges.
-			if d > 3 && d < int64(w.Partitions())-3 {
+			if d > 3 && d < int64(w.parts)-3 {
 				t.Fatalf("neighbor partition %d too far from base %d", p, base)
 			}
 		}

@@ -105,9 +105,6 @@ func (w *YCSB) Name() string {
 // Tables implements Workload.
 func (w *YCSB) Tables() []string { return []string{YCSBTable} }
 
-// Partitions returns the number of partitions.
-func (w *YCSB) Partitions() uint64 { return w.parts }
-
 // LoadRows implements Workload.
 func (w *YCSB) LoadRows() []systems.LoadRow {
 	rows := make([]systems.LoadRow, 0, w.cfg.Keys)
