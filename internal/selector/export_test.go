@@ -55,3 +55,9 @@ func SingleSited(s int, d1, d2 uint64, master func(uint64) int, inWriteSet func(
 	}
 	return 0
 }
+
+// occurrencesOf returns the aggregate sample count containing partition p
+// (the P(d2|p) denominator).
+func (st *Stats) occurrencesOf(p uint64) float64 {
+	return st.sum(p, func(ps *partStats) float64 { return ps.occ })
+}

@@ -91,7 +91,6 @@ type leaseCell struct {
 	expiry time.Time
 	epochs uint64 // this key's remaster-epoch allocator under HA
 
-	changes  atomic.Uint64 // leadership changes (distinct acquisitions)
 	renewals atomic.Uint64
 	expiries atomic.Uint64
 }
@@ -143,9 +142,6 @@ func (ls *LeaseStore) Acquire(node int) (uint64, bool) {
 	now := time.Now()
 	if c.holder >= 0 && c.holder != node && now.Before(c.expiry) {
 		return 0, false
-	}
-	if c.holder != node {
-		c.changes.Add(1)
 	}
 	c.holder = node
 	c.token++
@@ -282,8 +278,6 @@ type HA struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	promotions atomic.Uint64
 
 	obLeader       *obs.Gauge
 	obChanges      *obs.Counter
@@ -543,7 +537,6 @@ func (ha *HA) promote() {
 	ha.token = token
 
 	dur := time.Since(start)
-	ha.promotions.Add(1)
 	ha.obLeader.Set(float64(cand))
 	ha.obChanges.Inc()
 	ha.obPromoteDur.ObserveDuration(dur)

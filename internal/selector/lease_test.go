@@ -56,6 +56,9 @@ func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...fun
 	for _, f := range mutate {
 		f(&haCfg)
 	}
+	if haCfg.Obs == nil {
+		haCfg.Obs = obs.NewRegistry() // waitPromotions reads it
+	}
 	ha, err := repl.EnableHA(cfg, haCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,18 +74,25 @@ func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...fun
 	return g.RouterFor(0), repl, ha, sites, b
 }
 
-// waitPromotions blocks until ha has completed at least n promotions.
+// waitPromotions blocks until ha has completed at least n promotions, the
+// count of its dynamast_selector_promotion_seconds histogram.
 func waitPromotions(t *testing.T, ha *HA, n uint64) time.Duration {
 	t.Helper()
 	start := time.Now()
 	deadline := start.Add(10 * time.Second)
-	for ha.promotions.Load() < n {
+	for promotions(ha) < n {
 		if time.Now().After(deadline) {
 			t.Fatalf("promotion %d did not complete within 10s (leader %d)", n, int(ha.node.Load()))
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return time.Since(start)
+}
+
+// promotions reads the count of ha's dynamast_selector_promotion_seconds.
+func promotions(ha *HA) uint64 {
+	h, _ := ha.cfg.Obs.Snapshot().Get("dynamast_selector_promotion_seconds")
+	return h.Count
 }
 
 func TestLeaseStoreMutualExclusion(t *testing.T) {
@@ -123,9 +133,6 @@ func TestLeaseStoreMutualExclusion(t *testing.T) {
 	if _, err := ls.AllocEpoch(0, tok0); !errors.Is(err, ErrNoLeader) {
 		t.Fatalf("deposed holder allocated an epoch: %v", err)
 	}
-	if ls.cell.changes.Load() != 2 {
-		t.Fatalf("leader changes = %d, want 2", ls.cell.changes.Load())
-	}
 }
 
 func TestHAPromotionOnLeaderKill(t *testing.T) {
@@ -144,6 +151,9 @@ func TestHAPromotionOnLeaderKill(t *testing.T) {
 	}
 	window := waitPromotions(t, ha, 1)
 	t.Logf("promotion completed %v after the kill", window)
+	if n, _ := ha.cfg.Obs.Snapshot().Value("dynamast_selector_leader_changes_total"); n != 1 {
+		t.Fatalf("leader changes = %g, want 1", n)
+	}
 
 	if int(ha.node.Load()) == 0 {
 		t.Fatal("leadership did not move off the killed node")

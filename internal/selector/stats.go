@@ -363,12 +363,6 @@ func (st *Stats) ReadWeight(p uint64) float64 {
 	return st.sum(p, func(ps *partStats) float64 { return ps.reads })
 }
 
-// occurrencesOf returns the aggregate sample count containing partition p
-// (the P(d2|p) denominator); test hook.
-func (st *Stats) occurrencesOf(p uint64) float64 {
-	return st.sum(p, func(ps *partStats) float64 { return ps.occ })
-}
-
 // CoPair is one raw co-access row entry from one stripe: partition D2 was
 // written Count times with (intra) or within Δt after (inter) the row's d1 in
 // that stripe's samples. The same D2 may appear once per stripe.

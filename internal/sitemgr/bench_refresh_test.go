@@ -2,7 +2,6 @@ package sitemgr
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -40,9 +39,9 @@ func BenchmarkRefreshApplyBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	site.Start()
-	for site.refreshes.Load() < uint64(b.N) {
-		runtime.Gosched()
-	}
+	// Entry i carries origin 0's sequence i, so the backlog is applied once
+	// the site's clock reaches b.N in that dimension.
+	site.Clock().WaitDimAtLeast(0, uint64(b.N))
 	b.StopTimer()
 	broker.Close()
 	site.Stop()

@@ -75,7 +75,6 @@ func (s *Site) Replay(offsets []uint64) (own, peers uint64, err error) {
 			}
 		}
 		if stalled < 0 {
-			s.refreshes.Add(peers)
 			return own, peers, nil
 		}
 		if !progressed {

@@ -291,7 +291,6 @@ func (s *Site) Grant(parts []uint64, relVV vclock.Vector, from int, epoch uint64
 	s.pmu.Unlock()
 	s.fenceMu.RUnlock()
 
-	s.remasterIn.Add(1)
 	now := s.clock.Now()
 	if epoch != 0 {
 		s.remu.Lock()

@@ -212,9 +212,7 @@ type Site struct {
 	grantMemo map[chainKey]vclock.Vector
 
 	// Counters for experiment reporting.
-	commits    atomic.Uint64
-	refreshes  atomic.Uint64
-	remasterIn atomic.Uint64
+	commits atomic.Uint64
 
 	// Observability (all instruments are nil-safe no-ops when the site is
 	// built without a registry).
@@ -559,7 +557,6 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			s.net.Account(transport.CatReplication, bytes)
 		}
 		applyStart := time.Now()
-		var applied uint64
 		s.applyPool.do(func() time.Duration {
 			var cost time.Duration
 			var bytes int
@@ -569,7 +566,6 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 				if n == 0 {
 					continue // installed by a recovery replay after the gate
 				}
-				applied += uint64(n)
 				if s.hosting != nil {
 					// Per-destination frame filtering: this site receives the
 					// envelope and vectors (the svv must advance) but only the
@@ -587,7 +583,6 @@ func (s *Site) applyBatch(origin int, batch []wal.Entry) bool {
 			}
 			return cost
 		})
-		s.refreshes.Add(applied)
 		s.ob.refreshBatches.Inc()
 		s.ob.refreshApply.ObserveDuration(time.Since(applyStart))
 		now := time.Now()

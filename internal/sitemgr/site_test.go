@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dynamast/internal/obs"
 	"dynamast/internal/storage"
 	"dynamast/internal/vclock"
 	"dynamast/internal/wal"
@@ -19,6 +20,12 @@ func partitionBy100(ref storage.RowRef) uint64 { return ref.Key / 100 }
 // partition initially mastered at site 0 and table "t" pre-created.
 func testCluster(t *testing.T, m int) ([]*Site, *wal.Broker) {
 	t.Helper()
+	return testClusterObs(t, m, nil)
+}
+
+// testClusterObs is testCluster with every site's metrics registered in reg.
+func testClusterObs(t *testing.T, m int, reg *obs.Registry) ([]*Site, *wal.Broker) {
+	t.Helper()
 	b := wal.NewBroker(m)
 	sites := make([]*Site, m)
 	for i := 0; i < m; i++ {
@@ -28,6 +35,7 @@ func testCluster(t *testing.T, m int) ([]*Site, *wal.Broker) {
 			Broker:      b,
 			Partitioner: partitionBy100,
 			Replicate:   true,
+			Obs:         reg,
 			// Propagation delay left at zero for fast tests.
 		})
 		if err != nil {
@@ -119,7 +127,8 @@ func TestLocalCommitVisibility(t *testing.T) {
 }
 
 func TestRefreshPropagation(t *testing.T) {
-	sites, _ := testCluster(t, 3)
+	reg := obs.NewRegistry()
+	sites, _ := testClusterObs(t, 3, reg)
 	tx, _ := sites[0].Begin(nil, []storage.RowRef{ref(1)})
 	tx.Write(ref(1), []byte("x"))
 	tvv := mustCommit(t, tx)
@@ -130,9 +139,11 @@ func TestRefreshPropagation(t *testing.T) {
 		if data, ok := s.ReadLocal(ref(1)); !ok || string(data) != "x" {
 			t.Fatalf("site %d read = %q %v", s.ID(), data, ok)
 		}
-		if s.refreshes.Load() == 0 {
-			t.Fatalf("site %d applied no refreshes", s.ID())
-		}
+		// The counter is bumped after the apply makes the row visible.
+		waitFor(t, func() bool {
+			n, _ := reg.Snapshot().Value("dynamast_refreshes_total", obs.Site(s.ID()))
+			return n > 0
+		})
 	}
 }
 
@@ -377,7 +388,7 @@ func TestReleaseBlocksNewWriters(t *testing.T) {
 }
 
 func TestGrantWaitsForReleasePoint(t *testing.T) {
-	sites, _ := testCluster(t, 2)
+	sites, b := testCluster(t, 2)
 	s0, s1 := sites[0], sites[1]
 
 	tx, _ := s0.Begin(nil, []storage.RowRef{ref(1)})
@@ -401,8 +412,8 @@ func TestGrantWaitsForReleasePoint(t *testing.T) {
 	if data, ok := s1.ReadLocal(ref(1)); !ok || string(data) != "pre-release" {
 		t.Fatalf("new master read = %q %v", data, ok)
 	}
-	if s1.remasterIn.Load() != 1 {
-		t.Fatalf("remasters received = %d", s1.remasterIn.Load())
+	if n := countKind(b, 1, wal.KindGrant); n != 1 {
+		t.Fatalf("grant records in the new master's log = %d, want 1", n)
 	}
 }
 

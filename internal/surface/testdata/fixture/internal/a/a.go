@@ -9,6 +9,9 @@ func Used() int { return len(Greeter{}.Name()) }
 // Planted is called by nothing: the guard must report it.
 func Planted() {}
 
+// planted is unexported and called by nothing: the guard reports it too.
+func planted() {}
+
 // Recursive calls only itself: its own body does not count as a reference.
 func Recursive(n int) int {
 	if n == 0 {

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dynamast/internal/codec"
@@ -95,6 +97,45 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRPCRoundTripParallel is BenchmarkRPCRoundTrip with 8 callers
+// sharing one client, so replies pass between callers and the connection's
+// read role changes hands on the client and the server.
+func BenchmarkRPCRoundTripParallel(b *testing.B) {
+	const callers = 8
+	cl, tbl, keys, val := benchBodyFields()
+	s := NewServer()
+	Handle(s, "echo", func(req *benchBodyBin) (*benchBodyBin, error) { return req, nil })
+	addr, err := s.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	arg := &benchBodyBin{Client: cl, Tables: tbl, Keys: keys, Value: val}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reply := &benchBodyBin{}
+			for next.Add(1) <= int64(b.N) {
+				if err := c.Call("echo", arg, reply); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBenchBodyRoundTrip(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,8 +34,15 @@ import (
 // pool. A read buffer is owned by the message decoded from it and is
 // returned to the pool once the body has been consumed — on the server,
 // after the handler returns (handlers must copy what they keep, which the
-// codec's decode rule already guarantees); on the client, after the reply
-// is decoded.
+// codec's decode rule already guarantees); on the client, after the caller
+// the reply belongs to has decoded it.
+//
+// Threading: no call is handed from one goroutine to another on its way
+// through. On the server, the goroutine that reads a request serves it and
+// writes the reply before it reads again (serverConn); on the client, the
+// caller waiting for a reply reads the connection itself (Client). Each
+// side falls back to more goroutines only when calls overlap on one
+// connection.
 
 // frame is the wire unit, used for both requests and responses. Trace/Span
 // carry the distributed trace context of sampled requests; both zero means
@@ -61,6 +69,12 @@ const (
 
 	// rpcReadBuffer sizes each connection's buffered reader.
 	rpcReadBuffer = 64 << 10
+
+	// A handler still running inline on a connection's read role after
+	// rescueAfter, with another request waiting, loses the role to a new
+	// goroutine; the server's watchdog checks every rescueTick.
+	rescueTick  = time.Millisecond
+	rescueAfter = 5 * time.Millisecond
 )
 
 // appendFrame appends f's codec payload (header, flags, id, method,
@@ -128,37 +142,61 @@ func writeFrame(w io.Writer, f *frame) error {
 	_, err := w.Write(buf)
 	*bp = buf[:0]
 	codec.PutBuf(bp)
-	return err
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrConnLost, err)
+	}
+	return nil
 }
 
-// readFrame reads one length-prefixed message from br into a pooled buffer
-// and decodes it into f. On success the returned buffer backs f.Body; the
-// caller must codec.PutBuf it once the body is dead. On error the buffer
-// has already been recycled.
-func readFrame(br *bufio.Reader, f *frame) (*[]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// frameReader reads length-prefixed frames off one connection. Only the
+// goroutine holding the connection's read role calls next. A read that a
+// deadline cuts off leaves the partial frame here, and the next holder's call
+// resumes it where it stopped, so the stream stays in step.
+type frameReader struct {
+	br   *bufio.Reader
+	hdr  [4]byte
+	nhdr int     // header bytes read so far
+	buf  *[]byte // pooled payload buffer once the header is complete
+	nbuf int     // payload bytes read so far
+}
+
+func newFrameReader(conn net.Conn) frameReader {
+	return frameReader{br: bufio.NewReaderSize(conn, rpcReadBuffer)}
+}
+
+// next reads the rest of the current frame and decodes it into f. On success
+// the returned buffer backs f.Body; the caller must codec.PutBuf it once the
+// body is dead. An error leaves a partial frame in r; after any error but a
+// deadline the connection is unusable.
+func (r *frameReader) next(f *frame) (*[]byte, error) {
+	if r.buf == nil {
+		m, err := io.ReadFull(r.br, r.hdr[r.nhdr:])
+		r.nhdr += m
+		if err != nil {
+			return nil, err
+		}
+		n := binary.LittleEndian.Uint32(r.hdr[:])
+		if n > maxRPCFrame {
+			return nil, fmt.Errorf("rpc: frame length %d exceeds limit", n)
+		}
+		bp := codec.GetBuf()
+		if cap(*bp) < int(n) {
+			*bp = make([]byte, n)
+		} else {
+			*bp = (*bp)[:n]
+		}
+		r.buf, r.nbuf = bp, 0
+	}
+	bp := r.buf
+	m, err := io.ReadFull(r.br, (*bp)[r.nbuf:])
+	r.nbuf += m
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxRPCFrame {
-		return nil, fmt.Errorf("rpc: frame length %d exceeds limit", n)
-	}
-	bp := codec.GetBuf()
-	buf := *bp
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
-	*bp = buf
-	if _, err := io.ReadFull(br, buf); err != nil {
-		codec.PutBuf(bp)
-		return nil, err
-	}
+	r.buf, r.nhdr = nil, 0
 	start := time.Now()
-	err := decodeFrame(buf, f)
-	codec.RecordDecode(codec.SurfaceRPC, int(n), time.Since(start))
+	err = decodeFrame(*bp, f)
+	codec.RecordDecode(codec.SurfaceRPC, len(*bp), time.Since(start))
 	if err != nil {
 		codec.PutBuf(bp)
 		return nil, fmt.Errorf("rpc: bad frame: %w", err)
@@ -180,8 +218,10 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[string]handler
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*serverConn
 	closed   bool
+	watching bool      // watch is running; it stops once conns is empty
+	born     time.Time // origin of the clock serverConn.inline is read on
 	wg       sync.WaitGroup
 }
 
@@ -189,7 +229,8 @@ type Server struct {
 func NewServer() *Server {
 	return &Server{
 		handlers: make(map[string]handler),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[net.Conn]*serverConn),
+		born:     time.Now(),
 	}
 }
 
@@ -229,44 +270,71 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		c := &serverConn{srv: s, conn: conn, fr: newFrameReader(conn)}
+		s.conns[conn] = c
+		if !s.watching {
+			s.watching = true
+			s.wg.Add(1)
+			go s.watch()
+		}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveConn(conn)
+		go c.read()
 	}
 }
 
-// serveConn reads requests off one connection and hands each to a worker
-// goroutine of that connection. A worker that finishes parks on the hand-off
-// channel for the next request, so a client issuing one call at a time is
-// served by one long-lived goroutine whose stack has already grown to what
-// the handlers need. The reader starts another worker only when none is
-// parked — every worker is busy — so concurrent requests on one connection
-// still run concurrently; a worker that finishes while another is already
-// parked exits. Replies carry the request's id and may leave in any order.
-func (s *Server) serveConn(conn net.Conn) {
+// now reads the server's monotonic clock in nanoseconds; it never returns 0.
+func (s *Server) now() int64 { return int64(time.Since(s.born)) + 1 }
+
+// watch rescues the read role from a handler that has run inline for
+// rescueAfter while another request waits on its connection, so a slow or
+// blocked handler does not stall the requests behind it. It runs while the
+// server has connections. A rescue is decided on the handler's elapsed time,
+// not on a count of ticks, because ticks can arrive back to back; and only
+// when the connection is readable, because a process stalled for a few ms
+// (a GC cycle, a busy host) would otherwise move a serial client's
+// connection to a new goroutine with nothing waiting.
+func (s *Server) watch() {
 	defer s.wg.Done()
-	defer func() {
+	tick := time.NewTicker(rescueTick)
+	defer tick.Stop()
+	for range tick.C {
+		now := s.now()
 		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	c := &connWorkers{srv: s, conn: conn, work: make(chan request)}
-	defer close(c.work) // releases the parked worker
-	br := bufio.NewReaderSize(conn, rpcReadBuffer)
-	for {
-		var r request
-		var err error
-		if r.buf, err = readFrame(br, &r.frame); err != nil {
+		if len(s.conns) == 0 {
+			s.watching = false
+			s.mu.Unlock()
 			return
 		}
-		if c.parked.CompareAndSwap(true, false) {
-			c.work <- r
-		} else {
-			go c.run(r)
+		for _, c := range s.conns {
+			st := c.inline.Load()
+			if st != 0 && now-st >= int64(rescueAfter) && readable(c.conn) && c.inline.CompareAndSwap(st, 0) {
+				go c.read()
+			}
 		}
+		s.mu.Unlock()
 	}
+}
+
+// serverConn is one connection's server state. One goroutine at a time
+// holds its read role: it reads requests off the connection and runs a
+// request that arrived alone inline, writing the reply before it reads
+// again, so a client making one call at a time is served with no goroutine
+// hand-off. A request with another one already buffered behind it runs on a
+// goroutine of its own, and a handler still running inline after
+// rescueAfter while another request waits loses the read role to a new
+// goroutine (Server.watch); the old holder exits when its handler returns. Replies carry the request's id and
+// may leave in any order.
+type serverConn struct {
+	srv  *Server
+	conn net.Conn
+	fr   frameReader // used by the read-role holder only
+	wmu  sync.Mutex  // serialises response frames
+	// inline is the start, on Server.now's clock, of the handler the
+	// read-role holder is running inline, or 0 while it reads. Of the holder
+	// and the watchdog, the one that swaps it to 0 decides who holds the
+	// read role next.
+	inline atomic.Int64
 }
 
 // request is one decoded request frame and the pooled buffer backing its body.
@@ -275,32 +343,40 @@ type request struct {
 	buf   *[]byte
 }
 
-// connWorkers is the state one connection's reader and workers share.
-type connWorkers struct {
-	srv  *Server
-	conn net.Conn
-	wmu  sync.Mutex   // serialises response frames
-	work chan request // reader to the parked worker; closed when the reader exits
-	// parked is set by a worker about to receive from work and cleared by the
-	// reader, which then owes that worker a request: at most one worker parks.
-	parked atomic.Bool
-}
-
-// run serves r, then requests handed over by the reader for as long as this
-// worker is the one parked.
-func (c *connWorkers) run(r request) {
-	for c.serve(r) {
-		var ok bool
-		if r, ok = <-c.work; !ok {
+// read serves c for as long as this goroutine holds its read role. The read
+// role carries one count of the server's WaitGroup: the holder that finds the
+// connection gone releases it, and a holder the watchdog rescued passes it on.
+func (c *serverConn) read() {
+	for {
+		var r request
+		var err error
+		if r.buf, err = c.fr.next(&r.frame); err != nil {
+			c.srv.mu.Lock()
+			delete(c.srv.conns, c.conn)
+			c.srv.mu.Unlock()
+			c.conn.Close()
+			c.srv.wg.Done()
 			return
+		}
+		if c.fr.br.Buffered() > 0 {
+			go c.serve(r, 0)
+			continue
+		}
+		start := c.srv.now()
+		c.inline.Store(start)
+		if !c.serve(r, start) {
+			return // the watchdog gave the read role to another goroutine
 		}
 	}
 }
 
-// serve runs r's handler and writes the reply. It reports whether this worker
-// parked: it tries to just before the reply leaves, not after, so the request
-// a client sends on receiving that reply always finds it parked.
-func (c *connWorkers) serve(r request) (parked bool) {
+// serve runs r's handler and writes the reply. A nonzero start means r runs
+// inline on the read role, marked in c.inline since start; serve then
+// reports whether this goroutine still holds the role. That is settled as
+// soon as the handler returns, before the reply leaves, so the next request
+// of a client that waited for this reply never finds the handler still
+// marked as running.
+func (c *serverConn) serve(r request, start int64) (kept bool) {
 	req := &r.frame
 	c.srv.mu.RLock()
 	h := c.srv.handlers[req.Method]
@@ -318,7 +394,7 @@ func (c *connWorkers) serve(r request) (parked bool) {
 	}
 	// The handler has returned; the request body is dead.
 	codec.PutBuf(r.buf)
-	parked = c.parked.CompareAndSwap(false, true)
+	kept = start != 0 && c.inline.CompareAndSwap(start, 0)
 	c.wmu.Lock()
 	_ = writeFrame(c.conn, &resp)
 	c.wmu.Unlock()
@@ -326,16 +402,17 @@ func (c *connWorkers) serve(r request) (parked bool) {
 		*bodyBuf = body[:0]
 	}
 	codec.PutBuf(bodyBuf)
-	return parked
+	return kept
 }
 
-// Close stops the listener and closes all connections.
+// Close stops the listener and closes all connections. It does not wait for
+// handlers still running.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
-	for c := range s.conns {
-		c.Close()
+	for conn := range s.conns {
+		conn.Close()
 	}
 	s.mu.Unlock()
 	var err error
@@ -347,10 +424,20 @@ func (s *Server) Close() error {
 }
 
 // Client is a multiplexing RPC client for one server connection. Safe for
-// concurrent use.
+// concurrent use. It runs no goroutine of its own: a caller waiting for its
+// reply takes the read role when it is free and reads the connection
+// itself, passing other callers' replies to them, until its own reply
+// arrives; then it gives the role up to the next caller still waiting. A
+// caller making one call at a time thus reads its own reply with no
+// goroutine hand-off.
 type Client struct {
 	conn net.Conn
 	wmu  sync.Mutex
+
+	// role holds a token while a caller holds the read role; only that
+	// caller touches fr.
+	role chan struct{}
+	fr   frameReader
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -376,32 +463,16 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		pending: make(map[uint64]chan callResult),
-	}
-	go c.readLoop()
-	return c, nil
+	return newClient(conn), nil
 }
 
-func (c *Client) readLoop() {
-	br := bufio.NewReaderSize(c.conn, rpcReadBuffer)
-	for {
-		var resp frame
-		bp, err := readFrame(br, &resp)
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- callResult{resp: resp, buf: bp}
-		} else {
-			codec.PutBuf(bp) // call was abandoned; nobody will decode this
-		}
+// newClient returns a client speaking the RPC protocol over conn.
+func newClient(conn net.Conn) *Client {
+	return &Client{
+		conn:    conn,
+		role:    make(chan struct{}, 1),
+		fr:      newFrameReader(conn),
+		pending: make(map[uint64]chan callResult),
 	}
 }
 
@@ -438,8 +509,8 @@ func (c *Client) Call(method string, arg, reply codec.Message) error {
 
 // CallCtx invokes method, honouring the context's deadline/cancellation: an
 // expired context abandons the pending call (the late response frame is
-// discarded by the read loop) and returns an error wrapping ErrTimeout and
-// the context error.
+// discarded by whichever caller next reads the connection) and returns an
+// error wrapping ErrTimeout and the context error.
 func (c *Client) CallCtx(ctx context.Context, method string, arg, reply codec.Message) error {
 	return c.CallTraced(ctx, obs.SpanContext{}, method, arg, reply)
 }
@@ -480,20 +551,7 @@ func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method stri
 		return fmt.Errorf("rpc: send %s: %w", method, err)
 	}
 
-	var res callResult
-	select {
-	case res = <-ch:
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// Drain a response that raced the cancellation.
-		select {
-		case res = <-ch:
-		default:
-			return fmt.Errorf("rpc: %s: %w: %w", method, ErrTimeout, ctx.Err())
-		}
-	}
+	res := c.await(ctx, method, id, ch)
 	if res.err != nil {
 		return res.err
 	}
@@ -506,6 +564,95 @@ func (c *Client) CallTraced(ctx context.Context, tc obs.SpanContext, method stri
 		codec.PutBuf(res.buf) // reply decoded (and copied); buffer is dead
 	}
 	return err
+}
+
+// await waits for the result of call id: another caller passes it on ch,
+// or this caller takes the free read role and reads it off the connection.
+func (c *Client) await(ctx context.Context, method string, id uint64, ch chan callResult) callResult {
+	select {
+	case res := <-ch:
+		return res
+	case <-ctx.Done():
+		return c.abandon(method, id, ch, ctx.Err())
+	case c.role <- struct{}{}:
+	}
+	defer func() { <-c.role }()
+	select {
+	case res := <-ch: // passed on by the previous holder before it let go
+		return res
+	default:
+		return c.readReply(ctx, method, id, ch)
+	}
+}
+
+// aLongTimeAgo is a read deadline in the past: setting it cuts a blocked
+// read short.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// readReply reads frames, as the read-role holder, until call id's reply
+// arrives, passing the replies of other pending calls on to them. When ctx
+// ends, a read deadline in the past cuts the read short, and a frame it cut
+// off stays in c.fr for the next holder to finish.
+func (c *Client) readReply(ctx context.Context, method string, id uint64, ch chan callResult) callResult {
+	if ctx.Done() != nil {
+		cut := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			_ = c.conn.SetReadDeadline(aLongTimeAgo)
+			close(cut)
+		})
+		defer func() {
+			// A cancellation that has landed finishes setting its deadline
+			// before the deadline is cleared, so it cannot cut the next
+			// holder's read.
+			if !stop() {
+				<-cut
+				_ = c.conn.SetReadDeadline(time.Time{})
+			}
+		}()
+	}
+	for {
+		var f frame
+		bp, err := c.fr.next(&f)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// Only a cancellation sets a deadline, so this is the caller's
+			// timeout, even if the deadline fired before ctx.Err was set.
+			return c.abandon(method, id, ch, ctx.Err())
+		}
+		if err != nil {
+			c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
+			return <-ch // fail delivered this call's result too
+		}
+		c.mu.Lock()
+		to := c.pending[f.ID]
+		delete(c.pending, f.ID)
+		c.mu.Unlock()
+		switch {
+		case f.ID == id:
+			return callResult{resp: f, buf: bp}
+		case to != nil:
+			to <- callResult{resp: f, buf: bp}
+		default:
+			codec.PutBuf(bp) // call was abandoned; nobody will decode this
+		}
+	}
+}
+
+// abandon gives call id up once ctx has ended (cause is ctx's error, nil
+// when a deadline beat it). A result already on ch, a reply or a connection
+// failure that raced the cancellation, still wins.
+func (c *Client) abandon(method string, id uint64, ch chan callResult, cause error) callResult {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+	select {
+	case res := <-ch:
+		return res
+	default:
+	}
+	if cause == nil {
+		cause = context.DeadlineExceeded
+	}
+	return callResult{err: fmt.Errorf("rpc: %s: %w: %w", method, ErrTimeout, cause)}
 }
 
 // Close closes the connection; in-flight calls fail.
