@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -74,11 +73,12 @@ func WeightsFor(wl workload.Workload) selector.Weights {
 	}
 }
 
-// Build constructs, creates tables on, and loads one system for wl.
+// Build constructs, creates tables on, and loads one system for wl. Every
+// system is a core cluster: DynaMast with its site selector routing, the
+// baselines configured by newBaseline over wl's static placement.
 func Build(kind SystemKind, wl workload.Workload, env Env) (systems.System, error) {
 	var sys systems.System
-	switch kind {
-	case KindDynaMast:
+	if kind == KindDynaMast {
 		w := env.Weights
 		if w == (selector.Weights{}) {
 			w = WeightsFor(wl)
@@ -98,30 +98,9 @@ func Build(kind SystemKind, wl workload.Workload, env Env) (systems.System, erro
 			return nil, err
 		}
 		sys = c
-	default:
-		cfg := systems.BaseConfig{
-			Sites:            env.Sites,
-			Partitioner:      wl.Partitioner(),
-			Placement:        wl.Placement(env.Sites),
-			ReplicatedTables: wl.ReplicatedTables(),
-			Network:          env.Network,
-			ExecSlots:        env.ExecSlots,
-			Costs:            env.Costs,
-			Seed:             env.Seed,
-		}
+	} else {
 		var err error
-		switch kind {
-		case KindSingleMaster:
-			sys, err = systems.NewSingleMaster(cfg)
-		case KindMultiMaster:
-			sys, err = systems.NewMultiMaster(cfg)
-		case KindPartitionStore:
-			sys, err = systems.NewPartitionStore(cfg)
-		case KindLEAP:
-			sys, err = systems.NewLEAP(cfg)
-		default:
-			return nil, fmt.Errorf("bench: unknown system %q", kind)
-		}
+		sys, err = newBaseline(kind, env, wl.Partitioner(), wl.Placement(env.Sites), wl.ReplicatedTables())
 		if err != nil {
 			return nil, err
 		}

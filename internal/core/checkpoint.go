@@ -410,7 +410,7 @@ func (c *Cluster) recover(initialPlacement map[uint64]int) error {
 	if c.group.PartialPlacement() {
 		for p, site := range owner {
 			if site >= 0 && site < len(c.sites) && !c.sites[site].Hosts(p) {
-				if err := c.AddReplica(p, site); err != nil {
+				if _, err := c.AddReplica(p, site); err != nil {
 					return fmt.Errorf("core: recovery replica add (partition %d at site %d): %w", p, site, err)
 				}
 			}

@@ -157,7 +157,7 @@ type Cluster struct {
 	sessions atomic.Uint64
 
 	// Partial replication (see placement.go).
-	placeMu   sync.Mutex // serializes replica adds/drops
+	placeMu   [64]sync.Mutex // replica add/drop stripes (see placeLock)
 	placeCtls []*selector.PlacementController
 
 	// Failure handling (see failure.go).
@@ -294,7 +294,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Broker:        c.broker,
 			MaxVersions:   cfg.MaxVersions,
 			Partitioner:   cfg.Partitioner,
-			Replicate:     true,
 			ExecSlots:     cfg.ExecSlots,
 			EpochInterval: epochIv,
 			Costs:         cfg.Costs,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"dynamast/internal/obs"
 	"dynamast/internal/selector"
@@ -17,52 +18,73 @@ import (
 // double-install. DropReplica removes routing metadata first — reads stop
 // landing on the site before its rows purge.
 //
-// Moves serialize on placeMu: the controller, routing's ensure hook, and
-// failover's heir materialization never interleave two moves of the same
-// partition.
+// Moves of one partition serialize on its placeLock stripe: the controller,
+// routing's ensure hook, failover's heir materialization and the LEAP
+// baseline's localizations never interleave two moves of the same
+// partition, while moves of other partitions proceed in parallel.
+
+// placeLock returns the mutex serializing moves of part.
+func (c *Cluster) placeLock(part uint64) *sync.Mutex {
+	return &c.placeMu[part%uint64(len(c.placeMu))]
+}
 
 // AddReplica makes site a hosting replica of part, bootstrapping its rows
-// from a live replica (or, when none survived, from the retained logs).
-// Idempotent; implements selector.ReplicaMover.
-func (c *Cluster) AddReplica(part uint64, site int) error {
+// from a live replica (or, when none survived, from the retained logs), and
+// returns the encoded size of the rows copied from the live replica (0 when
+// site already hosted part or the logs rebuilt it). Idempotent; implements
+// selector.ReplicaMover.
+func (c *Cluster) AddReplica(part uint64, site int) (int, error) {
 	if site < 0 || site >= len(c.sites) {
-		return fmt.Errorf("core: add replica: no such site %d", site)
+		return 0, fmt.Errorf("core: add replica: no such site %d", site)
 	}
-	c.placeMu.Lock()
-	defer c.placeMu.Unlock()
+	mu := c.placeLock(part)
+	mu.Lock()
+	defer mu.Unlock()
 	sel := c.group.ShardFor(part) // replica-set metadata lives on the owning shard
 	if !sel.PartialPlacement() {
-		return nil
+		return 0, nil
 	}
 	tgt := c.sites[site]
 	if !tgt.Alive() {
-		return fmt.Errorf("core: add replica of partition %d: site %d: %w",
+		return 0, fmt.Errorf("core: add replica of partition %d: site %d: %w",
 			part, site, sitemgr.ErrSiteDown)
 	}
 	if tgt.Hosts(part) {
 		sel.AddReplicaMeta(part, site, "already hosted")
-		return nil
+		return 0, nil
 	}
 	cut := tgt.HostPartition(part)
 
 	// Any live site already hosting part serves as the bootstrap source:
 	// once its clock dominates the cut it holds every version visible there.
-	src := -1
+	// The master is preferred and needs no wait: it holds every committed
+	// write to part already — its own, and every earlier master's through
+	// its grant's wait on the release vector. (A write by a later master
+	// is > cut, so the appliers deliver it.)
+	src, master := -1, false
 	for _, m := range sel.ReplicaSet(part) {
-		if m != site && m >= 0 && m < len(c.sites) && c.sites[m].Alive() && c.sites[m].Hosts(part) {
-			src = m
+		if m == site || m < 0 || m >= len(c.sites) || !c.sites[m].Alive() || !c.sites[m].Hosts(part) {
+			continue
+		}
+		if c.sites[m].Masters(part) {
+			src, master = m, true
 			break
 		}
+		if src < 0 {
+			src = m
+		}
 	}
-	rows := 0
+	rows, bytes := 0, 0
 	from := "logs"
 	if src >= 0 {
 		srcSite := c.sites[src]
-		srcSite.Clock().WaitDominatesEq(cut)
+		if !master {
+			srcSite.Clock().WaitDominatesEq(cut)
+		}
 		// The wait returns unconditionally if the source dies mid-wait;
 		// re-check before trusting its export.
 		if srcSite.Alive() {
-			rows = tgt.BootstrapPartitionFrom(srcSite, part, cut)
+			rows, bytes = tgt.BootstrapPartitionFrom(srcSite, part, cut)
 			from = fmt.Sprintf("site %d", src)
 		} else {
 			src = -1
@@ -74,7 +96,7 @@ func (c *Cluster) AddReplica(part uint64, site int) error {
 	sel.AddReplicaMeta(part, site, fmt.Sprintf("bootstrap %d rows from %s", rows, from))
 	obs.RecordEvent(obs.FlightPlacement, site,
 		"partition %d: replica added (%d rows from %s)", part, rows, from)
-	return nil
+	return bytes, nil
 }
 
 // DropReplica removes site from part's replica set and purges its resident
@@ -84,8 +106,9 @@ func (c *Cluster) DropReplica(part uint64, site int) error {
 	if site < 0 || site >= len(c.sites) {
 		return fmt.Errorf("core: drop replica: no such site %d", site)
 	}
-	c.placeMu.Lock()
-	defer c.placeMu.Unlock()
+	mu := c.placeLock(part)
+	mu.Lock()
+	defer mu.Unlock()
 	sel := c.group.ShardFor(part)
 	if !sel.PartialPlacement() {
 		return nil
@@ -123,7 +146,7 @@ func hostedIn(set []int, site int) bool {
 // (routing's add-then-grant hook and failover's heir materialization).
 func (c *Cluster) ensureHostedAll(parts []uint64, site int) error {
 	for _, part := range parts {
-		if err := c.AddReplica(part, site); err != nil {
+		if _, err := c.AddReplica(part, site); err != nil {
 			return err
 		}
 	}

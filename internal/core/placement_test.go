@@ -248,7 +248,7 @@ func TestReplicaAddBootstrapRace(t *testing.T) {
 	}
 	// Let some writes land, then add the replica mid-stream.
 	time.Sleep(2 * time.Millisecond)
-	if err := c.AddReplica(part, tgt); err != nil {
+	if _, err := c.AddReplica(part, tgt); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -14,11 +14,12 @@ import (
 	"dynamast/internal/vclock"
 )
 
-// beginRetries bounds resubmission when a transaction hits a transient
+// BeginRetries bounds resubmission when a transaction hits a transient
 // fault: mastership moved between routing and execution (racing
 // remasterings), an injected wire fault, or a site that died mid-flight.
-// The selector re-routes around the failure on retry.
-const beginRetries = 64
+// The selector re-routes around the failure on retry. The baseline clients
+// in internal/bench resubmit under the same bound.
+const BeginRetries = 64
 
 // retryBackoff sleeps briefly before resubmitting a transaction so retry
 // storms drain instead of livelocking. Returns early with the context's
@@ -160,7 +161,7 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 			// Routing fails transiently when the remastering it triggered
 			// hit an injected fault or a dying site; resubmitting re-routes
 			// (the selector rolls failed chains back and skips down sites).
-			if Retryable(err) && attempt < beginRetries {
+			if Retryable(err) && attempt < BeginRetries {
 				if berr := retryBackoff(ctx, attempt); berr != nil {
 					return berr
 				}
@@ -188,7 +189,7 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 			// Mastership moved between routing and begin (racing
 			// remasterings on a hot partition), or the site died after the
 			// route resolved. Both are retryable: nothing executed.
-			if Retryable(err) && attempt < beginRetries {
+			if Retryable(err) && attempt < BeginRetries {
 				if berr := retryBackoff(ctx, attempt); berr != nil {
 					return berr
 				}
@@ -208,7 +209,7 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		// the (locked) write set missed a record whose visible version may
 		// have been evicted, so whatever fn computed — including any error —
 		// came from an unsound miss. Resubmit on a fresher snapshot.
-		if tx.SnapshotTooOld() && attempt < beginRetries {
+		if tx.SnapshotTooOld() && attempt < BeginRetries {
 			tx.Abort()
 			if berr := retryBackoff(ctx, attempt); berr != nil {
 				return berr
@@ -225,7 +226,7 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 			// A failed commit published nothing (the site aborts, releasing
 			// its locks, before any WAL write becomes visible), so the
 			// whole transaction can be resubmitted elsewhere.
-			if Retryable(err) && attempt < beginRetries {
+			if Retryable(err) && attempt < BeginRetries {
 				if berr := retryBackoff(ctx, attempt); berr != nil {
 					return berr
 				}
@@ -437,7 +438,7 @@ func (s *Session) ReadHintedCtx(ctx context.Context, hint []storage.RowRef, fn f
 			}
 			// The chosen replica died between routing and begin; any other
 			// replica serves the read, so re-route and retry.
-			if Retryable(err) && attempt < beginRetries {
+			if Retryable(err) && attempt < BeginRetries {
 				if berr := retryBackoff(ctx, attempt); berr != nil {
 					return berr
 				}
@@ -463,7 +464,7 @@ func (s *Session) ReadHintedCtx(ctx context.Context, hint []storage.RowRef, fn f
 					return fmt.Errorf("core: read replica add: %w", err)
 				}
 			}
-			if attempt < beginRetries {
+			if attempt < BeginRetries {
 				if berr := retryBackoff(ctx, attempt); berr != nil {
 					return berr
 				}
@@ -477,7 +478,7 @@ func (s *Session) ReadHintedCtx(ctx context.Context, hint []storage.RowRef, fn f
 		// unsound. Re-begin: the fresh snapshot sees the retained versions.
 		if tx.SnapshotTooOld() {
 			tx.Abort()
-			if attempt < beginRetries {
+			if attempt < BeginRetries {
 				if berr := retryBackoff(ctx, attempt); berr != nil {
 					return berr
 				}

@@ -30,7 +30,7 @@ func newShardedGroup(t *testing.T, m, shards, standbys int, stats StatsConfig) (
 	for i := 0; i < m; i++ {
 		s, err := sitemgr.New(sitemgr.Config{
 			SiteID: i, Sites: m, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
+			Partitioner: partitionBy100,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -23,7 +23,7 @@ func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...fun
 	for i := 0; i < m; i++ {
 		s, err := sitemgr.New(sitemgr.Config{
 			SiteID: i, Sites: m, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
+			Partitioner: partitionBy100,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -504,10 +504,11 @@ func intersectSites(a, b []int) []int {
 }
 
 // ReplicaMover materializes placement decisions at the data sites: AddReplica
-// bootstraps part onto site, DropReplica purges it. The core cluster
-// implements it; both are idempotent and serialize internally.
+// bootstraps part onto site and returns the bytes it copied, DropReplica
+// purges it. The core cluster implements it; both are idempotent and
+// serialize internally.
 type ReplicaMover interface {
-	AddReplica(part uint64, site int) error
+	AddReplica(part uint64, site int) (int, error)
 	DropReplica(part uint64, site int) error
 }
 
@@ -611,7 +612,7 @@ func (pc *PlacementController) Tick() (adds, drops int) {
 			if containsSite(replicas, site) || s.SiteDown(site) {
 				continue
 			}
-			if err := pc.mover.AddReplica(part, site); err == nil {
+			if _, err := pc.mover.AddReplica(part, site); err == nil {
 				adds++
 				moves++
 			}

@@ -475,7 +475,7 @@ func TestRemasterRollbackFencesPhantomGrant(t *testing.T) {
 	for i := 0; i < m; i++ {
 		s, err := sitemgr.New(sitemgr.Config{
 			SiteID: i, Sites: m, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
+			Partitioner: partitionBy100,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -377,7 +377,7 @@ func TestPlacementOverRPC(t *testing.T) {
 	// carries a decision.
 	for site := 0; site < 3; site++ {
 		if !slices.Contains(before.Partitions[0], site) {
-			if err := cluster.AddReplica(0, site); err != nil {
+			if _, err := cluster.AddReplica(0, site); err != nil {
 				t.Fatal(err)
 			}
 			break

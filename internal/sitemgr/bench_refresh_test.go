@@ -30,7 +30,7 @@ func BenchmarkRefreshApplyBatch(b *testing.B) {
 	}
 	site, err := New(Config{
 		SiteID: 1, Sites: 2, Broker: broker,
-		Partitioner: partitionBy100, Replicate: true,
+		Partitioner: partitionBy100,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -61,7 +61,7 @@ func BenchmarkTxnScan(b *testing.B) {
 	site.Store().CreateTable("t")
 	const keys = 100_000
 	for k := uint64(0); k < keys; k++ {
-		site.LoadRow(storage.RowRef{Table: "t", Key: k}, make([]byte, 100))
+		site.Store().ImportRow("t", k, make([]byte, 100), storage.Stamp{})
 	}
 	for _, rows := range []uint64{100, 1000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {

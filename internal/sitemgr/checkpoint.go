@@ -19,7 +19,7 @@ import (
 func (s *Site) WriteSnapshot(w *checkpoint.SnapshotWriter) (vclock.Vector, error) {
 	svv := s.clock.Now()
 	var werr error
-	s.store.ExportAt(svv, func(table string, key uint64, data []byte, stamp storage.Stamp) bool {
+	s.store.ExportAt(svv, nil, func(table string, key uint64, data []byte, stamp storage.Stamp) bool {
 		werr = w.Write(checkpoint.Row{Table: table, Key: key, Data: data, Stamp: stamp})
 		return werr == nil
 	})

@@ -22,7 +22,6 @@ func testClusterEpoch(t *testing.T, m int, interval time.Duration) ([]*Site, *wa
 			Sites:         m,
 			Broker:        b,
 			Partitioner:   partitionBy100,
-			Replicate:     true,
 			EpochInterval: interval,
 		})
 		if err != nil {

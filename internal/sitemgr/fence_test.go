@@ -17,7 +17,7 @@ func newFencePair(t *testing.T) ([]*Site, *wal.Broker) {
 	for i := range sites {
 		s, err := New(Config{
 			SiteID: i, Sites: 2, Broker: b,
-			Partitioner: partitionBy100, Replicate: true,
+			Partitioner: partitionBy100,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -186,19 +186,21 @@ func (s *Site) ResidentPartitions() int {
 // BootstrapPartitionFrom copies part's rows from src as they stood at cut
 // (the flip vector this site's HostPartition returned). The caller must have
 // waited until src's clock dominates cut. Each row installs under the
-// superseding guard: src's bounded version chains can export a version NEWER
-// than cut (see storage.ExportAt), but that version's own log entry is > cut
-// and the applier stream re-delivers it, so skipping rows the target already
-// holds newer state for is always safe. Returns rows copied; the shipped
-// bytes are charged to the replication category.
-func (s *Site) BootstrapPartitionFrom(src *Site, part uint64, cut vclock.Vector) int {
-	srcVV := src.clock.Now()
-	rows, bytes := 0, 0
-	src.store.ExportAt(cut, func(table string, key uint64, data []byte, stamp storage.Stamp) bool {
-		if s.cfg.Partitioner(storage.RowRef{Table: table, Key: key}) != part {
-			return true
-		}
-		if s.store.ImportRowSuperseding(table, key, data, stamp, srcVV) {
+// superseding guard, judged against cut: a row this site already holds a
+// version of got it from the appliers after the flip — an entry > cut, newer
+// than the copy — so the copy is skipped. (Judging against src's current
+// clock instead would bury such a row under the older copy.) src's bounded
+// version chains can also export a version NEWER than cut (see
+// storage.ExportAt), but that version's own log entry is > cut and the
+// applier stream re-delivers it, so skipping is always safe. Returns the rows
+// copied and their encoded size, which is charged to the replication
+// category.
+func (s *Site) BootstrapPartitionFrom(src *Site, part uint64, cut vclock.Vector) (rows, bytes int) {
+	inPart := func(table string, key uint64) bool {
+		return s.cfg.Partitioner(storage.RowRef{Table: table, Key: key}) == part
+	}
+	src.store.ExportAt(cut, inPart, func(table string, key uint64, data []byte, stamp storage.Stamp) bool {
+		if s.store.ImportRowSuperseding(table, key, data, stamp, cut) {
 			rows++
 			bytes += 10 + 3 + len(data) // refOverhead + flags, as SizeOfWrites prices a row
 		}
@@ -207,7 +209,7 @@ func (s *Site) BootstrapPartitionFrom(src *Site, part uint64, cut vclock.Vector)
 	if rows > 0 {
 		s.net.Account(transport.CatReplication, transport.MsgOverhead+bytes)
 	}
-	return rows
+	return rows, bytes
 }
 
 // RebuildPartitionFromLogs reconstructs part's rows from every origin's

@@ -25,7 +25,6 @@ func TestRefreshDelayGaugeTracksWatermark(t *testing.T) {
 			Sites:       2,
 			Broker:      b,
 			Partitioner: partitionBy100,
-			Replicate:   true,
 			Obs:         reg,
 		})
 		if err != nil {

@@ -14,7 +14,7 @@ var raceEnabled bool
 // loadRows gives site s rows [0, n) of table "t", row k holding {byte(k)}.
 func loadRows(s *Site, n uint64) {
 	for k := uint64(0); k < n; k++ {
-		s.LoadRow(ref(k), []byte{byte(k)})
+		s.Store().ImportRow("t", k, []byte{byte(k)}, storage.Stamp{})
 	}
 }
 

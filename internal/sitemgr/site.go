@@ -6,10 +6,10 @@
 // committed write sets to its update log, and applies other sites' updates
 // as refresh transactions under the paper's update application rule
 // (Equation 1). It also serves the mastership-transfer RPCs (release and
-// grant), acts as a two-phase-commit participant for the partitioned
-// baselines, and ships data for the LEAP baseline — so every evaluated
-// system runs on the same storage, concurrency control and isolation level,
-// matching the paper's apples-to-apples methodology.
+// grant) and acts as a two-phase-commit participant for the partitioned
+// baselines — so every evaluated system runs on the same storage,
+// concurrency control and isolation level, matching the paper's
+// apples-to-apples methodology.
 package sitemgr
 
 import (
@@ -46,10 +46,6 @@ type Config struct {
 	MaxVersions int
 	// Partitioner maps rows to partitions; required.
 	Partitioner Partitioner
-	// Replicate starts refresh appliers that subscribe to the other
-	// sites' logs (lazily maintained replicas). Partitioned systems
-	// without replication leave it false.
-	Replicate bool
 	// ExecSlots is the site's execution parallelism (0 = default 4).
 	ExecSlots int
 	// EpochInterval, when positive, batches commits into epochs sealed at
@@ -67,16 +63,6 @@ type Config struct {
 	// replication: whether this site hosts part before any explicit
 	// add/drop decision. Required when PartialReplication is set.
 	DefaultHosted func(part uint64) bool
-	// DefaultOwner, when set, gives the owner of partitions this site has
-	// no explicit state for (static-placement systems use their placement
-	// function so writes to never-loaded partitions find their owner).
-	// Dynamically mastered sites leave it nil: ownership then only comes
-	// from SetMaster and Grant.
-	DefaultOwner func(part uint64) int
-	// TrackPartitionRows maintains a per-partition index of row
-	// references, so data shipping (LEAP) can move a partition's entire
-	// contents. Systems that never ship leave it off.
-	TrackPartitionRows bool
 	// Costs prices transactional work; the zero value charges nothing.
 	Costs CostModel
 	// Obs receives the site's metrics (commit/abort/refresh counters and
@@ -123,9 +109,6 @@ type partState struct {
 	owned     bool
 	releasing bool
 	writers   int // in-flight local update transactions writing it
-	// rows indexes the partition's row references when the site tracks
-	// partition contents (data-shipping systems).
-	rows map[storage.RowRef]struct{}
 	// wm is the partition's write watermark: the element-wise max of the
 	// commit vectors of all updates to the partition applied at this
 	// site. Release returns it so a grant waits only for updates causally
@@ -363,15 +346,12 @@ func (s *Site) Clock() *vclock.SiteClock { return s.clock }
 // Commits returns the number of locally committed update transactions.
 func (s *Site) Commits() uint64 { return s.commits.Load() }
 
-// Start launches the refresh appliers (one per remote site) if the site is
-// configured to replicate.
+// Start launches the refresh appliers (one per remote site) and, with
+// epochs on, the epoch sealer.
 func (s *Site) Start() {
 	if s.epochOn() {
 		s.wg.Add(1)
 		go s.sealerLoop()
-	}
-	if !s.cfg.Replicate {
-		return
 	}
 	for origin := 0; origin < s.m; origin++ {
 		if origin == s.id {
@@ -416,8 +396,8 @@ func (s *Site) Alive() bool { return !s.down.Load() }
 
 // Stop terminates replication appliers and waits for them to exit.
 // Appliers block on the broker's logs, so callers must close the broker
-// (or at least the remote sites' logs) before calling Stop; the systems
-// packages tear down in that order.
+// (or at least the remote sites' logs) before calling Stop; core.Cluster's
+// Close tears down in that order.
 func (s *Site) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopped)
@@ -703,9 +683,6 @@ func (s *Site) partition(part uint64) *partState {
 	p := s.parts[part]
 	if p == nil {
 		p = &partState{}
-		if s.cfg.DefaultOwner != nil {
-			p.owned = s.cfg.DefaultOwner(part) == s.id
-		}
 		s.parts[part] = p
 	}
 	return p
@@ -731,42 +708,19 @@ func (s *Site) Masters(part uint64) bool {
 }
 
 // bumpWatermarks folds a committed transaction's vector into the write
-// watermarks of the partitions its writes touch, and indexes the rows if
-// the site tracks partition contents.
+// watermarks of the partitions its writes touch.
 func (s *Site) bumpWatermarks(writes []storage.Write, tvv vclock.Vector) {
 	s.pmu.Lock()
 	defer s.pmu.Unlock()
 	var last *partState
 	for _, w := range writes {
 		p := s.partition(s.cfg.Partitioner(w.Ref))
-		if s.cfg.TrackPartitionRows {
-			if p.rows == nil {
-				p.rows = make(map[storage.RowRef]struct{})
-			}
-			p.rows[w.Ref] = struct{}{}
-		}
 		// Folding the same vector twice is a no-op, so partitions need no
 		// dedupe set; skipping a run of writes to one partition is enough.
 		if p != last {
 			p.wm = p.wm.MaxInto(tvv)
 			last = p
 		}
-	}
-}
-
-// LoadRow installs an initial row directly (load-time bulk path), indexing
-// it when the site tracks partition contents. The stamp (origin 0, seq 0)
-// is visible at every snapshot.
-func (s *Site) LoadRow(ref storage.RowRef, data []byte) {
-	s.store.ImportRow(ref.Table, ref.Key, data, storage.Stamp{})
-	if s.cfg.TrackPartitionRows {
-		s.pmu.Lock()
-		p := s.partition(s.cfg.Partitioner(ref))
-		if p.rows == nil {
-			p.rows = make(map[storage.RowRef]struct{})
-		}
-		p.rows[ref] = struct{}{}
-		s.pmu.Unlock()
 	}
 }
 

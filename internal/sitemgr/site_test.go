@@ -34,7 +34,6 @@ func testClusterObs(t *testing.T, m int, reg *obs.Registry) ([]*Site, *wal.Broke
 			Sites:       m,
 			Broker:      b,
 			Partitioner: partitionBy100,
-			Replicate:   true,
 			Obs:         reg,
 			// Propagation delay left at zero for fast tests.
 		})
@@ -596,62 +595,6 @@ func TestTwoPCUncertainPhaseBlocks(t *testing.T) {
 	s0.AbortPrepared(id) // idempotent
 }
 
-func TestShipOutShipIn(t *testing.T) {
-	// LEAP-style localization between two non-replicating sites.
-	b := wal.NewBroker(2)
-	defer b.Close()
-	mk := func(id int) *Site {
-		s, err := New(Config{SiteID: id, Sites: 2, Broker: b, Partitioner: partitionBy100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Store().CreateTable("t")
-		return s
-	}
-	src, dst := mk(0), mk(1)
-	for p := uint64(0); p < 10; p++ {
-		src.SetMaster(p, true)
-	}
-	for k := uint64(0); k < 3; k++ {
-		tx, _ := src.Begin(nil, []storage.RowRef{ref(k)})
-		tx.Write(ref(k), []byte{byte(k + 10)})
-		mustCommit(t, tx)
-	}
-	rows, err := src.ShipOut(ShipRequest{
-		Refs:   []storage.RowRef{ref(0)},
-		Scans:  []ScanRange{{Table: "t", Lo: 1, Hi: 3}},
-		Parts:  []uint64{0},
-		ToSite: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("shipped %d rows", len(rows))
-	}
-	if src.Masters(0) {
-		t.Fatal("source still masters shipped partition")
-	}
-	if _, err := dst.ShipIn([]uint64{0}, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.Masters(0) {
-		t.Fatal("destination does not master shipped partition")
-	}
-	for k := uint64(0); k < 3; k++ {
-		if data, ok := dst.ReadLocal(ref(k)); !ok || data[0] != byte(k+10) {
-			t.Fatalf("key %d at destination: %v %v", k, data, ok)
-		}
-	}
-	// The destination can now execute update transactions on the data.
-	tx, err := dst.Begin(nil, []storage.RowRef{ref(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.Write(ref(0), []byte("updated"))
-	mustCommit(t, tx)
-}
-
 func TestRecoveryBootstrapAndReplay(t *testing.T) {
 	sites, broker := testCluster(t, 2)
 	s0 := sites[0]
@@ -735,10 +678,11 @@ func TestRecoverMastershipFromLogs(t *testing.T) {
 }
 
 func TestCatchUp(t *testing.T) {
-	// A non-replicating site catches up synchronously from the logs.
+	// Sites that were never started run no appliers; the lagging one
+	// catches up synchronously from the logs.
 	b := wal.NewBroker(2)
 	defer b.Close()
-	s0, err := New(Config{SiteID: 0, Sites: 2, Broker: b, Partitioner: partitionBy100, Replicate: false})
+	s0, err := New(Config{SiteID: 0, Sites: 2, Broker: b, Partitioner: partitionBy100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,7 +690,7 @@ func TestCatchUp(t *testing.T) {
 	for p := uint64(0); p < 10; p++ {
 		s0.SetMaster(p, true)
 	}
-	lagger, err := New(Config{SiteID: 1, Sites: 2, Broker: b, Partitioner: partitionBy100, Replicate: false})
+	lagger, err := New(Config{SiteID: 1, Sites: 2, Broker: b, Partitioner: partitionBy100})
 	if err != nil {
 		t.Fatal(err)
 	}

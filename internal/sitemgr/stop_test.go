@@ -20,7 +20,6 @@ func TestStopUnblocksDependencyWait(t *testing.T) {
 		Sites:       3,
 		Broker:      b,
 		Partitioner: partitionBy100,
-		Replicate:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

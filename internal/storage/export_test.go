@@ -30,3 +30,12 @@ func (t *Table) Keys() int {
 	}
 	return n
 }
+
+// GetLatest reads the newest committed version of key.
+func (t *Table) GetLatest(key uint64) ([]byte, Stamp, bool) {
+	r := t.Record(key, false)
+	if r == nil {
+		return nil, Stamp{}, false
+	}
+	return r.ReadLatest()
+}

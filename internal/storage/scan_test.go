@@ -185,18 +185,27 @@ func checkTable(t *testing.T, rnd *rand.Rand, tb *Table, m scanModel, top uint64
 	var latest []uint64
 	tb.ForEachLatest(func(k uint64, _ []byte, _ Stamp) { latest = append(latest, k) })
 	var exported []uint64
-	tb.exportAt("t", vclock.Vector{top}, func(_ string, k uint64, _ []byte, _ Stamp) bool {
+	tb.exportAt("t", vclock.Vector{top}, nil, func(_ string, k uint64, _ []byte, _ Stamp) bool {
 		exported = append(exported, k)
 		return true
 	})
-	var live []uint64
+	var even []uint64
+	tb.exportAt("t", vclock.Vector{top}, func(k uint64) bool { return k%2 == 0 }, func(_ string, k uint64, _ []byte, _ Stamp) bool {
+		even = append(even, k)
+		return true
+	})
+	var live, liveEven []uint64
 	for _, k := range keys {
 		if chain := m[k]; !chain[len(chain)-1].deleted {
 			live = append(live, k)
+			if k%2 == 0 {
+				liveEven = append(liveEven, k)
+			}
 		}
 	}
-	if !slices.Equal(latest, live) || !slices.Equal(exported, live) {
-		t.Fatalf("full walks: ForEachLatest %d keys, exportAt %d, model %d (or out of order)", len(latest), len(exported), len(live))
+	if !slices.Equal(latest, live) || !slices.Equal(exported, live) || !slices.Equal(even, liveEven) {
+		t.Fatalf("full walks: ForEachLatest %d keys, exportAt %d (%d even), model %d (%d even) (or out of order)",
+			len(latest), len(exported), len(even), len(live), len(liveEven))
 	}
 }
 

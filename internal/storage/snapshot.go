@@ -24,25 +24,39 @@ import (
 // table by table. Rows whose visible version is a tombstone (or that have
 // no version at or before svv and no retained newer version) are skipped:
 // an absent row and a deleted row are indistinguishable to readers, and
-// suffix replay re-installs any post-svv tombstone. fn returning false
-// stops the walk early; ExportAt reports whether the walk completed.
-func (s *Store) ExportAt(svv vclock.Vector, fn func(table string, key uint64, data []byte, stamp Stamp) bool) bool {
+// suffix replay re-installs any post-svv tombstone. A non-nil match limits
+// the walk to the rows it accepts (one partition's, for a replica's
+// bootstrap); it runs under the table's index lock, before any record is
+// read, and must not use the store. fn returning false stops the walk
+// early; ExportAt reports whether the walk completed.
+func (s *Store) ExportAt(svv vclock.Vector, match func(table string, key uint64) bool, fn func(table string, key uint64, data []byte, stamp Stamp) bool) bool {
 	for _, name := range s.TableNames() {
 		t := s.Table(name)
 		if t == nil {
 			continue
 		}
-		if !t.exportAt(name, svv, fn) {
+		var keep func(key uint64) bool
+		if match != nil {
+			keep = func(key uint64) bool { return match(name, key) }
+		}
+		if !t.exportAt(name, svv, keep, fn) {
 			return false
 		}
 	}
 	return true
 }
 
-// exportAt walks one table in key order. The index entries are copied out
-// under the index read lock (see walk); version reads and fn run outside it.
-func (t *Table) exportAt(name string, svv vclock.Vector, fn func(table string, key uint64, data []byte, stamp Stamp) bool) bool {
-	for _, e := range t.refs(0, math.MaxUint64) {
+// exportAt walks one table in key order, limited to the keys keep accepts
+// unless keep is nil. The index entries are copied out under the index read
+// lock (see walk and refsMatching); version reads and fn run outside it.
+func (t *Table) exportAt(name string, svv vclock.Vector, keep func(key uint64) bool, fn func(table string, key uint64, data []byte, stamp Stamp) bool) bool {
+	var refs []recRef
+	if keep == nil {
+		refs = t.refs(0, math.MaxUint64)
+	} else {
+		refs = t.refsMatching(keep)
+	}
+	for _, e := range refs {
 		if data, stamp, ok := e.rec.ExportAt(svv); ok && !fn(name, e.key, data, stamp) {
 			return false
 		}

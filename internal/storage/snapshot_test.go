@@ -23,7 +23,7 @@ func TestExportAtRoundtrip(t *testing.T) {
 
 	dst := NewStore(0)
 	n := 0
-	if !src.ExportAt(svv, func(table string, key uint64, data []byte, stamp Stamp) bool {
+	if !src.ExportAt(svv, nil, func(table string, key uint64, data []byte, stamp Stamp) bool {
 		dst.ImportRow(table, key, data, stamp)
 		n++
 		return true
@@ -50,7 +50,7 @@ func TestExportAtStopsEarly(t *testing.T) {
 		})
 	}
 	n := 0
-	done := src.ExportAt(vclock.Vector{50}, func(string, uint64, []byte, Stamp) bool {
+	done := src.ExportAt(vclock.Vector{50}, nil, func(string, uint64, []byte, Stamp) bool {
 		n++
 		return n < 10
 	})
@@ -75,7 +75,7 @@ func TestExportAtEvictedVersionFallsForward(t *testing.T) {
 
 	var got []byte
 	var stamp Stamp
-	s.ExportAt(snap, func(_ string, _ uint64, data []byte, st Stamp) bool {
+	s.ExportAt(snap, nil, func(_ string, _ uint64, data []byte, st Stamp) bool {
 		got, stamp = data, st
 		return true
 	})
@@ -117,7 +117,7 @@ func TestExportAtConcurrentWriters(t *testing.T) {
 	}()
 
 	n := 0
-	s.ExportAt(svv, func(_ string, _ uint64, data []byte, st Stamp) bool {
+	s.ExportAt(svv, nil, func(_ string, _ uint64, data []byte, st Stamp) bool {
 		n++
 		// Origin-1 writes are invisible at svv and cannot evict the seed, so
 		// every exported version must be the seed.

@@ -142,15 +142,6 @@ func (t *Table) GetChecked(key uint64, snap vclock.Vector) (data []byte, ok, evi
 	return r.ReadChecked(snap)
 }
 
-// GetLatest reads the newest committed version of key.
-func (t *Table) GetLatest(key uint64) ([]byte, Stamp, bool) {
-	r := t.Record(key, false)
-	if r == nil {
-		return nil, Stamp{}, false
-	}
-	return r.ReadLatest()
-}
-
 // KV is one row produced by a scan.
 type KV struct {
 	Key   uint64
@@ -227,6 +218,24 @@ func (t *Table) refs(lo, last uint64) []recRef {
 	})
 }
 
+// refsMatching returns the index entries whose keys match accepts, in key
+// order. It reads the index in place under its read lock, so the entries
+// it skips cost one match call and no copy; match must not use the table.
+func (t *Table) refsMatching(match func(key uint64) bool) []recRef {
+	x := &t.idx
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	var out []recRef
+	for _, run := range x.runs {
+		for _, e := range run {
+			if match(e.key) {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
 // Scan returns all visible rows with lo <= key < hi at snapshot snap, in
 // key order.
 func (t *Table) Scan(lo, hi uint64, snap vclock.Vector) []KV {
@@ -284,13 +293,15 @@ func (t *Table) RemoveMatching(match func(key uint64) bool) int {
 	runs := x.runs[:0]
 	for _, run := range x.runs {
 		kept := 0
-		for _, e := range run {
+		for i, e := range run {
 			if match(e.key) {
 				t.recs.Delete(e.key)
 				removed++
 				continue
 			}
-			run[kept] = e
+			if kept != i {
+				run[kept] = e // only a shifted entry is written
+			}
 			kept++
 		}
 		clear(run[kept:]) // drop the index's references to the removed records

@@ -1,9 +1,10 @@
-// Package systems defines the common abstraction all five evaluated
-// database architectures implement — DynaMast and the four comparators
+// Package systems defines the interface types every evaluated database
+// architecture implements — DynaMast and the four comparators
 // (single-master, multi-master, partition-store, LEAP) — so workloads and
-// the benchmark harness are system-agnostic, mirroring the paper's
-// methodology of implementing every alternative design within the DynaMast
-// framework (§VI-A1).
+// the benchmark harness are system-agnostic. Every one of them is a
+// configuration of core.Cluster, mirroring the paper's methodology of
+// implementing every alternative design within the DynaMast framework
+// (§VI-A1); the comparators' routing rules live in internal/bench.
 package systems
 
 import (

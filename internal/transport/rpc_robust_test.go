@@ -284,7 +284,10 @@ func TestRPCConnectionWorkers(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// The extra workers are gone or parked; one of them keeps serving.
+	// The burst's handlers ran on goroutines of their own, and the
+	// rendezvous held its inline handler long enough for the watchdog to
+	// hand the read role on. Whichever goroutine holds the role now serves
+	// every lone request inline again, so serial calls share one goroutine.
 	serial("after the burst")
 }
 
