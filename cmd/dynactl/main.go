@@ -62,7 +62,7 @@
 //	                                   (-selector-shards > 1): one row per
 //	                                   router shard — leaseholder, lease epoch,
 //	                                   partitions owned and routes/sec — plus
-//	                                   cross-shard and placement-cache counters
+//	                                   cross-shard and local-routing counters
 package main
 
 import (
@@ -320,7 +320,8 @@ type selectorStats struct {
 
 // selectorScrape is one scrape of the selector control plane: the shard
 // count, per-shard HA/routing series keyed by shard index (-1 = unlabeled,
-// i.e. a single-router deployment), and the cross-shard/cache counters.
+// i.e. a single-router deployment), and the cross-shard/local-routing
+// counters.
 type selectorScrape struct {
 	shards      int
 	shard       map[int]*selectorStats
@@ -329,7 +330,6 @@ type selectorScrape struct {
 	cacheRoutes float64 // dynamast_selector_cache_routes_total{type="all"}
 	cacheMisses float64 // dynamast_selector_cache_misses_total
 	cacheStale  float64 // dynamast_selector_cache_stale_writes_total
-	cacheSize   float64 // dynamast_selector_cache_entries
 }
 
 func (sc *selectorScrape) at(shard int) *selectorStats {
@@ -432,8 +432,6 @@ func scrapeSelectorStats(addr string) (*selectorScrape, error) {
 			sc.cacheMisses = v
 		case "dynamast_selector_cache_stale_writes_total":
 			sc.cacheStale = v
-		case "dynamast_selector_cache_entries":
-			sc.cacheSize = v
 		}
 	}
 	return sc, nil
@@ -460,7 +458,7 @@ func printLeaseStats(st *selectorStats) {
 // state. For a sharded control plane it scrapes twice about a second apart
 // and prints one row per router shard — leaseholder, lease epoch,
 // partitions owned, and routes/sec over the window — plus the
-// cross-shard and placement-cache counters. For a single router it prints
+// cross-shard and local-routing counters. For a single router it prints
 // the classic HA leadership view.
 func runSelector(addr string) error {
 	before, err := scrapeSelectorStats(addr)
@@ -520,8 +518,8 @@ func runSelector(addr string) error {
 	}
 	fmt.Printf("cross-shard writes: %.0f, co-access hints exchanged: %.0f\n",
 		after.crossWrites, after.crossHints)
-	fmt.Printf("placement cache:    %.0f entries, %.0f cached routes (%.1f/s), %.0f misses, %.0f stale writes resubmitted\n",
-		after.cacheSize, after.cacheRoutes, (after.cacheRoutes-before.cacheRoutes)/window,
+	fmt.Printf("local routing:      %.0f local routes (%.1f/s), %.0f misses, %.0f stale writes retried\n",
+		after.cacheRoutes, (after.cacheRoutes-before.cacheRoutes)/window,
 		after.cacheMisses, after.cacheStale)
 	return nil
 }

@@ -102,8 +102,8 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the metrics listener")
 	epochInterval := flag.Duration("epoch-interval", dynamast.DefaultEpochInterval, "epoch group-commit seal interval: commits batch into epochs flushed and replicated as one coalesced record (0 = disabled, per-transaction records)")
 	selectorLease := flag.Duration("selector-lease", 0, "selector leadership lease TTL: enables lease-fenced leader failover onto a standby selector (0 = disabled; implies at least 2 selector replicas)")
-	selectorReplicas := flag.Int("selector-replicas", 0, "standby selectors per router shard: lease contenders that hold no state and, when promoted, rebuild placement from the last checkpoint and the WAL; any standby turns on the sessions' gossiped placement cache (0 = stand-alone selector, or 2 when -selector-lease is set)")
-	selectorShards := flag.Int("selector-shards", 1, "independent router shards in the selector control plane, each owning a contiguous partition-range with its own lease and epoch allocator; above 1, sessions route off a gossiped placement cache (1 = classic single router)")
+	selectorReplicas := flag.Int("selector-replicas", 0, "standby selectors per router shard: lease contenders that hold no state and, when promoted, rebuild placement from the last checkpoint and the WAL; with any standby, sessions route reads and single-sited writes locally from the leader's partition map (0 = stand-alone selector, or 2 when -selector-lease is set)")
+	selectorShards := flag.Int("selector-shards", 1, "independent router shards in the selector control plane, each owning a contiguous partition-range with its own lease and epoch allocator; above 1, sessions route reads and single-sited writes locally from the shard leaders' partition maps (1 = classic single router)")
 	replFactor := flag.String("replication-factor", "", "partial replication bounds per partition, \"min\" or \"min:max\" replicas (empty = classic full replication)")
 	weightsName := flag.String("weights", "ycsb", "remastering-strategy hyperparameters (Equation 8): ycsb, tpcc or smallbank")
 	placementPolicy := flag.String("placement-policy", "adaptive", "replica placement policy under -replication-factor: adaptive (read-weight driven) or full (every partition everywhere)")
@@ -218,7 +218,7 @@ func main() {
 			*selectorLease, cluster.SelectorReplicas())
 	}
 	if *selectorShards > 1 {
-		fmt.Printf("dynamastd: selector control plane sharded %d ways, gossiped placement cache on\n",
+		fmt.Printf("dynamastd: selector control plane sharded %d ways, local session routing on\n",
 			*selectorShards)
 	}
 	if *checkpointEvery > 0 || *checkpointRecords > 0 {

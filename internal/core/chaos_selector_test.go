@@ -303,12 +303,12 @@ func TestChaosSelectorLeaderKill(t *testing.T) {
 	}
 }
 
-// TestReplicaResubmitAfterRemaster covers the ErrNotMaster resubmit path
-// on a one-shard control plane with a standby, under delay faults on the
-// routing wire: the front's cached location goes stale, the data site
-// rejects the routed transaction, and the session's resubmit through the
-// front commits exactly once and leaves the cache pointing at the new
-// master (see staleCacheWriteRecovers).
+// TestReplicaResubmitAfterRemaster covers the stale local route's retry
+// path on a one-shard control plane with a standby, under delay faults on
+// the routing wire: a remaster chain in flight leaves the local route
+// naming the source, the data site rejects the routed transaction, and the
+// session's retry through the router commits exactly once (see
+// staleCacheWriteRecovers).
 func TestReplicaResubmitAfterRemaster(t *testing.T) {
 	inj := transport.NewInjector(7)
 	inj.SetRules(transport.Rule{Category: transport.CatRoute, Kind: transport.FaultDelay, Prob: 1, Delay: 50 * time.Microsecond})
@@ -323,16 +323,16 @@ func TestReplicaResubmitAfterRemaster(t *testing.T) {
 }
 
 // TestFailoverRefreshesReplicaCaches is the regression test for failover
-// leaving cached routes pointing at the dead site: the failover's
-// re-registrations publish on the delta feed, so the front's cache already
-// names every orphaned partition's heir and post-failover writes route
-// correctly on the first attempt instead of bouncing off ErrNotMaster (or
-// hanging on a site that can no longer answer at all).
+// leaving local routes pointing at the dead site: the failover's
+// re-registrations flip the shard's hints, so the front's local route
+// already names every orphaned partition's heir and post-failover writes
+// route correctly on the first attempt instead of bouncing off ErrNotMaster
+// (or hanging on a site that can no longer answer at all).
 func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 	c := newShardedCluster(t, 3, 1, func(cfg *Config) { cfg.SelectorReplicas = 1 })
 	sess := c.Session(0)
 
-	// Route every partition once so the cache holds its location.
+	// Route every partition once so its shard has seen it.
 	for p := uint64(0); p < 10; p++ {
 		key := ref(p * 100)
 		if err := sess.Update([]storage.RowRef{key}, func(tx systems.Tx) error {
@@ -344,7 +344,7 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 	victim := c.Group().MasterOf(0)
 	victimParts := make([]uint64, 0, 4)
 	for p := uint64(0); p < 10; p++ {
-		if r, ok := probeCachedWrite(c, 0, ref(p*100)); ok && r.Site == victim {
+		if r, ok := probeLocalWrite(c, 0, ref(p*100)); ok && r.Site == victim {
 			victimParts = append(victimParts, p)
 		}
 	}
@@ -357,20 +357,20 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The cache must already point every orphaned partition at its heir —
-	// no stale entries at the dead site.
+	// The local route must already point every orphaned partition at its
+	// heir — no stale hint at the dead site.
 	for _, p := range victimParts {
-		r, ok := probeCachedWrite(c, 0, ref(p*100))
+		r, ok := probeLocalWrite(c, 0, ref(p*100))
 		if !ok {
-			t.Fatalf("cache has no live route for partition %d (still at the dead site?)", p)
+			t.Fatalf("no live local route for partition %d (still at the dead site?)", p)
 		}
 		if want := c.Group().MasterOf(p); r.Site != want {
-			t.Fatalf("cache: partition %d at %d, selector says %d", p, r.Site, want)
+			t.Fatalf("local route: partition %d at %d, selector says %d", p, r.Site, want)
 		}
 	}
 
-	// First-attempt routing: the writes succeed from the cache without a
-	// single stale-metadata resubmit.
+	// First-attempt routing: the writes succeed locally without a single
+	// stale-metadata retry.
 	stale, hits := cacheSeries(c, cacheStaleWrites), cacheSeries(c, cacheRoutes, cacheWrites)
 	for _, p := range victimParts {
 		key := ref(p * 100)
@@ -381,9 +381,9 @@ func TestFailoverRefreshesReplicaCaches(t *testing.T) {
 		}
 	}
 	if got := cacheSeries(c, cacheStaleWrites) - stale; got != 0 {
-		t.Fatalf("%d stale-metadata resubmits after failover, want 0 (the cache should be pre-refreshed)", got)
+		t.Fatalf("%d stale-metadata retries after failover, want 0 (the hints should be flipped)", got)
 	}
 	if got := cacheSeries(c, cacheRoutes, cacheWrites) - hits; got != uint64(len(victimParts)) {
-		t.Fatalf("cache served %d of %d post-failover writes", got, len(victimParts))
+		t.Fatalf("%d of %d post-failover writes routed locally", got, len(victimParts))
 	}
 }

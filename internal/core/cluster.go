@@ -71,18 +71,18 @@ type Config struct {
 	// standby holds no state: under SelectorLease it contends for the lease
 	// and, on promotion, rebuilds the map from the last checkpoint and the
 	// WAL. With any standby (or several shards) sessions route reads and
-	// single-sited writes off a gossiped placement cache, and only
-	// remastering decisions reach a leader. 0 keeps the stand-alone
-	// selector.
+	// single-sited writes locally from the shard leaders' own partition
+	// maps, and only remastering decisions reach a leader. 0 keeps the
+	// stand-alone selector.
 	SelectorReplicas int
 	// SelectorShards, when above 1, splits the selector control plane into
 	// that many independent router shards, each owning a contiguous range
 	// of the partition-id hash space (selector.RouterShardOf) with its own
 	// routing loop, statistics stripes, placement controller, and — under
 	// SelectorLease — its own lease and remaster-epoch allocator. Sessions
-	// route reads (and optimistically route writes) off a gossiped
-	// placement cache without touching any router. 0 or 1 keeps the single
-	// router. Use WithSelectorShards.
+	// route reads (and optimistically route writes) locally without
+	// touching any router. 0 or 1 keeps the single router. Use
+	// WithSelectorShards.
 	SelectorShards int
 	// SelectorLease, when positive, puts the selector tier under
 	// lease-based leadership (high availability): the leader renews a lease
@@ -370,14 +370,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c.repl = c.repls[0]
 
 	// The group dispatches control-plane calls by partition owner and owns
-	// the sessions' front, whose placement cache exists whenever the control
-	// plane has more than one node (shards or standbys). Built before
-	// EnableHA so every shard's lease goroutine starts after c.group is
-	// assigned.
+	// the sessions' front, which routes locally whenever the control plane
+	// has more than one node (shards or standbys). Built before EnableHA so
+	// every shard's lease goroutine starts after c.group is assigned.
 	c.group, err = selector.NewGroup(selector.GroupConfig{
-		Shards:         c.repls,
-		GossipInterval: cfg.PlacementInterval, // reuse the placement cadence knob; 0 = default
-		Obs:            c.obs,
+		Shards: c.repls,
+		Obs:    c.obs,
 	})
 	if err != nil {
 		c.broker.Close()
@@ -564,8 +562,9 @@ func (c *Cluster) SelectorShardHA(i int) *selector.HA { return c.repls[i].HA() }
 // KillSelector simulates a crash of the selector node currently holding
 // shard 0's leadership and returns its id (0 = initial master, i+1 =
 // standby i). The lease expires unrenewed and a surviving standby
-// promotes; until then writes the front's cache cannot route fail fast with
-// the retryable selector.ErrNoLeader while reads keep flowing. Requires HA.
+// promotes; until then writes that need a router fail fast with the
+// retryable selector.ErrNoLeader, while reads and single-sited writes the
+// front routes locally keep flowing. Requires HA.
 func (c *Cluster) KillSelector() int { return c.KillSelectorShard(0) }
 
 // KillSelectorShard crashes the current leaseholder of router shard i and
@@ -619,7 +618,6 @@ func (c *Cluster) Close() {
 			ctl.Stop() // no replica moves during teardown
 		}
 		c.slo.Stop()
-		c.group.Stop() // cache gossip stops before the selectors go away
 		for _, repl := range c.repls {
 			if ha := repl.HA(); ha != nil {
 				ha.Stop() // no promotions during teardown

@@ -278,9 +278,9 @@ func (c *Cluster) failoverShard(si, dead int, parts []uint64, survivors []int, r
 			if c.afterFailoverGrant != nil {
 				c.afterFailoverGrant()
 			}
-			// Registration publishes on the shard's delta feed, so the
-			// front's placement cache stops pointing at the dead site
-			// before any write bounces off it.
+			// Registration flips the shard's hints, so the front's local
+			// route stops pointing at the dead site before any write
+			// bounces off it.
 			for _, p := range ids {
 				sel.RegisterPartitionEpoch(p, heir, epoch)
 			}

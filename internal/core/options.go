@@ -108,9 +108,9 @@ func WithFailureDetection(fd FailureDetectionConfig) Option {
 
 // WithSelectorReplicas sets the number of standby selectors behind each
 // router shard's leader (Appendix I). Standbys hold no state; with any
-// standby, sessions route reads and single-sited writes off the gossiped
-// placement cache. Under WithSelectorLease a standby promotes when the
-// leader's lease expires.
+// standby, sessions route reads and single-sited writes locally from the
+// leader's partition map. Under WithSelectorLease a standby promotes when
+// the leader's lease expires.
 func WithSelectorReplicas(n int) Option {
 	return optionFunc(func(c *Config) { c.SelectorReplicas = n })
 }
@@ -119,9 +119,9 @@ func WithSelectorReplicas(n int) Option {
 // router shards, each owning a contiguous range of the partition-id hash
 // space (selector.RouterShardOf) with its own routing loop, statistics
 // stripes, placement controller, and — under WithSelectorLease — its own
-// lease and remaster-epoch allocator. Sharded deployments also run the
-// gossiped placement cache: sessions route reads, and optimistically route
-// writes, without touching any router. n <= 1 keeps the single-router
+// lease and remaster-epoch allocator. In sharded deployments sessions also
+// route reads, and optimistically route writes, locally without touching
+// any router. n <= 1 keeps the single-router
 // selector (the default, wire-identical to earlier versions); n above
 // selector.MaxRouterShards is an error.
 func WithSelectorShards(n int) Option {

@@ -138,17 +138,17 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 		t0 := time.Now()
 		var route selector.Route
 		var err error
-		// With a placement cache, a first attempt whose write set is cached
-		// single-sited routes with zero selector RPCs (both
-		// begin_transaction legs skipped). A stale cache answer is safe: the
+		// On a multi-node control plane, a first attempt whose write set is
+		// single-sited routes locally with zero selector RPCs (both
+		// begin_transaction legs skipped). A stale local route is safe: the
 		// data site bounces it (ErrNotMaster/ErrStaleEpoch) and the retry
-		// resubmits authoritatively through the owning router shard.
-		cached := false
+		// routes through the owning router shard.
+		local := false
 		if attempt == 0 {
-			route, cached = s.router.CachedWrite(s.id, writeSet)
+			route, local = s.router.LocalWrite(s.id, writeSet)
 		}
 		t1 := time.Now()
-		if !cached {
+		if !local {
 			// begin_transaction round trip to the site selector.
 			c.net.Send(transport.CatRoute, transport.MsgOverhead+transport.SizeOfRefs(writeSet))
 			t1 = time.Now()
@@ -170,7 +170,7 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 			return fmt.Errorf("core: route: %w", err)
 		}
 		t2 := time.Now()
-		if !cached {
+		if !local {
 			c.net.Send(transport.CatRoute, transport.MsgOverhead+transport.SizeOfVector(route.MinVV))
 		}
 
@@ -249,8 +249,8 @@ func (s *Session) UpdateCtx(ctx context.Context, writeSet []storage.RowRef, fn f
 // round runs in a goroutine and the wait is abandoned on cancellation; the
 // chain itself always runs to completion (or rolls back) in the background,
 // so abandoning the wait never tears mastership — the client just no longer
-// observes the result. A retry resubmits through the front after a data
-// site rejected the transaction on stale cached metadata (Appendix I).
+// observes the result. A retry follows a data site's rejection of a stale
+// route (Appendix I).
 func (s *Session) routeCtx(ctx context.Context, attempt int, writeSet []storage.RowRef, sc obs.SpanContext) (selector.Route, error) {
 	if ctx.Done() == nil {
 		return s.route(attempt, writeSet, s.cvv, sc)
@@ -273,13 +273,9 @@ func (s *Session) routeCtx(ctx context.Context, attempt int, writeSet []storage.
 	}
 }
 
-// route is one authoritative routing decision; a retry goes through the
-// front's Resubmit so a stale cached entry learns the answer.
+// route is one routing decision by the owning router shards.
 func (s *Session) route(attempt int, writeSet []storage.RowRef, cvv vclock.Vector, sc obs.SpanContext) (selector.Route, error) {
-	if attempt > 0 {
-		return s.router.Resubmit(s.id, writeSet, cvv, sc)
-	}
-	return s.router.Write(s.id, writeSet, cvv, sc)
+	return s.router.Write(s.id, writeSet, cvv, sc, attempt)
 }
 
 // beginCtx runs Begin, which blocks until the site can serve the
@@ -415,17 +411,16 @@ func (s *Session) ReadHintedCtx(ctx context.Context, hint []storage.RowRef, fn f
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// First attempt consults the gossiped placement cache: a hit routes
-		// the read with zero selector RPCs. A stale replica set bounces with
-		// ErrNotHosted below, and the retry routes authoritatively.
-		var route selector.Route
-		cached := false
-		if attempt == 0 {
-			route, cached = s.router.CachedRead(s.id, s.cvv, parts)
-		}
-		if !cached {
+		// On a multi-node control plane the first attempt routes locally,
+		// with zero selector RPCs; a retry charges the router round trip. A
+		// replica set that changed under the route bounces with ErrNotHosted
+		// below.
+		local := attempt == 0 && s.router.Local()
+		if !local {
 			c.net.Send(transport.CatRoute, transport.MsgOverhead)
-			route = s.router.Read(s.id, s.cvv, parts)
+		}
+		route := s.router.Read(s.id, s.cvv, parts, attempt)
+		if !local {
 			c.net.Send(transport.CatRoute, transport.MsgOverhead)
 		}
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"dynamast/internal/obs"
 	"dynamast/internal/selector"
+	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 	"dynamast/internal/systems"
 	"dynamast/internal/transport"
@@ -18,8 +20,8 @@ import (
 
 // Sharded selector control plane: end-to-end coverage of WithSelectorShards.
 // The cluster splits routing, statistics, placement and (under HA) leases
-// across N independent router shards, and sessions route off a gossiped
-// placement cache with zero selector RPCs in steady state.
+// across N independent router shards, and sessions route reads and
+// single-sited writes locally, with zero selector RPCs in steady state.
 
 func newShardedCluster(t *testing.T, sites, shards int, mutate func(*Config)) *Cluster {
 	t.Helper()
@@ -47,7 +49,7 @@ func newShardedCluster(t *testing.T, sites, shards int, mutate func(*Config)) *C
 }
 
 // routeMessages returns the CatRoute message count: the session <-> selector
-// begin_transaction traffic the placement cache is meant to eliminate.
+// begin_transaction traffic local routing eliminates.
 func routeMessages(c *Cluster) uint64 {
 	for _, st := range c.Network().Stats() {
 		if st.Category == transport.CatRoute {
@@ -70,8 +72,8 @@ func TestSelectorShardsValidation(t *testing.T) {
 	if got := c.SelectorShardCount(); got != 1 {
 		t.Fatalf("default shard count = %d, want 1", got)
 	}
-	if _, ok := c.Obs().Snapshot().Value(cacheEntries); ok {
-		t.Fatal("single-shard cluster built a placement cache")
+	if _, ok := c.Obs().Snapshot().Value(cacheRoutes, cacheWrites); ok {
+		t.Fatal("single-shard cluster routes locally")
 	}
 }
 
@@ -80,8 +82,8 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 	if got := c.SelectorShardCount(); got != 4 {
 		t.Fatalf("shard count = %d, want 4", got)
 	}
-	if _, ok := c.Obs().Snapshot().Value(cacheEntries); !ok {
-		t.Fatal("sharded cluster did not enable the placement cache")
+	if _, ok := c.Obs().Snapshot().Value(cacheRoutes, cacheWrites); !ok {
+		t.Fatal("sharded cluster did not enable local routing")
 	}
 
 	// Writes across every shard's partition range, including cross-shard
@@ -165,21 +167,11 @@ func TestShardedClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCachedRoutingZeroRouterRPCs counter-verifies the tentpole's steady
-// state: once the gossiped cache holds the placement, session reads — and
-// single-partition writes — route with zero CatRoute messages.
+// TestCachedRoutingZeroRouterRPCs counter-verifies the sharded steady
+// state: session reads — and single-partition writes to partitions a router
+// has seen — route locally with zero CatRoute messages.
 func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 	c := newShardedCluster(t, 3, 4, nil)
-
-	// Warm: loading registered partitions 0..9; wait for a gossip pull to
-	// copy them into the cache.
-	deadline := time.Now().Add(5 * time.Second)
-	for cacheSeries(c, cacheEntries) < 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cache never warmed: %d entries", cacheSeries(c, cacheEntries))
-		}
-		time.Sleep(time.Millisecond)
-	}
 
 	sess := c.Session(2)
 	// One write to set the session's cvv, outside the measured window.
@@ -192,7 +184,7 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Steady-state reads: zero router RPCs, every one served by the cache.
+	// Steady-state reads: zero router RPCs, every one routed locally.
 	readsBefore, msgsBefore := cacheSeries(c, cacheRoutes, cacheReads), routeMessages(c)
 	for i := 0; i < 50; i++ {
 		if err := sess.Read(func(tx systems.Tx) error {
@@ -206,7 +198,7 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 		t.Fatalf("%d CatRoute messages during cached reads, want 0", d)
 	}
 	if d := cacheSeries(c, cacheRoutes, cacheReads) - readsBefore; d < 50 {
-		t.Fatalf("cache served %d of 50 reads", d)
+		t.Fatalf("%d of 50 reads routed locally", d)
 	}
 
 	// Steady-state single-partition writes: also zero router RPCs.
@@ -219,15 +211,41 @@ func TestCachedRoutingZeroRouterRPCs(t *testing.T) {
 		}
 	}
 	if d := routeMessages(c) - msgsBefore; d != 0 {
-		t.Fatalf("%d CatRoute messages during cached writes, want 0", d)
+		t.Fatalf("%d CatRoute messages during local writes, want 0", d)
 	}
 	if d := cacheSeries(c, cacheRoutes, cacheWrites) - writesBefore; d != 10 {
-		t.Fatalf("cache served %d of 10 writes", d)
+		t.Fatalf("%d of 10 writes routed locally", d)
 	}
 }
 
-// TestStaleCacheWriteRecovers drives the optimistic-write fallback on every
-// control-plane topology that has a placement cache.
+// TestOneNodeControlPlaneRoutesEveryTxn pins the paper's §IV round trip on a
+// one-node control plane: every update and every read asks the router, one
+// CatRoute request and one reply each.
+func TestOneNodeControlPlaneRoutesEveryTxn(t *testing.T) {
+	c := newShardedCluster(t, 2, 1, nil)
+	sess := c.Session(2)
+	before := routeMessages(c)
+	for i := 0; i < 10; i++ {
+		key := ref(uint64(i) * 100)
+		if err := sess.Update([]storage.RowRef{key}, func(tx systems.Tx) error {
+			return tx.Write(key, []byte{byte(i)})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Read(func(tx systems.Tx) error {
+			_, _ = tx.Read(key)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := routeMessages(c) - before; d != 40 {
+		t.Fatalf("%d CatRoute messages for 10 updates and 10 reads, want 40", d)
+	}
+}
+
+// TestStaleCacheWriteRecovers drives a stale local write route on every
+// control-plane topology that routes locally.
 func TestStaleCacheWriteRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -244,108 +262,108 @@ func TestStaleCacheWriteRecovers(t *testing.T) {
 	}
 }
 
-// staleCacheWriteRecovers makes the cache's owner entry for partition 0 go
-// stale (an epoch-0 seed behind a higher cached epoch — the monotonic ingest
-// rightly refuses the rollback), then checks that the routed write bounces
-// off the former master with ErrNotMaster, the session's resubmit routes
-// authoritatively and commits exactly once, and the resubmit's answer is
-// learned: the cache points at the new master afterwards.
+// staleCacheWriteRecovers stops a remaster chain in the one window in which
+// a local write route is stale: the chain holds its partitions' exclusive
+// locks while its release waits for a writer at the source. A session write
+// to the releasing partition routes locally to the source, which rejects it;
+// the retry routes through the router shard and waits there for the chain.
+// Once the writer leaves, the chain completes and the session commits
+// exactly once at the new master.
 func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	t.Helper()
 	g := c.Group()
+	sites := c.Sites()
+
+	// Two partitions mastered at different sites.
+	a, b := uint64(0), uint64(1)
+	for g.MasterOf(b) == g.MasterOf(a) {
+		b++
+	}
+	masters := map[uint64]int{a: g.MasterOf(a), b: g.MasterOf(b)}
+
+	// A writer in flight on each: whichever partition the chain moves, its
+	// release waits for that partition's writer.
+	writers := make([]*sitemgr.Txn, 0, 2)
+	for _, p := range []uint64{a, b} {
+		tx, err := sites[masters[p]].Begin(nil, []storage.RowRef{ref(p*100 + 99)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writers = append(writers, tx)
+	}
+	chain := make(chan error, 1)
+	go func() {
+		_, err := g.RouterFor(9).RouteWrite(9, []storage.RowRef{ref(a * 100), ref(b * 100)}, nil)
+		chain <- err
+	}()
+
+	// The moving partition is the one whose master refuses new writers.
+	var moving uint64
+	for found := false; !found; {
+		for _, p := range []uint64{a, b} {
+			tx, err := sites[masters[p]].Begin(nil, []storage.RowRef{ref(p*100 + 98)})
+			switch {
+			case errors.Is(err, sitemgr.ErrReleasing):
+				moving, found = p, true
+			case err != nil:
+				t.Fatal(err)
+			default:
+				tx.Abort()
+			}
+		}
+		select {
+		case err := <-chain:
+			t.Fatalf("chain returned (%v) without waiting for a writer", err)
+		default:
+		}
+		runtime.Gosched()
+	}
+
+	key := ref(moving*100 + 2)
 	sess := c.Session(3)
-
-	// Remaster partition 0 under an allocated (nonzero) epoch so its cache
-	// entry carries that epoch: the shard's delta feed publishes the move.
-	cur := g.MasterOf(0)
-	dest := 1 - cur
-	epoch, err := g.ShardFor(0).AllocEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := c.Sites()[cur].Release([]uint64{0}, dest, epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sites()[dest].Grant([]uint64{0}, rel, cur, epoch); err != nil {
-		t.Fatal(err)
-	}
-	g.RegisterPartitionEpoch(0, dest, epoch)
-
-	// Wait until the delta feed (or gossip) has cached partition 0 at dest.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if r, ok := probeCachedWrite(c, 3, ref(2)); ok && r.Site == dest {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cache never learned the remastered placement")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Move partition 0 back behind the cache's back: a site-level transfer
-	// plus an epoch-0 selector seed. The selector map follows (seeds are
-	// authoritative); the cache's monotonic ingest refuses the epoch
-	// rollback and keeps routing at dest — stale.
-	other := 1 - dest
-	rel, err = c.Sites()[dest].Release([]uint64{0}, other, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sites()[other].Grant([]uint64{0}, rel, dest, 0); err != nil {
-		t.Fatal(err)
-	}
-	g.RegisterPartitionEpoch(0, other, 0)
-	if got := g.MasterOf(0); got != other {
-		t.Fatalf("selector did not follow the seed: master %d, want %d", got, other)
-	}
-	// A gossip pull that snapshotted the placement before the move-back
-	// would, if it landed after the resubmit's learn below, restore dest at
-	// the same epoch. Pulls run one at a time on the cache loop, so once the
-	// pull counter has advanced past its value here, every such pull has
-	// been applied.
-	pulls := func() float64 {
-		v, _ := c.Obs().Snapshot().Value("dynamast_selector_cache_gossip_total")
-		return v
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for start := pulls(); pulls() <= start; {
-		if time.Now().After(deadline) {
-			t.Fatal("placement cache gossip stopped pulling")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if r, ok := probeCachedWrite(c, 3, ref(2)); !ok || r.Site != dest {
-		t.Fatalf("cache route = %+v/%v, want the stale site %d", r, ok, dest)
-	}
-
 	before := c.Stats().Commits
 	staleBefore := cacheSeries(c, cacheStaleWrites)
-	if err := sess.Update([]storage.RowRef{ref(2)}, func(tx systems.Tx) error {
-		v, _ := tx.Read(ref(2))
-		var n byte
-		if len(v) > 0 {
-			n = v[0]
+	done := make(chan error, 1)
+	go func() {
+		done <- sess.Update([]storage.RowRef{key}, func(tx systems.Tx) error {
+			v, _ := tx.Read(key)
+			var n byte
+			if len(v) > 0 {
+				n = v[0]
+			}
+			return tx.Write(key, []byte{n + 1})
+		})
+	}()
+	for cacheSeries(c, cacheStaleWrites) == staleBefore {
+		select {
+		case err := <-done:
+			t.Fatalf("session write returned (%v) without a retry", err)
+		default:
 		}
-		return tx.Write(ref(2), []byte{n + 1})
-	}); err != nil {
-		t.Fatalf("stale-cache write did not recover: %v", err)
+		runtime.Gosched()
+	}
+	for _, tx := range writers {
+		tx.Abort()
+	}
+	if err := <-chain; err != nil {
+		t.Fatalf("remaster chain: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("stale local write did not recover: %v", err)
 	}
 	if got := c.Stats().Commits; got != before+1 {
 		t.Fatalf("commits went %d -> %d, want exactly one more", before, got)
 	}
-	if cacheSeries(c, cacheStaleWrites) == staleBefore {
-		t.Fatal("recovery did not go through the stale-cache resubmit path")
+	if got := g.MasterOf(moving); got == masters[moving] {
+		t.Fatalf("partition %d still mastered at %d after the chain", moving, got)
 	}
-	// The resubmit's authoritative answer replaced the stale entry.
-	if r, ok := probeCachedWrite(c, 3, ref(2)); !ok || r.Site != other {
-		t.Fatalf("cache route after the resubmit = %+v/%v, want the new master %d", r, ok, other)
+	if r, ok := probeLocalWrite(c, 3, key); !ok || r.Site != g.MasterOf(moving) {
+		t.Fatalf("local route after the chain = %+v/%v, want the new master %d", r, ok, g.MasterOf(moving))
 	}
 	if err := sess.Read(func(tx systems.Tx) error {
-		v, _ := tx.Read(ref(2))
-		if len(v) != 1 || v[0] != 3 {
-			return fmt.Errorf("value = %v, want [3] (loaded 2 + one increment)", v)
+		v, _ := tx.Read(key)
+		if want := byte(moving*100+2) + 1; len(v) != 1 || v[0] != want {
+			return fmt.Errorf("value = %v, want [%d] (loaded value + one increment)", v, want)
 		}
 		return nil
 	}); err != nil {
@@ -353,9 +371,8 @@ func staleCacheWriteRecovers(t *testing.T, c *Cluster) {
 	}
 }
 
-// The front's placement-cache series, read back from the cluster registry.
+// The front's local-routing series, read back from the cluster registry.
 const (
-	cacheEntries     = "dynamast_selector_cache_entries"
 	cacheRoutes      = "dynamast_selector_cache_routes_total"
 	cacheStaleWrites = "dynamast_selector_cache_stale_writes_total"
 )
@@ -365,16 +382,17 @@ var (
 	cacheWrites = obs.L("type", "write")
 )
 
-// cacheSeries reads one placement-cache series (0 without a cache).
+// cacheSeries reads one local-routing series (0 on a one-node control
+// plane).
 func cacheSeries(c *Cluster, name string, labels ...obs.Label) uint64 {
 	v, _ := c.Obs().Snapshot().Value(name, labels...)
 	return uint64(v)
 }
 
-// probeCachedWrite asks the session front what the cache would answer for a
-// write, without committing anything.
-func probeCachedWrite(c *Cluster, client int, key storage.RowRef) (selector.Route, bool) {
-	return c.Group().RouterFor(client).CachedWrite(client, []storage.RowRef{key})
+// probeLocalWrite asks the session front where it would route a write
+// locally, without committing anything.
+func probeLocalWrite(c *Cluster, client int, key storage.RowRef) (selector.Route, bool) {
+	return c.Group().RouterFor(client).LocalWrite(client, []storage.RowRef{key})
 }
 
 // TestShardedRemasterCollidingEpochs is the regression test for remaster

@@ -50,7 +50,6 @@ func newFakeGroup(tb testing.TB, sites []DataSite, shards int, w Weights, stats 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(g.Stop)
 	return g
 }
 

@@ -1,20 +1,23 @@
 package selector
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"dynamast/internal/obs"
+	"dynamast/internal/sitemgr"
 	"dynamast/internal/storage"
 )
 
 // routeLikeSession routes a write the way core.Session does on a first
-// attempt: from the front's cache when it can, else authoritatively.
+// attempt: locally when it can, else through the routers.
 func routeLikeSession(t *testing.T, front *Front, client int, ws []storage.RowRef) (Route, bool) {
 	t.Helper()
-	if r, ok := front.CachedWrite(client, ws); ok {
+	if r, ok := front.LocalWrite(client, ws); ok {
 		return r, true
 	}
-	r, err := front.Write(client, ws, nil, obs.SpanContext{})
+	r, err := front.Write(client, ws, nil, obs.SpanContext{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,21 +26,21 @@ func routeLikeSession(t *testing.T, front *Front, client int, ws []storage.RowRe
 
 func TestReplicatedRouterAssignment(t *testing.T) {
 	stats := StatsConfig{HistorySize: 128}
-	// One shard, no standbys: a one-node control plane, no cache.
+	// One shard, no standbys: a one-node control plane, no local routing.
 	g0, _ := newShardedGroup(t, 2, 1, 0, stats)
-	if g0.cache != nil {
-		t.Fatal("one-node control plane built a placement cache")
+	if g0.RouterFor(0).Local() {
+		t.Fatal("one-node control plane routes locally")
 	}
 	if g0.RouterFor(0) != g0.RouterFor(1) {
 		t.Fatal("clients were handed different fronts")
 	}
-	// A standby tier makes the control plane multi-node: the front caches.
+	// A standby tier makes the control plane multi-node: the front is local.
 	g1, _ := newShardedGroup(t, 2, 1, 2, stats)
 	if g1.repls[0].Standbys() != 2 {
 		t.Fatal("standby count")
 	}
-	if g1.cache == nil || g1.RouterFor(3).c != g1.cache {
-		t.Fatal("standby tier did not give the front a placement cache")
+	if !g1.RouterFor(3).Local() {
+		t.Fatal("standby tier did not make the front local")
 	}
 }
 
@@ -45,26 +48,23 @@ func TestReplicaFastPathAvoidsMaster(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 1, 1, StatsConfig{HistorySize: 128})
 	front := g.RouterFor(1)
 
-	// The first write materializes partition 0 through the selector, whose
-	// delta feed caches it; the second is served from the cache.
+	// The first write materializes partition 0 through the selector; the
+	// second is routed locally from its hint.
 	ws := []storage.RowRef{ref(1), ref(50)}
-	if _, cached := routeLikeSession(t, front, 1, ws); cached {
-		t.Fatal("cache served a partition no router had seen")
+	if _, local := routeLikeSession(t, front, 1, ws); local {
+		t.Fatal("local route served a partition no router had seen")
 	}
 	writes := g.Metrics().WriteTxns
-	route, cached := routeLikeSession(t, front, 1, ws)
-	if !cached || route.Site != 0 || route.Remastered {
-		t.Fatalf("route = %+v cached=%v, want a cached route to site 0", route, cached)
-	}
-	if g.cache.Size() == 0 {
-		t.Fatal("cache holds nothing")
+	route, local := routeLikeSession(t, front, 1, ws)
+	if !local || route.Site != 0 || route.Remastered {
+		t.Fatalf("route = %+v local=%v, want a local route to site 0", route, local)
 	}
 	if g.Metrics().RemasterTxns != 0 {
 		t.Fatal("fast path reached the selector's remastering")
 	}
-	// The cached route is still counted.
+	// The local route is still counted.
 	if g.Metrics().WriteTxns != writes+1 {
-		t.Fatal("cache-routed write not counted")
+		t.Fatal("locally routed write not counted")
 	}
 }
 
@@ -76,59 +76,83 @@ func TestReplicaForwardsSplitWriteSets(t *testing.T) {
 	sel.RegisterPartitionEpoch(1, 1, 0)
 
 	ws := []storage.RowRef{ref(1), ref(101)}
-	route, cached := routeLikeSession(t, front, 1, ws)
-	if cached || !route.Remastered {
-		t.Fatalf("split write set: route = %+v cached=%v, want a remaster by the selector", route, cached)
+	route, local := routeLikeSession(t, front, 1, ws)
+	if local || !route.Remastered {
+		t.Fatalf("split write set: route = %+v local=%v, want a remaster by the selector", route, local)
 	}
-	// The remaster's delta reached the cache: the same write set now takes
-	// the fast path.
+	// The remaster's flip moved the hints: the same write set now takes the
+	// fast path.
 	before := g.Metrics().RemasterTxns
-	route2, cached := routeLikeSession(t, front, 1, ws)
-	if !cached || route2.Site != route.Site || g.Metrics().RemasterTxns != before {
-		t.Fatalf("second route = %+v cached=%v, want a cached route to site %d", route2, cached, route.Site)
+	route2, local := routeLikeSession(t, front, 1, ws)
+	if !local || route2.Site != route.Site || g.Metrics().RemasterTxns != before {
+		t.Fatalf("second route = %+v local=%v, want a local route to site %d", route2, local, route.Site)
 	}
 }
 
+// TestReplicaStaleCacheFallback walks the one window in which a local write
+// route is stale: a remaster chain holds the partition's exclusive lock and
+// has moved it at the sites, but has not flipped its metadata yet. The local
+// route names the old master, which rejects the transaction; the retry
+// through Write waits for the flip and answers the new master.
 func TestReplicaStaleCacheFallback(t *testing.T) {
 	g, sites := newShardedGroup(t, 2, 1, 1, StatsConfig{HistorySize: 128})
-	front, sel, c := g.RouterFor(1), g.Shard(0), g.cache
+	front, sel := g.RouterFor(1), g.Shard(0)
 	ws := []storage.RowRef{ref(1)}
 	if _, err := front.RouteWrite(1, ws, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// Move partition 0 to site 1 under an allocated epoch: the feed caches
-	// the move at that epoch.
+	// Run a chain's steps by hand: lock, release and grant at the sites.
+	in := sel.parts.Get(0)
+	in.mu.Lock()
 	epoch, err := sel.AllocEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _ := sites[0].Release([]uint64{0}, 1, epoch)
-	sites[1].Grant([]uint64{0}, rel, 0, epoch)
-	sel.RegisterPartitionEpoch(0, 1, epoch)
-	// Move it back behind the cache's back: an epoch-0 seed, which the
-	// monotonic cache refuses to install over the higher epoch.
-	rel, _ = sites[1].Release([]uint64{0}, 0, 0)
-	sites[0].Grant([]uint64{0}, rel, 1, 0)
-	sel.RegisterPartitionEpoch(0, 0, 0)
-
-	if route, ok := front.CachedWrite(1, ws); !ok || route.Site != 1 {
-		t.Fatalf("expected a stale cached route to site 1, got %+v/%v", route, ok)
-	}
-	// The data site would reject; the client resubmits through the front.
-	route, err := front.Resubmit(1, ws, nil, obs.SpanContext{})
+	rel, err := sites[0].Release([]uint64{0}, 1, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if route.Site != 0 {
-		t.Fatalf("resubmit routed to %d, want 0", route.Site)
+	if _, err := sites[1].Grant([]uint64{0}, rel, 0, epoch); err != nil {
+		t.Fatal(err)
 	}
-	if c.staleWrites.Load() != 1 {
-		t.Fatalf("stale writes = %d, want 1", c.staleWrites.Load())
+
+	// The local route names the old master, which rejects the transaction.
+	if route, ok := front.LocalWrite(1, ws); !ok || route.Site != 0 {
+		t.Fatalf("local route = %+v/%v, want the old master 0", route, ok)
 	}
-	// And the cache learned the answer.
-	if route, ok := front.CachedWrite(1, ws); !ok || route.Site != 0 {
-		t.Fatalf("cache not refreshed by the resubmit: %+v/%v", route, ok)
+	if tx, err := sites[0].Begin(nil, ws); !errors.Is(err, sitemgr.ErrNotMaster) {
+		if tx != nil {
+			tx.Abort()
+		}
+		t.Fatalf("Begin at the old master: %v, want ErrNotMaster", err)
+	}
+
+	// The retry blocks on the partition's lock until the chain flips.
+	done := make(chan Route, 1)
+	go func() {
+		route, err := front.Write(1, ws, nil, obs.SpanContext{}, 1)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- route
+	}()
+	for front.staleWrites.Load() == 0 {
+		runtime.Gosched()
+	}
+	select {
+	case route := <-done:
+		t.Fatalf("Write returned %+v while the chain held the partition lock", route)
+	default:
+	}
+	in.setMaster(1, epoch)
+	sel.noteMaster([]uint64{0}, 1)
+	in.mu.Unlock()
+	if route := <-done; route.Site != 1 || route.Remastered {
+		t.Fatalf("retry routed to %+v, want the new master 1 without a remaster", route)
+	}
+	if route, ok := front.LocalWrite(1, ws); !ok || route.Site != 1 {
+		t.Fatalf("local route after the flip = %+v/%v, want 1", route, ok)
 	}
 }
 
@@ -137,24 +161,21 @@ func TestReplicaRouteRead(t *testing.T) {
 	front := g.RouterFor(1)
 	seen := map[int]bool{}
 	for i := 0; i < 60; i++ {
-		route, ok := front.CachedRead(1, nil, nil)
-		if !ok {
-			t.Fatal("unhinted read missed the cache")
-		}
-		seen[route.Site] = true
+		seen[front.Read(1, nil, nil, 0).Site] = true
 	}
 	if len(seen) < 2 {
-		t.Fatal("cached read routing not spreading load")
+		t.Fatal("local read routing not spreading load")
 	}
-	if g.cache.readRoutes.Load() != 60 {
-		t.Fatalf("cache read routes = %d, want 60", g.cache.readRoutes.Load())
+	if front.readRoutes.Load() != 60 {
+		t.Fatalf("local read routes = %d, want 60", front.readRoutes.Load())
 	}
 }
 
 // TestFrontRouteAllocs pins the warm front's cost for every control-plane
 // size: a write of up to eight partitions allocates only its partition list,
-// whether its partitions sit on one shard or several, and a read allocates
-// only the version vectors its two sites hand out.
+// whether its partitions sit on one shard or several and whether a router or
+// the session's local route decides it, and a read allocates only the
+// version vectors its two sites hand out.
 func TestFrontRouteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -192,6 +213,34 @@ func TestFrontRouteAllocs(t *testing.T) {
 		t.Logf("shards=%d: RouteRead %.2f allocs", shards, got)
 		if got > 2 {
 			t.Fatalf("shards=%d: RouteRead allocates %.2f per call, want <= 2", shards, got)
+		}
+	}
+
+	// The local path, on one shard with a standby and on four shards.
+	for _, tc := range []struct {
+		name             string
+		shards, standbys int
+	}{{"1shard+1standby", 1, 1}, {"4shards", 4, 0}} {
+		g, _ := newShardedGroup(t, 2, tc.shards, tc.standbys, StatsConfig{HistorySize: 128})
+		front := g.RouterFor(1)
+		buckets := shardBuckets(50, tc.shards)
+		ws := []storage.RowRef{ref(buckets[0][0] * 100), ref(buckets[0][0]*100 + 50)}
+		if tc.shards > 1 {
+			ws = append(ws, ref(buckets[1][0]*100))
+		}
+		measure(front, ws) // the routers see, and co-locate, every partition
+		if _, ok := front.LocalWrite(1, ws); !ok {
+			t.Fatalf("%s: warm write set missed the local route", tc.name)
+		}
+		got := testing.AllocsPerRun(500, func() { _, _ = front.LocalWrite(1, ws) })
+		t.Logf("%s: LocalWrite %.2f allocs", tc.name, got)
+		if got > 1 {
+			t.Fatalf("%s: LocalWrite allocates %.2f per call, want <= 1", tc.name, got)
+		}
+		got = testing.AllocsPerRun(500, func() { front.Read(1, nil, nil, 0) })
+		t.Logf("%s: local Read %.2f allocs", tc.name, got)
+		if got > 2 {
+			t.Fatalf("%s: local Read allocates %.2f per call, want <= 2", tc.name, got)
 		}
 	}
 }

@@ -40,9 +40,9 @@ import (
 //     cross-shard pair record it.
 //   - Routing counters and instruments live on the Group, so they survive
 //     a shard leader's promotion.
-//   - Sessions route through the Front (cache.go), which serves reads and
-//     single-sited writes off a gossiped read-only placement cache whenever
-//     the control plane has more than one node.
+//   - Sessions route through the Front (front.go), which on a control plane
+//     of more than one node lets them route reads and single-sited writes
+//     themselves from the shard leaders' lock-free master hints.
 
 // MaxRouterShards bounds the shard count (owner sets are uint64 bitmasks).
 const MaxRouterShards = 64
@@ -57,10 +57,7 @@ type GroupConfig struct {
 	// Shards are the per-shard Replicated tiers, indexed by shard; shard i's
 	// selectors must be built with Config.Shard = i, Config.Shards = n.
 	Shards []*Replicated
-	// GossipInterval is the placement cache's anti-entropy pull period
-	// (bounds cache staleness; 0 = DefaultGossipInterval).
-	GossipInterval time.Duration
-	// Obs receives the routing, per-shard and cache metrics.
+	// Obs receives the routing, per-shard and local-routing metrics.
 	Obs *obs.Registry
 }
 
@@ -84,7 +81,6 @@ type Group struct {
 	n, m        int
 	partitioner sitemgr.Partitioner
 	allSites    []int // 0..m-1: the read host set under full replication
-	cache       *PlacementCache
 	front       *Front
 
 	ctr    []routeCounters // per shard
@@ -110,8 +106,8 @@ type Group struct {
 }
 
 // NewGroup builds the control plane over per-shard Replicated tiers. The
-// front gets a placement cache whenever the control plane has more than one
-// node: several shards, or standbys behind each leader.
+// front routes locally whenever the control plane has more than one node:
+// several shards, or standbys behind each leader.
 func NewGroup(cfg GroupConfig) (*Group, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("selector: group requires at least one shard")
@@ -138,14 +134,8 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 		return rand.New(rand.NewSource(s0.seed ^ int64(z^(z>>31))))
 	}
-	if g.n > 1 || cfg.Shards[0].standbys > 0 {
-		g.cache = newPlacementCache(g, cfg.GossipInterval, cfg.Obs)
-		for _, repl := range g.repls {
-			repl.setFeedSink(g.cache.ingest)
-		}
-		g.cache.start()
-	}
-	g.front = &Front{g: g, c: g.cache}
+	g.front = &Front{g: g, local: g.n > 1 || cfg.Shards[0].standbys > 0}
+	g.front.instrument(cfg.Obs)
 	g.instrument(cfg.Obs)
 	return g, nil
 }
@@ -161,13 +151,6 @@ func (g *Group) ShardOf(part uint64) int { return RouterShardOf(part, g.n) }
 
 // ShardFor returns the leader selector of the shard owning a partition.
 func (g *Group) ShardFor(part uint64) *Selector { return g.repls[g.ShardOf(part)].Leader() }
-
-// Stop terminates the group's background work (the cache gossip loop).
-func (g *Group) Stop() {
-	if g.cache != nil {
-		g.cache.stopLoop()
-	}
-}
 
 // RouterFor returns a client's router: the group's one Front, shared by
 // every client (each call carries its client id).
@@ -400,7 +383,7 @@ func (g *Group) finishSingle(client int, parts []uint64, master int, start time.
 
 // finishWrite records a decided write: routing counters, the statistics
 // sample through dispatchRecord, and each owning shard's site load. The
-// front's cached routes record through it too.
+// front's local routes record through it too.
 func (g *Group) finishWrite(client int, parts []uint64, site int, start time.Time) {
 	now := time.Now()
 	elapsed := now.Sub(start)

@@ -60,12 +60,11 @@ func newShardedGroup(t *testing.T, m, shards, standbys int, stats StatsConfig) (
 		}
 		repls[i] = NewReplicated(sel, standbys, nil)
 	}
-	g, err := NewGroup(GroupConfig{Shards: repls, GossipInterval: 2 * time.Millisecond})
+	g, err := NewGroup(GroupConfig{Shards: repls})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		g.Stop()
 		b.Close()
 		for _, s := range sites {
 			s.Stop()
@@ -116,16 +115,13 @@ func TestRouterShardOfProperties(t *testing.T) {
 
 func TestGroupSingleShardPassThrough(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 1, 0, StatsConfig{HistorySize: 128})
-	if g.cache != nil {
-		t.Fatal("single-shard group built a placement cache")
-	}
-	// The router is the group's front with no cache: every call takes the
+	// The router is the group's front, not local: every call takes the
 	// group's routing.
 	front := g.RouterFor(1)
-	if front.c != nil {
-		t.Fatal("one-node front carries a placement cache")
+	if front.Local() {
+		t.Fatal("one-node front routes locally")
 	}
-	if _, ok := front.CachedWrite(1, []storage.RowRef{ref(1)}); ok {
+	if _, ok := front.LocalWrite(1, []storage.RowRef{ref(1)}); ok {
 		t.Fatal("one-node front served a write without its selector")
 	}
 	r, err := front.RouteWrite(1, []storage.RowRef{ref(1), ref(150)}, nil)
@@ -302,80 +298,79 @@ func TestCrossShardCoAccessMatchesReference(t *testing.T) {
 	}
 }
 
-func TestPlacementCacheIngestMonotonic(t *testing.T) {
-	g, _ := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
-	c := g.cache
-	if c == nil {
-		t.Fatal("sharded group built no cache")
-	}
-	// Partition 77 exists nowhere, so gossip never touches it.
-	c.ingest([]uint64{77}, 1, 10)
-	if site, ok := c.single([]uint64{77}); !ok || site != 1 {
-		t.Fatalf("after ingest: owner = %d/%v, want 1", site, ok)
-	}
-	// A straggler below the installed epoch never rolls the cache back.
-	c.ingest([]uint64{77}, 0, 9)
-	if site, _ := c.single([]uint64{77}); site != 1 {
-		t.Fatalf("stale delta rolled the cache back to site %d", site)
-	}
-	// An equal-or-newer epoch wins.
-	c.ingest([]uint64{77}, 0, 11)
-	if site, _ := c.single([]uint64{77}); site != 0 {
-		t.Fatalf("newer delta did not install: owner %d, want 0", site)
-	}
-	// An authoritative answer overrides regardless of epoch, and the next
-	// delta at the installed epoch still wins over it.
-	c.learn([]uint64{77}, 1)
-	if site, _ := c.single([]uint64{77}); site != 1 {
-		t.Fatalf("learned answer not installed: owner %d, want 1", site)
-	}
-	c.ingest([]uint64{77}, 0, 11)
-	if site, _ := c.single([]uint64{77}); site != 0 {
-		t.Fatalf("delta at the installed epoch lost to a learned answer: owner %d", site)
-	}
-}
-
 func TestCachedRouterServesAndFallsBack(t *testing.T) {
 	g, _ := newShardedGroup(t, 2, 2, 0, StatsConfig{HistorySize: 128})
-	front, c := g.RouterFor(3), g.cache
+	front := g.RouterFor(3)
 
-	// Nothing routed yet: the partitions do not exist on any shard, so the
-	// cache misses and the caller must fall back to the routers.
-	if _, ok := front.CachedWrite(3, []storage.RowRef{ref(1)}); ok {
-		t.Fatal("cache served a write for a partition it never saw")
+	// Nothing routed yet: the partition exists on no shard, so the local
+	// route misses (creating nothing) and the caller must use the routers.
+	if _, ok := front.LocalWrite(3, []storage.RowRef{ref(1)}); ok {
+		t.Fatal("local route served a partition no router had seen")
 	}
-	if c.misses.Load() == 0 {
-		t.Fatal("cache miss not counted")
+	if front.misses.Load() == 0 {
+		t.Fatal("local miss not counted")
+	}
+	if g.ShardFor(0).parts.Get(0) != nil {
+		t.Fatal("a local miss created partition state")
 	}
 
-	// Materialize the partition through the routers, then pull placement.
+	// Once a router has seen the partition, the local route finds it.
 	if _, err := front.RouteWrite(3, []storage.RowRef{ref(1)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.gossip()
-	route, ok := front.CachedWrite(3, []storage.RowRef{ref(1)})
+	route, ok := front.LocalWrite(3, []storage.RowRef{ref(1)})
 	if !ok || route.Site != 0 {
-		t.Fatalf("cached write route = %+v/%v, want site 0 hit", route, ok)
+		t.Fatalf("local write route = %+v/%v, want site 0 hit", route, ok)
 	}
-	if c.writeRoutes.Load() == 0 {
-		t.Fatal("cache write hit not counted")
-	}
-
-	// Reads under full replication are always cache-grade.
-	if _, ok := front.CachedRead(3, nil, []uint64{0}); !ok {
-		t.Fatal("full-replication read missed the cache")
-	}
-	if c.readRoutes.Load() == 0 {
-		t.Fatal("cache read hit not counted")
+	if front.writeRoutes.Load() == 0 {
+		t.Fatal("local write hit not counted")
 	}
 
-	// The resubmit path counts against the cache and routes authoritatively.
-	before := c.staleWrites.Load()
-	if _, err := front.Resubmit(3, []storage.RowRef{ref(1)}, nil, obs.SpanContext{}); err != nil {
+	// A first-attempt read routes locally; a retry does not count as one.
+	front.Read(3, nil, []uint64{0}, 0)
+	front.Read(3, nil, []uint64{0}, 1)
+	if got := front.readRoutes.Load(); got != 1 {
+		t.Fatalf("local read routes = %d, want 1", got)
+	}
+
+	// A retried write counts as stale and routes through the routers.
+	before := front.staleWrites.Load()
+	if _, err := front.Write(3, []storage.RowRef{ref(1)}, nil, obs.SpanContext{}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.staleWrites.Load() != before+1 {
-		t.Fatal("Resubmit did not count a stale cache write")
+	if front.staleWrites.Load() != before+1 {
+		t.Fatal("a retried write was not counted as stale")
+	}
+}
+
+// TestEmptyWriteSetCountedOnce pins that a write with an empty write set is
+// one routed write on every topology, whichever path routes it.
+func TestEmptyWriteSetCountedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		shards, standbys int
+	}{{"one-node", 1, 0}, {"1shard+1standby", 1, 1}, {"4shards", 4, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _ := newShardedGroup(t, 2, tc.shards, tc.standbys, StatsConfig{HistorySize: 128})
+			front := g.RouterFor(1)
+			before := g.Metrics().WriteTxns
+			route, local := front.LocalWrite(1, nil)
+			if local != front.Local() {
+				t.Fatalf("empty write set: local = %v on a front with Local() = %v", local, front.Local())
+			}
+			if !local {
+				var err error
+				if route, err = front.Write(1, nil, nil, obs.SpanContext{}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if route.Site != 0 {
+				t.Fatalf("empty write set routed to %d, want 0", route.Site)
+			}
+			if got := g.Metrics().WriteTxns - before; got != 1 {
+				t.Fatalf("empty write set counted %d times, want 1", got)
+			}
+		})
 	}
 }
 

@@ -49,9 +49,11 @@ import (
 // no deposed-leader operation can reach any site's log, so the rebuild in
 // step (3) is a complete account of site-level ownership. Routing
 // unavailability is bounded by the expiry-detection delay plus promotion
-// work — about 1.5x the lease TTL — during which writes the front cannot
-// serve from its placement cache fail fast with the retryable ErrNoLeader,
-// and reads keep flowing.
+// work — about 1.5x the lease TTL. In that window writes that need a router
+// (a local-route miss, or a remaster) fail fast with the retryable
+// ErrNoLeader. Reads keep flowing, and so do single-sited writes the front
+// routes locally: the leader pointer still names the deposed leader, whose
+// hints are the map as it stood when the fence landed.
 
 // ErrNoLeader is returned by write routing (and lease-validated epoch
 // allocation) while the selector tier has no active leader — during the
@@ -530,8 +532,8 @@ func (ha *HA) promote() {
 		}
 	}
 
-	// (5) Swap leadership; the placement cache's feed follows the leader.
-	newSel.SetDeltaFeed(ha.repl.deliverDelta)
+	// (5) Swap leadership. Until this store, local routes read the deposed
+	// leader's hints, as the rebuilt map is not yet in place.
 	ha.repl.leader.Store(newSel)
 	ha.node.Store(int32(cand))
 	ha.token = token

@@ -65,7 +65,6 @@ func newHATier(t *testing.T, m, standbys int, lease time.Duration, mutate ...fun
 	}
 	t.Cleanup(func() {
 		ha.Stop()
-		g.Stop()
 		b.Close()
 		for _, s := range sites {
 			s.Stop()
@@ -148,6 +147,13 @@ func TestHAPromotionOnLeaderKill(t *testing.T) {
 	killed := ha.KillLeader()
 	if killed != 0 {
 		t.Fatalf("killed node %d, want initial leader 0", killed)
+	}
+	// Until the swap the leader pointer names the deposed leader, and a
+	// single-sited write still routes locally from its hints; after the
+	// swap it routes from the rebuilt map. Either way it names the owner.
+	inWindow := repl.Leader() == old
+	if route, ok := front.LocalWrite(2, []storage.RowRef{ref(1), ref(101)}); !ok || !sites[route.Site].Masters(0) {
+		t.Fatalf("local write after the kill = %+v/%v (in window: %v), want the sites' owner of partition 0", route, ok, inWindow)
 	}
 	window := waitPromotions(t, ha, 1)
 	t.Logf("promotion completed %v after the kill", window)

@@ -17,25 +17,6 @@ type Replicated struct {
 	net      *transport.Network
 	leader   atomic.Pointer[Selector]
 	ha       *HA
-
-	// feedSink consumes the leader's mastership delta feed (the front's
-	// placement cache). It survives leader swaps: every leader's feed is
-	// wired to deliverDelta.
-	feedSink atomic.Pointer[func(parts []uint64, site int, epoch uint64)]
-}
-
-// setFeedSink installs the delta-feed consumer and wires the current
-// leader's feed to it.
-func (r *Replicated) setFeedSink(f func(parts []uint64, site int, epoch uint64)) {
-	r.feedSink.Store(&f)
-	r.Leader().SetDeltaFeed(r.deliverDelta)
-}
-
-// deliverDelta hands one committed mastership flip to the feed sink, if any.
-func (r *Replicated) deliverDelta(parts []uint64, site int, epoch uint64) {
-	if f := r.feedSink.Load(); f != nil {
-		(*f)(parts, site, epoch)
-	}
 }
 
 // NewReplicated builds a tier of master plus n standbys.

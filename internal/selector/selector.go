@@ -92,8 +92,9 @@ type Route struct {
 // partInfo is the per-partition-group metadata of §V-B: current master
 // location and a readers-writer lock serializing routing against
 // remastering. hint mirrors master lock-free for the scoring heuristic,
-// which must not take partition locks it does not hold (lock-order safety):
-// a stale hint can only skew a score, never correctness.
+// which must not take partition locks it does not hold (lock-order safety),
+// and for the front's local routes: a stale hint can only skew a score or
+// send a write to a former master that rejects it, never correctness.
 type partInfo struct {
 	mu     sync.RWMutex
 	master int
@@ -150,10 +151,6 @@ type Selector struct {
 	// issuing placement grants. Read routing keeps working — it only
 	// consults site version vectors, which staleness cannot corrupt.
 	deposed atomic.Bool
-
-	// feed, when set, publishes committed mastership flips to the front's
-	// placement cache.
-	feed atomic.Pointer[func(parts []uint64, site int, epoch uint64)]
 
 	// downSites flags sites declared failed (heartbeat misses); routing and
 	// remastering exclude them until failover completes.
@@ -250,7 +247,6 @@ func (s *Selector) part(id uint64) *partInfo {
 			// Grant only fails at shutdown; routing will surface the error.
 			_ = err
 		}
-		s.publish([]uint64{id}, master, 0)
 	}
 	return p
 }
@@ -313,21 +309,6 @@ func (s *Selector) depose() { s.deposed.Store(true) }
 // control-plane leader.
 func (s *Selector) Deposed() bool { return s.deposed.Load() }
 
-// SetDeltaFeed installs the mastership delta stream: every committed
-// metadata flip (remaster chain completion, failover
-// registration, first-sight placement) is published to f.
-func (s *Selector) SetDeltaFeed(f func(parts []uint64, site int, epoch uint64)) {
-	s.feed.Store(&f)
-}
-
-// publish hands a committed mastership flip to the delta feed, if one is
-// wired.
-func (s *Selector) publish(parts []uint64, site int, epoch uint64) {
-	if f := s.feed.Load(); f != nil {
-		(*f)(parts, site, epoch)
-	}
-}
-
 // MasteredBy returns every partition currently assigned to site in the
 // selector's map, in ascending order. Failover uses it as the authoritative
 // set to re-grant (the selector's map is what routing consults, so
@@ -354,7 +335,6 @@ func (s *Selector) MasteredBy(site int) []uint64 {
 // would make its initial site a second master).
 func (s *Selector) RegisterPartitionEpoch(id uint64, master int, epoch uint64) {
 	s.install(id, master, epoch)
-	s.publish([]uint64{id}, master, epoch)
 }
 
 // PlacementSnapshot captures the full partition map with the epoch each
@@ -807,7 +787,6 @@ func (s *Selector) runChain(c *remasterChain, dest int, sc obs.SpanContext) (vcl
 			in.setMaster(dest, epoch)
 		}
 		s.noteMaster(c.ids, dest)
-		s.publish(c.ids, dest, epoch)
 		return grantVV, len(c.ids), nil
 	}
 	// The source released but the grant leg failed. A stale epoch means a
